@@ -147,8 +147,9 @@ def expand_rrcf(x: Fraction) -> ReducedRCF:
 def value_rrcf(rcf: ReducedRCF) -> Fraction:
     """Exact value of [[1; b1,...,bl]] via the minus-continuant recurrence.
 
-    h(k) = bk*h(k-1) - h(k-2) and likewise for the denominators; digits
-    >= 2 force 0 < h(k-1) < h(k), so no minor ever vanishes. Consecutive
+    h(k) = bk*h(k-1) - h(k-2) and likewise for the denominators; the
+    digits >= 2 that ReducedRCF enforces force 0 < h(k-1) < h(k), so no
+    minor ever vanishes. Consecutive
     continuants have determinant -1, hence the result is already reduced.
     """
     h_prev, h = 1, rcf.digits[0]
@@ -156,7 +157,6 @@ def value_rrcf(rcf: ReducedRCF) -> Fraction:
     for b in rcf.digits[1:]:
         h_prev, h = h, b * h - h_prev
         k_prev, k = k, b * k - k_prev
-        assert h > h_prev > 0
     return Fraction(h - k, h)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import MAX_XI_INDEX, verify_theorem1
@@ -23,6 +23,8 @@ from .stern import stern_level
 from .xi import theta, xi
 
 DISPLAY_DIGITS = 15
+#: Characters read from stdin at a time by eval-stream.
+STREAM_CHUNK = 4096
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -185,10 +187,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_quotients(stream: IO[str]) -> Iterator[int]:
+    """Whitespace-separated integers from the stream, read a chunk at a
+    time so that an endless stream is consumed only as far as needed."""
+    partial = ""
+    while chunk := stream.read(STREAM_CHUNK):
+        text = partial + chunk
+        tokens = text.split()
+        partial = "" if text[-1].isspace() else tokens.pop()
+        yield from map(int, tokens)
+    if partial:
+        yield int(partial)
+
+
 def _cmd_eval_stream(args: argparse.Namespace) -> int:
-    tokens = sys.stdin.read().split()
-    quotients = (int(token) for token in tokens)
-    lo, hi = g_stream(quotients, args.lam, args.epsilon)
+    lo, hi = g_stream(_read_quotients(sys.stdin), args.lam, args.epsilon)
     print(f"{_format_exact(lo)}\t{_format_exact(hi)}"
           f"\t{to_decimal(lo, DISPLAY_DIGITS)}\t{to_decimal(hi, DISPLAY_DIGITS)}")
     return 0
@@ -259,6 +272,21 @@ def _cmd_plot_data(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one command; exact values print in full, however many digits."""
+    # Python 3.11+ refuses int-to-str conversions past 4300 digits; the
+    # limit is lifted for this call only, so library callers keep it.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,14 +7,18 @@ This module computes the finite-n empirical values exactly, monitors
 their convergence to the exact Q(sqrt5) target, and exposes the
 subtree-count ratios whose Fibonacci limit tau**2 drives that
 convergence.
+
+Both sequences are depth-bounded cuts of one Stern-Brocot tree, so a
+rank is counted along the tree path to x (Graham, Knuth and Patashnik,
+*Concrete Mathematics* 4.5) in at most n steps, without building the
+sequence. `EmpiricalCDF` keeps the materialized route as a reference.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cf import digit_sum_L, expand_rcf, expand_rrcf
 from .exact import QuadSurd, mediant, to_decimal
@@ -22,7 +26,8 @@ from .singular import g_tau2
 from .stern import stern_level
 from .xi import fibonacci, subtree_count, xi
 
-#: Largest xi index verify_theorem1 will materialize (~2.2M elements).
+#: Largest index verify_theorem1 tabulates. A row costs one path walk of
+#: at most n steps, so this bounds the table, not memory.
 MAX_XI_INDEX = 30
 
 
@@ -32,6 +37,8 @@ class EmpiricalCDF:
 
     The value at x is (number of elements <= x) / (total), an exact
     rational; a nondecreasing step function that reaches 1 at x = 1.
+    Builds the whole sequence, so it serves as the reference route for
+    `empirical_cdf`, which counts along the tree path instead.
     """
 
     kind: str
@@ -40,7 +47,11 @@ class EmpiricalCDF:
 
     @classmethod
     def build(cls, kind: str, n: int) -> "EmpiricalCDF":
-        return _build_cdf(kind, n)
+        if kind == "stern_brocot":
+            return cls(kind, n, stern_level(n).elements)
+        if kind == "xi":
+            return cls(kind, n, xi(n).elements)
+        raise ValueError(f"unknown sequence kind: {kind!r}")
 
     def value(self, x: Fraction) -> Fraction:
         if not 0 <= x <= 1:
@@ -48,19 +59,60 @@ class EmpiricalCDF:
         return Fraction(bisect_right(self.elements, x), len(self.elements))
 
 
-@lru_cache(maxsize=8)
-def _build_cdf(kind: str, n: int) -> EmpiricalCDF:
-    if kind == "stern_brocot":
-        return EmpiricalCDF(kind, n, stern_level(n).elements)
+def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
+    """(Elements <= x, total, whether x is an element) for the level-n
+    sequence of the given kind, by one walk down the Stern-Brocot path to x.
+
+    The sequence is 0, 1 and the tree nodes of depth <= n, where the root
+    1/2 has depth 1, a right edge costs 1 and a left edge costs 2 for
+    "xi" or 1 for "stern_brocot". A mediant of depth k at or below x
+    counts with its left subtree: fibonacci(n-k+1) or 2**(n-k) elements.
+    Each step goes at least one level down, so the walk takes at most n
+    steps whatever the quotients of x, and mediant denominators stay
+    <= fibonacci(n+2).
+    """
+    if not 0 <= x <= 1:
+        raise ValueError(f"need 0 <= x <= 1, got {x}")
     if kind == "xi":
-        return EmpiricalCDF(kind, n, xi(n).elements)
-    raise ValueError(f"unknown sequence kind: {kind!r}")
+        if n < 1:
+            raise ValueError("sequence index must be >= 1")
+        fib = [1, 1]  # F(1), F(2), ...
+        while len(fib) < n + 2:
+            fib.append(fib[-1] + fib[-2])
+        left_cost, weights, total = 2, fib[n - 1::-1], fib[n + 1] + 1
+    elif kind == "stern_brocot":
+        if n < 0:
+            raise ValueError("level index must be >= 0")
+        left_cost, weights, total = 1, [1 << (n - k) for k in range(1, n + 1)], 2 ** n + 1
+    else:
+        raise ValueError(f"unknown sequence kind: {kind!r}")
+    if x == 0:
+        return 1, total, True
+    if x == 1:
+        return total, total, True
+    a, b = x.numerator, x.denominator
+    lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
+    rank, depth = 1, 1
+    while depth <= n:
+        p, q = lo_p + hi_p, lo_q + hi_q
+        side = a * q - p * b
+        if side < 0:
+            hi_p, hi_q = p, q
+            depth += left_cost
+        else:
+            rank += weights[depth - 1]
+            if side == 0:
+                return rank, total, True
+            lo_p, lo_q = p, q
+            depth += 1
+    return rank, total, False
 
 
 def empirical_cdf(kind: str, n: int, x: Fraction) -> Fraction:
     """Exact rank ratio of x in the level-n sequence of the given kind
-    ("stern_brocot" or "xi")."""
-    return EmpiricalCDF.build(kind, n).value(x)
+    ("stern_brocot" or "xi"), counted in at most n path steps."""
+    rank, total, _ = _rank(kind, n, x)
+    return Fraction(rank, total)
 
 
 @dataclass(frozen=True)
@@ -86,15 +138,15 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
 
     The target is exact in Q(sqrt5); errors are reported as 30-digit
     decimals, and the pass verdict compares the final error against the
-    tolerance exactly. Refuses n_max beyond MAX_XI_INDEX rather than
-    approximating.
+    tolerance exactly. Each row is one rank walk of at most n steps.
+    Refuses n_max beyond MAX_XI_INDEX.
     """
     if not 0 < x < 1:
         raise ValueError(f"need 0 < x < 1, got {x}")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if n_max > MAX_XI_INDEX:
-        raise ValueError(f"refusing n_max > {MAX_XI_INDEX}: the sequence would not fit in memory")
+        raise ValueError(f"refusing n_max > {MAX_XI_INDEX}: the table stops at index {MAX_XI_INDEX}")
     target = g_tau2(expand_rcf(x))
     rows = []
     final_error: QuadSurd = QuadSurd(0)
@@ -115,9 +167,9 @@ def mediant_ratio(x: Fraction, y: Fraction, n_of_pair: int, m: int) -> Fraction:
     (fibonacci(m-k+1) - 1) / (fibonacci(m-k+3) - 1), with k the mediant's
     generation, tends to tau**2 as m grows.
     """
-    sequence = xi(n_of_pair).elements
-    position = bisect_left(sequence, x)
-    if position >= len(sequence) - 1 or sequence[position] != x or sequence[position + 1] != y:
+    rank_x, _, x_is_element = _rank("xi", n_of_pair, x)
+    rank_y, _, y_is_element = _rank("xi", n_of_pair, y)
+    if not (x_is_element and y_is_element and rank_y == rank_x + 1):
         raise ValueError(f"{x} and {y} are not consecutive in the index-{n_of_pair} sequence")
     k = digit_sum_L(expand_rrcf(mediant(x, y))) - 1
     if m < k:

@@ -1,13 +1,45 @@
 import io
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
-from sternbrocot import parse_quadsurd, parse_rational
+from sternbrocot import expand_rcf, g_series, parse_quadsurd, parse_rational
+from sternbrocot import cli
 from sternbrocot.cli import run
+
+INT_DIGITS_LIMITED = hasattr(sys, "get_int_max_str_digits")
 
 
 def lines_of(capsys):
     out = capsys.readouterr().out
     return out.splitlines()
+
+
+@contextmanager
+def int_digit_limit(digits):
+    """Set Python's int-to-str digit limit (0: none), where it has one, for a block."""
+    if not INT_DIGITS_LIMITED:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class EndlessOnes:
+    """A stdin that yields "1\n" forever; reading it to the end fails."""
+
+    def __init__(self):
+        self.chars_read = 0
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("read to the end of an endless stream")
+        self.chars_read += size
+        return ("1\n" * (size // 2 + 1))[:size]
 
 
 class TestEval:
@@ -55,6 +87,21 @@ class TestEval:
         exact = lines_of(capsys)[0].split("\t")[0]
         assert 0 < parse_quadsurd(exact) < 1
 
+    def test_exact_value_past_the_int_digit_limit(self, capsys):
+        # g(1/9100) at lambda = 1/3 has a 4342-digit denominator
+        assert run(["eval", "--lambda", "1/3", "--x", "1/9100"]) == 0
+        exact, decimal = lines_of(capsys)[0].split("\t")
+        with int_digit_limit(0):
+            assert parse_rational(exact) == g_series(expand_rcf(Fraction(1, 9100)), Fraction(1, 3))
+        assert decimal == "0.000000000000000"
+
+    def test_the_digit_limit_is_restored(self, capsys):
+        with int_digit_limit(5000):
+            assert run(["eval", "--lambda", "1/3", "--x", "1/9100"]) == 0
+            if INT_DIGITS_LIMITED:
+                assert sys.get_int_max_str_digits() == 5000
+        capsys.readouterr()
+
 
 class TestEvalStream:
     def test_golden_ratio_quotients(self, capsys, monkeypatch):
@@ -71,11 +118,38 @@ class TestEvalStream:
         assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-12"]) == 2
         assert "rational" in capsys.readouterr().err
 
+    def test_endless_stream_is_read_only_as_far_as_needed(self, capsys, monkeypatch):
+        stdin = EndlessOnes()
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-5"]) == 0
+        lo, hi = map(parse_rational, lines_of(capsys)[0].split("\t")[:2])
+        assert lo < Fraction(2, 3) < hi
+        assert stdin.chars_read <= 2 * cli.STREAM_CHUNK
+
+    def test_tokens_split_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "STREAM_CHUNK", 2)
+        text = io.StringIO("12 345\n 6\t78 9")
+        assert list(cli._read_quotients(text)) == [12, 345, 6, 78, 9]
+        assert list(cli._read_quotients(io.StringIO(" \n"))) == []
+
+    def test_bad_token_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 1 x 1"))
+        assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-5"]) == 2
+        capsys.readouterr()
+
 
 class TestQuestionMark:
     def test_example(self, capsys):
         assert run(["question-mark", "--x", "2/3"]) == 0
         assert lines_of(capsys) == ["3/4\t0.750000000000000"]
+
+    def test_exact_value_past_the_int_digit_limit(self, capsys):
+        # ?(1/20000) = 2**-19999, a 6021-digit denominator
+        assert run(["question-mark", "--x", "1/20000"]) == 0
+        exact, decimal = lines_of(capsys)[0].split("\t")
+        with int_digit_limit(0):
+            assert parse_rational(exact) == Fraction(1, 2 ** 19999)
+        assert decimal == "0.000000000000000"
 
 
 class TestSequences:

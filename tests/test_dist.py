@@ -1,12 +1,17 @@
 from collections import Counter
 from fractions import Fraction
+from functools import cache
+from importlib import import_module
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sternbrocot import (
     TAU,
     TAU2,
     EmpiricalCDF,
+    RegularCF,
     empirical_cdf,
     expand_rrcf,
     digit_sum_L,
@@ -18,9 +23,36 @@ from sternbrocot import (
     subtree_count,
     subtree_nodes,
     theta,
+    value_rcf,
     verify_theorem1,
     xi,
 )
+
+#: Materialized CDFs, the reference route for the path-walk ranks.
+reference_cdf = cache(EmpiricalCDF.build)
+
+
+@st.composite
+def rank_queries(draw):
+    """(kind, n, x): x a member, a midpoint of neighbours, an endpoint, or
+    a rational with quotients up to 10**6."""
+    kind, n = draw(st.one_of(
+        st.tuples(st.just("xi"), st.integers(1, 18)),
+        st.tuples(st.just("stern_brocot"), st.integers(0, 14)),
+    ))
+    elements = reference_cdf(kind, n).elements
+    source = draw(st.sampled_from(("member", "midpoint", "endpoint", "quotients")))
+    if source == "member":
+        x = draw(st.sampled_from(elements))
+    elif source == "midpoint":
+        i = draw(st.integers(0, len(elements) - 2))
+        x = (elements[i] + elements[i + 1]) / 2
+    elif source == "endpoint":
+        x = draw(st.sampled_from((Fraction(0), Fraction(1))))
+    else:
+        quotients = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6))
+        x = value_rcf(RegularCF(tuple(quotients[:-1]) + (max(quotients[-1], 2),)))
+    return kind, n, x
 
 
 class TestEmpiricalCDF:
@@ -30,6 +62,28 @@ class TestEmpiricalCDF:
     def test_reaches_one_at_the_right_endpoint(self):
         assert empirical_cdf("xi", 5, Fraction(1)) == 1
         assert empirical_cdf("stern_brocot", 4, Fraction(1)) == 1
+
+    def test_zero_is_the_first_element(self):
+        assert empirical_cdf("xi", 5, Fraction(0)) == Fraction(1, fibonacci(7) + 1)
+        assert empirical_cdf("stern_brocot", 4, Fraction(0)) == Fraction(1, 2 ** 4 + 1)
+        assert empirical_cdf("stern_brocot", 0, Fraction(0)) == Fraction(1, 2)
+
+    @given(rank_queries())
+    def test_matches_the_materialized_sequence(self, query):
+        kind, n, x = query
+        assert empirical_cdf(kind, n, x) == reference_cdf(kind, n).value(x)
+
+    def test_huge_quotients_cost_at_most_n_steps(self):
+        # xi(30) has nothing in (0, 1/16) and nothing in (30/31, 1)
+        total = fibonacci(32) + 1
+        assert empirical_cdf("xi", 30, Fraction(1, 10 ** 100)) == Fraction(1, total)
+        assert empirical_cdf("xi", 30, 1 - Fraction(1, 10 ** 100)) == Fraction(total - 1, total)
+
+    def test_index_domain(self):
+        with pytest.raises(ValueError):
+            empirical_cdf("xi", 0, Fraction(1, 2))
+        with pytest.raises(ValueError):
+            empirical_cdf("stern_brocot", -1, Fraction(1, 2))
 
     def test_stern_brocot_example(self):
         assert empirical_cdf("stern_brocot", 2, Fraction(1, 2)) == Fraction(3, 5)
@@ -103,6 +157,16 @@ class TestMediantRatio:
         with pytest.raises(ValueError):
             mediant_ratio(Fraction(1, 2), Fraction(0), 1, 13)
 
+    def test_non_members_rejected(self):
+        # xi(1) = {0, 1/2, 1}: 3/5 and 1/4 rank right after 0 and right
+        # before 1/2, but neither is an element
+        with pytest.raises(ValueError):
+            mediant_ratio(Fraction(0), Fraction(3, 5), 1, 13)
+        with pytest.raises(ValueError):
+            mediant_ratio(Fraction(1, 4), Fraction(1, 2), 1, 13)
+        with pytest.raises(ValueError):
+            mediant_ratio(Fraction(1, 10 ** 100), Fraction(1, 2), 5, 13)
+
     def test_limit_is_the_golden_split(self):
         ratio = mediant_ratio(Fraction(0), Fraction(1, 2), 1, 33)
         assert abs(TAU2 - ratio) < Fraction(1, 10 ** 4)
@@ -113,6 +177,27 @@ class TestMediantRatio:
             k = digit_sum_L(expand_rrcf(mediant(x, y))) - 1
             expected = Fraction(subtree_count(k + 2, 20), subtree_count(k, 20))
             assert mediant_ratio(x, y, 4, 20) == expected
+
+
+def test_ranks_build_no_sequence(monkeypatch):
+    x = Fraction(355, 1133)
+    expected_xi = [reference_cdf("xi", n).value(x) for n in range(2, 17)]
+    expected_stern_brocot = reference_cdf("stern_brocot", 12).value(x)
+    pairs = list(zip(xi(6).elements, xi(6).elements[1:]))
+    expected_ratios = [mediant_ratio(a, b, 6, 20) for a, b in pairs]
+
+    def refuse(*args):
+        raise AssertionError("a sequence was built")
+
+    for module, name in (("dist", "xi"), ("dist", "stern_level"),
+                         ("xi", "theta"), ("stern", "next_level")):
+        monkeypatch.setattr(import_module(f"sternbrocot.{module}"), name, refuse)
+    report = verify_theorem1(x, 30)
+    assert [row.n for row in report.rows] == list(range(2, 31))
+    assert [row.empirical for row in report.rows[:15]] == expected_xi
+    assert empirical_cdf("xi", 16, x) == expected_xi[-1]
+    assert empirical_cdf("stern_brocot", 12, x) == expected_stern_brocot
+    assert [mediant_ratio(a, b, 6, 20) for a, b in pairs] == expected_ratios
 
 
 class TestFibonacciRatio:
