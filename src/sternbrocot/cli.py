@@ -4,8 +4,9 @@ Every value crosses the boundary in an exact text format: rationals as
 "p/q", elements of Q(sqrt5) as "a+b√5" (keywords tau, tau2 accepted),
 continued fractions as "[0;a1,a2,...]" and "[[1;b1,b2,...]]". Sequence
 output is TSV, sorted by value, so downstream golden-file comparisons
-are bit-exact. Exit codes: 0 success, 1 verification failure, 2 usage
-error.
+are bit-exact; the rows stream from one Stern-Brocot tree walk
+(`stern.graded_walk`), and no sequence is built. Exit codes: 0 success,
+1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import MAX_XI_INDEX, verify_theorem1
 from .exact import TAU2, QuadSurd, parse_quadsurd, parse_rational, to_decimal
-from .singular import g_inductive, g_series, g_stream, g_tau2, question_mark
-from .stern import stern_level
-from .xi import theta, xi
+from .singular import _check_lambda, g_inductive, g_series, g_stream, g_tau2, question_mark
+from .stern import graded_walk
 
 DISPLAY_DIGITS = 15
 #: Characters read from stdin at a time by eval-stream.
@@ -49,12 +50,8 @@ def _epsilon_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a tolerance: {text!r}") from exc
 
 
-def _format_exact(value: Fraction | QuadSurd) -> str:
-    return str(value)
-
-
 def _emit_value(value: Fraction | QuadSurd) -> None:
-    print(f"{_format_exact(value)}\t{to_decimal(value, DISPLAY_DIGITS)}")
+    print(f"{value}\t{to_decimal(value, DISPLAY_DIGITS)}")
 
 
 def _check_cap(parser: argparse.ArgumentParser, n: int, cap: int, flag: str) -> None:
@@ -82,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--route", choices=("inductive", "series", "tau2", "salem"),
                         default="series",
                         help="evaluation route (tau2 needs --lambda tau2, salem needs --lambda 1/2)")
+    p_eval.set_defaults(handler=_cmd_eval)
 
     p_stream = sub.add_parser(
         "eval-stream",
@@ -92,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True)
     p_stream.add_argument("--epsilon", type=_epsilon_arg, required=True,
                           help="enclosure width, e.g. 1/1048576 or 1e-6")
+    p_stream.set_defaults(handler=_cmd_eval_stream)
 
     p_qm = sub.add_parser(
         "question-mark",
@@ -99,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prints the exact dyadic value and a 15-digit decimal, tab-separated.",
     )
     p_qm.add_argument("--x", type=_rational_arg, required=True, help="point in (0,1]")
+    p_qm.set_defaults(handler=_cmd_question_mark)
 
     p_sb = sub.add_parser(
         "stern-brocot",
@@ -107,7 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sb.add_argument("--n", type=int, required=True, help="level index")
     p_sb.add_argument("--cap", type=int, default=22,
-                      help="refuse levels above this index (default 22, ~4M elements)")
+                      help="refuse levels above this index (default 22: 2**22 + 1 rows, "
+                           "streamed in O(n) memory)")
+    p_sb.set_defaults(handler=_cmd_stern_brocot)
 
     p_xi = sub.add_parser(
         "xi",
@@ -117,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_xi.add_argument("--n", type=int, required=True, help="sequence index")
     p_xi.add_argument("--cap", type=int, default=25, help="refuse indices above this (default 25)")
+    p_xi.set_defaults(handler=_cmd_xi)
 
     p_theta = sub.add_parser(
         "theta",
@@ -125,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_theta.add_argument("--k", type=int, required=True, help="generation index (>= 1)")
     p_theta.add_argument("--cap", type=int, default=25, help="refuse indices above this (default 25)")
+    p_theta.set_defaults(handler=_cmd_theta)
 
     p_conv = sub.add_parser(
         "convert-cf",
@@ -132,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Line 1: regular expansion [0;a1,...]; line 2: reduced expansion [[1;b1,...]].",
     )
     p_conv.add_argument("--x", type=_rational_arg, required=True, help="point in (0,1)")
+    p_conv.set_defaults(handler=_cmd_convert_cf)
 
     p_verify = sub.add_parser(
         "verify",
@@ -150,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"largest sequence index (default 25, max {MAX_XI_INDEX})")
     p_thm.add_argument("--tol", type=_epsilon_arg, default=Fraction(1, 50),
                        help="tolerance on the final error (default 0.02)")
+    p_thm.set_defaults(handler=_cmd_verify_theorem1)
 
     p_plot = sub.add_parser(
         "plot-data",
@@ -159,11 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True)
     p_plot.add_argument("--grid", type=int, required=True, help="xi sequence index to sample at")
     p_plot.add_argument("--cap", type=int, default=25, help="refuse grids above this (default 25)")
+    p_plot.set_defaults(handler=_cmd_plot_data)
 
     return parser
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     x, lam = args.x, args.lam
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
@@ -200,22 +207,23 @@ def _read_quotients(stream: IO[str]) -> Iterator[int]:
         yield int(partial)
 
 
-def _cmd_eval_stream(args: argparse.Namespace) -> int:
+def _cmd_eval_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     lo, hi = g_stream(_read_quotients(sys.stdin), args.lam, args.epsilon)
-    print(f"{_format_exact(lo)}\t{_format_exact(hi)}"
-          f"\t{to_decimal(lo, DISPLAY_DIGITS)}\t{to_decimal(hi, DISPLAY_DIGITS)}")
+    print(f"{lo}\t{hi}\t{to_decimal(lo, DISPLAY_DIGITS)}\t{to_decimal(hi, DISPLAY_DIGITS)}")
     return 0
 
 
-def _cmd_question_mark(args: argparse.Namespace) -> int:
+def _cmd_question_mark(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _emit_value(question_mark(expand_rcf(args.x)))
     return 0
 
 
 def _cmd_stern_brocot(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_cap(parser, args.n, args.cap, "--n")
-    for element in stern_level(args.n).elements:
-        print(f"{element.numerator}\t{element.denominator}")
+    out = sys.stdout
+    out.write("0\t1\n")
+    out.writelines(f"{p}\t{q}\n" for p, q, _, _ in graded_walk(args.n))
+    out.write("1\t1\n")
     return 0
 
 
@@ -223,22 +231,24 @@ def _cmd_xi(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
     _check_cap(parser, args.n, args.cap, "--n")
-    levels = {node.value: node.level for k in range(1, args.n + 1) for node in theta(k)}
-    for element in xi(args.n).elements:
-        print(f"{element.numerator}\t{element.denominator}\t{levels.get(element, 0)}")
+    out = sys.stdout
+    out.write("0\t1\t0\n")
+    out.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2, 1))
+    out.write("1\t1\t0\n")
     return 0
 
 
 def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.k < 1:
+    k = args.k
+    if k < 1:
         parser.error("--k must be >= 1")
-    _check_cap(parser, args.k, args.cap, "--k")
-    for node in theta(args.k):
-        print(f"{node.value.numerator}\t{node.value.denominator}\t{node.level}")
+    _check_cap(parser, k, args.cap, "--k")
+    sys.stdout.writelines(f"{p}\t{q}\t{k}\n" for p, q, depth, _ in graded_walk(k, 2, 1)
+                          if depth == k)
     return 0
 
 
-def _cmd_convert_cf(args: argparse.Namespace) -> int:
+def _cmd_convert_cf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not 0 < args.x < 1:
         raise ValueError(f"--x must lie in (0,1), got {args.x}")
     print(expand_rcf(args.x))
@@ -246,9 +256,9 @@ def _cmd_convert_cf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
+def _cmd_verify_theorem1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     report = verify_theorem1(args.x, args.n_max, args.tol)
-    target = _format_exact(report.target)
+    target = str(report.target)
     for row in report.rows:
         print(f"{row.n}\t{row.empirical}\t{target}\t{row.abs_error_decimal}")
     print("PASS" if report.passed else "FAIL")
@@ -260,14 +270,11 @@ def _cmd_plot_data(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         parser.error("--grid must be >= 1")
     _check_cap(parser, args.grid, args.cap, "--grid")
     lam = args.lam
-    use_tau2 = lam == TAU2
-    for x in xi(args.grid).elements:
-        if x == 0:
-            g = lam - lam
-        else:
-            cf = expand_rcf(x)
-            g = g_tau2(cf) if use_tau2 else g_series(cf, lam)
-        print(f"{x}\t{_format_exact(g)}\t{to_decimal(x, DISPLAY_DIGITS)}\t{to_decimal(g, DISPLAY_DIGITS)}")
+    _check_lambda(lam)
+    zero = lam - lam
+    rows = ((Fraction(p, q), g) for p, q, _, g in graded_walk(args.grid, 2, 1, lam))
+    for x, g in chain([(Fraction(0), zero)], rows, [(Fraction(1), zero + 1)]):
+        print(f"{x}\t{g}\t{to_decimal(x, DISPLAY_DIGITS)}\t{to_decimal(g, DISPLAY_DIGITS)}")
     return 0
 
 
@@ -293,25 +300,7 @@ def _run(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "eval-stream":
-            return _cmd_eval_stream(args)
-        if args.command == "question-mark":
-            return _cmd_question_mark(args)
-        if args.command == "stern-brocot":
-            return _cmd_stern_brocot(args, parser)
-        if args.command == "xi":
-            return _cmd_xi(args, parser)
-        if args.command == "theta":
-            return _cmd_theta(args, parser)
-        if args.command == "convert-cf":
-            return _cmd_convert_cf(args)
-        if args.command == "verify":
-            return _cmd_verify_theorem1(args)
-        if args.command == "plot-data":
-            return _cmd_plot_data(args, parser)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.handler(args, parser)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)
     except ValueError as exc:

@@ -1,30 +1,81 @@
-"""Stern-Brocot sequences on [0,1] and their new-mediant layers.
+"""Stern-Brocot sequences on [0,1] and one graded walk of the tree under them.
 
 Level 0 is {0/1, 1/1}; each next level inserts the mediant between every
 pair of neighbours, so level n holds 2**n + 1 fractions. The fractions
 that first appear at level n are exactly those whose regular
 continued-fraction quotients sum to n + 1.
+
+Those fractions are the nodes of depth n in the Stern-Brocot tree
+(Graham, Knuth and Patashnik, *Concrete Mathematics* 4.5), rooted at 1/2
+with depth 1 when every edge costs 1. With left edges costing 2 the same
+tree grades the reduced-fraction generations of the `xi` module, so
+`graded_walk` streams both families in increasing order, in O(n) memory,
+from integer mediants alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .cf import expand_rcf, sum_partial_quotients
-from .exact import mediant
+from .exact import QuadSurd, mediant
+from .singular import _check_lambda
 
 
 @dataclass(frozen=True)
 class SternBrocotLevel:
     """One materialized level: a strictly increasing run from 0 to 1.
 
-    Materialized as a sorted tuple (not a pointer tree) so that rank
-    queries are a binary search away.
+    A sorted tuple, for callers that need the whole level at once; rank
+    queries count along the tree path instead (see `dist`), and the CLI
+    streams rows from `graded_walk`.
     """
 
     index: int
     elements: tuple[Fraction, ...]
+
+
+def graded_walk(
+    n: int,
+    left: int = 1,
+    right: int = 1,
+    lam: Fraction | QuadSurd | None = None,
+) -> Iterator[tuple[int, int, int, Fraction | QuadSurd | None]]:
+    """Every Stern-Brocot node of depth <= n, in increasing order.
+
+    Yields (p, q, depth, g) for each node p/q of (0,1), in lowest terms.
+    The root 1/2 has depth 1; a left edge adds `left` to the depth and a
+    right edge adds `right`, so (1, 1) grades by Stern-Brocot level and
+    (2, 1) by reduced-fraction generation. With a split parameter lam
+    in (0,1), g is the singular function at p/q, carried down the tree
+    by the mediant recurrence g(m) = g(lo) + (g(hi) - g(lo)) * lam from
+    g(0) = 0 and g(1) = 1; without one, g is None. The stack holds one
+    entry per pending ancestor, at most n.
+    """
+    if left < 1 or right < 1:
+        raise ValueError("edge costs must be >= 1")
+    g_lo = g_hi = None
+    if lam is not None:
+        _check_lambda(lam)
+        g_lo = lam - lam
+        g_hi = g_lo + 1
+    stack: list[tuple] = []
+    lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
+    while True:
+        while depth <= n:  # down the left spine of the gap (lo, hi)
+            p, q = lo_p + hi_p, lo_q + hi_q
+            g = None if lam is None else g_lo + (g_hi - g_lo) * lam
+            stack.append((p, q, depth, g, hi_p, hi_q, g_hi))
+            hi_p, hi_q, g_hi = p, q, g
+            depth += left
+        if not stack:
+            return
+        p, q, d, g, hi_p, hi_q, g_hi = stack.pop()
+        yield p, q, d, g
+        lo_p, lo_q, g_lo = p, q, g  # then the right subtree, gap (p/q, hi)
+        depth = d + right
 
 
 def first_level() -> SternBrocotLevel:
@@ -46,10 +97,8 @@ def stern_level(n: int) -> SternBrocotLevel:
     """Materialize level n (2**n + 1 elements)."""
     if n < 0:
         raise ValueError("level index must be >= 0")
-    level = first_level()
-    for _ in range(n):
-        level = next_level(level)
-    return level
+    inner = (Fraction(p, q) for p, q, _, _ in graded_walk(n))
+    return SternBrocotLevel(n, (Fraction(0), *inner, Fraction(1)))
 
 
 def new_mediants(n: int) -> tuple[Fraction, ...]:
@@ -59,8 +108,7 @@ def new_mediants(n: int) -> tuple[Fraction, ...]:
     """
     if n < 1:
         raise ValueError("new mediants exist from level 1 on")
-    elements = stern_level(n - 1).elements
-    return tuple(mediant(a, b) for a, b in zip(elements, elements[1:]))
+    return tuple(Fraction(p, q) for p, q, depth, _ in graded_walk(n) if depth == n)
 
 
 def characterize_Qn(x: Fraction) -> int:

@@ -8,17 +8,21 @@ which appending a digit 2 steps two generations down and incrementing
 the last digit steps one generation down. `xi(n)` is the union of the
 first n generations together with the endpoints 0 and 1 - the sequence
 whose empirical distribution the `dist` module studies.
+
+That tree is the Stern-Brocot tree with left edges costing two
+generations and right edges one, so `xi` and `theta` read their members
+off `stern.graded_walk` with costs (2, 1), in increasing order, and
+nothing is cached between calls.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .cf import ReducedRCF, digit_sum_L, expand_rrcf, value_rrcf
+from .stern import graded_walk
 
 
 def fibonacci(n: int) -> int:
@@ -77,40 +81,23 @@ def right_child(node: XiTreeNode) -> XiTreeNode:
     return XiTreeNode.from_digits(d[:-1] + (d[-1] + 1,))
 
 
-def _digit_lists(total: int) -> Iterator[tuple[int, ...]]:
-    """All tuples (b1,...,bl) with every bi >= 2 and b1+...+bl = total."""
-    if total < 2:
-        return
-    yield (total,)
-    for first in range(2, total - 1):
-        for rest in _digit_lists(total - first):
-            yield (first, *rest)
-
-
-@lru_cache(maxsize=None)
 def theta(k: int) -> tuple[XiTreeNode, ...]:
     """Generation k: all nodes with digit sum k + 1, sorted by value.
 
-    Enumerated directly as digit compositions rather than by walking the
-    tree, so tree-walk tests have an independent route to check against.
+    The nodes of depth k in the graded walk with edge costs (2, 1).
     """
     if k < 1:
         raise ValueError("generations are indexed from 1")
-    nodes = [XiTreeNode.from_digits(d) for d in _digit_lists(k + 1)]
-    nodes.sort(key=lambda node: node.value)
-    return tuple(nodes)
+    values = (Fraction(p, q) for p, q, depth, _ in graded_walk(k, 2, 1) if depth == k)
+    return tuple(XiTreeNode(x, expand_rrcf(x), k) for x in values)
 
 
-@lru_cache(maxsize=None)
 def xi(n: int) -> XiSequence:
-    """Generations 1..n plus {0, 1}, merged into one sorted sequence."""
+    """Generations 1..n plus {0, 1}, as one sorted sequence."""
     if n < 1:
         raise ValueError("sequence index must be >= 1")
-    if n == 1:
-        return XiSequence(1, (Fraction(0), Fraction(1, 2), Fraction(1)))
-    previous = xi(n - 1).elements
-    fresh = tuple(node.value for node in theta(n))
-    return XiSequence(n, tuple(heapq.merge(previous, fresh)))
+    inner = (Fraction(p, q) for p, q, _, _ in graded_walk(n, 2, 1))
+    return XiSequence(n, (Fraction(0), *inner, Fraction(1)))
 
 
 def subtree_count(node_level: int, up_to_level: int) -> int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import mpmath
 
@@ -52,3 +53,41 @@ def rounded_scaled_value(a: Fraction, b: Fraction, digits: int) -> int:
             + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(5)
         )
         return int(mpmath.floor(value * mpmath.mpf(10) ** digits + mpmath.mpf(1) / 2))
+
+
+def digit_lists(total: int) -> Iterator[tuple[int, ...]]:
+    """All tuples (b1,...,bl) with every bi >= 2 and b1+...+bl = total."""
+    if total < 2:
+        return
+    yield (total,)
+    for first in range(2, total - 1):
+        for rest in digit_lists(total - first):
+            yield (first, *rest)
+
+
+def reduced_value(digits: tuple[int, ...]) -> Fraction:
+    """[[1; b1,...,bl]] = 1 - 1/(b1 - 1/(b2 - ... - 1/bl)), evaluated bottom-up."""
+    acc = Fraction(digits[-1])
+    for b in reversed(digits[:-1]):
+        acc = b - 1 / acc
+    return 1 - 1 / acc
+
+
+def generation(k: int) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """Generation k of the reduced tree as (value, digits) pairs, sorted by
+    value: one pair per composition of k + 1 into digits >= 2."""
+    return sorted((reduced_value(d), d) for d in digit_lists(k + 1))
+
+
+def path_depth(x: Fraction, left: int, right: int) -> int:
+    """Depth of x in (0,1) in the Stern-Brocot tree whose root 1/2 has
+    depth 1, found by binary search from the gap (0, 1) over Fractions."""
+    lo, hi, depth = Fraction(0), Fraction(1), 1
+    while True:
+        mid = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+        if x == mid:
+            return depth
+        if x < mid:
+            hi, depth = mid, depth + left
+        else:
+            lo, depth = mid, depth + right

@@ -1,11 +1,26 @@
 import io
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
-from sternbrocot import expand_rcf, g_series, parse_quadsurd, parse_rational
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sternbrocot import (
+    TAU2,
+    expand_rcf,
+    g_series,
+    g_tau2,
+    parse_quadsurd,
+    parse_rational,
+    to_decimal,
+    xi,
+)
 from sternbrocot import cli
 from sternbrocot.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 INT_DIGITS_LIMITED = hasattr(sys, "get_int_max_str_digits")
 
@@ -227,6 +242,73 @@ class TestPlotData:
         assert run(["plot-data", "--lambda", "1/2", "--grid", "2"]) == 0
         rows = [line.split("\t") for line in lines_of(capsys)]
         assert [row[0] for row in rows] == ["0", "1/2", "2/3", "1"]
+
+
+class TestPlotDataAgainstTheSeries:
+    """plot-data rows against g evaluated row by row from the quotients of x."""
+
+    @staticmethod
+    def check_rows(lam_text, grid):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run(["plot-data", "--lambda", lam_text, "--grid", str(grid)]) == 0
+        rows = [line.split("\t") for line in out.getvalue().splitlines()]
+        lam = parse_quadsurd(lam_text)
+        lam = lam.as_fraction() if lam.is_rational else lam
+        assert [parse_rational(row[0]) for row in rows] == list(xi(grid).elements)
+        for x_text, g_text, x_decimal, g_decimal in rows:
+            x = parse_rational(x_text)
+            expected = lam - lam if x == 0 else g_series(expand_rcf(x), lam)
+            if lam == TAU2 and x != 0:
+                assert expected == g_tau2(expand_rcf(x))
+            assert g_text == str(expected)
+            assert x_decimal == to_decimal(x, cli.DISPLAY_DIGITS)
+            assert g_decimal == to_decimal(expected, cli.DISPLAY_DIGITS)
+
+    @pytest.mark.parametrize("lam", ["tau2", "tau", "1/3", "1/2"])
+    def test_named_parameters(self, lam):
+        for grid in range(1, 9):
+            self.check_rows(lam, grid)
+
+    @settings(max_examples=25)
+    @given(st.fractions(min_value=0, max_value=1, max_denominator=1000)
+           .filter(lambda lam: 0 < lam < 1), st.integers(1, 8))
+    def test_rational_parameters(self, lam, grid):
+        self.check_rows(str(lam), grid)
+
+
+class TestPlotDataRefusals:
+    @pytest.mark.parametrize("lam", ["2", "0", "1", "1/2+1/2√5"])
+    def test_split_outside_the_unit_interval(self, capsys, lam):
+        assert run(["plot-data", "--lambda", lam, "--grid", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "split parameter" in captured.err
+
+    def test_unparsable_split(self, capsys):
+        assert run(["plot-data", "--lambda", "1+√5", "--grid", "3"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+GOLDEN_RUNS = {
+    "stern-brocot_n10.tsv": ["stern-brocot", "--n", "10"],
+    "xi_n12.tsv": ["xi", "--n", "12"],
+    "theta_k12.tsv": ["theta", "--k", "12"],
+    "plot-data_tau2_grid8.tsv": ["plot-data", "--lambda", "tau2", "--grid", "8"],
+    "plot-data_tau_grid8.tsv": ["plot-data", "--lambda", "tau", "--grid", "8"],
+    "plot-data_1-3_grid8.tsv": ["plot-data", "--lambda", "1/3", "--grid", "8"],
+    "plot-data_1-2_grid8.tsv": ["plot-data", "--lambda", "1/2", "--grid", "8"],
+}
+
+
+class TestGoldenOutput:
+    """Sequence and plot-data TSV, byte for byte, as the materializing
+    implementation printed it (tests/golden)."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_matches_the_golden_file(self, capsys, name):
+        assert run(GOLDEN_RUNS[name]) == 0
+        assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 class TestUsage:

@@ -1,16 +1,25 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sternbrocot import (
+    TAU,
+    TAU2,
     characterize_Qn,
     expand_rcf,
+    fibonacci,
     first_level,
+    g_inductive,
+    graded_walk,
     new_mediants,
     next_level,
     stern_level,
     sum_partial_quotients,
 )
+
+from oracles import path_depth, subtractive_rrcf
 
 
 def frac_set(*pairs):
@@ -104,3 +113,66 @@ class TestCharacterization:
                 if x in (0, 1) or sum_partial_quotients(expand_rcf(x)) <= n + 1
             }
             assert set(stern_chain[n].elements) == members
+
+
+class TestGradedWalk:
+    def test_first_nodes(self):
+        assert list(graded_walk(2)) == [(1, 3, 2, None), (1, 2, 1, None), (2, 3, 2, None)]
+        assert list(graded_walk(3, 2, 1)) == [(1, 3, 3, None), (1, 2, 1, None),
+                                              (2, 3, 2, None), (3, 4, 3, None)]
+        assert list(graded_walk(0)) == []
+
+    def test_counts(self):
+        for n in range(0, 13):
+            assert sum(1 for _ in graded_walk(n)) == 2 ** n - 1
+        for n in range(1, 19):
+            assert sum(1 for _ in graded_walk(n, 2, 1)) == fibonacci(n + 2) - 1
+
+    def test_increasing_and_in_lowest_terms(self):
+        for costs in ((1, 1), (2, 1)):
+            nodes = [(p, q) for p, q, _, _ in graded_walk(12, *costs)]
+            assert all(gcd(p, q) == 1 and 0 < p < q for p, q in nodes)
+            assert all(p * s < r * q for (p, q), (r, s) in zip(nodes, nodes[1:]))
+
+    def test_depth_is_the_level_or_the_generation(self):
+        # costs (1, 1): level S(x) - 1; costs (2, 1): generation L(x) - 1
+        for p, q, depth, _ in graded_walk(12):
+            assert depth == sum_partial_quotients(expand_rcf(Fraction(p, q))) - 1
+        for p, q, depth, _ in graded_walk(16, 2, 1):
+            assert depth == sum(subtractive_rrcf(Fraction(p, q))) - 1
+
+    @given(st.integers(0, 11), st.integers(1, 4), st.integers(1, 4))
+    def test_any_costs_give_the_depth_bounded_cut_in_order(self, stern_chain, n, left, right):
+        # every edge costs >= 1, so nodes of depth <= n lie in level n
+        expected = [x for x in stern_chain[n].elements[1:-1] if path_depth(x, left, right) <= n]
+        walked = [(Fraction(p, q), depth) for p, q, depth, _ in graded_walk(n, left, right)]
+        assert walked == [(x, path_depth(x, left, right)) for x in expected]
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), TAU, TAU2])
+    def test_split_carries_g_down_the_tree(self, lam):
+        for costs in ((1, 1), (2, 1)):
+            for p, q, _, g in graded_walk(8, *costs, lam):
+                assert g == g_inductive(Fraction(p, q), lam)
+
+    def test_edge_costs_must_be_positive(self):
+        for costs in ((0, 1), (1, 0), (-1, 2)):
+            with pytest.raises(ValueError):
+                list(graded_walk(3, *costs))
+
+    def test_split_must_lie_inside_the_unit_interval(self):
+        for lam in (Fraction(0), Fraction(1), Fraction(3, 2), -TAU):
+            with pytest.raises(ValueError, match="split parameter"):
+                list(graded_walk(3, 2, 1, lam))
+
+
+class TestAgainstTheMediantChain:
+    """The walk-built levels against the level-doubling route, levels 0..16."""
+
+    def test_levels_and_new_mediants(self, stern_chain):
+        levels = list(stern_chain)
+        while levels[-1].index < 16:
+            levels.append(next_level(levels[-1]))
+        for level in levels:
+            assert stern_level(level.index) == level
+        for n in range(1, 17):
+            assert new_mediants(n) == levels[n].elements[1::2]

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +19,8 @@ from sternbrocot import (
     theta,
     xi,
 )
+
+from oracles import generation
 
 
 class TestFibonacci:
@@ -177,3 +181,45 @@ class TestSubtrees:
     def test_level_validation(self):
         with pytest.raises(ValueError):
             subtree_count(0, 5)
+
+
+class TestAgainstDigitCompositions:
+    """The walk-built generations and sequences against digit compositions."""
+
+    def test_theta_values_levels_and_digits(self):
+        for k in range(1, 21):
+            nodes = theta(k)
+            expected = generation(k)
+            assert [node.value for node in nodes] == [value for value, _ in expected]
+            assert [node.digits.digits for node in nodes] == [digits for _, digits in expected]
+            assert all(node.level == k for node in nodes)
+
+    def test_xi_is_the_merge_of_the_generations(self):
+        members: list[Fraction] = []
+        for n in range(1, 19):
+            members = sorted(members + [value for value, _ in generation(n)])
+            assert xi(n).elements == (Fraction(0), *members, Fraction(1))
+
+
+def retained_bytes(build) -> tuple[int, int]:
+    """(Bytes traced while build()'s result is alive, bytes still traced
+    once it is dropped), both relative to before the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        alive = tracemalloc.get_traced_memory()[0] - before
+        del result
+        gc.collect()
+        return alive, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestNothingIsKept:
+    @pytest.mark.parametrize("build", [lambda: xi(20), lambda: theta(20)], ids=["xi", "theta"])
+    def test_memory_returns_once_the_result_is_dropped(self, build):
+        alive, kept = retained_bytes(build)
+        assert alive > 1_000_000
+        assert kept < alive // 100
