@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from itertools import chain
 from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import MAX_XI_INDEX, verify_theorem1
 from .exact import TAU2, QuadSurd, parse_quadsurd, parse_rational, to_decimal
-from .singular import _check_lambda, g_inductive, g_series, g_stream, g_tau2, question_mark
+from .singular import g_inductive, g_series, g_stream, g_tau2, question_mark
 from .stern import graded_walk
 
 DISPLAY_DIGITS = 15
@@ -52,6 +51,10 @@ def _epsilon_arg(text: str) -> Fraction:
 
 def _emit_value(value: Fraction | QuadSurd) -> None:
     print(f"{value}\t{to_decimal(value, DISPLAY_DIGITS)}")
+
+
+def _emit_point(x: Fraction, g: Fraction | QuadSurd) -> None:
+    print(f"{x}\t{g}\t{to_decimal(x, DISPLAY_DIGITS)}\t{to_decimal(g, DISPLAY_DIGITS)}")
 
 
 def _check_cap(parser: argparse.ArgumentParser, n: int, cap: int, flag: str) -> None:
@@ -233,7 +236,7 @@ def _cmd_xi(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     _check_cap(parser, args.n, args.cap, "--n")
     out = sys.stdout
     out.write("0\t1\t0\n")
-    out.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2, 1))
+    out.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2))
     out.write("1\t1\t0\n")
     return 0
 
@@ -243,7 +246,7 @@ def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if k < 1:
         parser.error("--k must be >= 1")
     _check_cap(parser, k, args.cap, "--k")
-    sys.stdout.writelines(f"{p}\t{q}\t{k}\n" for p, q, depth, _ in graded_walk(k, 2, 1)
+    sys.stdout.writelines(f"{p}\t{q}\t{k}\n" for p, q, depth, _ in graded_walk(k, 2)
                           if depth == k)
     return 0
 
@@ -270,11 +273,12 @@ def _cmd_plot_data(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         parser.error("--grid must be >= 1")
     _check_cap(parser, args.grid, args.cap, "--grid")
     lam = args.lam
-    _check_lambda(lam)
+    nodes = graded_walk(args.grid, 2, lam)  # refuses lam outside (0,1) before any row
     zero = lam - lam
-    rows = ((Fraction(p, q), g) for p, q, _, g in graded_walk(args.grid, 2, 1, lam))
-    for x, g in chain([(Fraction(0), zero)], rows, [(Fraction(1), zero + 1)]):
-        print(f"{x}\t{g}\t{to_decimal(x, DISPLAY_DIGITS)}\t{to_decimal(g, DISPLAY_DIGITS)}")
+    _emit_point(Fraction(0), zero)
+    for p, q, _, g in nodes:
+        _emit_point(Fraction(p, q), g)
+    _emit_point(Fraction(1), zero + 1)
     return 0
 
 

@@ -40,25 +40,34 @@ class SternBrocotLevel:
 def graded_walk(
     n: int,
     left: int = 1,
-    right: int = 1,
     lam: Fraction | QuadSurd | None = None,
 ) -> Iterator[tuple[int, int, int, Fraction | QuadSurd | None]]:
     """Every Stern-Brocot node of depth <= n, in increasing order.
 
     Yields (p, q, depth, g) for each node p/q of (0,1), in lowest terms.
-    The root 1/2 has depth 1; a left edge adds `left` to the depth and a
-    right edge adds `right`, so (1, 1) grades by Stern-Brocot level and
-    (2, 1) by reduced-fraction generation. With a split parameter lam
+    The root 1/2 has depth 1; a right edge adds 1 to the depth and a
+    left edge adds `left`, so left = 1 grades by Stern-Brocot level and
+    left = 2 by reduced-fraction generation. With a split parameter lam
     in (0,1), g is the singular function at p/q, carried down the tree
     by the mediant recurrence g(m) = g(lo) + (g(hi) - g(lo)) * lam from
     g(0) = 0 and g(1) = 1; without one, g is None. The stack holds one
     entry per pending ancestor, at most n.
+
+    `left` and lam are checked here, before any node is produced, so a
+    caller may print a header between the call and the first node.
     """
-    if left < 1 or right < 1:
-        raise ValueError("edge costs must be >= 1")
-    g_lo = g_hi = None
+    if left < 1:
+        raise ValueError("the left edge cost must be >= 1")
     if lam is not None:
         _check_lambda(lam)
+    return _walk(n, left, lam)
+
+
+def _walk(
+    n: int, left: int, lam: Fraction | QuadSurd | None
+) -> Iterator[tuple[int, int, int, Fraction | QuadSurd | None]]:
+    g_lo = g_hi = None
+    if lam is not None:
         g_lo = lam - lam
         g_hi = g_lo + 1
     stack: list[tuple] = []
@@ -75,7 +84,7 @@ def graded_walk(
         p, q, d, g, hi_p, hi_q, g_hi = stack.pop()
         yield p, q, d, g
         lo_p, lo_q, g_lo = p, q, g  # then the right subtree, gap (p/q, hi)
-        depth = d + right
+        depth = d + 1
 
 
 def first_level() -> SternBrocotLevel:

@@ -11,8 +11,8 @@ whose empirical distribution the `dist` module studies.
 
 That tree is the Stern-Brocot tree with left edges costing two
 generations and right edges one, so `xi` and `theta` read their members
-off `stern.graded_walk` with costs (2, 1), in increasing order, and
-nothing is cached between calls.
+off `stern.graded_walk` with left = 2, in increasing order, and nothing
+is cached between calls.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ def right_child(node: XiTreeNode) -> XiTreeNode:
 def theta(k: int) -> tuple[XiTreeNode, ...]:
     """Generation k: all nodes with digit sum k + 1, sorted by value.
 
-    The nodes of depth k in the graded walk with edge costs (2, 1).
+    The nodes of depth k in the graded walk with left edges costing 2.
     """
     if k < 1:
         raise ValueError("generations are indexed from 1")
-    values = (Fraction(p, q) for p, q, depth, _ in graded_walk(k, 2, 1) if depth == k)
+    values = (Fraction(p, q) for p, q, depth, _ in graded_walk(k, 2) if depth == k)
     return tuple(XiTreeNode(x, expand_rrcf(x), k) for x in values)
 
 
@@ -96,7 +96,7 @@ def xi(n: int) -> XiSequence:
     """Generations 1..n plus {0, 1}, as one sorted sequence."""
     if n < 1:
         raise ValueError("sequence index must be >= 1")
-    inner = (Fraction(p, q) for p, q, _, _ in graded_walk(n, 2, 1))
+    inner = (Fraction(p, q) for p, q, _, _ in graded_walk(n, 2))
     return XiSequence(n, (Fraction(0), *inner, Fraction(1)))
 
 

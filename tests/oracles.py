@@ -79,9 +79,10 @@ def generation(k: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     return sorted((reduced_value(d), d) for d in digit_lists(k + 1))
 
 
-def path_depth(x: Fraction, left: int, right: int) -> int:
+def path_depth(x: Fraction, left: int) -> int:
     """Depth of x in (0,1) in the Stern-Brocot tree whose root 1/2 has
-    depth 1, found by binary search from the gap (0, 1) over Fractions."""
+    depth 1, a left edge costing `left` and a right edge 1, found by
+    binary search from the gap (0, 1) over Fractions."""
     lo, hi, depth = Fraction(0), Fraction(1), 1
     while True:
         mid = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
@@ -90,4 +91,4 @@ def path_depth(x: Fraction, left: int, right: int) -> int:
         if x < mid:
             hi, depth = mid, depth + left
         else:
-            lo, depth = mid, depth + right
+            lo, depth = mid, depth + 1

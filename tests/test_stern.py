@@ -118,51 +118,51 @@ class TestCharacterization:
 class TestGradedWalk:
     def test_first_nodes(self):
         assert list(graded_walk(2)) == [(1, 3, 2, None), (1, 2, 1, None), (2, 3, 2, None)]
-        assert list(graded_walk(3, 2, 1)) == [(1, 3, 3, None), (1, 2, 1, None),
-                                              (2, 3, 2, None), (3, 4, 3, None)]
+        assert list(graded_walk(3, 2)) == [(1, 3, 3, None), (1, 2, 1, None),
+                                           (2, 3, 2, None), (3, 4, 3, None)]
         assert list(graded_walk(0)) == []
 
     def test_counts(self):
         for n in range(0, 13):
             assert sum(1 for _ in graded_walk(n)) == 2 ** n - 1
         for n in range(1, 19):
-            assert sum(1 for _ in graded_walk(n, 2, 1)) == fibonacci(n + 2) - 1
+            assert sum(1 for _ in graded_walk(n, 2)) == fibonacci(n + 2) - 1
 
     def test_increasing_and_in_lowest_terms(self):
-        for costs in ((1, 1), (2, 1)):
-            nodes = [(p, q) for p, q, _, _ in graded_walk(12, *costs)]
+        for left in (1, 2):
+            nodes = [(p, q) for p, q, _, _ in graded_walk(12, left)]
             assert all(gcd(p, q) == 1 and 0 < p < q for p, q in nodes)
             assert all(p * s < r * q for (p, q), (r, s) in zip(nodes, nodes[1:]))
 
     def test_depth_is_the_level_or_the_generation(self):
-        # costs (1, 1): level S(x) - 1; costs (2, 1): generation L(x) - 1
+        # left = 1: level S(x) - 1; left = 2: generation L(x) - 1
         for p, q, depth, _ in graded_walk(12):
             assert depth == sum_partial_quotients(expand_rcf(Fraction(p, q))) - 1
-        for p, q, depth, _ in graded_walk(16, 2, 1):
+        for p, q, depth, _ in graded_walk(16, 2):
             assert depth == sum(subtractive_rrcf(Fraction(p, q))) - 1
 
-    @given(st.integers(0, 11), st.integers(1, 4), st.integers(1, 4))
-    def test_any_costs_give_the_depth_bounded_cut_in_order(self, stern_chain, n, left, right):
+    @given(st.integers(0, 11), st.integers(1, 4))
+    def test_any_left_cost_gives_the_depth_bounded_cut_in_order(self, stern_chain, n, left):
         # every edge costs >= 1, so nodes of depth <= n lie in level n
-        expected = [x for x in stern_chain[n].elements[1:-1] if path_depth(x, left, right) <= n]
-        walked = [(Fraction(p, q), depth) for p, q, depth, _ in graded_walk(n, left, right)]
-        assert walked == [(x, path_depth(x, left, right)) for x in expected]
+        expected = [x for x in stern_chain[n].elements[1:-1] if path_depth(x, left) <= n]
+        walked = [(Fraction(p, q), depth) for p, q, depth, _ in graded_walk(n, left)]
+        assert walked == [(x, path_depth(x, left)) for x in expected]
 
     @pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), TAU, TAU2])
     def test_split_carries_g_down_the_tree(self, lam):
-        for costs in ((1, 1), (2, 1)):
-            for p, q, _, g in graded_walk(8, *costs, lam):
+        for left in (1, 2):
+            for p, q, _, g in graded_walk(8, left, lam):
                 assert g == g_inductive(Fraction(p, q), lam)
 
-    def test_edge_costs_must_be_positive(self):
-        for costs in ((0, 1), (1, 0), (-1, 2)):
-            with pytest.raises(ValueError):
-                list(graded_walk(3, *costs))
+    def test_left_cost_must_be_positive_and_is_checked_at_the_call(self):
+        for left in (0, -1):
+            with pytest.raises(ValueError, match="left edge cost"):
+                graded_walk(3, left)  # not iterated
 
     def test_split_must_lie_inside_the_unit_interval(self):
         for lam in (Fraction(0), Fraction(1), Fraction(3, 2), -TAU):
             with pytest.raises(ValueError, match="split parameter"):
-                list(graded_walk(3, 2, 1, lam))
+                graded_walk(3, 2, lam)  # not iterated
 
 
 class TestAgainstTheMediantChain:
