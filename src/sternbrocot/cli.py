@@ -57,9 +57,9 @@ def _emit_point(x: Fraction, g: Fraction | QuadSurd) -> None:
     print(f"{x}\t{g}\t{to_decimal(x, DISPLAY_DIGITS)}\t{to_decimal(g, DISPLAY_DIGITS)}")
 
 
-def _check_cap(parser: argparse.ArgumentParser, n: int, cap: int, flag: str) -> None:
-    if n < 0:
-        parser.error(f"{flag} must be >= 0")
+def _check_range(parser: argparse.ArgumentParser, n: int, low: int, cap: int, flag: str) -> None:
+    if n < low:
+        parser.error(f"{flag} must be >= {low}")
     if n > cap:
         parser.error(f"{flag} {n} exceeds the cap {cap}; raise --cap explicitly if you mean it")
 
@@ -177,22 +177,19 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     x, lam = args.x, args.lam
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
-    if args.route == "inductive":
+    if args.route == "tau2" and lam != TAU2:
+        raise ValueError("--route tau2 needs --lambda tau2")
+    if args.route == "salem" and lam != Fraction(1, 2):
+        raise ValueError("--route salem needs --lambda 1/2")
+    if args.route == "inductive" or x == 0:  # g_inductive checks lam; 0 has no quotients
         _emit_value(g_inductive(x, lam))
-        return 0
-    if x == 0:
-        _emit_value(lam - lam)
         return 0
     cf = expand_rcf(x)
     if args.route == "series":
         _emit_value(g_series(cf, lam))
     elif args.route == "tau2":
-        if lam != TAU2:
-            raise ValueError("--route tau2 needs --lambda tau2")
         _emit_value(g_tau2(cf))
     else:  # salem
-        if lam != Fraction(1, 2):
-            raise ValueError("--route salem needs --lambda 1/2")
         _emit_value(question_mark(cf))
     return 0
 
@@ -222,7 +219,7 @@ def _cmd_question_mark(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 
 def _cmd_stern_brocot(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_cap(parser, args.n, args.cap, "--n")
+    _check_range(parser, args.n, 0, args.cap, "--n")
     out = sys.stdout
     out.write("0\t1\n")
     out.writelines(f"{p}\t{q}\n" for p, q, _, _ in graded_walk(args.n))
@@ -231,9 +228,7 @@ def _cmd_stern_brocot(args: argparse.Namespace, parser: argparse.ArgumentParser)
 
 
 def _cmd_xi(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.n < 1:
-        parser.error("--n must be >= 1")
-    _check_cap(parser, args.n, args.cap, "--n")
+    _check_range(parser, args.n, 1, args.cap, "--n")
     out = sys.stdout
     out.write("0\t1\t0\n")
     out.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2))
@@ -243,9 +238,7 @@ def _cmd_xi(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     k = args.k
-    if k < 1:
-        parser.error("--k must be >= 1")
-    _check_cap(parser, k, args.cap, "--k")
+    _check_range(parser, k, 1, args.cap, "--k")
     sys.stdout.writelines(f"{p}\t{q}\t{k}\n" for p, q, depth, _ in graded_walk(k, 2)
                           if depth == k)
     return 0
@@ -269,9 +262,7 @@ def _cmd_verify_theorem1(args: argparse.Namespace, parser: argparse.ArgumentPars
 
 
 def _cmd_plot_data(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.grid < 1:
-        parser.error("--grid must be >= 1")
-    _check_cap(parser, args.grid, args.cap, "--grid")
+    _check_range(parser, args.grid, 1, args.cap, "--grid")
     lam = args.lam
     nodes = graded_walk(args.grid, 2, lam)  # refuses lam outside (0,1) before any row
     zero = lam - lam

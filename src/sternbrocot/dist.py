@@ -11,52 +11,22 @@ convergence.
 Both sequences are depth-bounded cuts of one Stern-Brocot tree, so a
 rank is counted along the tree path to x (Graham, Knuth and Patashnik,
 *Concrete Mathematics* 4.5) in at most n steps, without building the
-sequence. `EmpiricalCDF` keeps the materialized route as a reference.
+sequence; the test suite keeps the materialized route as its reference.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import digit_sum_L, expand_rcf, expand_rrcf
 from .exact import QuadSurd, mediant, to_decimal
 from .singular import g_tau2
-from .stern import stern_level
-from .xi import fibonacci, subtree_count, xi
+from .xi import fibonacci, subtree_count
 
 #: Largest index verify_theorem1 tabulates. A row costs one path walk of
 #: at most n steps, so this bounds the table, not memory.
 MAX_XI_INDEX = 30
-
-
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """Rank queries over one materialized, sorted sequence.
-
-    The value at x is (number of elements <= x) / (total), an exact
-    rational; a nondecreasing step function that reaches 1 at x = 1.
-    Builds the whole sequence, so it serves as the reference route for
-    `empirical_cdf`, which counts along the tree path instead.
-    """
-
-    kind: str
-    index: int
-    elements: tuple[Fraction, ...]
-
-    @classmethod
-    def build(cls, kind: str, n: int) -> "EmpiricalCDF":
-        if kind == "stern_brocot":
-            return cls(kind, n, stern_level(n).elements)
-        if kind == "xi":
-            return cls(kind, n, xi(n).elements)
-        raise ValueError(f"unknown sequence kind: {kind!r}")
-
-    def value(self, x: Fraction) -> Fraction:
-        if not 0 <= x <= 1:
-            raise ValueError(f"need 0 <= x <= 1, got {x}")
-        return Fraction(bisect_right(self.elements, x), len(self.elements))
 
 
 def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:

@@ -5,6 +5,8 @@ it already guarantees canonical reduced form (gcd 1, positive denominator)
 and an exact total order. `QuadSurd` adds the one irrationality the
 library needs: numbers a + b*sqrt(5), which house the golden-ratio
 conjugate tau = (sqrt5 - 1)/2 and the split parameter tau**2 = (3 - sqrt5)/2.
+Powers are `**` (a negative exponent inverts), the coefficients are `.a`
+and `.b`, and `parse_quadsurd`/`str` read and write the text form "a+b√5".
 """
 
 from __future__ import annotations
@@ -41,14 +43,6 @@ class QuadSurd:
     def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
         self.a = Fraction(a)
         self.b = Fraction(b)
-
-    @property
-    def rational_part(self) -> Fraction:
-        return self.a
-
-    @property
-    def surd_part(self) -> Fraction:
-        return self.b
 
     @property
     def is_rational(self) -> bool:
@@ -192,13 +186,6 @@ TAU = QuadSurd(Fraction(-1, 2), Fraction(1, 2))
 TAU2 = QuadSurd(Fraction(3, 2), Fraction(-1, 2))
 
 
-def quad_pow(base: QuadSurd, exponent: int) -> QuadSurd:
-    """Exact nonnegative power in Q(sqrt5); quad_pow(x, 0) == 1."""
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    return base ** exponent
-
-
 def _floor_int_sqrt5(n: int) -> int:
     """floor(n * sqrt5) for an integer n.
 
@@ -254,7 +241,8 @@ _SURD_RE = re.compile("(?:√5|sqrt5)$")
 
 def parse_quadsurd(text: str) -> QuadSurd:
     """Parse "a+b√5" (also "a-b√5", "b√5", plain "a", "sqrt5" for "√5"),
-    plus the keywords "tau" and "tau2"."""
+    where a unit b may be left out ("√5", "-√5", "3-√5"), plus the
+    keywords "tau" and "tau2"."""
     s = text.strip()
     if s == "tau":
         return TAU
@@ -263,12 +251,8 @@ def parse_quadsurd(text: str) -> QuadSurd:
     head, count = _SURD_RE.subn("", s)
     if count == 0:
         return QuadSurd(parse_rational(s))
-    if head in ("", "+"):
-        return QuadSurd(0, 1)
-    if head == "-":
-        return QuadSurd(0, -1)
-    split = max(head.rfind("+"), head.rfind("-"))
-    if split <= 0:
-        return QuadSurd(0, parse_rational(head))
-    b = parse_rational(head[split:]) if head[split] == "-" else parse_rational(head[split + 1:])
-    return QuadSurd(parse_rational(head[:split]), b)
+    split = max(head.rfind("+"), head.rfind("-"), 0)
+    rational, surd = head[:split], head[split:]
+    if surd in ("", "+", "-"):
+        surd += "1"
+    return QuadSurd(parse_rational(rational) if rational else 0, parse_rational(surd))

@@ -7,8 +7,9 @@ code path with the implementation it checks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import mpmath
 
@@ -92,3 +93,10 @@ def path_depth(x: Fraction, left: int) -> int:
             hi, depth = mid, depth + left
         else:
             lo, depth = mid, depth + 1
+
+
+def materialized_cdf(elements: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Share of the sorted sequence `elements` lying at or below x in
+    [0,1], by binary search over the whole materialized sequence."""
+    assert 0 <= x <= 1
+    return Fraction(bisect_right(elements, x), len(elements))

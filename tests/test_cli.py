@@ -83,7 +83,9 @@ class TestEval:
 
     def test_endpoints(self, capsys):
         assert run(["eval", "--lambda", "1/3", "--x", "0"]) == 0
-        assert lines_of(capsys)[0].split("\t")[0] == "0"
+        assert lines_of(capsys) == ["0\t0.000000000000000"]
+        assert run(["eval", "--lambda", "tau2", "--x", "0", "--route", "tau2"]) == 0
+        assert lines_of(capsys) == ["0\t0.000000000000000"]
         assert run(["eval", "--lambda", "1/3", "--x", "1"]) == 0
         assert lines_of(capsys)[0].split("\t")[0] == "1"
 
@@ -91,11 +93,21 @@ class TestEval:
         assert run(["eval", "--lambda", "1/2", "--x", "1/2", "--route", "tau2"]) == 2
         assert run(["eval", "--lambda", "tau2", "--x", "1/2", "--route", "salem"]) == 2
         capsys.readouterr()
+        # x = 0 is checked like any other point
+        assert run(["eval", "--lambda", "1/3", "--x", "0", "--route", "salem"]) == 2
+        assert run(["eval", "--lambda", "1/2", "--x", "0", "--route", "tau2"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_invalid_lambda_is_a_usage_error(self, capsys):
         assert run(["eval", "--lambda", "7/5", "--x", "1/2"]) == 2
         assert run(["eval", "--lambda", "nonsense", "--x", "1/2"]) == 2
         capsys.readouterr()
+        assert run(["eval", "--lambda", "2", "--x", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_unit_surd_lambda(self, capsys):
+        assert run(["eval", "--lambda", "3-√5", "--x", "1/2"]) == 0
+        assert lines_of(capsys) == ["3-1√5\t0.763932022500210"]
 
     def test_exact_output_reparses(self, capsys):
         assert run(["eval", "--lambda", "tau2", "--x", "4/7"]) == 0
@@ -278,7 +290,7 @@ class TestPlotDataAgainstTheSeries:
 
 
 class TestPlotDataRefusals:
-    @pytest.mark.parametrize("lam", ["2", "0", "1", "1/2+1/2√5"])
+    @pytest.mark.parametrize("lam", ["2", "0", "1", "1/2+1/2√5", "1+√5"])
     def test_split_outside_the_unit_interval(self, capsys, lam):
         assert run(["plot-data", "--lambda", lam, "--grid", "3"]) == 2
         captured = capsys.readouterr()
@@ -286,7 +298,7 @@ class TestPlotDataRefusals:
         assert "split parameter" in captured.err
 
     def test_unparsable_split(self, capsys):
-        assert run(["plot-data", "--lambda", "1+√5", "--grid", "3"]) == 2
+        assert run(["plot-data", "--lambda", "x√5", "--grid", "3"]) == 2
         assert capsys.readouterr().out == ""
 
 

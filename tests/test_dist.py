@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sternbrocot import (
     TAU,
     TAU2,
-    EmpiricalCDF,
     RegularCF,
     empirical_cdf,
     expand_rrcf,
@@ -20,6 +19,7 @@ from sternbrocot import (
     mediant,
     mediant_ratio,
     node_for,
+    stern_level,
     subtree_count,
     subtree_nodes,
     theta,
@@ -28,8 +28,14 @@ from sternbrocot import (
     xi,
 )
 
-#: Materialized CDFs, the reference route for the path-walk ranks.
-reference_cdf = cache(EmpiricalCDF.build)
+from oracles import materialized_cdf
+
+
+@cache
+def reference_elements(kind, n):
+    """The materialized level-n sequence, the reference route for the
+    path-walk ranks."""
+    return {"xi": xi, "stern_brocot": stern_level}[kind](n).elements
 
 
 @st.composite
@@ -40,7 +46,7 @@ def rank_queries(draw):
         st.tuples(st.just("xi"), st.integers(1, 18)),
         st.tuples(st.just("stern_brocot"), st.integers(0, 14)),
     ))
-    elements = reference_cdf(kind, n).elements
+    elements = reference_elements(kind, n)
     source = draw(st.sampled_from(("member", "midpoint", "endpoint", "quotients")))
     if source == "member":
         x = draw(st.sampled_from(elements))
@@ -71,7 +77,7 @@ class TestEmpiricalCDF:
     @given(rank_queries())
     def test_matches_the_materialized_sequence(self, query):
         kind, n, x = query
-        assert empirical_cdf(kind, n, x) == reference_cdf(kind, n).value(x)
+        assert empirical_cdf(kind, n, x) == materialized_cdf(reference_elements(kind, n), x)
 
     def test_huge_quotients_cost_at_most_n_steps(self):
         # xi(30) has nothing in (0, 1/16) and nothing in (30/31, 1)
@@ -98,16 +104,16 @@ class TestEmpiricalCDF:
 
     def test_step_function_shape(self):
         n = 6
-        cdf = EmpiricalCDF.build("xi", n)
-        total = len(cdf.elements)
+        elements = reference_elements("xi", n)
+        total = len(elements)
         assert total == fibonacci(n + 2) + 1
         previous = Fraction(0)
-        for left, right in zip(cdf.elements, cdf.elements[1:]):
-            at_left = cdf.value(left)
+        for left, right in zip(elements, elements[1:]):
+            at_left = empirical_cdf("xi", n, left)
             assert at_left == previous + Fraction(1, total)  # one step per element
-            assert cdf.value((left + right) / 2) == at_left  # flat in between
+            assert empirical_cdf("xi", n, (left + right) / 2) == at_left  # flat in between
             previous = at_left
-        assert cdf.value(cdf.elements[-1]) == 1
+        assert empirical_cdf("xi", n, elements[-1]) == 1
 
 
 class TestVerifyTheorem1:
@@ -181,15 +187,17 @@ class TestMediantRatio:
 
 def test_ranks_build_no_sequence(monkeypatch):
     x = Fraction(355, 1133)
-    expected_xi = [reference_cdf("xi", n).value(x) for n in range(2, 17)]
-    expected_stern_brocot = reference_cdf("stern_brocot", 12).value(x)
+    expected_xi = [materialized_cdf(reference_elements("xi", n), x) for n in range(2, 17)]
+    expected_stern_brocot = materialized_cdf(reference_elements("stern_brocot", 12), x)
     pairs = list(zip(xi(6).elements, xi(6).elements[1:]))
     expected_ratios = [mediant_ratio(a, b, 6, 20) for a, b in pairs]
 
     def refuse(*args):
         raise AssertionError("a sequence was built")
 
-    for module, name in (("dist", "xi"), ("dist", "stern_level"),
+    dist = import_module("sternbrocot.dist")
+    assert not hasattr(dist, "xi") and not hasattr(dist, "stern_level")
+    for module, name in (("xi", "xi"), ("stern", "stern_level"),
                          ("xi", "theta"), ("stern", "next_level")):
         monkeypatch.setattr(import_module(f"sternbrocot.{module}"), name, refuse)
     report = verify_theorem1(x, 30)

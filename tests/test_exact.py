@@ -13,7 +13,6 @@ from sternbrocot import (
     mediant,
     parse_quadsurd,
     parse_rational,
-    quad_pow,
     to_decimal,
 )
 
@@ -52,20 +51,20 @@ class TestMediant:
 
 class TestQuadSurd:
     def test_tau_squared_coefficients(self):
-        assert quad_pow(TAU, 2) == QuadSurd(Fraction(3, 2), Fraction(-1, 2))
-        assert quad_pow(TAU, 2) == TAU2
+        assert TAU ** 2 == QuadSurd(Fraction(3, 2), Fraction(-1, 2))
+        assert TAU ** 2 == TAU2
 
     def test_zeroth_power_is_one(self):
-        assert quad_pow(TAU, 0) == 1
-        assert quad_pow(QuadSurd(0), 0) == 1
+        assert TAU ** 0 == 1
+        assert QuadSurd(0) ** 0 == 1
 
     def test_tau_satisfies_its_quadratic(self):
-        assert quad_pow(TAU, 1) + quad_pow(TAU, 2) == 1
+        assert TAU ** 1 + TAU ** 2 == 1
         assert TAU2 == 1 - TAU
 
-    def test_negative_exponent_rejected_by_quad_pow(self):
-        with pytest.raises(ValueError):
-            quad_pow(TAU, -1)
+    def test_negative_exponent_inverts(self):
+        assert TAU ** -1 * TAU == 1
+        assert TAU ** -1 == 1 + TAU
 
     def test_sign_case_analysis(self):
         assert QuadSurd(0, 0).sign() == 0
@@ -172,8 +171,15 @@ class TestTextFormats:
         assert parse_quadsurd("3/2-1/2sqrt5") == TAU2
         assert parse_quadsurd("sqrt5") == SQRT5
 
+    def test_quadsurd_unit_surd_after_a_rational_part(self):
+        assert parse_quadsurd("3-√5") == QuadSurd(3, -1)
+        assert parse_quadsurd("-2+√5") == QuadSurd(-2, 1)
+        assert parse_quadsurd("1+sqrt5") == QuadSurd(1, 1)
+        assert parse_quadsurd("1e-3-√5") == QuadSurd(Fraction(1, 1000), -1)
+        assert parse_quadsurd("1e-3+2√5") == QuadSurd(Fraction(1, 1000), 2)
+
     def test_quadsurd_rejects_junk(self):
-        for text in ("", "√5√5", "tau3", "1+2"):
+        for text in ("", "√5√5", "tau3", "1+2", "x√5"):
             with pytest.raises(ValueError):
                 parse_quadsurd(text)
 
