@@ -6,12 +6,14 @@ continued fractions as "[0;a1,a2,...]" and "[[1;b1,b2,...]]". Sequence
 output is TSV, sorted by value, so downstream golden-file comparisons
 are bit-exact; the rows stream from one Stern-Brocot tree walk
 (`stern.graded_walk`), and no sequence is built. Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error. A closed output pipe ends the
+process quietly, killed by SIGPIPE, as it would `yes | head`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import IO, Iterator, Sequence
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate Minkowski's ?(x) at a rational point",
         description="Prints the exact dyadic value and a 15-digit decimal, tab-separated.",
     )
-    p_qm.add_argument("--x", type=_rational_arg, required=True, help="point in (0,1]")
+    p_qm.add_argument("--x", type=_rational_arg, required=True, help="point in [0,1]")
     p_qm.set_defaults(handler=_cmd_question_mark)
 
     p_sb = sub.add_parser(
@@ -214,7 +216,10 @@ def _cmd_eval_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) 
 
 
 def _cmd_question_mark(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _emit_value(question_mark(expand_rcf(args.x)))
+    x = args.x
+    if not 0 <= x <= 1:
+        raise ValueError(f"--x must lie in [0,1], got {x}")
+    _emit_value(question_mark(expand_rcf(x)) if x else x)  # ?(0) = 0 has no quotients
     return 0
 
 
@@ -290,6 +295,11 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        # argparse takes a value such as -1/2+1/2√5 (how tau prints) for an option
+        if argv[i] == "--lambda" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"--lambda={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
@@ -304,7 +314,17 @@ def _run(argv: Sequence[str] | None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+    except BrokenPipeError:
+        import signal  # only here: the import costs ~1 ms at every start
+        if not hasattr(signal, "SIGPIPE"):
+            raise
+        # end as `yes | head` does: killed by SIGPIPE, nothing on stderr
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGPIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ convergence.
 
 Both sequences are depth-bounded cuts of one Stern-Brocot tree, so a
 rank is counted along the tree path to x (Graham, Knuth and Patashnik,
-*Concrete Mathematics* 4.5) in at most n steps, without building the
-sequence; the test suite keeps the materialized route as its reference.
+*Concrete Mathematics* 4.5), as `stern.descend` walks it, in at most n
+steps, without building the sequence; the test suite keeps the
+materialized route as its reference.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from .cf import digit_sum_L, expand_rcf, expand_rrcf
 from .exact import QuadSurd, mediant, to_decimal
 from .singular import g_tau2
+from .stern import descend
 from .xi import fibonacci, subtree_count
 
 #: Largest index verify_theorem1 tabulates. A row costs one path walk of
@@ -31,15 +33,14 @@ MAX_XI_INDEX = 30
 
 def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
     """(Elements <= x, total, whether x is an element) for the level-n
-    sequence of the given kind, by one walk down the Stern-Brocot path to x.
+    sequence of the given kind, along the Stern-Brocot path to x (`descend`).
 
     The sequence is 0, 1 and the tree nodes of depth <= n, where the root
     1/2 has depth 1, a right edge costs 1 and a left edge costs 2 for
     "xi" or 1 for "stern_brocot". A mediant of depth k at or below x
     counts with its left subtree: fibonacci(n-k+1) or 2**(n-k) elements.
-    Each step goes at least one level down, so the walk takes at most n
-    steps whatever the quotients of x, and mediant denominators stay
-    <= fibonacci(n+2).
+    Each step goes at least one level down, so the walk is left after at
+    most n + 1 mediants, whatever the quotients of x.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
@@ -60,20 +61,16 @@ def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
         return 1, total, True
     if x == 1:
         return total, total, True
-    a, b = x.numerator, x.denominator
-    lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
     rank, depth = 1, 1
-    while depth <= n:
-        p, q = lo_p + hi_p, lo_q + hi_q
-        side = a * q - p * b
+    for side in descend(x):
+        if depth > n:
+            break
         if side < 0:
-            hi_p, hi_q = p, q
             depth += left_cost
         else:
             rank += weights[depth - 1]
             if side == 0:
                 return rank, total, True
-            lo_p, lo_q = p, q
             depth += 1
     return rank, total, False
 

@@ -7,6 +7,7 @@ library needs: numbers a + b*sqrt(5), which house the golden-ratio
 conjugate tau = (sqrt5 - 1)/2 and the split parameter tau**2 = (3 - sqrt5)/2.
 Powers are `**` (a negative exponent inverts), the coefficients are `.a`
 and `.b`, and `parse_quadsurd`/`str` read and write the text form "a+b√5".
+Every split parameter, rational or not, is checked by `_check_lambda`.
 """
 
 from __future__ import annotations
@@ -184,6 +185,11 @@ SQRT5 = QuadSurd(0, 1)
 TAU = QuadSurd(Fraction(-1, 2), Fraction(1, 2))
 #: tau**2 = (3 - sqrt5)/2 = 1 - tau, the distinguished split parameter.
 TAU2 = QuadSurd(Fraction(3, 2), Fraction(-1, 2))
+
+
+def _check_lambda(lam: Fraction | QuadSurd) -> None:
+    if not 0 < lam < 1:
+        raise ValueError("the split parameter must lie strictly between 0 and 1")
 
 
 def _floor_int_sqrt5(n: int) -> int:

@@ -5,18 +5,18 @@ mediant of two Stern-Brocot neighbours x < y to
 g(x) + (g(y) - g(x)) * lam, i.e. each gap is split in ratio lam : 1-lam.
 At lam = 1/2 this is Minkowski's question-mark function.
 
-Four routes to the same values:
+Three routes to the same values:
 
 * `g_inductive`  - replay the defining mediant recurrence along the
-  binary search path to x; O(S(x)) exact steps.
+  Stern-Brocot path to x (`stern.descend`, the walk that also counts
+  ranks in `dist`); O(S(x)) exact steps.
 * `question_mark` - Salem's alternating dyadic series from the regular
   continued-fraction quotients (the lam = 1/2 case).
 * `g_series`     - the generalization of that series to every lam:
   the k-th term is (-1)**(k+1) times lam**(sum of odd-position
   quotients up to k, minus 1) times (1-lam)**(sum of even-position
-  quotients up to k).
-* `g_tau2`       - the lam = tau**2 specialization, where 1 - lam = tau
-  collapses every term to a signed power of tau, evaluated in Q(sqrt5).
+  quotients up to k). `g_tau2` is this series at lam = tau**2, where
+  1 - lam = tau makes every term a signed power of tau in Q(sqrt5).
 
 Evaluators are generic over the coefficient system: any exact ordered
 field element with +, -, *, ** works, so Fraction and QuadSurd share one
@@ -29,15 +29,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .cf import RegularCF
-from .exact import TAU, QuadSurd, mediant
+from .exact import TAU2, QuadSurd, _check_lambda
+from .stern import descend
 
 LambdaValue = Union[Fraction, QuadSurd]
 GValue = Union[Fraction, QuadSurd]
-
-
-def _check_lambda(lam: LambdaValue) -> None:
-    if not 0 < lam < 1:
-        raise ValueError("the split parameter must lie strictly between 0 and 1")
 
 
 def _zero_one(lam: LambdaValue) -> tuple[GValue, GValue]:
@@ -48,9 +44,9 @@ def _zero_one(lam: LambdaValue) -> tuple[GValue, GValue]:
 def g_inductive(x: Fraction, lam: LambdaValue) -> GValue:
     """Evaluate g at a rational x in [0,1] by replaying the gap splits.
 
-    Walks the Stern-Brocot bisection path from the gap (0, 1) down to x,
-    carrying the g-values of the enclosing neighbours; the path length is
-    the quotient sum S(x), so no level is ever materialized.
+    Follows the Stern-Brocot path from the gap (0, 1) down to x
+    (`descend`), carrying the g-values of the enclosing neighbours; the
+    path has S(x) - 1 nodes, so no level is ever materialized.
     """
     _check_lambda(lam)
     if not 0 <= x <= 1:
@@ -60,17 +56,11 @@ def g_inductive(x: Fraction, lam: LambdaValue) -> GValue:
         return zero
     if x == 1:
         return one
-    lo, hi = Fraction(0), Fraction(1)
     g_lo, g_hi = zero, one
-    while True:
-        mid = mediant(lo, hi)
-        g_mid = g_lo + (g_hi - g_lo) * lam
-        if x == mid:
-            return g_mid
-        if x < mid:
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
+    for side in descend(x):
+        g = g_lo + (g_hi - g_lo) * lam
+        g_lo, g_hi = (g_lo, g) if side < 0 else (g, g_hi)
+    return g  # the last side is 0: g at x itself
 
 
 def question_mark(cf: RegularCF) -> Fraction:
@@ -126,24 +116,9 @@ def g_series(cf: RegularCF, lam: LambdaValue) -> GValue:
 
 
 def g_tau2(cf: RegularCF) -> QuadSurd:
-    """The tau**2 specialization, entirely in Q(sqrt5).
-
-    Since 1 - tau**2 = tau, term k collapses to a signed power of tau
-    with exponent (sum of alpha_i * a_i up to k) - 2, where alpha is 2 on
-    odd positions and 1 on even ones.
-    """
-    one = QuadSurd(1)
-    if not cf.quotients:
-        return one
-    total = QuadSurd(0)
-    weighted = 0
-    sign = 1
-    for position, a in enumerate(cf.quotients, start=1):
-        weighted += 2 * a if position % 2 == 1 else a
-        term = TAU ** (weighted - 2)
-        total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
+    """g at lam = tau**2, in Q(sqrt5): the series of `g_series`, whose
+    terms there are signed powers of tau because 1 - tau**2 = tau."""
+    return g_series(cf, TAU2)
 
 
 def g_stream(

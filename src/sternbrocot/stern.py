@@ -10,7 +10,8 @@ Those fractions are the nodes of depth n in the Stern-Brocot tree
 with depth 1 when every edge costs 1. With left edges costing 2 the same
 tree grades the reduced-fraction generations of the `xi` module, so
 `graded_walk` streams both families in increasing order, in O(n) memory,
-from integer mediants alone.
+from integer mediants alone. `descend` walks the one path from the root
+to a given x, for rank counts (`dist`) and for g (`singular`).
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cf import expand_rcf, sum_partial_quotients
-from .exact import QuadSurd, mediant
-from .singular import _check_lambda
+from .exact import QuadSurd, _check_lambda, mediant
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,26 @@ def _walk(
         yield p, q, d, g
         lo_p, lo_q, g_lo = p, q, g  # then the right subtree, gap (p/q, hi)
         depth = d + 1
+
+
+def descend(x: Fraction) -> Iterator[int]:
+    """Signs of a*q - p*b at the integer mediants p/q on the Stern-Brocot
+    path from the root 1/2 to x = a/b in (0,1): -1 to turn left, +1 to
+    turn right, and 0 at x itself, the path's node S(x) - 1, where it ends.
+    No path reaches 0 or 1, so x outside (0,1) raises ValueError."""
+    if not 0 < x < 1:
+        raise ValueError(f"need 0 < x < 1, got {x}")
+    a, b = x.numerator, x.denominator
+    lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
+    side = 1
+    while side:
+        p, q = lo_p + hi_p, lo_q + hi_q
+        side = a * q - p * b
+        yield (side > 0) - (side < 0)
+        if side < 0:
+            hi_p, hi_q = p, q
+        else:
+            lo_p, lo_q = p, q
 
 
 def first_level() -> SternBrocotLevel:

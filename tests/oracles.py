@@ -12,6 +12,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import mpmath
+from hypothesis import strategies as st
+
+from sternbrocot import TAU, QuadSurd
 
 
 def subtractive_rrcf(x: Fraction) -> tuple[int, ...]:
@@ -100,3 +103,41 @@ def materialized_cdf(elements: Sequence[Fraction], x: Fraction) -> Fraction:
     [0,1], by binary search over the whole materialized sequence."""
     assert 0 <= x <= 1
     return Fraction(bisect_right(elements, x), len(elements))
+
+
+def tau_power_series(quotients: Sequence[int]) -> QuadSurd:
+    """g at lambda = tau**2 from the quotients of x, in closed form.
+
+    Since 1 - tau**2 = tau, term k of the alternating series is
+    (-1)**(k+1) * tau**(w_k - 2), where w_k weights the quotients up to k
+    by 2 on odd positions and 1 on even ones; each power is taken afresh.
+    """
+    if not quotients:
+        return QuadSurd(1)
+    total = QuadSurd(0)
+    weighted = 0
+    for position, a in enumerate(quotients, start=1):
+        weighted += 2 * a if position % 2 == 1 else a
+        term = TAU ** (weighted - 2)
+        total = total + term if position % 2 == 1 else total - term
+    return total
+
+
+@st.composite
+def quotient_lists(draw, max_total: int = 8 * 10 ** 4) -> list[int]:
+    """1 to 8 partial quotients, each at most 10**4, summing to at most
+    max_total; the last one may be 1 (then x = [0; ..., a + 1])."""
+    quotients: list[int] = []
+    for _ in range(draw(st.integers(1, 8))):
+        if sum(quotients) == max_total:
+            break
+        quotients.append(draw(st.integers(1, min(10 ** 4, max_total - sum(quotients)))))
+    return quotients
+
+
+def rcf_value(quotients: Sequence[int]) -> Fraction:
+    """[0; a1, ..., ak] = 1/(a1 + 1/(a2 + ... + 1/ak)), evaluated bottom-up."""
+    x = Fraction(0)
+    for a in reversed(quotients):
+        x = 1 / (a + x)
+    return x

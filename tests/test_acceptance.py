@@ -33,7 +33,7 @@ from sternbrocot import (
     xi,
 )
 
-from oracles import subtractive_rrcf
+from oracles import subtractive_rrcf, tau_power_series
 
 SAMPLE_LAMBDAS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
 
@@ -86,7 +86,7 @@ def test_criterion_03_tau2_series_specialization(stern_chain, clock):
     assert g_inductive(Fraction(0), TAU2) == 0
     for x in stern_chain[10].elements[1:]:
         cf = expand_rcf(x)
-        assert g_series(cf, TAU2) == g_tau2(cf)
+        assert g_series(cf, TAU2) == g_tau2(cf) == tau_power_series(cf.quotients)
     clock(3, started, "general series equals the tau-power form on all of level 10")
 
 

@@ -1,4 +1,7 @@
 import io
+import os
+import signal
+import subprocess
 import sys
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
@@ -109,6 +112,14 @@ class TestEval:
         assert run(["eval", "--lambda", "3-√5", "--x", "1/2"]) == 0
         assert lines_of(capsys) == ["3-1√5\t0.763932022500210"]
 
+    @pytest.mark.parametrize("lam", ["tau", "tau2", "3-√5", "-2+√5", "1/3"])
+    def test_printed_value_parses_back_to_itself(self, capsys, lam):
+        # g(1/2) = lambda, so the printed value is a lambda the CLI must take back
+        assert run(["eval", "--lambda", lam, "--x", "1/2"]) == 0
+        line = lines_of(capsys)[0]
+        assert run(["eval", "--lambda", line.split("\t")[0], "--x", "1/2"]) == 0
+        assert lines_of(capsys) == [line]
+
     def test_exact_output_reparses(self, capsys):
         assert run(["eval", "--lambda", "tau2", "--x", "4/7"]) == 0
         exact = lines_of(capsys)[0].split("\t")[0]
@@ -140,6 +151,14 @@ class TestEvalStream:
         assert hi - lo < Fraction(1, 10 ** 5)
         assert lo_dec.startswith("0.666") and hi_dec.startswith("0.666")
 
+    def test_lambda_with_a_leading_minus(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 " * 40))
+        assert run(["eval-stream", "--lambda", "-1/2+1/2√5", "--epsilon", "1e-5"]) == 0
+        minus = lines_of(capsys)
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 " * 40))
+        assert run(["eval-stream", "--lambda", "tau", "--epsilon", "1e-5"]) == 0
+        assert lines_of(capsys) == minus
+
     def test_exhausted_stream_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
         assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-12"]) == 2
@@ -169,6 +188,17 @@ class TestQuestionMark:
     def test_example(self, capsys):
         assert run(["question-mark", "--x", "2/3"]) == 0
         assert lines_of(capsys) == ["3/4\t0.750000000000000"]
+
+    def test_zero(self, capsys):
+        assert run(["question-mark", "--x", "0"]) == 0
+        assert lines_of(capsys) == ["0\t0.000000000000000"]
+
+    @pytest.mark.parametrize("x", ["2", "3/2", "-1/2"])
+    def test_outside_the_unit_interval_is_a_usage_error(self, capsys, x):
+        assert run(["question-mark", f"--x={x}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--x" in captured.err
 
     def test_exact_value_past_the_int_digit_limit(self, capsys):
         # ?(1/20000) = 2**-19999, a 6021-digit denominator
@@ -249,6 +279,10 @@ class TestPlotData:
         g_values = [parse_quadsurd(row[1]) for row in rows]
         assert g_values[0] == 0 and g_values[-1] == 1
         assert all(a < b for a, b in zip(g_values, g_values[1:]))
+
+    def test_lambda_with_a_leading_minus(self, capsys):
+        assert run(["plot-data", "--lambda", "-1/2+1/2√5", "--grid", "8"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "plot-data_tau_grid8.tsv").read_text(encoding="utf-8")
 
     def test_rational_parameter(self, capsys):
         assert run(["plot-data", "--lambda", "1/2", "--grid", "2"]) == 0
@@ -335,3 +369,22 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+class TestClosedPipe:
+    """A reader that stops early ends a streaming command like `yes | head`."""
+
+    @pytest.mark.parametrize("argv", [["stern-brocot", "--n", "18"],
+                                      ["plot-data", "--lambda", "tau2", "--grid", "15"]])
+    def test_killed_by_sigpipe_without_a_traceback(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen([sys.executable, "-m", "sternbrocot.cli", *argv], env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline()
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == -signal.SIGPIPE
+        assert stderr == b""

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from sternbrocot import (
     TAU,
@@ -15,6 +16,8 @@ from sternbrocot import (
     mediant,
     question_mark,
 )
+
+from oracles import quotient_lists, rcf_value, tau_power_series
 
 LAMBDAS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
 
@@ -90,7 +93,7 @@ class TestRouteAgreement:
     def test_series_at_tau2_equals_tau_powers_route(self, stern_chain):
         for x in stern_chain[6].elements[1:]:
             cf = expand_rcf(x)
-            assert g_series(cf, TAU2) == g_tau2(cf)
+            assert g_series(cf, TAU2) == g_tau2(cf) == tau_power_series(cf.quotients)
 
     def test_generic_arithmetic_handles_any_quadratic_parameter(self):
         for x in (Fraction(2, 5), Fraction(3, 7), Fraction(5, 8)):
@@ -174,3 +177,25 @@ class TestStream:
     def test_bad_quotients_rejected(self):
         with pytest.raises(ValueError):
             g_stream(iter([1, 0, 1]), Fraction(1, 2), Fraction(1, 10 ** 9))
+
+
+class TestRoutesOnLargeQuotients:
+    """Every route against the general series, at rationals of 1 to 8
+    partial quotients up to 10**4."""
+
+    @given(quotient_lists())
+    def test_tau2_route_is_the_series_and_the_tau_powers(self, quotients):
+        cf = expand_rcf(rcf_value(quotients))
+        assert g_tau2(cf) == g_series(cf, TAU2) == tau_power_series(cf.quotients)
+
+    @given(quotient_lists())
+    def test_salem_series_is_the_series_at_one_half(self, quotients):
+        cf = expand_rcf(rcf_value(quotients))
+        assert question_mark(cf) == g_series(cf, Fraction(1, 2))
+
+    @settings(max_examples=50)
+    @given(quotient_lists(max_total=400))
+    def test_path_replay_is_the_series(self, quotients):
+        x = rcf_value(quotients)
+        for lam in (Fraction(1, 3), Fraction(2, 5), TAU, TAU2):
+            assert g_inductive(x, lam) == g_series(expand_rcf(x), lam)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from sternbrocot import (
     TAU,
@@ -18,8 +18,9 @@ from sternbrocot import (
     stern_level,
     sum_partial_quotients,
 )
+from sternbrocot.stern import descend
 
-from oracles import path_depth, subtractive_rrcf
+from oracles import path_depth, quotient_lists, rcf_value, subtractive_rrcf
 
 
 def frac_set(*pairs):
@@ -176,3 +177,33 @@ class TestAgainstTheMediantChain:
             assert stern_level(level.index) == level
         for n in range(1, 17):
             assert new_mediants(n) == levels[n].elements[1::2]
+
+
+class TestDescend:
+    def test_examples(self):
+        assert list(descend(Fraction(1, 2))) == [0]
+        assert list(descend(Fraction(3, 7))) == [-1, 1, 1, 0]
+        assert list(descend(Fraction(4, 5))) == [1, 1, 1, 0]
+
+    @given(quotient_lists())
+    def test_one_sign_per_node_down_to_x(self, quotients):
+        x = rcf_value(quotients)
+        assume(x < 1)
+        signs = list(descend(x))
+        assert len(signs) == sum(quotients) - 1
+        assert signs[-1] == 0 and 0 not in signs[:-1]
+        assert set(signs[:-1]) <= {-1, 1}
+
+    @given(quotient_lists(max_total=2000))
+    def test_the_turns_give_the_depth_for_either_left_cost(self, quotients):
+        x = rcf_value(quotients)
+        assume(x < 1)
+        signs = list(descend(x))
+        for left in (1, 2):
+            depth = 1 + sum(left if side < 0 else 1 for side in signs[:-1])
+            assert depth == path_depth(x, left)
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2), Fraction(2)])
+    def test_refuses_points_outside_the_open_unit_interval(self, x):
+        with pytest.raises(ValueError):
+            list(descend(x))
