@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Every value crosses the boundary in an exact text format: rationals as
-"p/q", elements of Q(sqrt5) as "a+b√5" (keywords tau, tau2 accepted),
-continued fractions as "[0;a1,a2,...]" and "[[1;b1,b2,...]]". Sequence
+"p/q", elements of Q(sqrt5) as "a+b√5" (keywords tau, tau2 accepted;
+both coefficients may use exponent notation), continued fractions as
+"[0;a1,a2,...]" and "[[1;b1,b2,...]]"; any option value may start with
+a minus ("--x -1/2" meets the command's own range check). Sequence
 output is TSV, sorted by value, so downstream golden-file comparisons
 are bit-exact; the rows stream from one Stern-Brocot tree walk
 (`stern.graded_walk`), and no sequence is built. Exit codes: 0 success,
@@ -20,7 +22,7 @@ from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import MAX_XI_INDEX, verify_theorem1
-from .exact import TAU2, QuadSurd, parse_quadsurd, parse_rational, to_decimal
+from .exact import TAU2, QuadSurd, _zero_one, parse_quadsurd, parse_rational, to_decimal
 from .singular import g_inductive, g_series, g_stream, g_tau2, question_mark
 from .stern import graded_walk
 
@@ -51,12 +53,9 @@ def _epsilon_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a tolerance: {text!r}") from exc
 
 
-def _emit_value(value: Fraction | QuadSurd) -> None:
-    print(f"{value}\t{to_decimal(value, DISPLAY_DIGITS)}")
-
-
-def _emit_point(x: Fraction, g: Fraction | QuadSurd) -> None:
-    print(f"{x}\t{g}\t{to_decimal(x, DISPLAY_DIGITS)}\t{to_decimal(g, DISPLAY_DIGITS)}")
+def _emit(*values: Fraction | QuadSurd) -> None:
+    """One row: the exact values, then their decimals, tab-separated."""
+    print("\t".join([*map(str, values), *(to_decimal(v, DISPLAY_DIGITS) for v in values)]))
 
 
 def _check_range(parser: argparse.ArgumentParser, n: int, low: int, cap: int, flag: str) -> None:
@@ -184,15 +183,15 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.route == "salem" and lam != Fraction(1, 2):
         raise ValueError("--route salem needs --lambda 1/2")
     if args.route == "inductive" or x == 0:  # g_inductive checks lam; 0 has no quotients
-        _emit_value(g_inductive(x, lam))
+        _emit(g_inductive(x, lam))
         return 0
     cf = expand_rcf(x)
     if args.route == "series":
-        _emit_value(g_series(cf, lam))
+        _emit(g_series(cf, lam))
     elif args.route == "tau2":
-        _emit_value(g_tau2(cf))
+        _emit(g_tau2(cf))
     else:  # salem
-        _emit_value(question_mark(cf))
+        _emit(question_mark(cf))
     return 0
 
 
@@ -210,8 +209,7 @@ def _read_quotients(stream: IO[str]) -> Iterator[int]:
 
 
 def _cmd_eval_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    lo, hi = g_stream(_read_quotients(sys.stdin), args.lam, args.epsilon)
-    print(f"{lo}\t{hi}\t{to_decimal(lo, DISPLAY_DIGITS)}\t{to_decimal(hi, DISPLAY_DIGITS)}")
+    _emit(*g_stream(_read_quotients(sys.stdin), args.lam, args.epsilon))
     return 0
 
 
@@ -219,7 +217,7 @@ def _cmd_question_mark(args: argparse.Namespace, parser: argparse.ArgumentParser
     x = args.x
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
-    _emit_value(question_mark(expand_rcf(x)) if x else x)  # ?(0) = 0 has no quotients
+    _emit(question_mark(expand_rcf(x)) if x else x)  # ?(0) = 0 has no quotients
     return 0
 
 
@@ -270,11 +268,11 @@ def _cmd_plot_data(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     _check_range(parser, args.grid, 1, args.cap, "--grid")
     lam = args.lam
     nodes = graded_walk(args.grid, 2, lam)  # refuses lam outside (0,1) before any row
-    zero = lam - lam
-    _emit_point(Fraction(0), zero)
+    zero, one = _zero_one(lam)
+    _emit(Fraction(0), zero)
     for p, q, _, g in nodes:
-        _emit_point(Fraction(p, q), g)
-    _emit_point(Fraction(1), zero + 1)
+        _emit(Fraction(p, q), g)
+    _emit(Fraction(1), one)
     return 0
 
 
@@ -297,9 +295,10 @@ def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(argv) - 1)):
-        # argparse takes a value such as -1/2+1/2√5 (how tau prints) for an option
-        if argv[i] == "--lambda" and not argv[i + 1].startswith("--"):
-            argv[i:i + 2] = [f"--lambda={argv[i + 1]}"]
+        # argparse mistakes a value like -1/2 or -1/2+1/2√5 for an option: attach it by =
+        if (argv[i].startswith("--") and argv[i] not in ("--", "--help") and "=" not in argv[i]
+                and not argv[i + 1].startswith("--")):
+            argv[i:i + 2] = ["=".join(argv[i:i + 2])]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help

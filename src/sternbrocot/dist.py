@@ -24,7 +24,7 @@ from .cf import digit_sum_L, expand_rcf, expand_rrcf
 from .exact import QuadSurd, mediant, to_decimal
 from .singular import g_tau2
 from .stern import descend
-from .xi import fibonacci, subtree_count
+from .xi import _fibonacci_numbers, fibonacci, subtree_count
 
 #: Largest index verify_theorem1 tabulates. A row costs one path walk of
 #: at most n steps, so this bounds the table, not memory.
@@ -47,9 +47,7 @@ def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
     if kind == "xi":
         if n < 1:
             raise ValueError("sequence index must be >= 1")
-        fib = [1, 1]  # F(1), F(2), ...
-        while len(fib) < n + 2:
-            fib.append(fib[-1] + fib[-2])
+        fib = list(_fibonacci_numbers(n + 2))  # F(1), ..., F(n + 2)
         left_cost, weights, total = 2, fib[n - 1::-1], fib[n + 1] + 1
     elif kind == "stern_brocot":
         if n < 0:
@@ -106,7 +104,7 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
     The target is exact in Q(sqrt5); errors are reported as 30-digit
     decimals, and the pass verdict compares the final error against the
     tolerance exactly. Each row is one rank walk of at most n steps.
-    Refuses n_max beyond MAX_XI_INDEX.
+    Refuses n_max beyond MAX_XI_INDEX, and a tolerance below 0.
     """
     if not 0 < x < 1:
         raise ValueError(f"need 0 < x < 1, got {x}")
@@ -114,6 +112,8 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
         raise ValueError("n_max must be >= 2")
     if n_max > MAX_XI_INDEX:
         raise ValueError(f"refusing n_max > {MAX_XI_INDEX}: the table stops at index {MAX_XI_INDEX}")
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     target = g_tau2(expand_rcf(x))
     rows = []
     final_error: QuadSurd = QuadSurd(0)

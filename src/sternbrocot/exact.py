@@ -192,6 +192,12 @@ def _check_lambda(lam: Fraction | QuadSurd) -> None:
         raise ValueError("the split parameter must lie strictly between 0 and 1")
 
 
+def _zero_one(lam: Fraction | QuadSurd) -> tuple[Fraction | QuadSurd, Fraction | QuadSurd]:
+    """0 and 1 in the type of lam: Fraction for a rational split, else QuadSurd."""
+    zero = lam - lam
+    return zero, zero + 1
+
+
 def _floor_int_sqrt5(n: int) -> int:
     """floor(n * sqrt5) for an integer n.
 
@@ -243,12 +249,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 _SURD_RE = re.compile("(?:√5|sqrt5)$")
+_SIGN_RE = re.compile("(?<![eE])[+-]")  # a sign not inside an exponent such as 2e-3
 
 
 def parse_quadsurd(text: str) -> QuadSurd:
-    """Parse "a+b√5" (also "a-b√5", "b√5", plain "a", "sqrt5" for "√5"),
-    where a unit b may be left out ("√5", "-√5", "3-√5"), plus the
-    keywords "tau" and "tau2"."""
+    """Parse "a+b√5" (also "a-b√5", "b√5", plain "a", "sqrt5" for "√5", the
+    keywords "tau" and "tau2"), where a unit b may be left out ("√5", "3-√5")
+    and either coefficient may use exponent notation ("1+2e-3√5")."""
     s = text.strip()
     if s == "tau":
         return TAU
@@ -257,7 +264,7 @@ def parse_quadsurd(text: str) -> QuadSurd:
     head, count = _SURD_RE.subn("", s)
     if count == 0:
         return QuadSurd(parse_rational(s))
-    split = max(head.rfind("+"), head.rfind("-"), 0)
+    split = max((sign.start() for sign in _SIGN_RE.finditer(head)), default=0)
     rational, surd = head[:split], head[split:]
     if surd in ("", "+", "-"):
         surd += "1"

@@ -29,16 +29,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .cf import RegularCF
-from .exact import TAU2, QuadSurd, _check_lambda
+from .exact import TAU2, QuadSurd, _check_lambda, _zero_one
 from .stern import descend
 
 LambdaValue = Union[Fraction, QuadSurd]
 GValue = Union[Fraction, QuadSurd]
-
-
-def _zero_one(lam: LambdaValue) -> tuple[GValue, GValue]:
-    zero = lam - lam
-    return zero, zero + 1
 
 
 def g_inductive(x: Fraction, lam: LambdaValue) -> GValue:
@@ -76,26 +71,27 @@ def question_mark(cf: RegularCF) -> Fraction:
     return total if cf.quotients else Fraction(1)
 
 
-def _series_terms(quotients: Iterable[int], lam: LambdaValue) -> Iterator[GValue]:
-    """Unsigned term magnitudes of the alternating series for g.
+def _partial_sums(quotients: Iterable[int], lam: LambdaValue) -> Iterator[tuple[GValue, GValue]]:
+    """After each quotient, the partial sum of the alternating series for g
+    and the magnitude of its last term.
 
-    Term k multiplies the previous one by lam**ak (k odd) or
-    (1-lam)**ak (k even); both factors are < 1, so magnitudes strictly
-    decrease - which is what makes partial sums bracket the value.
+    Term k multiplies the previous magnitude by lam**ak (k odd, added) or
+    (1-lam)**ak (k even, subtracted); both factors are < 1, so magnitudes
+    strictly decrease - which is what makes partial sums bracket the value.
     """
     zero, one = _zero_one(lam)
     complement = one - lam
-    magnitude = one
+    total, magnitude = zero, one
     for position, a in enumerate(quotients, start=1):
         if a < 1:
             raise ValueError(f"partial quotients must be >= 1, got {a}")
-        if position == 1:
-            magnitude = magnitude * lam ** (a - 1)
-        elif position % 2 == 0:
+        if position % 2 == 0:
             magnitude = magnitude * complement ** a
+            total = total - magnitude
         else:
-            magnitude = magnitude * lam ** a
-        yield magnitude
+            magnitude = magnitude * lam ** (a - 1 if position == 1 else a)
+            total = total + magnitude
+        yield total, magnitude
 
 
 def g_series(cf: RegularCF, lam: LambdaValue) -> GValue:
@@ -104,14 +100,9 @@ def g_series(cf: RegularCF, lam: LambdaValue) -> GValue:
     The empty quotient list (x = 1) evaluates to 1, mirroring value_rcf.
     """
     _check_lambda(lam)
-    zero, one = _zero_one(lam)
-    if not cf.quotients:
-        return one
-    total = zero
-    sign = 1
-    for magnitude in _series_terms(cf.quotients, lam):
-        total = total + magnitude if sign > 0 else total - magnitude
-        sign = -sign
+    total = _zero_one(lam)[1]  # x = 1 has no quotients
+    for total, _ in _partial_sums(cf.quotients, lam):
+        pass  # g is the last partial sum
     return total
 
 
@@ -139,13 +130,9 @@ def g_stream(
     _check_lambda(lam)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    zero, _ = _zero_one(lam)
-    partial = zero
-    sign = 1
-    for magnitude in _series_terms(quotients, lam):
-        if magnitude < epsilon:
-            bracket = partial + magnitude if sign > 0 else partial - magnitude
-            return (partial, bracket) if sign > 0 else (bracket, partial)
-        partial = partial + magnitude if sign > 0 else partial - magnitude
-        sign = -sign
+    previous = _zero_one(lam)[0]
+    for k, (total, magnitude) in enumerate(_partial_sums(quotients, lam), start=1):
+        if magnitude < epsilon:  # term k was added if k is odd, subtracted if even
+            return (previous, total) if k % 2 else (total, previous)
+        previous = total
     raise ValueError("quotient stream ended: the value is rational, use g_series")

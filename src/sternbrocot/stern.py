@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cf import expand_rcf, sum_partial_quotients
-from .exact import QuadSurd, _check_lambda, mediant
+from .exact import QuadSurd, _check_lambda, _zero_one, mediant
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ def _walk(
 ) -> Iterator[tuple[int, int, int, Fraction | QuadSurd | None]]:
     g_lo = g_hi = None
     if lam is not None:
-        g_lo = lam - lam
-        g_hi = g_lo + 1
+        g_lo, g_hi = _zero_one(lam)
     stack: list[tuple] = []
     lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
     while True:

@@ -108,6 +108,12 @@ class TestEval:
         assert run(["eval", "--lambda", "2", "--x", "0"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_exponent_in_the_surd_coefficient(self, capsys):
+        assert run(["eval", "--lambda", "1/2+1e-1√5", "--x", "1/2"]) == 0
+        exponent = lines_of(capsys)
+        assert run(["eval", "--lambda", "1/2+1/10√5", "--x", "1/2"]) == 0
+        assert exponent == lines_of(capsys) == ["1/2+1/10√5\t0.723606797749979"]
+
     def test_unit_surd_lambda(self, capsys):
         assert run(["eval", "--lambda", "3-√5", "--x", "1/2"]) == 0
         assert lines_of(capsys) == ["3-1√5\t0.763932022500210"]
@@ -269,6 +275,36 @@ class TestVerify:
         assert first[0] == "2"
         assert parse_rational(first[1]) == Fraction(3, 4)  # rank of 2/3 in {0,1/2,2/3,1}
         assert parse_quadsurd(first[2]) == parse_quadsurd("tau")
+
+
+class TestValuesWithALeadingMinus:
+    """Every --option takes the next token as its value, even one that
+    starts with a minus, so the command gives its own range message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--lambda", "1/2", "--x", "-1/2"], "--x must lie in [0,1], got -1/2"),
+        (["question-mark", "--x", "-1/2"], "--x must lie in [0,1], got -1/2"),
+        (["convert-cf", "--x", "-1/2"], "--x must lie in (0,1), got -1/2"),
+        (["verify", "theorem1", "--x", "-1/2"], "need 0 < x < 1, got -1/2"),
+    ])
+    def test_x_outside_the_range(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_negative_epsilon(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2 3"))
+        assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "-1e-5"]) == 2
+        assert capsys.readouterr() == ("", "error: epsilon must be positive\n")
+
+    def test_negative_tolerance(self, capsys):
+        assert run(["verify", "theorem1", "--x", "1/2", "--n-max", "5", "--tol", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be >= 0" in captured.err
+
+    def test_help_takes_no_value(self, capsys):
+        assert run(["--help", "eval"]) == 0
+        assert "usage: sternbrocot" in capsys.readouterr().out
 
 
 class TestPlotData:

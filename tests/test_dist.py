@@ -138,6 +138,11 @@ class TestVerifyTheorem1:
         with pytest.raises(ValueError):
             verify_theorem1(Fraction(1, 2), 31)
 
+    def test_refuses_a_negative_tolerance(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_theorem1(Fraction(1, 2), 5, Fraction(-1))
+        assert not verify_theorem1(Fraction(1, 2), 5, Fraction(0)).passed
+
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_theorem1(Fraction(0), 5)

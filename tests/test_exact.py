@@ -178,6 +178,12 @@ class TestTextFormats:
         assert parse_quadsurd("1e-3-√5") == QuadSurd(Fraction(1, 1000), -1)
         assert parse_quadsurd("1e-3+2√5") == QuadSurd(Fraction(1, 1000), 2)
 
+    def test_quadsurd_exponent_sign_inside_the_surd_coefficient(self):
+        assert parse_quadsurd("2e-3√5") == QuadSurd(0, Fraction(1, 500))
+        assert parse_quadsurd("1+2e-3√5") == QuadSurd(1, Fraction(1, 500))
+        assert parse_quadsurd("3+1E-2√5") == QuadSurd(3, Fraction(1, 100))
+        assert parse_quadsurd("1e-3-2e+1√5") == QuadSurd(Fraction(1, 1000), -20)
+
     def test_quadsurd_rejects_junk(self):
         for text in ("", "√5√5", "tau3", "1+2", "x√5"):
             with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from sternbrocot import (
     TAU,
@@ -26,6 +26,20 @@ def g(x, lam):
     if x == 0:
         return lam - lam
     return g_series(expand_rcf(x), lam)
+
+
+def term_magnitudes(quotients, lam):
+    """|term k| of the series for g in closed form:
+    lam**(odd-position quotient sum up to k, minus 1) * (1-lam)**(even-position sum)."""
+    odd = even = 0
+    magnitudes = []
+    for position, a in enumerate(quotients, start=1):
+        if position % 2:
+            odd += a
+        else:
+            even += a
+        magnitudes.append(lam ** (odd - 1) * (1 - lam) ** even)
+    return magnitudes
 
 
 class TestEndpointsAndBasics:
@@ -165,6 +179,20 @@ class TestStream:
             assert hi - lo < epsilon
             assert lo <= g(x, Fraction(1, 2)) <= hi
         assert enclosures > 0
+
+    @given(quotient_lists())
+    def test_bracket_at_either_parity_of_the_stopping_term(self, quotients):
+        assume(len(quotients) >= 3)  # stopping terms 2 and 3: one even, one odd
+        for lam in (Fraction(1, 3), Fraction(1, 2), TAU2):
+            exact = g_series(expand_rcf(rcf_value(quotients)), lam)
+            magnitudes = term_magnitudes(quotients, lam)
+            for k in range(2, len(quotients) + 1):
+                epsilon = magnitudes[k - 2]  # term k - 1 is not below it, term k is
+                stream = iter(quotients)
+                lo, hi = g_stream(stream, lam, epsilon)
+                assert list(stream) == quotients[k:]  # exactly k quotients read
+                assert hi - lo < epsilon
+                assert lo <= exact <= hi
 
     def test_exhausted_stream_signals_rational_input(self):
         with pytest.raises(ValueError, match="rational"):

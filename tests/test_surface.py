@@ -1,12 +1,15 @@
 """The public names of the package, and the functions the benchmark tracer
-(perfbench/tracing.py) looks up by name, all resolve."""
+(perfbench/tracing.py) looks up by name, all resolve; no private helper
+is left unused."""
 
+import ast
 from importlib import import_module, util
 from pathlib import Path
 
 import sternbrocot
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PACKAGE = Path(sternbrocot.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -20,3 +23,28 @@ def test_every_traced_function_exists():
     missing = [f"{layer}.{name}" for layer, names in tracing.LAYERS.items() for name in names
                if not callable(getattr(import_module(f"sternbrocot.{layer}"), name, None))]
     assert tracing.LAYERS and missing == []
+
+
+def test_every_private_module_name_is_used():
+    """A module-level private function, class or constant of the package
+    is read somewhere in the package, so a merge leaves no orphan behind."""
+    defined, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update(n for n in names
+                           if n.startswith("_") and not (n.startswith("__") and n.endswith("__")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(defined) > 20
+    assert sorted(defined - used) == []

@@ -44,6 +44,16 @@ class TestFibonacci:
         with pytest.raises(ValueError):
             fibonacci(0)
 
+    def test_holds_two_numbers_at_a_time(self):
+        # F(20000) has 13.9 kbit; F(1), ..., F(20000) together take 18 MB
+        tracemalloc.start()
+        try:
+            fibonacci(20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 class TestNodesAndChildren:
     def test_root(self):
