@@ -4,7 +4,9 @@ Every value crosses the boundary in an exact text format: rationals as
 "p/q", elements of Q(sqrt5) as "a+b√5" (keywords tau, tau2 accepted;
 both coefficients may use exponent notation), continued fractions as
 "[0;a1,a2,...]" and "[[1;b1,b2,...]]"; any option value may start with
-a minus ("--x -1/2" meets the command's own range check). Sequence
+a minus ("--x -1/2" meets the command's own range check), and an
+exponent beyond 4300 in absolute value ("--x 1e-99999999") is a usage
+error, refused before its power of 10 is built. Sequence
 output is TSV, sorted by value, so downstream golden-file comparisons
 are bit-exact; the rows stream from one Stern-Brocot tree walk
 (`stern.graded_walk`), and no sequence is built. Exit codes: 0 success,
@@ -22,7 +24,15 @@ from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import MAX_XI_INDEX, verify_theorem1
-from .exact import TAU2, QuadSurd, _zero_one, parse_quadsurd, parse_rational, to_decimal
+from .exact import (
+    TAU2,
+    QuadSurd,
+    _check_exponent,
+    _zero_one,
+    parse_quadsurd,
+    parse_rational,
+    to_decimal,
+)
 from .singular import g_inductive, g_series, g_stream, g_tau2, question_mark
 from .stern import graded_walk
 
@@ -47,6 +57,10 @@ def _lambda_arg(text: str) -> Fraction | QuadSurd:
 
 
 def _epsilon_arg(text: str) -> Fraction:
+    try:
+        _check_exponent(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     try:
         return Fraction(text)  # accepts p/q, decimals, and exponent notation
     except (ValueError, ZeroDivisionError) as exc:

@@ -3,11 +3,16 @@
 `fractions.Fraction` serves as the rational type throughout the package;
 it already guarantees canonical reduced form (gcd 1, positive denominator)
 and an exact total order. `QuadSurd` adds the one irrationality the
-library needs: numbers a + b*sqrt(5), which house the golden-ratio
+library needs: numbers (a + b*sqrt(5))/d, which house the golden-ratio
 conjugate tau = (sqrt5 - 1)/2 and the split parameter tau**2 = (3 - sqrt5)/2.
-Powers are `**` (a negative exponent inverts), the coefficients are `.a`
-and `.b`, and `parse_quadsurd`/`str` read and write the text form "a+b√5".
-Every split parameter, rational or not, is checked by `_check_lambda`.
+It stores them as three integers in lowest terms (d > 0 and
+gcd(a, b, d) = 1), and its arithmetic, ordering, powers and decimals work
+on those integers alone, with one gcd per result.
+Powers are `**` (a negative exponent inverts), the rational coefficients
+are `.a` and `.b`, and `parse_quadsurd`/`str` read and write the text form
+"a+b√5". Every split parameter, rational or not, is checked by
+`_check_lambda`; `parse_rational` refuses an exponent whose 10**N would
+take longer to build than to read.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 def mediant(x: Fraction, y: Fraction) -> Fraction:
@@ -29,28 +34,73 @@ def mediant(x: Fraction, y: Fraction) -> Fraction:
     return Fraction(x.numerator + y.numerator, x.denominator + y.denominator)
 
 
+def _sign(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt5 for integers a and b: -1, 0 or +1."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # Opposite signs: |a| against |b|*sqrt5, settled by squaring.
+    # a*a == 5*b*b cannot happen for b != 0.
+    return 1 if (a * a > 5 * b * b) == (a > 0) else -1
+
+
+def _lowest(a: int, b: int, d: int) -> "QuadSurd":
+    """(a + b*sqrt5)/d in lowest terms, for integers with d != 0."""
+    g = gcd(d, a, b)  # d first: it is small for the powers of tau and their sums
+    if d < 0:
+        g = -g
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = object.__new__(QuadSurd)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
 @total_ordering
 class QuadSurd:
-    """An element a + b*sqrt(5) of Q(sqrt5) with exact Fraction coefficients.
+    """An element (a + b*sqrt(5))/d of Q(sqrt5), held as three integers.
 
-    sqrt(5) is irrational, so the representation is unique: equality is
-    coefficient equality, and ordering reduces to an exact sign
-    computation with no floating point anywhere. Instances are immutable
-    and safe to share.
+    The integers are in lowest terms: d > 0 and gcd(a, b, d) = 1. sqrt(5)
+    is irrational, so that form is unique: equality compares the stored
+    integers, and ordering reduces to an exact integer sign computation
+    with no floating point anywhere. The constructor takes the rational
+    coefficients, QuadSurd(a, b) = a + b*sqrt5 with a and b int or
+    Fraction, and `.a` and `.b` return them as Fractions. Instances are
+    immutable and safe to share.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if type(a) is int and type(b) is int:
+            self._a, self._b, self._d = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        # Over d = lcm of the denominators the triple is already in lowest
+        # terms: a prime's full power in d divides one denominator, whose
+        # numerator it does not divide, and then not that quotient either.
+        d = lcm(a.denominator, b.denominator)
+        self._a = a.numerator * (d // a.denominator)
+        self._b = b.numerator * (d // b.denominator)
+        self._d = d
+
+    @property
+    def a(self) -> Fraction:
+        """The rational coefficient of 1."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The rational coefficient of sqrt5."""
+        return Fraction(self._b, self._d)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self._b != 0:
             raise ValueError(f"{self} is irrational")
         return self.a
 
@@ -64,42 +114,31 @@ class QuadSurd:
 
     def sign(self) -> int:
         """Exact sign of the value: -1, 0 or +1."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Coefficients of opposite sign: |a| against |b|*sqrt5, settled by
-        # squaring. a*a == 5*b*b cannot happen for nonzero rationals.
-        if a > 0:
-            return 1 if a * a > 5 * b * b else -1
-        return 1 if 5 * b * b > a * a else -1
+        return _sign(self._a, self._b)
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, QuadSurd):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
+        return NotImplemented
 
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        d, e = self._d, o._d
+        return _sign(self._a * e - o._a * d, self._b * e - o._b * d) < 0
 
     def __hash__(self) -> int:
         # Rational values must hash like their Fraction equivalents.
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        return hash(self.a) if self._b == 0 else hash((self.a, self.b))
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._a != 0 or self._b != 0
 
     def __neg__(self) -> "QuadSurd":
-        return QuadSurd(-self.a, -self.b)
+        return _lowest(-self._a, -self._b, self._d)
 
     def __abs__(self) -> "QuadSurd":
         return -self if self.sign() < 0 else self
@@ -108,7 +147,8 @@ class QuadSurd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadSurd(self.a + o.a, self.b + o.b)
+        d, e = self._d, o._d
+        return _lowest(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
@@ -116,29 +156,31 @@ class QuadSurd:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadSurd(self.a - o.a, self.b - o.b)
+        d, e = self._d, o._d
+        return _lowest(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other: object) -> "QuadSurd":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadSurd(o.a - self.a, o.b - self.b)
+        return o - self
 
     def __mul__(self, other: object) -> "QuadSurd":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadSurd(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _lowest(a * c + 5 * b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadSurd":
-        # 1/(a + b*sqrt5) = (a - b*sqrt5) / (a^2 - 5 b^2); the norm only
+        # d/(a + b*sqrt5) = d*(a - b*sqrt5) / (a^2 - 5 b^2); the norm only
         # vanishes for the zero element.
         if not self:
             raise ZeroDivisionError("division by zero in Q(sqrt5)")
-        norm = self.a * self.a - 5 * self.b * self.b
-        return QuadSurd(self.a / norm, -self.b / norm)
+        a, b, d = self._a, self._b, self._d
+        return _lowest(d * a, -d * b, a * a - 5 * b * b)
 
     def __truediv__(self, other: object) -> "QuadSurd":
         o = self._coerce(other)
@@ -155,29 +197,38 @@ class QuadSurd:
     def __pow__(self, exponent: int) -> "QuadSurd":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = QuadSurd(1)
-        base = self
-        n = exponent
-        while n:
+        base = self.inverse() if exponent < 0 else self
+        a, b, d = base._a, base._b, base._d
+        ra, rb, rd = 1, 0, 1
+        n = abs(exponent)
+        while n:  # square and multiply on the integers; the product is reduced at the end
             if n & 1:
-                result = result * base
-            base = base * base
+                ra, rb, rd = ra * a + 5 * rb * b, ra * b + rb * a, rd * d
             n >>= 1
-        return result
+            if n:
+                a, b, d = a * a + 5 * b * b, 2 * a * b, d * d
+                # The square of a triple in lowest terms has no common factor
+                # but 2 and 5, each at most once (a prime p | d with p | 2ab
+                # and p | a^2 + 5b^2 divides a and b unless p is 2 or 5), so
+                # a gcd with 10, linear in the size, keeps the square in
+                # lowest terms: the tau-powers keep d at 1 or 2 instead of 2**n.
+                g = gcd(10, d, a, b)
+                if g != 1:
+                    a, b, d = a // g, b // g, d // g
+        return _lowest(ra, rb, rd)
 
     def __repr__(self) -> str:
         return f"QuadSurd({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        surd = f"{abs(self.b)}√5"
-        if self.a == 0:
-            return surd if self.b > 0 else f"-{surd}"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a}{op}{surd}"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        surd = f"{abs(b)}√5"
+        if a == 0:
+            return surd if b > 0 else f"-{surd}"
+        op = "+" if b > 0 else "-"
+        return f"{a}{op}{surd}"
 
 
 SQRT5 = QuadSurd(0, 1)
@@ -209,19 +260,17 @@ def _floor_int_sqrt5(n: int) -> int:
     return -isqrt(5 * n * n) - 1
 
 
-def _floor_scaled(x: QuadSurd, power: int) -> int:
-    """floor(x * 10**power), exactly.
+def _floor_scaled(a: int, b: int, d: int, power: int) -> int:
+    """floor((a + b*sqrt5)/d * 10**power) for integers a, b and d > 0, exactly.
 
     With integers P, R and D > 0, floor((P + R*sqrt5)/D) equals
     (P + floor(R*sqrt5)) // D: the fractional part of R*sqrt5 is < 1,
     so the integer numerator P + floor(R*sqrt5) and the true numerator
-    always sit in the same length-D window [Q*D, (Q+1)*D).
+    always sit in the same length-D window [Q*D, (Q+1)*D). Here
+    P = a*10**power, R = b*10**power and D = d.
     """
     scale = 10 ** power
-    qa, qb = x.a.denominator, x.b.denominator
-    p = x.a.numerator * qb * scale
-    r = x.b.numerator * qa * scale
-    return (p + _floor_int_sqrt5(r)) // (qa * qb)
+    return (a * scale + _floor_int_sqrt5(b * scale)) // d
 
 
 def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
@@ -232,16 +281,38 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if not isinstance(x, QuadSurd):
-        x = QuadSurd(x)
-    n = (_floor_scaled(x, digits + 1) + 5) // 10
+    if isinstance(x, QuadSurd):
+        a, b, d = x._a, x._b, x._d
+    else:
+        a, b, d = x.numerator, 0, x.denominator
+    n = (_floor_scaled(a, b, d, digits + 1) + 5) // 10
     sign = "-" if n < 0 else ""
     whole, frac = divmod(abs(n), 10 ** digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
+#: Largest |N| taken in a literal's exponent "eN": Fraction builds 10**N
+#: while it parses, so "1e-99999999" alone would take minutes. 4300 is
+#: Python's default int-string digit limit.
+_MAX_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse a literal whose exponent exceeds _MAX_EXPONENT in absolute
+    value, before anything builds its power of 10."""
+    match = _EXPONENT_RE.search(text)
+    if match:
+        digits = match[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"the exponent of {text.strip()!r} exceeds {_MAX_EXPONENT} "
+                             "in absolute value")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" rational format (the "/q" may be omitted when q = 1)."""
+    """Parse the "p/q" rational format (the "/q" may be omitted when q = 1),
+    or a decimal with an exponent of at most 4300 in absolute value."""
+    _check_exponent(text)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -11,7 +11,8 @@ Three routes to the same values:
   Stern-Brocot path to x (`stern.descend`, the walk that also counts
   ranks in `dist`); O(S(x)) exact steps.
 * `question_mark` - Salem's alternating dyadic series from the regular
-  continued-fraction quotients (the lam = 1/2 case).
+  continued-fraction quotients (the lam = 1/2 case), summed as one
+  integer numerator over a power of 2.
 * `g_series`     - the generalization of that series to every lam:
   the k-th term is (-1)**(k+1) times lam**(sum of odd-position
   quotients up to k, minus 1) times (1-lam)**(sum of even-position
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .cf import RegularCF
+from .cf import RegularCF, sum_partial_quotients
 from .exact import TAU2, QuadSurd, _check_lambda, _zero_one
 from .stern import descend
 
@@ -60,15 +61,17 @@ def g_inductive(x: Fraction, lam: LambdaValue) -> GValue:
 
 def question_mark(cf: RegularCF) -> Fraction:
     """Minkowski's ?(x) from the quotients of x: the alternating sum of
-    1 / 2**(a1 + ... + ak - 1). Always a dyadic rational."""
-    total = Fraction(0)
-    cumulative = 0
+    1 / 2**(a1 + ... + ak - 1). Always a dyadic rational, so the sum is
+    one integer numerator over 2**(S(x) - 1), built by Horner's rule:
+    shift left by each quotient, then add or subtract 1."""
+    if not cf.quotients:
+        return Fraction(1)
+    numerator = 0
     sign = 1
     for a in cf.quotients:
-        cumulative += a
-        total += Fraction(sign, 2 ** (cumulative - 1))
+        numerator = (numerator << a) + sign
         sign = -sign
-    return total if cf.quotients else Fraction(1)
+    return Fraction(numerator, 1 << (sum_partial_quotients(cf) - 1))
 
 
 def _partial_sums(quotients: Iterable[int], lam: LambdaValue) -> Iterator[tuple[GValue, GValue]]:

@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterator, Sequence
 
 import mpmath
 from hypothesis import strategies as st
 
-from sternbrocot import TAU, QuadSurd
+from sternbrocot import QuadSurd
 
 
 def subtractive_rrcf(x: Fraction) -> tuple[int, ...]:
@@ -105,20 +106,152 @@ def materialized_cdf(elements: Sequence[Fraction], x: Fraction) -> Fraction:
     return Fraction(bisect_right(elements, x), len(elements))
 
 
-def tau_power_series(quotients: Sequence[int]) -> QuadSurd:
+@total_ordering
+class FractionSurd:
+    """a + b*sqrt(5) with two Fraction coefficients, the slow route that
+    `sternbrocot.QuadSurd` replaced: every operation normalises Fractions.
+
+    It equals a QuadSurd with the same coefficients, compared through the
+    QuadSurd's public `.a` and `.b`.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    @staticmethod
+    def _coerce(other: object) -> "FractionSurd | None":
+        if isinstance(other, FractionSurd):
+            return other
+        if isinstance(other, QuadSurd):
+            return FractionSurd(other.a, other.b)
+        if isinstance(other, (int, Fraction)):
+            return FractionSurd(other)
+        return None
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        if a > 0:
+            return 1 if a * a > 5 * b * b else -1
+        return 1 if 5 * b * b > a * a else -1
+
+    def __eq__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __lt__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self - o).sign() < 0
+
+    def __hash__(self) -> int:
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
+
+    def __neg__(self) -> "FractionSurd":
+        return FractionSurd(-self.a, -self.b)
+
+    def __add__(self, other: object) -> "FractionSurd":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionSurd(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "FractionSurd":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionSurd(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, other: object) -> "FractionSurd":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionSurd(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionSurd":
+        if not self:
+            raise ZeroDivisionError("division by zero in Q(sqrt5)")
+        norm = self.a * self.a - 5 * self.b * self.b
+        return FractionSurd(self.a / norm, -self.b / norm)
+
+    def __truediv__(self, other: object) -> "FractionSurd":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __pow__(self, exponent: int) -> "FractionSurd":
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result, base, n = FractionSurd(1), self, exponent
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __str__(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        surd = f"{abs(self.b)}√5"
+        if self.a == 0:
+            return surd if self.b > 0 else f"-{surd}"
+        return f"{self.a}{'+' if self.b > 0 else '-'}{surd}"
+
+    def decimal(self, digits: int) -> str:
+        """Rounded half-up to `digits` places: floor((P + R*sqrt5)/D) over
+        the common denominator D of a and b is (P + floor(R*sqrt5)) // D."""
+        scale = 10 ** (digits + 1)
+        qa, qb = self.a.denominator, self.b.denominator
+        r = self.b.numerator * qa * scale
+        root = math.isqrt(5 * r * r)
+        floor_r_sqrt5 = root if r >= 0 else -root - 1
+        n = (self.a.numerator * qb * scale + floor_r_sqrt5) // (qa * qb)
+        n = (n + 5) // 10
+        whole, frac = divmod(abs(n), 10 ** digits)
+        return f"{'-' if n < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
+#: tau = (sqrt5 - 1)/2 on the oracle's own arithmetic.
+FRACTION_TAU = FractionSurd(Fraction(-1, 2), Fraction(1, 2))
+
+
+def tau_power_series(quotients: Sequence[int]) -> FractionSurd:
     """g at lambda = tau**2 from the quotients of x, in closed form.
 
     Since 1 - tau**2 = tau, term k of the alternating series is
     (-1)**(k+1) * tau**(w_k - 2), where w_k weights the quotients up to k
-    by 2 on odd positions and 1 on even ones; each power is taken afresh.
+    by 2 on odd positions and 1 on even ones; each power is taken afresh,
+    on FractionSurd, so no QuadSurd arithmetic is involved.
     """
     if not quotients:
-        return QuadSurd(1)
-    total = QuadSurd(0)
+        return FractionSurd(1)
+    total = FractionSurd(0)
     weighted = 0
     for position, a in enumerate(quotients, start=1):
         weighted += 2 * a if position % 2 == 1 else a
-        term = TAU ** (weighted - 2)
+        term = FRACTION_TAU ** (weighted - 2)
         total = total + term if position % 2 == 1 else total - term
     return total
 

@@ -3,7 +3,7 @@ import os
 import signal
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -307,6 +307,43 @@ class TestValuesWithALeadingMinus:
         assert "usage: sternbrocot" in capsys.readouterr().out
 
 
+def child_env():
+    """The environment for a child `python -m sternbrocot.cli` that
+    imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class TestHugeExponents:
+    """Fraction("1e-N") builds 10**N while it parses; an exponent beyond
+    4300 in absolute value is a usage error before that, whatever the
+    option, and the message names the option."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["eval", "--lambda", "1/2", "--x", "1e-99999999"], "--x"),
+        (["question-mark", "--x", "1e-99999999"], "--x"),
+        (["verify", "theorem1", "--x", "1e-99999999", "--n-max", "3"], "--x"),
+        (["eval-stream", "--lambda", "1/2", "--epsilon", "1e-99999999"], "--epsilon"),
+        (["verify", "theorem1", "--x", "1/2", "--tol", "1e99999999"], "--tol"),
+        (["eval", "--lambda", "1e-99999999", "--x", "1/2"], "--lambda"),
+    ])
+    def test_refused_before_the_power_is_built(self, argv, option):
+        child = subprocess.run([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
+                               input=b"1 2 3", capture_output=True, timeout=10)
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert (f"argument {option}: the exponent of '1e" in child.stderr.decode()
+                and "exceeds 4300 in absolute value" in child.stderr.decode())
+
+    def test_an_exponent_of_4300_is_read_as_before(self, capsys):
+        # g(1/2) = lambda
+        assert run(["eval", "--lambda", "1e-4300", "--x", "1/2"]) == 0
+        exact, decimal = lines_of(capsys)[0].split("\t")
+        with int_digit_limit(0):
+            assert exact == f"1/{10 ** 4300}"
+        assert decimal == "0.000000000000000"
+
+
 class TestPlotData:
     def test_curve_endpoints_and_monotonicity(self, capsys):
         assert run(["plot-data", "--lambda", "tau2", "--grid", "3"]) == 0
@@ -383,6 +420,37 @@ GOLDEN_RUNS = {
 }
 
 
+EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
+EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")
+EVAL_GRID_ROUTES = ("inductive", "series", "tau2", "salem")
+EVAL_GRID_STREAM = "3 1 4 1 5 9 2 6 5 3 5 8 9 7 9 3 2 3 8 4 6 2 6 4 3 3 8 3 2 7 9 5"
+EVAL_GRID_EPSILON = "1e-20"
+
+
+def eval_grid() -> str:
+    """One TSV row per command: argv, exit code, then its stdout line.
+
+    Every eval route at every lambda and x of the grid, the refusals
+    included, then eval-stream at four lambdas on EVAL_GRID_STREAM.
+    """
+    cases = [(["eval", "--lambda", lam, "--x", x, "--route", route], "")
+             for lam in EVAL_GRID_LAMBDAS for x in EVAL_GRID_XS for route in EVAL_GRID_ROUTES]
+    cases += [(["eval-stream", "--lambda", lam, "--epsilon", EVAL_GRID_EPSILON], EVAL_GRID_STREAM)
+              for lam in ("1/2", "1/3", "tau2", "tau")]
+    rows = []
+    saved_stdin = sys.stdin
+    try:
+        for argv, stdin in cases:
+            sys.stdin, out = io.StringIO(stdin), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = run(argv)
+            stdout = out.getvalue() or "\n"  # one line, or none on a refusal
+            rows.append(f"{' '.join(argv)}\t{code}\t{stdout}")
+    finally:
+        sys.stdin = saved_stdin
+    return "".join(rows)
+
+
 class TestGoldenOutput:
     """Sequence and plot-data TSV, byte for byte, as the materializing
     implementation printed it (tests/golden)."""
@@ -391,6 +459,11 @@ class TestGoldenOutput:
     def test_matches_the_golden_file(self, capsys, name):
         assert run(GOLDEN_RUNS[name]) == 0
         assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    def test_eval_grid_matches_the_golden_file(self):
+        golden = (GOLDEN / "eval_grid.tsv").read_text(encoding="utf-8")
+        assert len(golden.splitlines()) == 4 * 7 * 4 + 4
+        assert eval_grid() == golden
 
 
 class TestUsage:
@@ -414,9 +487,7 @@ class TestClosedPipe:
     @pytest.mark.parametrize("argv", [["stern-brocot", "--n", "18"],
                                       ["plot-data", "--lambda", "tau2", "--grid", "15"]])
     def test_killed_by_sigpipe_without_a_traceback(self, argv):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        child = subprocess.Popen([sys.executable, "-m", "sternbrocot.cli", *argv], env=env,
+        child = subprocess.Popen([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert child.stdout.readline()
         child.stdout.close()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -16,10 +17,40 @@ from sternbrocot import (
     to_decimal,
 )
 
-from oracles import rounded_scaled_value, smallest_denominator_between
+from oracles import FractionSurd, rounded_scaled_value, smallest_denominator_between
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10_000)
 quads = st.builds(QuadSurd, rationals, rationals)
+big_rationals = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
+coefficients = st.tuples(big_rationals, big_rationals)
+#: Values whose powers cancel factors 2 and 5 between the integers, and
+#: one that cancels nothing.
+POWER_BASES = [
+    (Fraction(-1, 2), Fraction(1, 2)),  # tau
+    (Fraction(3, 2), Fraction(-1, 2)),  # tau**2
+    (Fraction(1, 2), Fraction(1, 2)),  # the golden ratio
+    (Fraction(0), Fraction(1, 5)),  # 1/sqrt5
+    (Fraction(1, 10), Fraction(3, 10)),
+    (Fraction(5, 4), Fraction(3, 4)),
+    (Fraction(1, 7), Fraction(3, 7)),
+]
+
+
+def in_lowest_terms(x: QuadSurd) -> QuadSurd:
+    """x, after checking that its integers (a, b, d) have d > 0 and gcd 1."""
+    assert x._d > 0
+    assert gcd(x._d, x._a, x._b) == 1
+    return x
+
+
+def assert_agrees(x: QuadSurd, oracle: FractionSurd) -> None:
+    """x is in lowest terms and reads, prints and hashes like the oracle."""
+    in_lowest_terms(x)
+    assert (x.a, x.b) == (oracle.a, oracle.b)
+    assert str(x) == str(oracle)
+    assert repr(x) == f"QuadSurd({oracle.a!r}, {oracle.b!r})"
+    assert hash(x) == hash(oracle)
+    assert x.is_rational == (oracle.b == 0)
 
 
 class TestMediant:
@@ -110,6 +141,72 @@ class TestQuadSurd:
         assert (a == b) == ((a - b).sign() == 0)
 
 
+class TestAgainstFractionSurd:
+    """QuadSurd's integer arithmetic against the two-Fraction oracle, on
+    coefficients with numerators and denominators up to 2**200."""
+
+    @given(coefficients, coefficients)
+    def test_field_operations(self, p, q):
+        x, y, ox, oy = QuadSurd(*p), QuadSurd(*q), FractionSurd(*p), FractionSurd(*q)
+        assert_agrees(x, ox)
+        assert_agrees(x + y, ox + oy)
+        assert_agrees(x - y, ox - oy)
+        assert_agrees(x * y, ox * oy)
+        assert_agrees(-x, -ox)
+        if oy:
+            assert_agrees(x / y, ox / oy)
+            assert_agrees(y.inverse(), oy.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        assert x.sign() == ox.sign()
+        assert (x < y) == (ox < oy)
+        assert (x == y) == (ox == oy)
+
+    @given(coefficients, big_rationals)
+    def test_mixed_with_rationals(self, p, r):
+        x, ox = QuadSurd(*p), FractionSurd(*p)
+        for n in (r, r.numerator, 0, 1):
+            assert_agrees(x + n, ox + n)
+            assert_agrees(n - x, FractionSurd(n) - ox)
+            assert_agrees(x * n, ox * n)
+            assert (x < n) == (ox < n)
+            assert (n < x) == (FractionSurd(n) < ox)
+            assert (x == n) == (ox == n)
+        assert_agrees(QuadSurd(r), FractionSurd(r))
+        assert QuadSurd(r) == r and hash(QuadSurd(r)) == hash(r)
+
+    @given(coefficients)
+    def test_equal_values_built_two_ways(self, p):
+        x = QuadSurd(*p)
+        y = in_lowest_terms(QuadSurd(0, p[1]) + p[0])
+        assert x == y and hash(x) == hash(y)
+        assert (x._a, x._b, x._d) == (y._a, y._b, y._d)
+        assert not x < y and not y < x
+
+    @given(coefficients, st.integers(-12, 12))
+    def test_powers(self, p, n):
+        x, ox = QuadSurd(*p), FractionSurd(*p)
+        if n < 0 and not ox:
+            with pytest.raises(ZeroDivisionError):
+                x ** n
+        else:
+            assert_agrees(x ** n, ox ** n)
+
+    @pytest.mark.parametrize("p", POWER_BASES, ids=str)
+    @given(n=st.integers(-3000, 3000))
+    def test_large_powers_cancel_to_lowest_terms(self, p, n):
+        assert_agrees(QuadSurd(*p) ** n, FractionSurd(*p) ** n)
+
+    @given(coefficients, st.integers(1, 40))
+    def test_to_decimal(self, p, digits):
+        assert to_decimal(QuadSurd(*p), digits) == FractionSurd(*p).decimal(digits)
+
+    def test_tau_powers_keep_d_at_one_or_two(self):
+        for n in range(-200, 200):
+            assert in_lowest_terms(TAU ** n)._d in (1, 2)
+
+
 class TestToDecimal:
     def test_frozen_examples(self):
         assert to_decimal(TAU2, 10) == "0.3819660113"
@@ -157,6 +254,21 @@ class TestTextFormats:
         for text in ("", "one", "1/0", "1//2"):
             with pytest.raises(ValueError):
                 parse_rational(text)
+
+    def test_rational_exponent_up_to_4300(self):
+        assert parse_rational("1e-4300") == Fraction(1, 10 ** 4300)
+        assert parse_rational(" 1E+0_004_300 ") == 10 ** 4300
+        assert parse_rational("25e-0004300") == Fraction(25, 10 ** 4300)
+        assert parse_rational("1.5e3") == 1500
+
+    @pytest.mark.parametrize("text", ["1e-4301", "1e4301", "2.5E-99999", "1e1_000_00",
+                                      "1e-" + "9" * 5000],
+                             ids=["1e-4301", "1e4301", "2.5E-99999", "1e1_000_00", "1e-9...9"])
+    def test_rational_exponent_beyond_4300_is_refused(self, text):
+        with pytest.raises(ValueError, match="exceeds 4300 in absolute value"):
+            parse_rational(text)
+        with pytest.raises(ValueError, match="exceeds 4300 in absolute value"):
+            parse_quadsurd(f"1/2+{text}√5")
 
     def test_quadsurd_keywords(self):
         assert parse_quadsurd("tau") == TAU
