@@ -14,27 +14,28 @@ top of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import _Record
 
-@dataclass(frozen=True)
-class RegularCF:
+
+class RegularCF(_Record):
     """Canonical regular continued fraction [0; a1,...,am] of x in (0,1].
 
     The empty quotient list stands for x = 1, the single value in (0,1]
     that no list with a final quotient >= 2 can encode.
     """
 
-    quotients: tuple[int, ...]
+    __slots__ = ("quotients",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "quotients", tuple(self.quotients))
-        for a in self.quotients:
+    def __init__(self, quotients: tuple[int, ...]) -> None:
+        quotients = tuple(quotients)
+        for a in quotients:
             if a < 1:
                 raise ValueError(f"partial quotients must be >= 1, got {a}")
-        if self.quotients and self.quotients[-1] < 2:
+        if quotients and quotients[-1] < 2:
             raise ValueError("canonical form needs a final quotient >= 2")
+        object.__setattr__(self, "quotients", quotients)
 
     def __str__(self) -> str:
         return "[0;" + ",".join(map(str, self.quotients)) + "]"
@@ -53,19 +54,19 @@ class RegularCF:
             raise ValueError(f"not a regular continued fraction literal: {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class ReducedRCF:
+class ReducedRCF(_Record):
     """Reduced continued fraction [[1; b1,...,bl]] of x in (0,1); all bi >= 2."""
 
-    digits: tuple[int, ...]
+    __slots__ = ("digits",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if not self.digits:
+    def __init__(self, digits: tuple[int, ...]) -> None:
+        digits = tuple(digits)
+        if not digits:
             raise ValueError("a reduced expansion has at least one digit")
-        for b in self.digits:
+        for b in digits:
             if b < 2:
                 raise ValueError(f"digits must be >= 2, got {b}")
+        object.__setattr__(self, "digits", digits)
 
     def __str__(self) -> str:
         return "[[1;" + ",".join(map(str, self.digits)) + "]]"

@@ -10,8 +10,10 @@ error, refused before its power of 10 is built. Sequence
 output is TSV, sorted by value, so downstream golden-file comparisons
 are bit-exact; the rows stream from one Stern-Brocot tree walk
 (`stern.graded_walk`), and no sequence is built. Exit codes: 0 success,
-1 verification failure, 2 usage error. A closed output pipe ends the
-process quietly, killed by SIGPIPE, as it would `yes | head`.
+1 verification failure, 2 usage error or an input whose result is out of
+reach (a ValueError or OverflowError, reported on one `error:` line). A
+closed output pipe ends the process quietly, killed by SIGPIPE, as it
+would `yes | head`.
 """
 
 from __future__ import annotations
@@ -264,8 +266,9 @@ def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _cmd_convert_cf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if not 0 < args.x < 1:
         raise ValueError(f"--x must lie in (0,1), got {args.x}")
-    print(expand_rcf(args.x))
-    print(expand_rrcf(args.x))
+    regular, reduced = expand_rcf(args.x), expand_rrcf(args.x)  # both before a line is printed
+    print(regular)
+    print(reduced)
     return 0
 
 
@@ -321,7 +324,7 @@ def _run(argv: Sequence[str] | None) -> int:
         return args.handler(args, parser)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a size past int or index range
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

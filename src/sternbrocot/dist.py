@@ -17,11 +17,10 @@ materialized route as its reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cf import digit_sum_L, expand_rcf, expand_rrcf
-from .exact import QuadSurd, mediant, to_decimal
+from .exact import QuadSurd, _Record, mediant, to_decimal
 from .singular import g_tau2
 from .stern import descend
 from .xi import _fibonacci_numbers, fibonacci, subtree_count
@@ -80,22 +79,30 @@ def empirical_cdf(kind: str, n: int, x: Fraction) -> Fraction:
     return Fraction(rank, total)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    empirical: Fraction
-    abs_error_decimal: str
+class ConvergenceRow(_Record):
+    """One row of the table: the index n, the exact empirical value at x,
+    and its distance from the target as a 30-digit decimal."""
+
+    __slots__ = ("n", "empirical", "abs_error_decimal")
+
+    def __init__(self, n: int, empirical: Fraction, abs_error_decimal: str) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "empirical", empirical)
+        object.__setattr__(self, "abs_error_decimal", abs_error_decimal)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Record):
     """Exact convergence table of the xi empirical CDF at one point."""
 
-    x: Fraction
-    target: QuadSurd
-    tolerance: Fraction
-    rows: tuple[ConvergenceRow, ...]
-    passed: bool
+    __slots__ = ("x", "target", "tolerance", "rows", "passed")
+
+    def __init__(self, x: Fraction, target: QuadSurd, tolerance: Fraction,
+                 rows: tuple[ConvergenceRow, ...], passed: bool) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "passed", passed)
 
 
 def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 50)) -> ConvergenceReport:

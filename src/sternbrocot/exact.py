@@ -13,6 +13,17 @@ are `.a` and `.b`, and `parse_quadsurd`/`str` read and write the text form
 "a+b√5". Every split parameter, rational or not, is checked by
 `_check_lambda`; `parse_rational` refuses an exponent whose 10**N would
 take longer to build than to read.
+
+`_Record` is the base of the package's immutable value objects
+(`RegularCF`, `ReducedRCF`, `SternBrocotLevel`, `XiTreeNode`,
+`XiSequence`, `ConvergenceRow`, `ConvergenceReport`). A subclass names
+its fields in `__slots__` and sets them in its own `__init__`; the base
+derives from those names the refusal to assign or delete, equality
+within one class, the hash of the field tuple, the repr
+`Name(field=value, ...)`, and `__reduce__`, so that copy and pickle
+rebuild a record through its constructor. It stands in for frozen
+dataclasses: importing `dataclasses` pulls in `inspect` and `ast`, and
+builds each class's methods with `exec`, at every start of the CLI.
 """
 
 from __future__ import annotations
@@ -21,6 +32,36 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
+
+
+class _Record:
+    """An immutable value with the fields named in its class's __slots__."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
 
 
 def mediant(x: Fraction, y: Fraction) -> Fraction:

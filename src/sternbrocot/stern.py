@@ -16,16 +16,14 @@ to a given x, for rank counts (`dist`) and for g (`singular`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .cf import expand_rcf, sum_partial_quotients
-from .exact import QuadSurd, _check_lambda, _zero_one, mediant
+from .exact import QuadSurd, _check_lambda, _Record, _zero_one, mediant
 
 
-@dataclass(frozen=True)
-class SternBrocotLevel:
+class SternBrocotLevel(_Record):
     """One materialized level: a strictly increasing run from 0 to 1.
 
     A sorted tuple, for callers that need the whole level at once; rank
@@ -33,8 +31,11 @@ class SternBrocotLevel:
     streams rows from `graded_walk`.
     """
 
-    index: int
-    elements: tuple[Fraction, ...]
+    __slots__ = ("index", "elements")
+
+    def __init__(self, index: int, elements: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "elements", elements)
 
 
 def graded_walk(

@@ -17,11 +17,11 @@ is cached between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .cf import ReducedRCF, digit_sum_L, expand_rrcf, value_rrcf
+from .exact import _Record
 from .stern import graded_walk
 
 
@@ -42,17 +42,17 @@ def fibonacci(n: int) -> int:
     return f
 
 
-@dataclass(frozen=True, slots=True)
-class XiTreeNode:
+class XiTreeNode(_Record):
     """A tree node: a rational in (0,1), its reduced digits, its generation."""
 
-    value: Fraction
-    digits: ReducedRCF
-    level: int
+    __slots__ = ("value", "digits", "level")
 
-    def __post_init__(self) -> None:
-        if self.level != digit_sum_L(self.digits) - 1:
+    def __init__(self, value: Fraction, digits: ReducedRCF, level: int) -> None:
+        if level != digit_sum_L(digits) - 1:
             raise ValueError("level must be the digit sum minus one")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "level", level)
 
     @classmethod
     def from_digits(cls, digits: ReducedRCF | tuple[int, ...]) -> "XiTreeNode":
@@ -64,12 +64,14 @@ class XiTreeNode:
         return cls.from_digits((2,))
 
 
-@dataclass(frozen=True, slots=True)
-class XiSequence:
+class XiSequence(_Record):
     """Generations 1..index plus the endpoints, sorted; fibonacci(index+2) + 1 values."""
 
-    index: int
-    elements: tuple[Fraction, ...]
+    __slots__ = ("index", "elements")
+
+    def __init__(self, index: int, elements: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "elements", elements)
 
 
 def node_for(x: Fraction) -> XiTreeNode:

@@ -344,6 +344,31 @@ class TestHugeExponents:
         assert decimal == "0.000000000000000"
 
 
+class TestOverflow:
+    """A result past Python's int or index size is an error (exit 2), not a
+    traceback with exit 1, the code of a failed verification."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["question-mark", "--x", "1e-30"], "too many digits in integer"),
+        (["convert-cf", "--x", "1e-30"], "cannot fit 'int' into an index-sized integer"),
+    ])
+    def test_reported_as_an_error(self, argv, message):
+        child = subprocess.run([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
+                               capture_output=True, timeout=30)
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert child.stderr.decode() == f"error: {message}\n"
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    probe = ("import sys, sternbrocot.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    child = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                           capture_output=True, text=True, timeout=30)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "\n"
+
+
 class TestPlotData:
     def test_curve_endpoints_and_monotonicity(self, capsys):
         assert run(["plot-data", "--lambda", "tau2", "--grid", "3"]) == 0
