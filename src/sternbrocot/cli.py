@@ -30,7 +30,7 @@ from .exact import (
     TAU2,
     QuadSurd,
     _check_exponent,
-    _zero_one,
+    _phi_value,
     parse_quadsurd,
     parse_rational,
     to_decimal,
@@ -285,11 +285,10 @@ def _cmd_plot_data(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     _check_range(parser, args.grid, 1, args.cap, "--grid")
     lam = args.lam
     nodes = graded_walk(args.grid, 2, lam)  # refuses lam outside (0,1) before any row
-    zero, one = _zero_one(lam)
-    _emit(Fraction(0), zero)
+    _emit(Fraction(0), _phi_value(0, 0, 1, lam))  # g(0) = 0 and g(1) = 1, in lam's type
     for p, q, _, g in nodes:
         _emit(Fraction(p, q), g)
-    _emit(Fraction(1), one)
+    _emit(Fraction(1), _phi_value(1, 0, 1, lam))
     return 0
 
 

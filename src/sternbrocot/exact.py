@@ -14,6 +14,12 @@ are `.a` and `.b`, and `parse_quadsurd`/`str` read and write the text form
 `_check_lambda`; `parse_rational` refuses an exponent whose 10**N would
 take longer to build than to read.
 
+The routes to the singular function g share one integer kernel here,
+`_phi_split`, `_phi_pow` and `_phi_value`: a split parameter of either
+type becomes (u + v*phi)/d over Z[phi], the g routes carry integer
+numerators over powers of d, and a result is reduced once, into the
+parameter's type. `MAX_EXACT_BITS` is their size budget.
+
 `_Record` is the base of the package's immutable value objects
 (`RegularCF`, `ReducedRCF`, `SternBrocotLevel`, `XiTreeNode`,
 `XiSequence`, `ConvergenceRow`, `ConvergenceReport`). A subclass names
@@ -284,10 +290,61 @@ def _check_lambda(lam: Fraction | QuadSurd) -> None:
         raise ValueError("the split parameter must lie strictly between 0 and 1")
 
 
-def _zero_one(lam: Fraction | QuadSurd) -> tuple[Fraction | QuadSurd, Fraction | QuadSurd]:
-    """0 and 1 in the type of lam: Fraction for a rational split, else QuadSurd."""
-    zero = lam - lam
-    return zero, zero + 1
+# The integer kernel of the g routes. A split parameter is written
+# lam = (u + v*phi)/d over Z[phi], phi = (1 + sqrt5)/2 and phi**2 = phi + 1,
+# so 1 - lam = (d - u - v*phi)/d over the same d. A rational lam has v = 0
+# and d its denominator; tau = phi - 1 and tau**2 = 2 - phi are units of
+# Z[phi], so at those two d = 1. A value built from E factors lam or
+# 1 - lam is then a numerator a + b*phi over d**E, integers throughout,
+# reduced once, into lam's own type, when it is returned.
+
+#: Size budget of the exact g routes, in bits. A value carrying E factors
+#: lam or 1 - lam has a numerator and denominator of at most about
+#: E * bits(lam) bits, where bits(lam) is the bit length of the largest of
+#: d, |u| + 2|v| and |d - u| + 2|v| (both conjugates of lam*d lie within
+#: |u| + 2|v|); the routes refuse, with a ValueError, a value whose E
+#: would pass the budget, before they build it. 2**22 bits admits
+#: g(1/1000000) at lam = 1/3 (1.58 Mbit), and keeps a quotient of 10**4300
+#: from running for minutes.
+MAX_EXACT_BITS = 1 << 22
+_OVER_BUDGET = f"the exact value would pass the size budget of {MAX_EXACT_BITS} bits"
+
+
+def _phi_split(lam: Fraction | QuadSurd) -> tuple[int, int, int, int]:
+    """(u, v, d, limit): lam = (u + v*phi)/d in lowest terms with d > 0,
+    and limit the most factors lam or 1 - lam a value may carry within
+    MAX_EXACT_BITS."""
+    if isinstance(lam, QuadSurd):
+        # a + b*sqrt5 = (a - b) + 2b*phi; as gcd(a, b, d) = 1, only 2 can divide all three
+        u, v, d = lam._a - lam._b, 2 * lam._b, lam._d
+        if d % 2 == 0 and u % 2 == 0:
+            u, v, d = u // 2, v // 2, d // 2
+    else:
+        u, v, d = lam.numerator, 0, lam.denominator
+    bits = max(d, abs(u) + 2 * abs(v), abs(d - u) + 2 * abs(v)).bit_length()
+    return u, v, d, MAX_EXACT_BITS // bits
+
+
+def _phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
+    """(x + y*phi)**n for n >= 0 as the integer pair of its coefficients."""
+    if not y:
+        return x ** n, 0
+    rx, ry = 1, 0
+    while True:  # square and multiply, with phi**2 = phi + 1
+        if n & 1:
+            rx, ry = rx * x + ry * y, rx * y + ry * (x + y)
+        n >>= 1
+        if not n:
+            return rx, ry
+        x, y = x * x + y * y, (2 * x + y) * y
+
+
+def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
+    """(a + b*phi)/d in the type of lam, in lowest terms by one gcd:
+    a Fraction for a Fraction lam (then b = 0), else a QuadSurd."""
+    if isinstance(lam, QuadSurd):
+        return _lowest(2 * a + b, b, 2 * d)
+    return Fraction(a, d)
 
 
 def _floor_int_sqrt5(n: int) -> int:

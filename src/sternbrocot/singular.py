@@ -19,9 +19,14 @@ Three routes to the same values:
   quotients up to k). `g_tau2` is this series at lam = tau**2, where
   1 - lam = tau makes every term a signed power of tau in Q(sqrt5).
 
-Evaluators are generic over the coefficient system: any exact ordered
-field element with +, -, *, ** works, so Fraction and QuadSurd share one
-code path and nothing here touches floating point.
+Every route but `question_mark` runs on one integer kernel (`exact`),
+the same for every lam: lam = (u + v*phi)/d over Z[phi], phi the golden
+ratio, with v = 0 for a rational lam and d = 1 at tau and tau**2. A
+value is carried as an integer numerator a + b*phi over a power of d,
+with no gcd and no Fraction inside the loops, and reduced once into
+lam's own type (Fraction or QuadSurd) when it is returned. Nothing here
+touches floating point. A value whose size estimate passes
+`exact.MAX_EXACT_BITS` is refused with a ValueError before it is built.
 """
 
 from __future__ import annotations
@@ -29,8 +34,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .cf import RegularCF, sum_partial_quotients
-from .exact import TAU2, QuadSurd, _check_lambda, _zero_one
+from .cf import RegularCF, expand_rcf, sum_partial_quotients
+from .exact import (
+    _OVER_BUDGET,
+    TAU2,
+    QuadSurd,
+    _check_lambda,
+    _phi_pow,
+    _phi_split,
+    _phi_value,
+    _sign,
+)
 from .stern import descend
 
 LambdaValue = Union[Fraction, QuadSurd]
@@ -42,21 +56,29 @@ def g_inductive(x: Fraction, lam: LambdaValue) -> GValue:
 
     Follows the Stern-Brocot path from the gap (0, 1) down to x
     (`descend`), carrying the g-values of the enclosing neighbours; the
-    path has S(x) - 1 nodes, so no level is ever materialized.
+    path has S(x) - 1 nodes, so no level is ever materialized. After k
+    steps both neighbours are numerators over the same d**k.
     """
     _check_lambda(lam)
     if not 0 <= x <= 1:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
-    zero, one = _zero_one(lam)
-    if x == 0:
-        return zero
-    if x == 1:
-        return one
-    g_lo, g_hi = zero, one
-    for side in descend(x):
-        g = g_lo + (g_hi - g_lo) * lam
-        g_lo, g_hi = (g_lo, g) if side < 0 else (g, g_hi)
-    return g  # the last side is 0: g at x itself
+    if x == 0 or x == 1:
+        return _phi_value(x.numerator, 0, 1, lam)
+    u, v, d, limit = _phi_split(lam)
+    steps = sum_partial_quotients(expand_rcf(x)) - 1
+    if steps > limit:
+        raise ValueError(_OVER_BUDGET)
+    c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
+    lo_a = lo_b = hi_b = 0
+    hi_a = 1
+    for side in descend(x):  # g(m) = g(lo)*(1 - lam) + g(hi)*lam, one factor d more
+        a = lo_a * c + lo_b * w + hi_a * u + hi_b * v
+        b = lo_a * w + lo_b * (c + w) + hi_a * v + hi_b * (u + v)
+        if side < 0:
+            lo_a, lo_b, hi_a, hi_b = lo_a * d, lo_b * d, a, b
+        else:
+            lo_a, lo_b, hi_a, hi_b = a, b, hi_a * d, hi_b * d
+    return _phi_value(a, b, d ** steps, lam)  # the last side is 0: g at x itself
 
 
 def question_mark(cf: RegularCF) -> Fraction:
@@ -74,27 +96,40 @@ def question_mark(cf: RegularCF) -> Fraction:
     return Fraction(numerator, 1 << (sum_partial_quotients(cf) - 1))
 
 
-def _partial_sums(quotients: Iterable[int], lam: LambdaValue) -> Iterator[tuple[GValue, GValue]]:
+def _partial_sums(quotients: Iterable[int], lam: LambdaValue) -> Iterator[tuple[int, ...]]:
     """After each quotient, the partial sum of the alternating series for g
-    and the magnitude of its last term.
+    and the magnitude of its last term, as integers (a, b, m, n, e): the
+    sum is (a + b*phi)/e and the magnitude (m + n*phi)/e.
 
     Term k multiplies the previous magnitude by lam**ak (k odd, added) or
     (1-lam)**ak (k even, subtracted); both factors are < 1, so magnitudes
     strictly decrease - which is what makes partial sums bracket the value.
+    Over e = d**(S - 1), S the sum of the quotients so far, that is
+    Horner's rule: the sum so far times d**ak, plus or minus the new
+    magnitude numerator.
     """
-    zero, one = _zero_one(lam)
-    complement = one - lam
-    total, magnitude = zero, one
-    for position, a in enumerate(quotients, start=1):
-        if a < 1:
-            raise ValueError(f"partial quotients must be >= 1, got {a}")
-        if position % 2 == 0:
-            magnitude = magnitude * complement ** a
-            total = total - magnitude
+    u, v, d, limit = _phi_split(lam)
+    c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
+    a = b = n = factors = 0
+    m = e = 1
+    for position, q in enumerate(quotients, start=1):
+        if q < 1:
+            raise ValueError(f"partial quotients must be >= 1, got {q}")
+        if position == 1:
+            q -= 1  # term 1 is lam**(a1 - 1)
+        factors += q
+        if factors > limit:
+            raise ValueError(_OVER_BUDGET)
+        x, y = _phi_pow(u, v, q) if position % 2 else _phi_pow(c, w, q)
+        m, n = m * x + n * y, m * y + n * (x + y)
+        if d != 1:
+            scale = d ** q
+            a, b, e = a * scale, b * scale, e * scale
+        if position % 2:
+            a, b = a + m, b + n
         else:
-            magnitude = magnitude * lam ** (a - 1 if position == 1 else a)
-            total = total + magnitude
-        yield total, magnitude
+            a, b = a - m, b - n
+        yield a, b, m, n, e
 
 
 def g_series(cf: RegularCF, lam: LambdaValue) -> GValue:
@@ -103,10 +138,10 @@ def g_series(cf: RegularCF, lam: LambdaValue) -> GValue:
     The empty quotient list (x = 1) evaluates to 1, mirroring value_rcf.
     """
     _check_lambda(lam)
-    total = _zero_one(lam)[1]  # x = 1 has no quotients
-    for total, _ in _partial_sums(cf.quotients, lam):
+    a, b, e = 1, 0, 1  # x = 1 has no quotients
+    for a, b, _, _, e in _partial_sums(cf.quotients, lam):
         pass  # g is the last partial sum
-    return total
+    return _phi_value(a, b, e, lam)
 
 
 def g_tau2(cf: RegularCF) -> QuadSurd:
@@ -133,9 +168,30 @@ def g_stream(
     _check_lambda(lam)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    previous = _zero_one(lam)[0]
-    for k, (total, magnitude) in enumerate(_partial_sums(quotients, lam), start=1):
-        if magnitude < epsilon:  # term k was added if k is odd, subtracted if even
-            return (previous, total) if k % 2 else (total, previous)
-        previous = total
+    eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
+    previous = 0, 0, 1
+    for k, (a, b, m, n, e) in enumerate(_partial_sums(quotients, lam), start=1):
+        if _below(m, n, e, eu, ev, ed):  # term k was added if k is odd, subtracted if even
+            lo, hi = (previous, (a, b, e)) if k % 2 else ((a, b, e), previous)
+            return _phi_value(*lo, lam), _phi_value(*hi, lam)
+        previous = a, b, e
     raise ValueError("quotient stream ended: the value is rational, use g_series")
+
+
+def _below(m: int, n: int, e: int, eu: int, ev: int, ed: int) -> bool:
+    """Whether (m + n*phi)/e < (eu + ev*phi)/ed, for positive values and
+    positive e and ed.
+
+    Without phi parts the bit lengths of m*ed and eu*e settle it when
+    they differ by two or more; otherwise the sign of the difference
+    s + t*phi = e*(eu + ev*phi) - ed*(m + n*phi) is taken exactly, as
+    that of (2s + t) + t*sqrt5.
+    """
+    if not (n or ev):
+        left, right = m.bit_length() + ed.bit_length(), eu.bit_length() + e.bit_length()
+        if left < right - 1:
+            return True
+        if left > right + 1:
+            return False
+    s, t = eu * e - m * ed, ev * e - n * ed
+    return _sign(2 * s + t, t) > 0

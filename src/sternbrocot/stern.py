@@ -20,7 +20,15 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cf import expand_rcf, sum_partial_quotients
-from .exact import QuadSurd, _check_lambda, _Record, _zero_one, mediant
+from .exact import (
+    _OVER_BUDGET,
+    QuadSurd,
+    _check_lambda,
+    _phi_split,
+    _phi_value,
+    _Record,
+    mediant,
+)
 
 
 class SternBrocotLevel(_Record):
@@ -49,42 +57,62 @@ def graded_walk(
     The root 1/2 has depth 1; a right edge adds 1 to the depth and a
     left edge adds `left`, so left = 1 grades by Stern-Brocot level and
     left = 2 by reduced-fraction generation. With a split parameter lam
-    in (0,1), g is the singular function at p/q, carried down the tree
-    by the mediant recurrence g(m) = g(lo) + (g(hi) - g(lo)) * lam from
-    g(0) = 0 and g(1) = 1; without one, g is None. The stack holds one
-    entry per pending ancestor, at most n.
+    in (0,1), g is the singular function at p/q, in lam's type, carried
+    down the tree by the mediant recurrence g(m) = g(lo) + (g(hi) - g(lo))
+    * lam from g(0) = 0 and g(1) = 1; without one, g is None. The
+    recurrence runs on the integer kernel of `exact`: a node k mediant
+    steps down gets an integer numerator over d**k, lam = (u + v*phi)/d,
+    and one gcd when it is yielded. The stack holds one entry per pending
+    ancestor, at most n.
 
     `left` and lam are checked here, before any node is produced, so a
-    caller may print a header between the call and the first node.
+    caller may print a header between the call and the first node; so is
+    the size of g at depth n against `exact.MAX_EXACT_BITS`.
     """
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
     if lam is not None:
         _check_lambda(lam)
+        if n > _phi_split(lam)[3]:  # a node of depth n is at most n mediant steps down
+            raise ValueError(_OVER_BUDGET)
     return _walk(n, left, lam)
 
 
 def _walk(
     n: int, left: int, lam: Fraction | QuadSurd | None
 ) -> Iterator[tuple[int, int, int, Fraction | QuadSurd | None]]:
-    g_lo = g_hi = None
-    if lam is not None:
-        g_lo, g_hi = _zero_one(lam)
+    """The walk of `graded_walk`. With lam = (u + v*phi)/d over Z[phi]
+    (`exact._phi_split`), each gap (lo, hi) carries g(lo) and g(hi) as
+    numerators over the same power e of d, so g at the mediant is the
+    integer numerator g(lo)*(d - u - v*phi) + g(hi)*(u + v*phi) over
+    e*d, reduced into lam's type only when the node is yielded.
+    """
     stack: list[tuple] = []
     lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
+    gap = right = None
+    if lam is not None:
+        u, v, d, _ = _phi_split(lam)
+        c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
+        gap = (0, 0, 1, 0, 1)  # g(lo) = 0 and g(hi) = 1, over e = 1
     while True:
         while depth <= n:  # down the left spine of the gap (lo, hi)
             p, q = lo_p + hi_p, lo_q + hi_q
-            g = None if lam is None else g_lo + (g_hi - g_lo) * lam
-            stack.append((p, q, depth, g, hi_p, hi_q, g_hi))
-            hi_p, hi_q, g_hi = p, q, g
+            if gap is not None:
+                la, lb, ha, hb, e = gap
+                a = la * c + lb * w + ha * u + hb * v
+                b = la * w + lb * (c + w) + ha * v + hb * (u + v)
+                e *= d
+                right = (a, b, ha * d, hb * d, e)  # the gap (p/q, hi)
+                gap = (la * d, lb * d, a, b, e)  # the gap (lo, p/q)
+            stack.append((p, q, depth, hi_p, hi_q, right))
+            hi_p, hi_q = p, q
             depth += left
         if not stack:
             return
-        p, q, d, g, hi_p, hi_q, g_hi = stack.pop()
-        yield p, q, d, g
-        lo_p, lo_q, g_lo = p, q, g  # then the right subtree, gap (p/q, hi)
-        depth = d + 1
+        p, q, node_depth, hi_p, hi_q, gap = stack.pop()
+        yield p, q, node_depth, None if gap is None else _phi_value(gap[0], gap[1], gap[4], lam)
+        lo_p, lo_q = p, q  # then the right subtree, gap (p/q, hi)
+        depth = node_depth + 1
 
 
 def descend(x: Fraction) -> Iterator[int]:

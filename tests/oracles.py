@@ -10,7 +10,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import mpmath
 from hypothesis import strategies as st
@@ -268,9 +268,103 @@ def quotient_lists(draw, max_total: int = 8 * 10 ** 4) -> list[int]:
     return quotients
 
 
+@st.composite
+def quadratic_parameters(draw) -> QuadSurd:
+    """An irrational lambda = a + b*sqrt5 in (0,1), with denominators up to 50.
+
+    a runs over the multiples of 1/k in the unit window above -b*sqrt5,
+    whose least one is (floor(-b*sqrt5*k) + 1)/k; floor(n*sqrt5/m) is
+    floor(n*sqrt5) // m, and floor(n*sqrt5) an integer square root.
+    """
+    b = Fraction(draw(st.integers(-50, 50).filter(bool)), draw(st.integers(1, 50)))
+    k = draw(st.integers(1, 50))
+    n = -b.numerator * k
+    root = math.isqrt(5 * n * n)
+    floor = (root if n >= 0 else -root - 1) // b.denominator
+    return QuadSurd(Fraction(floor + 1 + draw(st.integers(0, k - 1)), k), b)
+
+
+#: Split parameters of every kind: r/s with s up to 10**6, tau, tau**2,
+#: QuadSurds that hold a rational, and irrational elements of Q(sqrt5).
+split_parameters = st.one_of(
+    st.integers(2, 10 ** 6).flatmap(lambda s: st.integers(1, s - 1).map(lambda r: Fraction(r, s))),
+    st.sampled_from([QuadSurd(Fraction(-1, 2), Fraction(1, 2)),
+                     QuadSurd(Fraction(3, 2), Fraction(-1, 2)),
+                     QuadSurd(Fraction(1, 3)), QuadSurd(Fraction(5, 9))]),
+    quadratic_parameters(),
+)
+
+
 def rcf_value(quotients: Sequence[int]) -> Fraction:
     """[0; a1, ..., ak] = 1/(a1 + 1/(a2 + ... + 1/ak)), evaluated bottom-up."""
     x = Fraction(0)
     for a in reversed(quotients):
         x = 1 / (a + x)
     return x
+
+
+# The field-generic g routes that the integer kernel of `sternbrocot`
+# replaced: any exact ordered field element with +, -, *, ** serves as
+# lambda, so Fraction and QuadSurd run the same code, normalising at every
+# operation. 0 and 1 are taken in lambda's own type, as lam - lam and + 1.
+
+
+def field_partial_sums(quotients: Iterable[int], lam) -> Iterator[tuple]:
+    """After each quotient, the partial sum of the alternating series for g
+    and the magnitude of its last term."""
+    zero = lam - lam
+    one = zero + 1
+    complement = one - lam
+    total, magnitude = zero, one
+    for position, a in enumerate(quotients, start=1):
+        if a < 1:
+            raise ValueError(f"partial quotients must be >= 1, got {a}")
+        if position % 2 == 0:
+            magnitude = magnitude * complement ** a
+            total = total - magnitude
+        else:
+            magnitude = magnitude * lam ** (a - 1 if position == 1 else a)
+            total = total + magnitude
+        yield total, magnitude
+
+
+def field_series(quotients: Sequence[int], lam):
+    """g at [0; a1, ..., ak] by the alternating series, field-generic."""
+    total = lam - lam + 1  # x = 1 has no quotients
+    for total, _ in field_partial_sums(quotients, lam):
+        pass
+    return total
+
+
+def field_stream(quotients: Iterable[int], lam, epsilon):
+    """(lo, hi) around g at an irrational point, as `g_stream` defines it,
+    field-generic: the partial sums before and at the first term whose
+    magnitude is below epsilon."""
+    previous = lam - lam
+    for k, (total, magnitude) in enumerate(field_partial_sums(quotients, lam), start=1):
+        if magnitude < epsilon:
+            return (previous, total) if k % 2 else (total, previous)
+        previous = total
+    raise ValueError("quotient stream ended: the value is rational, use g_series")
+
+
+def field_walk(n: int, left: int, lam) -> Iterator[tuple]:
+    """`graded_walk(n, left, lam)` with g carried by the mediant
+    recurrence g(m) = g(lo) + (g(hi) - g(lo)) * lam, field-generic."""
+    g_lo = lam - lam
+    g_hi = g_lo + 1
+    stack: list[tuple] = []
+    lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
+    while True:
+        while depth <= n:  # down the left spine of the gap (lo, hi)
+            p, q = lo_p + hi_p, lo_q + hi_q
+            g = g_lo + (g_hi - g_lo) * lam
+            stack.append((p, q, depth, g, hi_p, hi_q, g_hi))
+            hi_p, hi_q, g_hi = p, q, g
+            depth += left
+        if not stack:
+            return
+        p, q, d, g, hi_p, hi_q, g_hi = stack.pop()
+        yield p, q, d, g
+        lo_p, lo_q, g_lo = p, q, g  # then the right subtree, gap (p/q, hi)
+        depth = d + 1

@@ -16,6 +16,8 @@ from sternbrocot import (
     value_rrcf,
 )
 
+from sternbrocot.cf import MAX_REDUCED_DIGITS
+
 from oracles import subtractive_rrcf
 
 unit_interior = st.fractions(min_value=0, max_value=1, max_denominator=10_000).filter(
@@ -150,6 +152,21 @@ class TestRewrite:
     def test_rewrite_rejects_one(self):
         with pytest.raises(ValueError):
             rcf_to_rrcf(RegularCF(()))
+
+    @pytest.mark.parametrize("head, head_digits", [((), 0), ((7, 3), 6 + 1)])
+    def test_length_cap_on_both_sides(self, head, head_digits):
+        # odd positions write a - 1 digits, even ones 1, so a last odd
+        # quotient of room + 1 fills the cap exactly
+        room = MAX_REDUCED_DIGITS - head_digits
+        assert len(rcf_to_rrcf(RegularCF((*head, room + 1))).digits) == MAX_REDUCED_DIGITS
+        with pytest.raises(ValueError, match="cap"):
+            rcf_to_rrcf(RegularCF((*head, room + 2)))
+
+    def test_even_positions_add_one_digit_each(self):
+        quotients = (MAX_REDUCED_DIGITS // 2 + 1, 10 ** 30, MAX_REDUCED_DIGITS // 2 - 1, 5)
+        assert len(rcf_to_rrcf(RegularCF(quotients)).digits) == MAX_REDUCED_DIGITS
+        with pytest.raises(ValueError, match="cap"):
+            rcf_to_rrcf(RegularCF((10 ** 30,)))
 
     @given(unit_interior)
     def test_rewrite_preserves_the_value(self, x):

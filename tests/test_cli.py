@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,8 @@ from sternbrocot import (
     xi,
 )
 from sternbrocot import cli
+from sternbrocot.cf import MAX_REDUCED_DIGITS
+from sternbrocot.exact import MAX_EXACT_BITS
 from sternbrocot.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -350,7 +353,6 @@ class TestOverflow:
 
     @pytest.mark.parametrize("argv, message", [
         (["question-mark", "--x", "1e-30"], "too many digits in integer"),
-        (["convert-cf", "--x", "1e-30"], "cannot fit 'int' into an index-sized integer"),
     ])
     def test_reported_as_an_error(self, argv, message):
         child = subprocess.run([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
@@ -358,6 +360,43 @@ class TestOverflow:
         assert child.returncode == 2
         assert child.stdout == b""
         assert child.stderr.decode() == f"error: {message}\n"
+
+
+class TestSizeRefusals:
+    """An input whose exact result would pass a documented size bound is
+    refused at once, exit 2, one `error:` line and empty stdout, before
+    the result is built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["convert-cf", "--x", "1e-30"],  # 10**30 - 1 reduced digits
+        ["convert-cf", "--x", "1e-9"],  # 10**9 - 1 reduced digits
+        ["convert-cf", "--x", "1/1048578"],  # one digit past the cap
+    ])
+    def test_convert_cf_refuses_past_the_digit_cap(self, argv):
+        child = subprocess.run([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
+                               capture_output=True, timeout=30)
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert child.stderr.decode() == (
+            f"error: the reduced expansion would pass the cap of {MAX_REDUCED_DIGITS} digits\n")
+
+    @pytest.mark.parametrize("lam", ["1/2", "tau2", "1/7+1/11√5"])
+    @pytest.mark.parametrize("route", ["series", "inductive"])
+    def test_eval_refuses_past_the_bit_budget(self, lam, route):
+        argv = ["eval", "--lambda", lam, "--x", "1e-4300", "--route", route]
+        start = time.perf_counter()
+        child = subprocess.run([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
+                               capture_output=True, timeout=30)
+        assert time.perf_counter() - start < 10  # it ran for minutes before the budget
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert child.stderr.decode() == (
+            f"error: the exact value would pass the size budget of {MAX_EXACT_BITS} bits\n")
+
+    def test_eval_stream_refuses_past_the_bit_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"1 {10 ** 30} 1 1"))
+        assert run(["eval-stream", "--lambda", "1/3", "--epsilon", "1e-40"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():
@@ -442,6 +481,9 @@ GOLDEN_RUNS = {
     "plot-data_tau_grid8.tsv": ["plot-data", "--lambda", "tau", "--grid", "8"],
     "plot-data_1-3_grid8.tsv": ["plot-data", "--lambda", "1/3", "--grid", "8"],
     "plot-data_1-2_grid8.tsv": ["plot-data", "--lambda", "1/2", "--grid", "8"],
+    # a composite denominator, and a Q(sqrt5) lambda = (u + v*phi)/d with d = 77
+    "plot-data_2-9_grid8.tsv": ["plot-data", "--lambda", "2/9", "--grid", "8"],
+    "plot-data_1-7+1-11r5_grid8.tsv": ["plot-data", "--lambda", "1/7+1/11√5", "--grid", "8"],
 }
 
 

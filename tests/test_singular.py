@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from sternbrocot import (
     TAU,
@@ -13,11 +13,22 @@ from sternbrocot import (
     g_series,
     g_stream,
     g_tau2,
+    graded_walk,
     mediant,
     question_mark,
 )
+from sternbrocot.exact import MAX_EXACT_BITS, _phi_split
 
-from oracles import quotient_lists, rcf_value, tau_power_series
+from oracles import (
+    field_partial_sums,
+    field_series,
+    field_stream,
+    field_walk,
+    quotient_lists,
+    rcf_value,
+    split_parameters,
+    tau_power_series,
+)
 
 LAMBDAS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
 
@@ -227,3 +238,90 @@ class TestRoutesOnLargeQuotients:
         x = rcf_value(quotients)
         for lam in (Fraction(1, 3), Fraction(2, 5), TAU, TAU2):
             assert g_inductive(x, lam) == g_series(expand_rcf(x), lam)
+
+
+def same(value, expected):
+    """Equal, and of the same type: Fraction for a Fraction lambda, else QuadSurd."""
+    return value == expected and type(value) is type(expected)
+
+
+class TestKernelAgainstFieldOracles:
+    """The integer kernel against the field-generic routes it replaced
+    (tests/oracles.py), at r/s with s up to 10**6, tau, tau**2, QuadSurds
+    holding a rational, and irrational Q(sqrt5) parameters."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_parameters, quotient_lists(max_total=10 ** 4))
+    def test_series(self, lam, quotients):
+        cf = expand_rcf(rcf_value(quotients))
+        assert same(g_series(cf, lam), field_series(cf.quotients, lam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_parameters, quotient_lists(max_total=10 ** 4), st.data())
+    def test_stream(self, lam, quotients, data):
+        # epsilon: a power of 10, or exactly one of the term magnitudes,
+        # where "magnitude < epsilon" turns on an equality
+        magnitudes = [m for _, m in field_partial_sums(quotients, lam)]
+        epsilon = data.draw(st.one_of(
+            st.integers(0, 60).map(lambda k: Fraction(1, 10 ** k)),
+            st.sampled_from(magnitudes)))
+        stream = itertools.chain(quotients, itertools.repeat(1))
+        expected = field_stream(itertools.chain(quotients, itertools.repeat(1)), lam, epsilon)
+        lo, hi = g_stream(stream, lam, epsilon)
+        assert same(lo, expected[0]) and same(hi, expected[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_parameters, quotient_lists(max_total=400))
+    def test_inductive(self, lam, quotients):
+        x = rcf_value(quotients)
+        assert same(g_inductive(x, lam), field_series(expand_rcf(x).quotients, lam))
+
+    @settings(max_examples=30, deadline=None)
+    @given(split_parameters, st.integers(0, 9), st.integers(1, 3))
+    def test_graded_walk(self, lam, n, left):
+        walked = list(graded_walk(n, left, lam))
+        expected = list(field_walk(n, left, lam))
+        assert [node[:3] for node in walked] == [node[:3] for node in expected]
+        assert all(same(node[3], old[3]) for node, old in zip(walked, expected))
+
+
+class TestSizeBudget:
+    """Every kernel route admits a value at MAX_EXACT_BITS and refuses one
+    factor past it, before building anything."""
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), TAU2])
+    def test_series_on_both_sides(self, lam):
+        limit = _phi_split(lam)[3]
+        assert limit >= MAX_EXACT_BITS // 3  # 2 bits a factor at 1/2 and 1/3, 3 at tau**2
+        # x = [0; a] has g = lam**(a - 1), which carries a - 1 factors
+        assert g_series(expand_rcf(Fraction(1, limit + 1)), lam) == lam ** limit
+        with pytest.raises(ValueError, match="size budget"):
+            g_series(expand_rcf(Fraction(1, limit + 2)), lam)
+
+    def test_one_millionth_at_one_third_is_inside(self):
+        value = g_series(expand_rcf(Fraction(1, 10 ** 6)), Fraction(1, 3))
+        assert value == Fraction(1, 3 ** (10 ** 6 - 1))
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3)])
+    def test_stream_on_both_sides(self, lam):
+        limit = _phi_split(lam)[3]
+        lo, hi = g_stream(itertools.chain([limit + 1], itertools.repeat(1)), lam, Fraction(1, 2))
+        assert (lo, hi) == (0, lam ** limit)
+        with pytest.raises(ValueError, match="size budget"):
+            g_stream(itertools.chain([limit + 2], itertools.repeat(1)), lam, Fraction(1, 2))
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), TAU2])
+    def test_inductive_refuses_past_the_budget(self, lam):
+        # the path to 1/(limit + 2) has limit + 1 steps; a path of limit
+        # steps takes tens of seconds to walk, so only the refusal is run
+        limit = _phi_split(lam)[3]
+        with pytest.raises(ValueError, match="size budget"):
+            g_inductive(Fraction(1, limit + 2), lam)
+        with pytest.raises(ValueError, match="size budget"):
+            g_inductive(Fraction(1, 10 ** 4300), lam)
+
+    def test_walk_checks_its_depth_before_the_first_node(self):
+        limit = _phi_split(Fraction(1, 3))[3]
+        with pytest.raises(ValueError, match="size budget"):
+            graded_walk(limit + 1, 1, Fraction(1, 3))  # not iterated
+        assert next(graded_walk(limit, limit, Fraction(1, 3))) == (1, 2, 1, Fraction(1, 3))
