@@ -39,37 +39,45 @@ def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
     "xi" or 1 for "stern_brocot". A mediant of depth k at or below x
     counts with its left subtree: fibonacci(n-k+1) or 2**(n-k) elements.
     Each step goes at least one level down, so the walk is left after at
-    most n + 1 mediants, whatever the quotients of x.
+    most n + 1 mediants, whatever the quotients of x. The walk comes
+    first and only the weights of its counted depths are built, at most
+    min(n, S(x)) numbers of at most n bits, not all n of them.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if kind == "xi":
         if n < 1:
             raise ValueError("sequence index must be >= 1")
-        fib = list(_fibonacci_numbers(n + 2))  # F(1), ..., F(n + 2)
-        left_cost, weights, total = 2, fib[n - 1::-1], fib[n + 1] + 1
+        left_cost = 2
     elif kind == "stern_brocot":
         if n < 0:
             raise ValueError("level index must be >= 0")
-        left_cost, weights, total = 1, [1 << (n - k) for k in range(1, n + 1)], 2 ** n + 1
+        left_cost = 1
     else:
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    if x == 0:
-        return 1, total, True
-    if x == 1:
-        return total, total, True
-    rank, depth = 1, 1
-    for side in descend(x):
-        if depth > n:
-            break
-        if side < 0:
-            depth += left_cost
-        else:
-            rank += weights[depth - 1]
-            if side == 0:
-                return rank, total, True
-            depth += 1
-    return rank, total, False
+    counted, member, depth = [], x == 0 or x == 1, 1
+    if not member:
+        for side in descend(x):
+            if depth > n:
+                break
+            if side < 0:
+                depth += left_cost
+            else:
+                counted.append(depth)
+                if side == 0:
+                    member = True
+                    break
+                depth += 1
+    if kind == "xi":
+        wanted = {n - k + 1 for k in counted}  # the mediant at depth k adds F(n-k+1)
+        rank = 1
+        for j, f in enumerate(_fibonacci_numbers(n + 2), start=1):
+            if j in wanted:
+                rank += f
+        total = f + 1  # F(n+2) + 1
+    else:
+        rank, total = 1 + sum(1 << (n - k) for k in counted), 2 ** n + 1
+    return (total if x == 1 else rank), total, member
 
 
 def empirical_cdf(kind: str, n: int, x: Fraction) -> Fraction:

@@ -3,20 +3,25 @@
 `fractions.Fraction` serves as the rational type throughout the package;
 it already guarantees canonical reduced form (gcd 1, positive denominator)
 and an exact total order. `QuadSurd` adds the one irrationality the
-library needs: numbers (a + b*sqrt(5))/d, which house the golden-ratio
+library needs: numbers in Q(sqrt5), which house the golden-ratio
 conjugate tau = (sqrt5 - 1)/2 and the split parameter tau**2 = (3 - sqrt5)/2.
-It stores them as three integers in lowest terms (d > 0 and
-gcd(a, b, d) = 1), and its arithmetic, ordering, powers and decimals work
-on those integers alone, with one gcd per result.
-Powers are `**` (a negative exponent inverts), the rational coefficients
-are `.a` and `.b`, and `parse_quadsurd`/`str` read and write the text form
-"a+b√5". Every split parameter, rational or not, is checked by
-`_check_lambda`; `parse_rational` refuses an exponent whose 10**N would
-take longer to build than to read.
+It stores them as (a + b*phi)/d, phi = (1 + sqrt5)/2 the golden ratio,
+three integers in lowest terms (d > 0 and gcd(a, b, d) = 1); tau = phi - 1
+and tau**2 = 2 - phi are units of Z[phi], so they and their powers have
+d = 1. Its arithmetic, ordering and powers work on those integers alone,
+with one gcd per result. Only the boundaries convert to the sqrt5 basis,
+by (a + b*phi)/d = (2a + b + b*sqrt5)/(2d): the constructor, which takes
+the rational coefficients of a + b*sqrt5, the coefficients `.a` and `.b`,
+and `to_decimal`. Powers are `**` (a negative exponent inverts), and
+`parse_quadsurd`/`str` read and write the text form "a+b√5". Every split
+parameter, rational or not, is checked by `_check_lambda`;
+`parse_rational` refuses an exponent whose 10**N would take longer to
+build than to read.
 
 The routes to the singular function g share one integer kernel here,
 `_phi_split`, `_phi_pow` and `_phi_value`: a split parameter of either
-type becomes (u + v*phi)/d over Z[phi], the g routes carry integer
+type is (u + v*phi)/d over Z[phi], a QuadSurd's own integers or a
+rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
 parameter's type. `MAX_EXACT_BITS` is their size budget.
 
@@ -82,18 +87,18 @@ def mediant(x: Fraction, y: Fraction) -> Fraction:
 
 
 def _sign(a: int, b: int) -> int:
-    """Exact sign of a + b*sqrt5 for integers a and b: -1, 0 or +1."""
+    """Exact sign of a + b*phi for integers a and b: -1, 0 or +1."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0 or (a > 0) == (b > 0):
         return 1 if b > 0 else -1
-    # Opposite signs: |a| against |b|*sqrt5, settled by squaring.
-    # a*a == 5*b*b cannot happen for b != 0.
-    return 1 if (a * a > 5 * b * b) == (a > 0) else -1
+    # Opposite signs: the conjugate a + b*(1 - phi) has the sign of a, so the
+    # norm a^2 + ab - b^2 of the product, never 0 for b != 0, settles it.
+    return 1 if (a * (a + b) > b * b) == (a > 0) else -1
 
 
 def _lowest(a: int, b: int, d: int) -> "QuadSurd":
-    """(a + b*sqrt5)/d in lowest terms, for integers with d != 0."""
+    """(a + b*phi)/d in lowest terms, for integers with d != 0."""
     g = gcd(d, a, b)  # d first: it is small for the powers of tau and their sums
     if d < 0:
         g = -g
@@ -106,41 +111,39 @@ def _lowest(a: int, b: int, d: int) -> "QuadSurd":
 
 @total_ordering
 class QuadSurd:
-    """An element (a + b*sqrt(5))/d of Q(sqrt5), held as three integers.
+    """An element of Q(sqrt5), held as three integers (a + b*phi)/d.
 
-    The integers are in lowest terms: d > 0 and gcd(a, b, d) = 1. sqrt(5)
-    is irrational, so that form is unique: equality compares the stored
-    integers, and ordering reduces to an exact integer sign computation
-    with no floating point anywhere. The constructor takes the rational
-    coefficients, QuadSurd(a, b) = a + b*sqrt5 with a and b int or
-    Fraction, and `.a` and `.b` return them as Fractions. Instances are
-    immutable and safe to share.
+    phi = (1 + sqrt5)/2 is the golden ratio, and the integers are in
+    lowest terms: d > 0 and gcd(a, b, d) = 1. phi is irrational, so that
+    form is unique: equality compares the stored integers, and ordering
+    reduces to an exact integer sign computation with no floating point
+    anywhere. tau, tau**2 and their powers are units of Z[phi], held with
+    d = 1. The constructor takes the rational coefficients in the sqrt5
+    basis, QuadSurd(a, b) = a + b*sqrt5 with a and b int or Fraction, and
+    `.a` and `.b` return them as Fractions. Instances are immutable and
+    safe to share.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
+    def __new__(cls, a: int | Fraction = 0, b: int | Fraction = 0) -> "QuadSurd":
         if type(a) is int and type(b) is int:
-            self._a, self._b, self._d = a, b, 1
-            return
-        a, b = Fraction(a), Fraction(b)
-        # Over d = lcm of the denominators the triple is already in lowest
-        # terms: a prime's full power in d divides one denominator, whose
-        # numerator it does not divide, and then not that quotient either.
-        d = lcm(a.denominator, b.denominator)
-        self._a = a.numerator * (d // a.denominator)
-        self._b = b.numerator * (d // b.denominator)
-        self._d = d
+            d = 1
+        else:
+            a, b = Fraction(a), Fraction(b)
+            d = lcm(a.denominator, b.denominator)
+            a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        return _lowest(a - b, 2 * b, d)  # a + b*sqrt5 = (a - b) + 2b*phi
 
     @property
     def a(self) -> Fraction:
-        """The rational coefficient of 1."""
-        return Fraction(self._a, self._d)
+        """The rational coefficient of 1 in the sqrt5 basis."""
+        return Fraction(2 * self._a + self._b, 2 * self._d)
 
     @property
     def b(self) -> Fraction:
         """The rational coefficient of sqrt5."""
-        return Fraction(self._b, self._d)
+        return Fraction(self._b, 2 * self._d)
 
     @property
     def is_rational(self) -> bool:
@@ -149,7 +152,7 @@ class QuadSurd:
     def as_fraction(self) -> Fraction:
         if self._b != 0:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self._a, self._d)
 
     @staticmethod
     def _coerce(other: object) -> "QuadSurd | None":
@@ -179,7 +182,7 @@ class QuadSurd:
 
     def __hash__(self) -> int:
         # Rational values must hash like their Fraction equivalents.
-        return hash(self.a) if self._b == 0 else hash((self.a, self.b))
+        return hash(self.as_fraction()) if self._b == 0 else hash((self.a, self.b))
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -217,17 +220,19 @@ class QuadSurd:
         if o is None:
             return NotImplemented
         a, b, c, e = self._a, self._b, o._a, o._b
-        return _lowest(a * c + 5 * b * e, a * e + b * c, self._d * o._d)
+        be = b * e  # phi**2 = phi + 1
+        return _lowest(a * c + be, a * e + b * c + be, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadSurd":
-        # d/(a + b*sqrt5) = d*(a - b*sqrt5) / (a^2 - 5 b^2); the norm only
-        # vanishes for the zero element.
+        # d/(a + b*phi) = d*(a + b - b*phi) / (a^2 + ab - b^2), through the
+        # conjugate phi -> 1 - phi; the norm only vanishes for the zero element.
         if not self:
             raise ZeroDivisionError("division by zero in Q(sqrt5)")
         a, b, d = self._a, self._b, self._d
-        return _lowest(d * a, -d * b, a * a - 5 * b * b)
+        c = a + b
+        return _lowest(d * c, -d * b, a * c - b * b)
 
     def __truediv__(self, other: object) -> "QuadSurd":
         o = self._coerce(other)
@@ -245,24 +250,8 @@ class QuadSurd:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self.inverse() if exponent < 0 else self
-        a, b, d = base._a, base._b, base._d
-        ra, rb, rd = 1, 0, 1
         n = abs(exponent)
-        while n:  # square and multiply on the integers; the product is reduced at the end
-            if n & 1:
-                ra, rb, rd = ra * a + 5 * rb * b, ra * b + rb * a, rd * d
-            n >>= 1
-            if n:
-                a, b, d = a * a + 5 * b * b, 2 * a * b, d * d
-                # The square of a triple in lowest terms has no common factor
-                # but 2 and 5, each at most once (a prime p | d with p | 2ab
-                # and p | a^2 + 5b^2 divides a and b unless p is 2 or 5), so
-                # a gcd with 10, linear in the size, keeps the square in
-                # lowest terms: the tau-powers keep d at 1 or 2 instead of 2**n.
-                g = gcd(10, d, a, b)
-                if g != 1:
-                    a, b, d = a // g, b // g, d // g
-        return _lowest(ra, rb, rd)
+        return _lowest(*_phi_pow(base._a, base._b, n), base._d ** n)
 
     def __repr__(self) -> str:
         return f"QuadSurd({self.a!r}, {self.b!r})"
@@ -292,11 +281,12 @@ def _check_lambda(lam: Fraction | QuadSurd) -> None:
 
 # The integer kernel of the g routes. A split parameter is written
 # lam = (u + v*phi)/d over Z[phi], phi = (1 + sqrt5)/2 and phi**2 = phi + 1,
-# so 1 - lam = (d - u - v*phi)/d over the same d. A rational lam has v = 0
-# and d its denominator; tau = phi - 1 and tau**2 = 2 - phi are units of
-# Z[phi], so at those two d = 1. A value built from E factors lam or
-# 1 - lam is then a numerator a + b*phi over d**E, integers throughout,
-# reduced once, into lam's own type, when it is returned.
+# so 1 - lam = (d - u - v*phi)/d over the same d. For a QuadSurd lam these
+# are its own three integers; a rational lam has v = 0 and d its
+# denominator; tau = phi - 1 and tau**2 = 2 - phi are units of Z[phi], so
+# at those two d = 1. A value built from E factors lam or 1 - lam is then
+# a numerator a + b*phi over d**E, integers throughout, reduced once, into
+# lam's own type, when it is returned.
 
 #: Size budget of the exact g routes, in bits. A value carrying E factors
 #: lam or 1 - lam has a numerator and denominator of at most about
@@ -315,10 +305,7 @@ def _phi_split(lam: Fraction | QuadSurd) -> tuple[int, int, int, int]:
     and limit the most factors lam or 1 - lam a value may carry within
     MAX_EXACT_BITS."""
     if isinstance(lam, QuadSurd):
-        # a + b*sqrt5 = (a - b) + 2b*phi; as gcd(a, b, d) = 1, only 2 can divide all three
-        u, v, d = lam._a - lam._b, 2 * lam._b, lam._d
-        if d % 2 == 0 and u % 2 == 0:
-            u, v, d = u // 2, v // 2, d // 2
+        u, v, d = lam._a, lam._b, lam._d
     else:
         u, v, d = lam.numerator, 0, lam.denominator
     bits = max(d, abs(u) + 2 * abs(v), abs(d - u) + 2 * abs(v)).bit_length()
@@ -343,7 +330,7 @@ def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | Q
     """(a + b*phi)/d in the type of lam, in lowest terms by one gcd:
     a Fraction for a Fraction lam (then b = 0), else a QuadSurd."""
     if isinstance(lam, QuadSurd):
-        return _lowest(2 * a + b, b, 2 * d)
+        return _lowest(a, b, d)
     return Fraction(a, d)
 
 
@@ -379,8 +366,8 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if isinstance(x, QuadSurd):
-        a, b, d = x._a, x._b, x._d
+    if isinstance(x, QuadSurd):  # (a + b*phi)/d = (2a + b + b*sqrt5)/(2d)
+        a, b, d = 2 * x._a + x._b, x._b, 2 * x._d
     else:
         a, b, d = x.numerator, 0, x.denominator
     n = (_floor_scaled(a, b, d, digits + 1) + 5) // 10

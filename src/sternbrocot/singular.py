@@ -21,12 +21,14 @@ Three routes to the same values:
 
 Every route but `question_mark` runs on one integer kernel (`exact`),
 the same for every lam: lam = (u + v*phi)/d over Z[phi], phi the golden
-ratio, with v = 0 for a rational lam and d = 1 at tau and tau**2. A
-value is carried as an integer numerator a + b*phi over a power of d,
-with no gcd and no Fraction inside the loops, and reduced once into
-lam's own type (Fraction or QuadSurd) when it is returned. Nothing here
-touches floating point. A value whose size estimate passes
-`exact.MAX_EXACT_BITS` is refused with a ValueError before it is built.
+ratio, the form a QuadSurd stores, with v = 0 for a rational lam and
+d = 1 at tau and tau**2. A value is carried as an integer numerator
+a + b*phi over a power of d, with no gcd and no Fraction inside the
+loops, and reduced once into lam's own type (Fraction or QuadSurd) when
+it is returned. Nothing here touches floating point. A value whose size
+estimate passes `exact.MAX_EXACT_BITS` is refused with a ValueError
+before it is built, and so is a `question_mark` shift past the budget
+at lam = 1/2.
 """
 
 from __future__ import annotations
@@ -81,19 +83,28 @@ def g_inductive(x: Fraction, lam: LambdaValue) -> GValue:
     return _phi_value(a, b, d ** steps, lam)  # the last side is 0: g at x itself
 
 
+#: The most bits `question_mark` shifts by: the budget of the kernel routes at lam = 1/2.
+_SALEM_LIMIT = _phi_split(Fraction(1, 2))[3]
+
+
 def question_mark(cf: RegularCF) -> Fraction:
     """Minkowski's ?(x) from the quotients of x: the alternating sum of
     1 / 2**(a1 + ... + ak - 1). Always a dyadic rational, so the sum is
     one integer numerator over 2**(S(x) - 1), built by Horner's rule:
-    shift left by each quotient, then add or subtract 1."""
+    shift left by each quotient, then add or subtract 1. An S(x) - 1 past
+    the budget the kernel routes keep at lam = 1/2 is refused, with a
+    ValueError, before the shift."""
     if not cf.quotients:
         return Fraction(1)
+    shift = sum_partial_quotients(cf) - 1
+    if shift > _SALEM_LIMIT:
+        raise ValueError(_OVER_BUDGET)
     numerator = 0
     sign = 1
     for a in cf.quotients:
         numerator = (numerator << a) + sign
         sign = -sign
-    return Fraction(numerator, 1 << (sum_partial_quotients(cf) - 1))
+    return Fraction(numerator, 1 << shift)
 
 
 def _partial_sums(quotients: Iterable[int], lam: LambdaValue) -> Iterator[tuple[int, ...]]:
@@ -184,8 +195,7 @@ def _below(m: int, n: int, e: int, eu: int, ev: int, ed: int) -> bool:
 
     Without phi parts the bit lengths of m*ed and eu*e settle it when
     they differ by two or more; otherwise the sign of the difference
-    s + t*phi = e*(eu + ev*phi) - ed*(m + n*phi) is taken exactly, as
-    that of (2s + t) + t*sqrt5.
+    s + t*phi = e*(eu + ev*phi) - ed*(m + n*phi) is taken exactly.
     """
     if not (n or ev):
         left, right = m.bit_length() + ed.bit_length(), eu.bit_length() + e.bit_length()
@@ -194,4 +204,4 @@ def _below(m: int, n: int, e: int, eu: int, ev: int, ed: int) -> bool:
         if left > right + 1:
             return False
     s, t = eu * e - m * ed, ev * e - n * ed
-    return _sign(2 * s + t, t) > 0
+    return _sign(s, t) > 0

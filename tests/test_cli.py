@@ -349,17 +349,19 @@ class TestHugeExponents:
 
 class TestOverflow:
     """A result past Python's int or index size is an error (exit 2), not a
-    traceback with exit 1, the code of a failed verification."""
+    traceback with exit 1, the code of a failed verification. The size
+    budgets refuse every known input before it gets there, so the test
+    raises the OverflowError itself."""
 
-    @pytest.mark.parametrize("argv, message", [
-        (["question-mark", "--x", "1e-30"], "too many digits in integer"),
-    ])
-    def test_reported_as_an_error(self, argv, message):
-        child = subprocess.run([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
-                               capture_output=True, timeout=30)
-        assert child.returncode == 2
-        assert child.stdout == b""
-        assert child.stderr.decode() == f"error: {message}\n"
+    def test_an_overflow_in_a_command_is_one_error_line(self, capsys, monkeypatch):
+        def overflow(cf):
+            raise OverflowError("too many digits in integer")
+
+        monkeypatch.setattr("sternbrocot.cli.question_mark", overflow)
+        assert run(["question-mark", "--x", "1/3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: too many digits in integer\n"
 
 
 class TestSizeRefusals:
@@ -388,6 +390,19 @@ class TestSizeRefusals:
         child = subprocess.run([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
                                capture_output=True, timeout=30)
         assert time.perf_counter() - start < 10  # it ran for minutes before the budget
+        assert child.returncode == 2
+        assert child.stdout == b""
+        assert child.stderr.decode() == (
+            f"error: the exact value would pass the size budget of {MAX_EXACT_BITS} bits\n")
+
+    @pytest.mark.parametrize("x", ["1e-30", "1e-12", "1e-9"])
+    def test_question_mark_refuses_past_the_bit_budget(self, x):
+        # unbudgeted, the shift ends 1e-30 in an OverflowError and 1e-12 in
+        # a MemoryError, and 1e-9 runs for more than 20 s
+        start = time.perf_counter()
+        child = subprocess.run([sys.executable, "-m", "sternbrocot.cli", "question-mark", "--x", x],
+                               env=child_env(), capture_output=True, timeout=30)
+        assert time.perf_counter() - start < 10
         assert child.returncode == 2
         assert child.stdout == b""
         assert child.stderr.decode() == (

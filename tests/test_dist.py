@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from importlib import import_module
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -84,6 +85,22 @@ class TestEmpiricalCDF:
         total = fibonacci(32) + 1
         assert empirical_cdf("xi", 30, Fraction(1, 10 ** 100)) == Fraction(1, total)
         assert empirical_cdf("xi", 30, 1 - Fraction(1, 10 ** 100)) == Fraction(total - 1, total)
+
+    @pytest.mark.parametrize("kind", ["stern_brocot", "xi"])
+    def test_deep_rank_builds_only_the_counted_weights(self, kind):
+        # all 20000 weights together would take ~20-27 MB
+        tracemalloc.start()
+        try:
+            value = empirical_cdf(kind, 20000, Fraction(1, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the path turns left at the root 1/2 and ends at 1/3, at depth 2 or 3
+        if kind == "stern_brocot":
+            assert value == Fraction(1 + 2 ** 19998, 2 ** 20000 + 1)
+        else:
+            assert value == Fraction(1 + fibonacci(19998), fibonacci(20002) + 1)
 
     def test_index_domain(self):
         with pytest.raises(ValueError):

@@ -23,8 +23,9 @@ rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10_000)
 quads = st.builds(QuadSurd, rationals, rationals)
 big_rationals = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
 coefficients = st.tuples(big_rationals, big_rationals)
-#: Values whose powers cancel factors 2 and 5 between the integers, and
-#: one that cancels nothing.
+#: Values whose powers cancel factors 2 and 5 between the integers of the
+#: sqrt5 basis (only 5 in the phi basis QuadSurd stores), and one that
+#: cancels nothing.
 POWER_BASES = [
     (Fraction(-1, 2), Fraction(1, 2)),  # tau
     (Fraction(3, 2), Fraction(-1, 2)),  # tau**2
@@ -205,6 +206,13 @@ class TestAgainstFractionSurd:
     def test_tau_powers_keep_d_at_one_or_two(self):
         for n in range(-200, 200):
             assert in_lowest_terms(TAU ** n)._d in (1, 2)
+
+    def test_units_are_stored_over_one(self):
+        # tau = phi - 1, tau**2 = 2 - phi and 1/tau = phi are units of Z[phi]
+        for unit in (TAU, TAU2, 1 / TAU):
+            assert in_lowest_terms(unit)._d == 1
+            for n in (*range(-50, 51), -3000, -2999, 2999, 3000):
+                assert in_lowest_terms(unit ** n)._d == 1
 
 
 class TestToDecimal:

@@ -320,6 +320,18 @@ class TestSizeBudget:
         with pytest.raises(ValueError, match="size budget"):
             g_inductive(Fraction(1, 10 ** 4300), lam)
 
+    def test_question_mark_on_both_sides(self):
+        limit = _phi_split(Fraction(1, 2))[3]
+        # ?([0; a]) = 1/2**(a - 1), a shift of a - 1 = S(x) - 1 bits
+        assert question_mark(expand_rcf(Fraction(1, limit + 1))) == Fraction(1, 2 ** limit)
+        with pytest.raises(ValueError, match="size budget"):
+            question_mark(expand_rcf(Fraction(1, limit + 2)))
+        with pytest.raises(ValueError, match="size budget"):
+            question_mark(expand_rcf(Fraction(1, 10 ** 12)))
+
+    def test_question_mark_at_one_millionth_is_inside(self):
+        assert question_mark(expand_rcf(Fraction(1, 10 ** 6))) == Fraction(1, 2 ** (10 ** 6 - 1))
+
     def test_walk_checks_its_depth_before_the_first_node(self):
         limit = _phi_split(Fraction(1, 3))[3]
         with pytest.raises(ValueError, match="size budget"):
