@@ -86,19 +86,22 @@ def expand_rcf(x: Fraction) -> RegularCF:
     """Regular expansion of x in (0,1] by the Euclidean algorithm.
 
     The algorithm lands on the canonical form (final quotient >= 2)
-    automatically; x = 1 expands to the empty quotient list.
+    automatically, so the record is built without checking it again;
+    x = 1 expands to the empty quotient list. The range check compares
+    x's numerator and denominator as integers.
     """
-    if not 0 < x <= 1:
-        raise ValueError(f"expand_rcf needs 0 < x <= 1, got {x}")
-    if x == 1:
-        return RegularCF(())
-    quotients = []
     num, den = x.denominator, x.numerator  # Euclid on 1/x
-    while den:
-        q, r = divmod(num, den)
-        quotients.append(q)
-        num, den = den, r
-    return RegularCF(tuple(quotients))
+    if not 0 < den <= num:
+        raise ValueError(f"expand_rcf needs 0 < x <= 1, got {x}")
+    quotients = []
+    if den != num:
+        while den:
+            q, r = divmod(num, den)
+            quotients.append(q)
+            num, den = den, r
+    cf = object.__new__(RegularCF)
+    object.__setattr__(cf, "quotients", tuple(quotients))
+    return cf
 
 
 def value_rcf(cf: RegularCF) -> Fraction:

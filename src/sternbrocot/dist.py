@@ -10,9 +10,10 @@ convergence.
 
 Both sequences are depth-bounded cuts of one Stern-Brocot tree, so a
 rank is counted along the tree path to x (Graham, Knuth and Patashnik,
-*Concrete Mathematics* 4.5), as `stern.descend` walks it, in at most n
-steps, without building the sequence; the test suite keeps the
-materialized route as its reference.
+*Concrete Mathematics* 4.5), one run of equal turns at a time
+(`stern.path_runs`), in O(m) steps for x with m quotients, without
+building the sequence; the test suite keeps the materialized route as
+its reference.
 """
 
 from __future__ import annotations
@@ -22,28 +23,33 @@ from fractions import Fraction
 from .cf import digit_sum_L, expand_rcf, expand_rrcf
 from .exact import QuadSurd, _Record, mediant, to_decimal
 from .singular import g_tau2
-from .stern import descend
+from .stern import path_runs
 from .xi import _fibonacci_numbers, fibonacci, subtree_count
 
-#: Largest index verify_theorem1 tabulates. A row costs one path walk of
-#: at most n steps, so this bounds the table, not memory.
+#: Largest index verify_theorem1 tabulates. A row costs one rank count
+#: along the path to x, so this bounds the table, not memory.
 MAX_XI_INDEX = 30
 
 
 def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
     """(Elements <= x, total, whether x is an element) for the level-n
-    sequence of the given kind, along the Stern-Brocot path to x (`descend`).
+    sequence of the given kind, along the Stern-Brocot path to x
+    (`stern.path_runs`).
 
     The sequence is 0, 1 and the tree nodes of depth <= n, where the root
     1/2 has depth 1, a right edge costs 1 and a left edge costs 2 for
     "xi" or 1 for "stern_brocot". A mediant of depth k at or below x
     counts with its left subtree: fibonacci(n-k+1) or 2**(n-k) elements.
-    Each step goes at least one level down, so the walk is left after at
-    most n + 1 mediants, whatever the quotients of x. The walk comes
-    first and only the weights of its counted depths are built, at most
-    min(n, S(x)) numbers of at most n bits, not all n of them.
+    Those are the nodes where the path turns right, and x itself; so a
+    run of right turns at depths k..l adds the block sum
+    F(n-k+3) - F(n-l+2) or 2**(n-k+1) - 2**(n-l), with l cut at n. For
+    x = [0; a1, ..., am] that is O(m) operations on integers of at most
+    n + 1 bits, plus, for "xi", one pass of n + 2 Fibonacci additions
+    that keeps only the numbers the blocks name. Its size budget is n
+    itself, which `verify_theorem1` keeps within MAX_XI_INDEX.
     """
-    if not 0 <= x <= 1:
+    p, q = x.numerator, x.denominator
+    if not 0 <= p <= q:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if kind == "xi":
         if n < 1:
@@ -55,34 +61,37 @@ def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
         left_cost = 1
     else:
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    counted, member, depth = [], x == 0 or x == 1, 1
+    blocks, member = [], p == 0 or p == q  # (k, l): the counted depths k..l
     if not member:
-        for side in descend(x):
-            if depth > n:
-                break
-            if side < 0:
-                depth += left_cost
+        depth = 1
+        for i, turns in enumerate(path_runs(x)):
+            if i % 2:
+                blocks.append((depth, depth + turns - 1))
+                depth += turns
             else:
-                counted.append(depth)
-                if side == 0:
-                    member = True
-                    break
-                depth += 1
+                depth += left_cost * turns
+        blocks.append((depth, depth))  # x itself, the last node of its path
+        member = depth <= n
+    blocks = [(k, min(l, n)) for k, l in blocks if k <= n]
     if kind == "xi":
-        wanted = {n - k + 1 for k in counted}  # the mediant at depth k adds F(n-k+1)
+        weights: dict[int, int] = {}  # Fibonacci index -> times added, less times taken
+        for k, l in blocks:
+            weights[n - k + 3] = weights.get(n - k + 3, 0) + 1
+            weights[n - l + 2] = weights.get(n - l + 2, 0) - 1
         rank = 1
         for j, f in enumerate(_fibonacci_numbers(n + 2), start=1):
-            if j in wanted:
-                rank += f
+            if j in weights:
+                rank += weights[j] * f
         total = f + 1  # F(n+2) + 1
     else:
-        rank, total = 1 + sum(1 << (n - k) for k in counted), 2 ** n + 1
-    return (total if x == 1 else rank), total, member
+        rank = 1 + sum((1 << (n - k + 1)) - (1 << (n - l)) for k, l in blocks)
+        total = (1 << n) + 1
+    return (total if p == q else rank), total, member
 
 
 def empirical_cdf(kind: str, n: int, x: Fraction) -> Fraction:
     """Exact rank ratio of x in the level-n sequence of the given kind
-    ("stern_brocot" or "xi"), counted in at most n path steps."""
+    ("stern_brocot" or "xi"), counted by block sums along the path to x (`_rank`)."""
     rank, total, _ = _rank(kind, n, x)
     return Fraction(rank, total)
 
@@ -118,7 +127,7 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
 
     The target is exact in Q(sqrt5); errors are reported as 30-digit
     decimals, and the pass verdict compares the final error against the
-    tolerance exactly. Each row is one rank walk of at most n steps.
+    tolerance exactly. Each row is one rank count (`_rank`).
     Refuses n_max beyond MAX_XI_INDEX, and a tolerance below 0.
     """
     if not 0 < x < 1:

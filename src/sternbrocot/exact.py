@@ -23,7 +23,10 @@ The routes to the singular function g share one integer kernel here,
 type is (u + v*phi)/d over Z[phi], a QuadSurd's own integers or a
 rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
-parameter's type. `MAX_EXACT_BITS` is their size budget.
+parameter's type; for a Fraction that takes a gcd against d alone when
+it can (`_phi_value`). `MAX_EXACT_BITS` is their size budget. Range
+checks on Fractions (`_check_lambda`, `cf.expand_rcf`) compare the
+numerator and denominator as integers, not through Fraction's order.
 
 `_Record` is the base of the package's immutable value objects
 (`RegularCF`, `ReducedRCF`, `SternBrocotLevel`, `XiTreeNode`,
@@ -40,6 +43,7 @@ builds each class's methods with `exec`, at every start of the CLI.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
@@ -257,14 +261,25 @@ class QuadSurd:
         return f"QuadSurd({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
+        # (a + b*phi)/d = (2a + b + b*sqrt5)/(2d); each coefficient is
+        # written as str(Fraction) writes it, from the integers
+        a, b, d = 2 * self._a + self._b, self._b, 2 * self._d
+        rational = _ratio_text(a, d)
         if b == 0:
-            return str(a)
-        surd = f"{abs(b)}√5"
+            return rational
+        surd = _ratio_text(abs(b), d) + "√5"
         if a == 0:
             return surd if b > 0 else f"-{surd}"
         op = "+" if b > 0 else "-"
-        return f"{a}{op}{surd}"
+        return f"{rational}{op}{surd}"
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """The text str(Fraction(n, d)) gives, for integers with d > 0."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 SQRT5 = QuadSurd(0, 1)
@@ -275,8 +290,27 @@ TAU2 = QuadSurd(Fraction(3, 2), Fraction(-1, 2))
 
 
 def _check_lambda(lam: Fraction | QuadSurd) -> None:
-    if not 0 < lam < 1:
+    # both checks compare integers: (a + b*phi)/d and a Fraction have d > 0
+    if isinstance(lam, QuadSurd):
+        inside = _sign(lam._a, lam._b) > 0 and _sign(lam._d - lam._a, -lam._b) > 0
+    else:
+        inside = 0 < lam.numerator < lam.denominator
+    if not inside:
         raise ValueError("the split parameter must lie strictly between 0 and 1")
+
+
+if sys.version_info >= (3, 12):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(a: int, d: int) -> Fraction:
+        """Fraction(a, d) for integers already in lowest terms with d > 0,
+        built without the gcd the constructor would take. This is the body
+        of 3.12's Fraction._from_coprime_ints; Fraction(a, d,
+        _normalize=False) does the same, but its keyword argument and type
+        checks make it slower than Fraction(a, d) on small integers."""
+        x = object.__new__(Fraction)
+        x._numerator, x._denominator = a, d
+        return x
 
 
 # The integer kernel of the g routes. A split parameter is written
@@ -327,10 +361,19 @@ def _phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
 
 
 def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
-    """(a + b*phi)/d in the type of lam, in lowest terms by one gcd:
-    a Fraction for a Fraction lam (then b = 0), else a QuadSurd."""
+    """(a + b*phi)/d in the type of lam, in lowest terms: a Fraction for a
+    Fraction lam (then b = 0), else a QuadSurd, by one gcd.
+
+    d is a power of lam's denominator q, so every prime of d divides q:
+    a numerator prime to q is prime to d, and then the Fraction is built
+    as it stands, with one gcd against the small q (linear in a) in place
+    of the full gcd against d (quadratic). Only a numerator that shares
+    a prime with q takes the full gcd.
+    """
     if isinstance(lam, QuadSurd):
         return _lowest(a, b, d)
+    if gcd(lam.denominator, a) == 1:
+        return _coprime_fraction(a, d)
     return Fraction(a, d)
 
 

@@ -8,8 +8,9 @@ At lam = 1/2 this is Minkowski's question-mark function.
 Three routes to the same values:
 
 * `g_inductive`  - replay the defining mediant recurrence along the
-  Stern-Brocot path to x (`stern.descend`, the walk that also counts
-  ranks in `dist`); O(S(x)) exact steps.
+  Stern-Brocot path to x, one run of equal turns at a time
+  (`stern.path_runs`, the path that also counts ranks in `dist`); one
+  kernel power per quotient of x.
 * `question_mark` - Salem's alternating dyadic series from the regular
   continued-fraction quotients (the lam = 1/2 case), summed as one
   integer numerator over a power of 2.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .cf import RegularCF, expand_rcf, sum_partial_quotients
+from .cf import RegularCF, sum_partial_quotients
 from .exact import (
     _OVER_BUDGET,
     TAU2,
@@ -47,7 +48,7 @@ from .exact import (
     _phi_value,
     _sign,
 )
-from .stern import descend
+from .stern import path_runs
 
 LambdaValue = Union[Fraction, QuadSurd]
 GValue = Union[Fraction, QuadSurd]
@@ -56,31 +57,46 @@ GValue = Union[Fraction, QuadSurd]
 def g_inductive(x: Fraction, lam: LambdaValue) -> GValue:
     """Evaluate g at a rational x in [0,1] by replaying the gap splits.
 
-    Follows the Stern-Brocot path from the gap (0, 1) down to x
-    (`descend`), carrying the g-values of the enclosing neighbours; the
-    path has S(x) - 1 nodes, so no level is ever materialized. After k
-    steps both neighbours are numerators over the same d**k.
+    Follows the Stern-Brocot path from the gap (0, 1) down to x, carrying
+    the g-values lo < hi of the enclosing neighbours, one run of equal
+    turns at a time (`stern.path_runs`): k left turns set hi to
+    lo + (hi - lo) * lam**k, k right turns set lo to
+    hi - (hi - lo) * (1 - lam)**k, and x is the mediant of the last gap,
+    g(x) = lo + (hi - lo) * lam. lo and hi - lo are numerators over the
+    same power of d, d**(S(x) - 1) at x. So x = [0; a1, ..., am] costs m
+    kernel powers and O(m) products of integers no larger than the
+    result, whose size is checked against `exact.MAX_EXACT_BITS` before
+    any is built, and one reduction (`exact._phi_value`).
     """
     _check_lambda(lam)
-    if not 0 <= x <= 1:
+    p, q = x.numerator, x.denominator
+    if not 0 <= p <= q:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
-    if x == 0 or x == 1:
-        return _phi_value(x.numerator, 0, 1, lam)
+    if p == 0 or p == q:
+        return _phi_value(p, 0, 1, lam)  # g(0) = 0, g(1) = 1
     u, v, d, limit = _phi_split(lam)
-    steps = sum_partial_quotients(expand_rcf(x)) - 1
+    runs = path_runs(x)
+    steps = sum(runs) + 1
     if steps > limit:
         raise ValueError(_OVER_BUDGET)
     c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
-    lo_a = lo_b = hi_b = 0
-    hi_a = 1
-    for side in descend(x):  # g(m) = g(lo)*(1 - lam) + g(hi)*lam, one factor d more
-        a = lo_a * c + lo_b * w + hi_a * u + hi_b * v
-        b = lo_a * w + lo_b * (c + w) + hi_a * v + hi_b * (u + v)
-        if side < 0:
-            lo_a, lo_b, hi_a, hi_b = lo_a * d, lo_b * d, a, b
-        else:
-            lo_a, lo_b, hi_a, hi_b = a, b, hi_a * d, hi_b * d
-    return _phi_value(a, b, d ** steps, lam)  # the last side is 0: g at x itself
+    lo_a = lo_b = gap_b = 0  # g(lo) = 0 and hi - lo = 1, over d**0
+    gap_a = 1
+    for i, k in enumerate(runs):
+        if i % 2:  # k right turns: lo = hi - (hi - lo)*(1 - lam)**k, hi = lo + (hi - lo)
+            s, t = _phi_pow(c, w, k)
+            lo_a, lo_b = lo_a + gap_a, lo_b + gap_b
+        else:  # k left turns: hi = lo + (hi - lo)*lam**k
+            s, t = _phi_pow(u, v, k)
+        if d != 1 and (lo_a or lo_b):  # lo = 0 until the first right turn
+            scale = d ** k
+            lo_a, lo_b = lo_a * scale, lo_b * scale
+        gap_a, gap_b = gap_a * s + gap_b * t, gap_a * t + gap_b * (s + t)
+        if i % 2:
+            lo_a, lo_b = lo_a - gap_a, lo_b - gap_b
+    a = lo_a * d + gap_a * u + gap_b * v  # (lo + (hi - lo)*lam) over one factor d more
+    b = lo_b * d + gap_a * v + gap_b * (u + v)
+    return _phi_value(a, b, d ** steps, lam)
 
 
 #: The most bits `question_mark` shifts by: the budget of the kernel routes at lam = 1/2.
@@ -147,6 +163,10 @@ def g_series(cf: RegularCF, lam: LambdaValue) -> GValue:
     """Evaluate g by the finite alternating series over the quotients of x.
 
     The empty quotient list (x = 1) evaluates to 1, mirroring value_rcf.
+    m quotients cost m kernel powers and O(m) products of integers no
+    larger than the result, whose size is checked against
+    `exact.MAX_EXACT_BITS` quotient by quotient, before it is built, and
+    one reduction (`exact._phi_value`).
     """
     _check_lambda(lam)
     a, b, e = 1, 0, 1  # x = 1 has no quotients

@@ -10,8 +10,9 @@ Those fractions are the nodes of depth n in the Stern-Brocot tree
 with depth 1 when every edge costs 1. With left edges costing 2 the same
 tree grades the reduced-fraction generations of the `xi` module, so
 `graded_walk` streams both families in increasing order, in O(n) memory,
-from integer mediants alone. `descend` walks the one path from the root
-to a given x, for rank counts (`dist`) and for g (`singular`).
+from integer mediants alone. `path_runs` gives the one path from the root
+to a given x as its runs of equal turns, the quotients of x, for rank
+counts (`dist`) and for g (`singular`).
 """
 
 from __future__ import annotations
@@ -115,24 +116,21 @@ def _walk(
         depth = node_depth + 1
 
 
-def descend(x: Fraction) -> Iterator[int]:
-    """Signs of a*q - p*b at the integer mediants p/q on the Stern-Brocot
-    path from the root 1/2 to x = a/b in (0,1): -1 to turn left, +1 to
-    turn right, and 0 at x itself, the path's node S(x) - 1, where it ends.
-    No path reaches 0 or 1, so x outside (0,1) raises ValueError."""
-    if not 0 < x < 1:
+def path_runs(x: Fraction) -> list[int]:
+    """Turn counts of the Stern-Brocot path from the root 1/2 to x in (0,1),
+    one count per run of equal turns: left runs at even list indices,
+    right runs at odd ones, and x the mediant of the gap the last run
+    leaves. For x = [0; a1, ..., am] the runs are a1 - 1, a2, ..., am with
+    the last one shorter by one (a1 - 2 when m = 1), so they add up to
+    S(x) - 2 and the path has S(x) - 1 nodes, x the last. No path reaches
+    0 or 1, so x outside (0,1) raises ValueError; the check compares x's
+    numerator and denominator as integers."""
+    if not 0 < x.numerator < x.denominator:
         raise ValueError(f"need 0 < x < 1, got {x}")
-    a, b = x.numerator, x.denominator
-    lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
-    side = 1
-    while side:
-        p, q = lo_p + hi_p, lo_q + hi_q
-        side = a * q - p * b
-        yield (side > 0) - (side < 0)
-        if side < 0:
-            hi_p, hi_q = p, q
-        else:
-            lo_p, lo_q = p, q
+    runs = list(expand_rcf(x).quotients)
+    runs[0] -= 1
+    runs[-1] -= 1
+    return runs
 
 
 def first_level() -> SternBrocotLevel:

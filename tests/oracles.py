@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import mpmath
 from hypothesis import strategies as st
 
-from sternbrocot import QuadSurd
+from sternbrocot import QuadSurd, fibonacci
 
 
 def subtractive_rrcf(x: Fraction) -> tuple[int, ...]:
@@ -97,6 +97,75 @@ def path_depth(x: Fraction, left: int) -> int:
             hi, depth = mid, depth + left
         else:
             lo, depth = mid, depth + 1
+
+
+def descend(x: Fraction) -> Iterator[int]:
+    """Signs of a*q - p*b at the integer mediants p/q on the Stern-Brocot
+    path from the root 1/2 to x = a/b in (0,1): -1 to turn left, +1 to
+    turn right, and 0 at x itself, the path's node S(x) - 1, where it ends.
+    One step per node: the per-step reference for the run-by-run routes
+    (`stern.path_runs`, `g_inductive`, `dist._rank`). No path reaches 0
+    or 1, so x outside (0,1) raises ValueError."""
+    if not 0 < x < 1:
+        raise ValueError(f"need 0 < x < 1, got {x}")
+    a, b = x.numerator, x.denominator
+    lo_p, lo_q, hi_p, hi_q = 0, 1, 1, 1
+    side = 1
+    while side:
+        p, q = lo_p + hi_p, lo_q + hi_q
+        side = a * q - p * b
+        yield (side > 0) - (side < 0)
+        if side < 0:
+            hi_p, hi_q = p, q
+        else:
+            lo_p, lo_q = p, q
+
+
+def path_replay(x: Fraction, lam):
+    """g(x) for x in (0,1) by the mediant recurrence g(m) = g(lo)*(1 - lam)
+    + g(hi)*lam, one node at a time along `descend(x)`, in the sqrt5
+    basis: lam = (A + B*sqrt5)/D from its public coefficients, and g(lo)
+    and g(hi) integer pairs over D**k after k nodes, built into one
+    Fraction or QuadSurd at x. No φ-basis kernel code is involved."""
+    if isinstance(lam, QuadSurd):
+        D = math.lcm(lam.a.denominator, lam.b.denominator)
+        A, B = lam.a.numerator * (D // lam.a.denominator), lam.b.numerator * (D // lam.b.denominator)
+    else:
+        A, B, D = lam.numerator, 0, lam.denominator
+    C = D - A  # 1 - lam = (C - B*sqrt5)/D
+    lo_a = lo_b = hi_b = 0
+    hi_a, steps = 1, 0
+    for side in descend(x):
+        a = lo_a * C - 5 * lo_b * B + hi_a * A + 5 * hi_b * B
+        b = lo_b * C - lo_a * B + hi_a * B + hi_b * A
+        steps += 1
+        if side < 0:
+            lo_a, lo_b, hi_a, hi_b = lo_a * D, lo_b * D, a, b
+        else:
+            lo_a, lo_b, hi_a, hi_b = a, b, hi_a * D, hi_b * D
+    scale = D ** steps
+    if isinstance(lam, QuadSurd):
+        return QuadSurd(Fraction(a, scale), Fraction(b, scale))
+    return Fraction(a, scale)
+
+
+def path_rank(kind: str, n: int, x: Fraction) -> tuple[int, bool]:
+    """(Elements <= x, whether x is an element) for the level-n sequence
+    of the given kind, x in (0,1), one node at a time along `descend(x)`:
+    each node of depth k <= n where the path turns right, and x itself,
+    adds fibonacci(n-k+1) ("xi", left edges cost 2) or 2**(n-k)
+    ("stern_brocot", left edges cost 1), each weight computed afresh."""
+    left = 2 if kind == "xi" else 1
+    rank, depth = 1, 1
+    for side in descend(x):
+        if depth > n:
+            return rank, False
+        if side < 0:
+            depth += left
+        else:
+            rank += fibonacci(n - depth + 1) if kind == "xi" else 2 ** (n - depth)
+            depth += 1
+    return rank, True
 
 
 def materialized_cdf(elements: Sequence[Fraction], x: Fraction) -> Fraction:

@@ -29,7 +29,9 @@ from sternbrocot import (
     xi,
 )
 
-from oracles import materialized_cdf
+from sternbrocot.dist import _rank
+
+from oracles import materialized_cdf, path_rank, quotient_lists, rcf_value
 
 
 @cache
@@ -60,6 +62,43 @@ def rank_queries(draw):
         quotients = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6))
         x = value_rcf(RegularCF(tuple(quotients[:-1]) + (max(quotients[-1], 2),)))
     return kind, n, x
+
+
+@st.composite
+def deep_rank_queries(draw):
+    """(kind, n, x): n up to 29, and x with quotients up to 10**4, or with
+    a quotient sum of at most 12, whose path ends above depth 29."""
+    kind = draw(st.sampled_from(("xi", "stern_brocot")))
+    n = draw(st.integers(1 if kind == "xi" else 0, 29))
+    quotients = draw(st.one_of(quotient_lists(), quotient_lists(max_total=12)))
+    return kind, n, rcf_value(quotients)
+
+
+class TestBlockSums:
+    """The block-sum ranks of `_rank` against the per-step count of the
+    oracle `path_rank` along `descend`, and against the materialized
+    sequence where it is small enough to build."""
+
+    @given(deep_rank_queries())
+    def test_against_the_per_step_count(self, query):
+        kind, n, x = query
+        rank, total, member = _rank(kind, n, x)
+        if x == 1:
+            assert (rank, member) == (total, True)
+        else:
+            assert (rank, member) == path_rank(kind, n, x)
+        assert total == (fibonacci(n + 2) if kind == "xi" else 2 ** n) + 1
+        if n <= {"xi": 18, "stern_brocot": 14}[kind]:
+            assert Fraction(rank, total) == materialized_cdf(reference_elements(kind, n), x)
+
+    @pytest.mark.parametrize("kind", ["xi", "stern_brocot"])
+    @pytest.mark.parametrize("x", [Fraction(355, 1133), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)])
+    def test_every_index_up_to_29(self, kind, x):
+        # 355/1133 = [0; 3, 5, 4, 1, 1, 7] lies at depth 20 (Stern-Brocot)
+        # or 27 (xi): the indices run past the end of every path here
+        for n in range(1 if kind == "xi" else 0, 30):
+            rank, total, member = _rank(kind, n, x)
+            assert (rank, member) == path_rank(kind, n, x)
 
 
 class TestEmpiricalCDF:

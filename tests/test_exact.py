@@ -17,6 +17,8 @@ from sternbrocot import (
     to_decimal,
 )
 
+from sternbrocot.exact import _coprime_fraction, _phi_value
+
 from oracles import FractionSurd, rounded_scaled_value, smallest_denominator_between
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10_000)
@@ -312,3 +314,40 @@ class TestTextFormats:
     @given(quads)
     def test_quadsurd_format_parse_round_trip(self, x):
         assert parse_quadsurd(str(x)) == x
+
+
+class TestLowestTermsFraction:
+    """`_coprime_fraction` builds a Fraction from integers already in
+    lowest terms without a gcd; `_phi_value` takes it only for a numerator
+    prime to lam's denominator, and the full gcd otherwise."""
+
+    @given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+    def test_equals_the_normalised_construction(self, a, d):
+        g = gcd(a, d)
+        a, d = a // g, d // g
+        built, expected = _coprime_fraction(a, d), Fraction(a, d)
+        assert type(built) is Fraction
+        assert (built.numerator, built.denominator) == (expected.numerator, expected.denominator)
+        assert built == expected and hash(built) == hash(expected) and str(built) == str(expected)
+
+    @pytest.mark.parametrize("a, lam, e", [
+        (6, Fraction(1, 2), 3),  # an even numerator over a power of 2
+        (2 ** 40, Fraction(1, 2), 40),
+        (3 * 7, Fraction(2, 9), 4),  # a multiple of 3 over a power of 9
+        (3 ** 9 * 5, Fraction(2, 9), 4),
+        (0, Fraction(2, 9), 0),
+        (7, Fraction(2, 9), 5),  # prime to 9: built as it stands
+        (10 ** 12 + 1, Fraction(5, 12), 3),
+    ])
+    def test_phi_value_reduces_a_numerator_sharing_a_prime(self, a, lam, e):
+        value, expected = _phi_value(a, 0, lam.denominator ** e, lam), Fraction(a, lam.denominator ** e)
+        assert type(value) is Fraction
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(0, 60),
+           st.sampled_from([Fraction(1, 2), Fraction(2, 9), Fraction(1, 3), Fraction(5, 12), Fraction(7, 10)]))
+    def test_phi_value_is_in_lowest_terms(self, a, e, lam):
+        d = lam.denominator ** e
+        value = _phi_value(a, 0, d, lam)
+        assert gcd(value.numerator, value.denominator) == 1
+        assert value.numerator * d == a * value.denominator

@@ -24,6 +24,7 @@ from oracles import (
     field_series,
     field_stream,
     field_walk,
+    path_replay,
     quotient_lists,
     rcf_value,
     split_parameters,
@@ -285,6 +286,34 @@ class TestKernelAgainstFieldOracles:
         assert all(same(node[3], old[3]) for node, old in zip(walked, expected))
 
 
+#: Split parameters of the per-step comparisons: rationals with and
+#: without a shared prime in their powers, tau**2, tau and an irrational
+#: parameter whose d is not 1.
+STEP_LAMBDAS = (Fraction(1, 3), Fraction(2, 9), Fraction(1, 2), TAU2, TAU,
+                QuadSurd(Fraction(1, 7), Fraction(1, 11)))
+
+
+class TestRunsAgainstThePerStepReplay:
+    """`g_inductive` takes one kernel power per run of equal turns; the
+    oracle `path_replay` one step per node of `descend`, in the sqrt5 basis."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(STEP_LAMBDAS), quotient_lists(max_total=10 ** 4))
+    def test_quotients_up_to_ten_thousand(self, lam, quotients):
+        x = rcf_value(quotients)
+        assume(x < 1)
+        assert same(g_inductive(x, lam), path_replay(x, lam))
+
+    @pytest.mark.parametrize("quotients, lam", [
+        ((10 ** 5 + 2,), Fraction(1, 3)),  # one run of 10**5 left turns
+        ((10 ** 5 + 2,), Fraction(2, 9)),
+        ((1, 10 ** 5 + 1), Fraction(1, 2)),  # one run of 10**5 right turns
+    ])
+    def test_runs_of_a_hundred_thousand_turns(self, quotients, lam):
+        x = rcf_value(quotients)
+        assert same(g_inductive(x, lam), path_replay(x, lam))
+
+
 class TestSizeBudget:
     """Every kernel route admits a value at MAX_EXACT_BITS and refuses one
     factor past it, before building anything."""
@@ -312,13 +341,18 @@ class TestSizeBudget:
 
     @pytest.mark.parametrize("lam", [Fraction(1, 2), TAU2])
     def test_inductive_refuses_past_the_budget(self, lam):
-        # the path to 1/(limit + 2) has limit + 1 steps; a path of limit
-        # steps takes tens of seconds to walk, so only the refusal is run
+        # the path to 1/(limit + 2) has limit + 1 steps
         limit = _phi_split(lam)[3]
         with pytest.raises(ValueError, match="size budget"):
             g_inductive(Fraction(1, limit + 2), lam)
         with pytest.raises(ValueError, match="size budget"):
             g_inductive(Fraction(1, 10 ** 4300), lam)
+
+    def test_inductive_admits_a_path_at_the_budget(self):
+        # the path to 1/(limit + 1) is one run of limit - 1 left turns,
+        # replayed by one kernel power
+        limit = _phi_split(Fraction(1, 2))[3]
+        assert g_inductive(Fraction(1, limit + 1), Fraction(1, 2)) == Fraction(1, 2 ** limit)
 
     def test_question_mark_on_both_sides(self):
         limit = _phi_split(Fraction(1, 2))[3]

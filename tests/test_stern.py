@@ -18,9 +18,9 @@ from sternbrocot import (
     stern_level,
     sum_partial_quotients,
 )
-from sternbrocot.stern import descend
+from sternbrocot.stern import path_runs
 
-from oracles import path_depth, quotient_lists, rcf_value, subtractive_rrcf
+from oracles import descend, path_depth, quotient_lists, rcf_value, subtractive_rrcf
 
 
 def frac_set(*pairs):
@@ -207,3 +207,27 @@ class TestDescend:
     def test_refuses_points_outside_the_open_unit_interval(self, x):
         with pytest.raises(ValueError):
             list(descend(x))
+
+
+class TestPathRuns:
+    """The path to x as runs of equal turns, against the per-step signs of
+    the oracle `descend`."""
+
+    def test_examples(self):
+        assert path_runs(Fraction(1, 2)) == [0]
+        assert path_runs(Fraction(3, 7)) == [1, 2]
+        assert path_runs(Fraction(4, 5)) == [0, 3]
+
+    @given(quotient_lists())
+    def test_runs_group_the_per_step_turns(self, quotients):
+        x = rcf_value(quotients)
+        assume(x < 1)
+        turns = []
+        for i, k in enumerate(path_runs(x)):
+            turns.extend([1 if i % 2 else -1] * k)
+        assert turns + [0] == list(descend(x))
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2), Fraction(2)])
+    def test_refuses_points_outside_the_open_unit_interval(self, x):
+        with pytest.raises(ValueError):
+            path_runs(x)
