@@ -86,22 +86,20 @@ def expand_rcf(x: Fraction) -> RegularCF:
     """Regular expansion of x in (0,1] by the Euclidean algorithm.
 
     The algorithm lands on the canonical form (final quotient >= 2)
-    automatically, so the record is built without checking it again;
-    x = 1 expands to the empty quotient list. The range check compares
-    x's numerator and denominator as integers.
+    automatically; x = 1 expands to the empty quotient list. The range
+    check compares x's numerator and denominator as integers.
     """
     num, den = x.denominator, x.numerator  # Euclid on 1/x
     if not 0 < den <= num:
         raise ValueError(f"expand_rcf needs 0 < x <= 1, got {x}")
+    if den == num:
+        return RegularCF(())
     quotients = []
-    if den != num:
-        while den:
-            q, r = divmod(num, den)
-            quotients.append(q)
-            num, den = den, r
-    cf = object.__new__(RegularCF)
-    object.__setattr__(cf, "quotients", tuple(quotients))
-    return cf
+    while den:
+        q, r = divmod(num, den)
+        quotients.append(q)
+        num, den = den, r
+    return RegularCF(tuple(quotients))
 
 
 def value_rcf(cf: RegularCF) -> Fraction:

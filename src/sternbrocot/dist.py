@@ -31,7 +31,7 @@ from .xi import _fibonacci_numbers, fibonacci, subtree_count
 MAX_XI_INDEX = 30
 
 
-def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
+def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tuple[int, int, bool]:
     """(Elements <= x, total, whether x is an element) for the level-n
     sequence of the given kind, along the Stern-Brocot path to x
     (`stern.path_runs`).
@@ -43,9 +43,12 @@ def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
     Those are the nodes where the path turns right, and x itself; so a
     run of right turns at depths k..l adds the block sum
     F(n-k+3) - F(n-l+2) or 2**(n-k+1) - 2**(n-l), with l cut at n. For
-    x = [0; a1, ..., am] that is O(m) operations on integers of at most
-    n + 1 bits, plus, for "xi", one pass of n + 2 Fibonacci additions
-    that keeps only the numbers the blocks name. Its size budget is n
+    x = [0; a1, ..., am] that is one expansion of x (`path_runs`), then
+    O(min(m, n)) operations on integers of at most n + 1 bits, as the
+    count stops at the first run that starts below depth n, plus, for
+    "xi", one pass of n + 2 Fibonacci additions that keeps only the
+    numbers the blocks name. A caller that ranks one x at many n passes
+    `runs = path_runs(x)` and skips the expansion. Its size budget is n
     itself, which `verify_theorem1` keeps within MAX_XI_INDEX.
     """
     p, q = x.numerator, x.denominator
@@ -64,7 +67,9 @@ def _rank(kind: str, n: int, x: Fraction) -> tuple[int, int, bool]:
     blocks, member = [], p == 0 or p == q  # (k, l): the counted depths k..l
     if not member:
         depth = 1
-        for i, turns in enumerate(path_runs(x)):
+        for i, turns in enumerate(path_runs(x) if runs is None else runs):
+            if depth > n:  # every later block starts below depth n
+                break
             if i % 2:
                 blocks.append((depth, depth + turns - 1))
                 depth += turns
@@ -127,7 +132,8 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
 
     The target is exact in Q(sqrt5); errors are reported as 30-digit
     decimals, and the pass verdict compares the final error against the
-    tolerance exactly. Each row is one rank count (`_rank`).
+    tolerance exactly. The path runs of x are computed once, and each
+    row is one rank count along them (`_rank`) of O(min(m, n)) steps.
     Refuses n_max beyond MAX_XI_INDEX, and a tolerance below 0.
     """
     if not 0 < x < 1:
@@ -139,10 +145,12 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     target = g_tau2(expand_rcf(x))
+    runs = path_runs(x)
     rows = []
     final_error: QuadSurd = QuadSurd(0)
     for n in range(2, n_max + 1):
-        empirical = empirical_cdf("xi", n, x)
+        rank, total, _ = _rank("xi", n, x, runs)
+        empirical = Fraction(rank, total)
         final_error = abs(target - empirical)
         rows.append(ConvergenceRow(n, empirical, to_decimal(final_error, 30)))
     return ConvergenceReport(x, target, tolerance, tuple(rows), final_error <= tolerance)

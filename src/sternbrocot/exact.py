@@ -43,7 +43,6 @@ builds each class's methods with `exec`, at every start of the CLI.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, isqrt, lcm
@@ -261,25 +260,14 @@ class QuadSurd:
         return f"QuadSurd({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        # (a + b*phi)/d = (2a + b + b*sqrt5)/(2d); each coefficient is
-        # written as str(Fraction) writes it, from the integers
-        a, b, d = 2 * self._a + self._b, self._b, 2 * self._d
-        rational = _ratio_text(a, d)
+        a, b = self.a, self.b
         if b == 0:
-            return rational
-        surd = _ratio_text(abs(b), d) + "√5"
+            return str(a)
+        surd = f"{abs(b)}√5"
         if a == 0:
             return surd if b > 0 else f"-{surd}"
         op = "+" if b > 0 else "-"
-        return f"{rational}{op}{surd}"
-
-
-def _ratio_text(n: int, d: int) -> str:
-    """The text str(Fraction(n, d)) gives, for integers with d > 0."""
-    g = gcd(n, d)
-    if g != 1:
-        n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+        return f"{a}{op}{surd}"
 
 
 SQRT5 = QuadSurd(0, 1)
@@ -299,18 +287,16 @@ def _check_lambda(lam: Fraction | QuadSurd) -> None:
         raise ValueError("the split parameter must lie strictly between 0 and 1")
 
 
-if sys.version_info >= (3, 12):
-    _coprime_fraction = Fraction._from_coprime_ints
-else:
-    def _coprime_fraction(a: int, d: int) -> Fraction:
-        """Fraction(a, d) for integers already in lowest terms with d > 0,
-        built without the gcd the constructor would take. This is the body
-        of 3.12's Fraction._from_coprime_ints; Fraction(a, d,
-        _normalize=False) does the same, but its keyword argument and type
-        checks make it slower than Fraction(a, d) on small integers."""
-        x = object.__new__(Fraction)
-        x._numerator, x._denominator = a, d
-        return x
+def _coprime_fraction(a: int, d: int) -> Fraction:
+    """Fraction(a, d) for integers already in lowest terms with d > 0,
+    built without the gcd the constructor would take: the two slots of
+    Fraction set directly, as Fraction's own _from_coprime_ints does on
+    3.12+. Fraction(a, d, _normalize=False) of 3.10/3.11 does the same,
+    but its keyword argument and type checks make it slower than
+    Fraction(a, d) on small integers."""
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = a, d
+    return x
 
 
 # The integer kernel of the g routes. A split parameter is written

@@ -83,13 +83,6 @@ class TestRegularExpansion:
         assert cf.quotients[-1] >= 2
         assert all(a >= 1 for a in cf.quotients)
 
-    @given(unit_interior)
-    def test_the_unchecked_record_equals_a_checked_one(self, x):
-        # expand_rcf skips RegularCF's validation: Euclid's output is canonical
-        cf = expand_rcf(x)
-        assert type(cf) is RegularCF and type(cf.quotients) is tuple
-        assert cf == RegularCF(cf.quotients) and hash(cf) == hash(RegularCF(cf.quotients))
-
 
 class TestReducedExpansion:
     @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from sternbrocot import (
 )
 
 from sternbrocot.dist import _rank
+from sternbrocot.stern import path_runs
 
 from oracles import materialized_cdf, path_rank, quotient_lists, rcf_value
 
@@ -96,9 +97,11 @@ class TestBlockSums:
     def test_every_index_up_to_29(self, kind, x):
         # 355/1133 = [0; 3, 5, 4, 1, 1, 7] lies at depth 20 (Stern-Brocot)
         # or 27 (xi): the indices run past the end of every path here
+        runs = path_runs(x)
         for n in range(1 if kind == "xi" else 0, 30):
             rank, total, member = _rank(kind, n, x)
             assert (rank, member) == path_rank(kind, n, x)
+            assert _rank(kind, n, x, runs) == (rank, total, member)  # the runs passed in
 
 
 class TestEmpiricalCDF:
@@ -180,6 +183,12 @@ class TestVerifyTheorem1:
         by_n = {row.n: row for row in report.rows}
         assert by_n[3].empirical == Fraction(1, 2)
         assert by_n[3].abs_error_decimal == "0.118033988749894848204586834366"
+
+    @pytest.mark.parametrize("x", [Fraction(355, 1133), Fraction(1, 3), Fraction(5, 8)])
+    def test_rows_are_the_empirical_cdf(self, x):
+        # the table ranks along one expansion of x; each row equals a fresh query
+        report = verify_theorem1(x, 30)
+        assert [row.empirical for row in report.rows] == [empirical_cdf("xi", n, x) for n in range(2, 31)]
 
     def test_targets(self):
         assert verify_theorem1(Fraction(2, 3), 2).target == TAU

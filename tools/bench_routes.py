@@ -13,17 +13,12 @@ Every route runs at the split parameters 1/3, 1/2, tau**2, tau and
               an endless run of 1s (an irrational point near it);
 * walk      - `graded_walk(12, 1, lam)`, the g recurrence down the tree.
 
-A deep point, x = 1/10**5, whose path to the root is one run of
-10**5 - 2 left turns, times `g_inductive` and `g_series` at 2/9 and 1/3,
-where a route that costs more than one step per quotient shows.
-
-Each of R passes (default 7) runs every case once, so a spell in which
-the host slows down falls on all cases alike rather than on one; a
-case's figures are the median and quartiles of its R times, in seconds.
-The sources are imported from SRC (default: the `src` directory next to
-this file's parent), so the same script times any checkout. The JSON
-holds the interpreter, the host, and {route: {lambda: {"median", "q1",
-"q3"}}} for the level-12 points and for the deep point.
+A route's figure is its best time, in seconds, over R passes (default
+5), each of which runs every route once, so a spell in which the host
+slows down falls on all routes alike rather than on one. The
+sources are imported from SRC (default: the `src` directory next to this
+file's parent), so the same script times any checkout. The JSON holds
+the interpreter, the host, and {route: {lambda: seconds}}.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ import argparse
 import itertools
 import json
 import platform
-import statistics
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,11 +35,9 @@ from time import perf_counter
 LEVEL = 12
 EPSILON = Fraction(1, 10 ** 30)
 LAMBDAS = ("1/3", "1/2", "tau2", "tau", "1/7+1/11√5")
-DEEP_X = Fraction(1, 10 ** 5)
-DEEP_LAMBDAS = ("2/9", "1/3")
 
 
-def measure(repeat: int) -> dict[str, dict]:
+def measure(repeat: int) -> dict[str, dict[str, float]]:
     import sternbrocot as sb
 
     points = [Fraction(p, q) for p, q, _, _ in sb.graded_walk(LEVEL)]
@@ -59,55 +51,39 @@ def measure(repeat: int) -> dict[str, dict]:
                                            lam, EPSILON) for cf in expansions],
         "walk": lambda lam: [g for _, _, _, g in sb.graded_walk(LEVEL, 1, lam)],
     }
-    deep_routes = {
-        "inductive": lambda lam: sb.g_inductive(DEEP_X, lam),
-        "series": lambda lam: sb.g_series(sb.expand_rcf(DEEP_X), lam),
-    }
-    tables = {"routes": routes, "deep": deep_routes}
     only = {"tau2": "tau2", "salem": "1/2"}
-    cases = [("routes", route, text) for route in routes for text in LAMBDAS
+    cases = [(route, text) for route in routes for text in LAMBDAS
              if only.get(route, text) == text]
-    cases += [("deep", route, text) for route in deep_routes for text in DEEP_LAMBDAS]
-    times: dict[tuple[str, str, str], list[float]] = {case: [] for case in cases}
+    results: dict[str, dict[str, float]] = {route: {} for route in routes}
     for _ in range(repeat):  # every case once a pass, so a slow spell of the host hits them all
-        for case in cases:
-            kind, route, text = case
+        for route, text in cases:
             parsed = sb.parse_quadsurd(text)
             lam = parsed.as_fraction() if parsed.is_rational else parsed
             start = perf_counter()
-            tables[kind][route](lam)
-            times[case].append(perf_counter() - start)
-    figures: dict[str, dict] = {kind: {route: {} for route in table} for kind, table in tables.items()}
-    for (kind, route, text), seconds in times.items():
-        q1, median, q3 = statistics.quantiles(seconds, n=4)
-        figures[kind][route][text] = {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
-    return figures
+            routes[route](lam)
+            seconds = round(perf_counter() - start, 6)
+            results[route][text] = min(results[route].get(text, seconds), seconds)
+    return results
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
-    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--out", type=Path, default=Path("BENCH_routes.json"))
     args = parser.parse_args(argv)
-    if args.repeat < 2:
-        parser.error("--repeat must be at least 2, for quartiles")
     sys.path.insert(0, str(args.src.resolve()))
-    figures = measure(args.repeat)
     report = {
         "points": f"the {2 ** LEVEL - 1} interior points of Stern-Brocot level {LEVEL}",
-        "deep_point": f"x = {DEEP_X}",
-        "seconds": f"median and quartiles of {args.repeat} passes",
+        "seconds": f"best of {args.repeat} passes",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "processor": platform.processor() or platform.machine(),
-        **figures,
+        "routes": measure(args.repeat),
     }
     args.out.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-    for title, kind in (("", "routes"), (f"x={DEEP_X} ", "deep")):
-        for route, by_lambda in figures[kind].items():
-            print((title + route).ljust(10), "  ".join(
-                f"{lam}={f['median']:.4f} [{f['q1']:.4f}-{f['q3']:.4f}]" for lam, f in by_lambda.items()))
+    for route, by_lambda in report["routes"].items():
+        print(route.ljust(10), "  ".join(f"{lam}={sec:.4f}" for lam, sec in by_lambda.items()))
     return 0
 
 
