@@ -11,9 +11,9 @@ convergence.
 Both sequences are depth-bounded cuts of one Stern-Brocot tree, so a
 rank is counted along the tree path to x (Graham, Knuth and Patashnik,
 *Concrete Mathematics* 4.5), one run of equal turns at a time
-(`stern.path_runs`), in O(m) steps for x with m quotients, without
-building the sequence; the test suite keeps the materialized route as
-its reference.
+(`stern.path_runs`), as differences of subtree sizes, Fibonacci numbers
+or powers of 2, without building the sequence; the test suite keeps the
+materialized route and a per-node count as its references.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cf import digit_sum_L, expand_rcf, expand_rrcf
-from .exact import QuadSurd, _Record, mediant, to_decimal
+from .exact import _OVER_BUDGET, MAX_EXACT_BITS, QuadSurd, _phi_pow, _Record, mediant, to_decimal
 from .singular import g_tau2
 from .stern import path_runs
-from .xi import _fibonacci_numbers, fibonacci, subtree_count
+from .xi import fibonacci, subtree_count
 
-#: Largest index verify_theorem1 tabulates. A row costs one rank count
-#: along the path to x, so this bounds the table, not memory.
+#: Largest index verify_theorem1 tabulates: an output budget, as a row costs
+#: only a rank count along the runs of x, two Fibonacci numbers per run.
 MAX_XI_INDEX = 30
 
 
@@ -38,18 +38,18 @@ def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tupl
 
     The sequence is 0, 1 and the tree nodes of depth <= n, where the root
     1/2 has depth 1, a right edge costs 1 and a left edge costs 2 for
-    "xi" or 1 for "stern_brocot". A mediant of depth k at or below x
-    counts with its left subtree: fibonacci(n-k+1) or 2**(n-k) elements.
-    Those are the nodes where the path turns right, and x itself; so a
-    run of right turns at depths k..l adds the block sum
-    F(n-k+3) - F(n-l+2) or 2**(n-k+1) - 2**(n-l), with l cut at n. For
-    x = [0; a1, ..., am] that is one expansion of x (`path_runs`), then
-    O(min(m, n)) operations on integers of at most n + 1 bits, as the
-    count stops at the first run that starts below depth n, plus, for
-    "xi", one pass of n + 2 Fibonacci additions that keeps only the
-    numbers the blocks name. A caller that ranks one x at many n passes
-    `runs = path_runs(x)` and skips the expansion. Its size budget is n
-    itself, which `verify_theorem1` keeps within MAX_XI_INDEX.
+    "xi" or 1 for "stern_brocot". The nodes of depth <= n number W(n) - 1,
+    with W(j) = F(j+2) for "xi" and 2**j for "stern_brocot", so a node of
+    depth k <= n and its left subtree hold W(n-k+1) - W(n-k) of them.
+    Those counts add up for the nodes where the path turns right, and x
+    itself: a run of right turns at depths k..l adds W(n-k+1) - W(n-l),
+    with l cut at n, and x at depth k adds W(n-k+1) - W(n-k); the total
+    is W(n) + 1. For x = [0; a1, ..., am] that is one expansion of
+    x (`path_runs`) and one pass over its runs, which stops at the first
+    run that starts below depth n: two weights per counted run, each
+    O(log n) products on integers of at most n + 1 bits. A caller that
+    ranks one x at many n passes `runs = path_runs(x)` and skips the
+    expansion. Refuses n past MAX_EXACT_BITS before building a weight.
     """
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
@@ -57,41 +57,30 @@ def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tupl
     if kind == "xi":
         if n < 1:
             raise ValueError("sequence index must be >= 1")
-        left_cost = 2
+        left_cost, weight = 2, lambda j: _phi_pow(0, 1, j + 2)[1]
     elif kind == "stern_brocot":
         if n < 0:
             raise ValueError("level index must be >= 0")
-        left_cost = 1
+        left_cost, weight = 1, lambda j: 1 << j
     else:
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    blocks, member = [], p == 0 or p == q  # (k, l): the counted depths k..l
-    if not member:
-        depth = 1
-        for i, turns in enumerate(path_runs(x) if runs is None else runs):
-            if depth > n:  # every later block starts below depth n
-                break
-            if i % 2:
-                blocks.append((depth, depth + turns - 1))
-                depth += turns
-            else:
-                depth += left_cost * turns
-        blocks.append((depth, depth))  # x itself, the last node of its path
-        member = depth <= n
-    blocks = [(k, min(l, n)) for k, l in blocks if k <= n]
-    if kind == "xi":
-        weights: dict[int, int] = {}  # Fibonacci index -> times added, less times taken
-        for k, l in blocks:
-            weights[n - k + 3] = weights.get(n - k + 3, 0) + 1
-            weights[n - l + 2] = weights.get(n - l + 2, 0) - 1
-        rank = 1
-        for j, f in enumerate(_fibonacci_numbers(n + 2), start=1):
-            if j in weights:
-                rank += weights[j] * f
-        total = f + 1  # F(n+2) + 1
-    else:
-        rank = 1 + sum((1 << (n - k + 1)) - (1 << (n - l)) for k, l in blocks)
-        total = (1 << n) + 1
-    return (total if p == q else rank), total, member
+    if n > MAX_EXACT_BITS:
+        raise ValueError(_OVER_BUDGET)
+    total = weight(n) + 1
+    if p == 0 or p == q:
+        return (1 if p == 0 else total), total, True
+    rank, depth = 1, 1
+    for i, turns in enumerate(path_runs(x) if runs is None else runs):
+        if depth > n:  # every later run starts below depth n
+            return rank, total, False
+        if i % 2:
+            rank += weight(n - depth + 1) - weight(n - min(depth + turns - 1, n))
+            depth += turns
+        else:
+            depth += left_cost * turns
+    if depth > n:  # x itself, the last node of its path
+        return rank, total, False
+    return rank + weight(n - depth + 1) - weight(n - depth), total, True
 
 
 def empirical_cdf(kind: str, n: int, x: Fraction) -> Fraction:
@@ -173,7 +162,8 @@ def mediant_ratio(x: Fraction, y: Fraction, n_of_pair: int, m: int) -> Fraction:
     k = digit_sum_L(expand_rrcf(mediant(x, y))) - 1
     if m < k:
         raise ValueError(f"depth m = {m} does not reach the mediant's generation {k}")
-    return Fraction(subtree_count(k + 2, m), subtree_count(k, m))
+    larger = subtree_count(k, m)  # refused past the budget before the smaller is built
+    return Fraction(subtree_count(k + 2, m), larger)
 
 
 def fibonacci_ratio_limit(j: int) -> Fraction:
@@ -181,4 +171,5 @@ def fibonacci_ratio_limit(j: int) -> Fraction:
     strictly shrinking error."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    return Fraction(fibonacci(j), fibonacci(j + 2))
+    larger = fibonacci(j + 2)  # refused past the budget before F(j) is built
+    return Fraction(fibonacci(j), larger)

@@ -348,16 +348,20 @@ def _phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
 
 def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     """(a + b*phi)/d in the type of lam, in lowest terms: a Fraction for a
-    Fraction lam (then b = 0), else a QuadSurd, by one gcd.
+    Fraction lam (then b = 0), else a QuadSurd.
 
     d is a power of lam's denominator q, so every prime of d divides q:
-    a numerator prime to q is prime to d, and then the Fraction is built
-    as it stands, with one gcd against the small q (linear in a) in place
-    of the full gcd against d (quadratic). Only a numerator that shares
-    a prime with q takes the full gcd.
+    a numerator prime to q is prime to d, and then the value is built as
+    it stands, with one gcd against the small q (linear in a and b) in
+    place of the full gcd against d (quadratic). Only a numerator that
+    shares a prime with q takes the full gcd.
     """
     if isinstance(lam, QuadSurd):
-        return _lowest(a, b, d)
+        if gcd(lam._d, a, b) != 1:
+            return _lowest(a, b, d)
+        x = object.__new__(QuadSurd)
+        x._a, x._b, x._d = a, b, d
+        return x
     if gcd(lam.denominator, a) == 1:
         return _coprime_fraction(a, d)
     return Fraction(a, d)

@@ -21,25 +21,20 @@ from fractions import Fraction
 from typing import Iterator
 
 from .cf import ReducedRCF, digit_sum_L, expand_rrcf, value_rrcf
-from .exact import _Record
+from .exact import _OVER_BUDGET, MAX_EXACT_BITS, _phi_pow, _Record
 from .stern import graded_walk
 
 
-def _fibonacci_numbers(n: int) -> Iterator[int]:
-    """F(1), ..., F(n), two at a time: all n at once would take ~0.35 n**2 bits."""
-    a, b = 1, 1
-    for _ in range(n):
-        yield a
-        a, b = b, a + b
-
-
 def fibonacci(n: int) -> int:
-    """F(1) = F(2) = 1, F(n+1) = F(n) + F(n-1)."""
+    """F(1) = F(2) = 1, F(n+1) = F(n) + F(n-1): the phi coefficient of
+    phi**n = F(n-1) + F(n)*phi, by the kernel's square and multiply
+    (`exact._phi_pow`) in O(log n) products. Refuses n past
+    MAX_EXACT_BITS, whose F(n) would take 0.69 n bits."""
     if n < 1:
         raise ValueError("Fibonacci numbers are indexed from 1 here")
-    for f in _fibonacci_numbers(n):
-        pass  # F(n) is the last
-    return f
+    if n > MAX_EXACT_BITS:
+        raise ValueError(_OVER_BUDGET)
+    return _phi_pow(0, 1, n)[1]
 
 
 class XiTreeNode(_Record):

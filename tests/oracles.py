@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import mpmath
 from hypothesis import strategies as st
 
-from sternbrocot import QuadSurd, fibonacci
+from sternbrocot import QuadSurd
 
 
 def subtractive_rrcf(x: Fraction) -> tuple[int, ...]:
@@ -149,12 +149,23 @@ def path_replay(x: Fraction, lam):
     return Fraction(a, scale)
 
 
+def additive_fibonacci(n: int) -> int:
+    """F(n) for n >= 1, F(1) = F(2) = 1, by n - 1 additions holding two
+    numbers at a time: the reference for the library's phi-power route."""
+    assert n >= 1
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
+
+
 def path_rank(kind: str, n: int, x: Fraction) -> tuple[int, bool]:
     """(Elements <= x, whether x is an element) for the level-n sequence
     of the given kind, x in (0,1), one node at a time along `descend(x)`:
     each node of depth k <= n where the path turns right, and x itself,
-    adds fibonacci(n-k+1) ("xi", left edges cost 2) or 2**(n-k)
-    ("stern_brocot", left edges cost 1), each weight computed afresh."""
+    adds F(n-k+1) ("xi", left edges cost 2) or 2**(n-k) ("stern_brocot",
+    left edges cost 1), each weight computed afresh by additions
+    (`additive_fibonacci`)."""
     left = 2 if kind == "xi" else 1
     rank, depth = 1, 1
     for side in descend(x):
@@ -163,7 +174,7 @@ def path_rank(kind: str, n: int, x: Fraction) -> tuple[int, bool]:
         if side < 0:
             depth += left
         else:
-            rank += fibonacci(n - depth + 1) if kind == "xi" else 2 ** (n - depth)
+            rank += additive_fibonacci(n - depth + 1) if kind == "xi" else 2 ** (n - depth)
             depth += 1
     return rank, True
 

@@ -30,9 +30,10 @@ from sternbrocot import (
 )
 
 from sternbrocot.dist import _rank
+from sternbrocot.exact import MAX_EXACT_BITS
 from sternbrocot.stern import path_runs
 
-from oracles import materialized_cdf, path_rank, quotient_lists, rcf_value
+from oracles import additive_fibonacci, materialized_cdf, path_rank, quotient_lists, rcf_value
 
 
 @cache
@@ -91,6 +92,18 @@ class TestBlockSums:
         assert total == (fibonacci(n + 2) if kind == "xi" else 2 ** n) + 1
         if n <= {"xi": 18, "stern_brocot": 14}[kind]:
             assert Fraction(rank, total) == materialized_cdf(reference_elements(kind, n), x)
+
+    @given(st.sampled_from(("xi", "stern_brocot")), st.integers(1, 300),
+           st.one_of(quotient_lists(), quotient_lists(max_total=150)))
+    def test_against_the_per_step_count_up_to_300(self, kind, n, quotients):
+        # the per-step count takes its weights by additions, not from the kernel
+        x = rcf_value(quotients)
+        rank, total, member = _rank(kind, n, x)
+        if x == 1:
+            assert (rank, member) == (total, True)
+        else:
+            assert (rank, member) == path_rank(kind, n, x)
+        assert total == (additive_fibonacci(n + 2) if kind == "xi" else 2 ** n) + 1
 
     @pytest.mark.parametrize("kind", ["xi", "stern_brocot"])
     @pytest.mark.parametrize("x", [Fraction(355, 1133), Fraction(1, 2), Fraction(2, 3), Fraction(4, 5)])
@@ -276,6 +289,28 @@ def test_ranks_build_no_sequence(monkeypatch):
     assert empirical_cdf("xi", 16, x) == expected_xi[-1]
     assert empirical_cdf("stern_brocot", 12, x) == expected_stern_brocot
     assert [mediant_ratio(a, b, 6, 20) for a, b in pairs] == expected_ratios
+
+
+@pytest.mark.parametrize("count", [
+    lambda n: empirical_cdf("stern_brocot", n, Fraction(1, 3)),
+    lambda n: empirical_cdf("xi", n, Fraction(1, 3)),
+    lambda n: subtree_count(1, n),
+    fibonacci_ratio_limit,
+    lambda n: fibonacci_ratio_limit(n - 2),  # F(n) is past the budget, F(n - 2) within it
+    lambda n: mediant_ratio(Fraction(0), Fraction(1, 2), 1, n),  # counts F(n) and F(n - 2)
+    lambda n: mediant_ratio(Fraction(0), Fraction(1, 2), n, 13),
+])
+def test_counts_refuse_past_the_size_budget(count):
+    # 1 << 10**10 alone would take 1.25 GB; the refusal comes before any weight is built
+    tracemalloc.start()
+    try:
+        for n in (MAX_EXACT_BITS + 1, 10 ** 10):
+            with pytest.raises(ValueError, match="size budget"):
+                count(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestFibonacciRatio:

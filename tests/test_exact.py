@@ -11,15 +11,20 @@ from sternbrocot import (
     TAU2,
     QuadSurd,
     characterize_Qn,
+    exact,
+    expand_rcf,
+    g_inductive,
+    g_series,
     mediant,
     parse_quadsurd,
     parse_rational,
+    stern_level,
     to_decimal,
 )
 
 from sternbrocot.exact import _coprime_fraction, _phi_value
 
-from oracles import FractionSurd, rounded_scaled_value, smallest_denominator_between
+from oracles import FractionSurd, field_series, rounded_scaled_value, smallest_denominator_between
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10_000)
 quads = st.builds(QuadSurd, rationals, rationals)
@@ -351,3 +356,35 @@ class TestLowestTermsFraction:
         value = _phi_value(a, 0, d, lam)
         assert gcd(value.numerator, value.denominator) == 1
         assert value.numerator * d == a * value.denominator
+
+
+class TestLowestTermsQuadSurd:
+    """`_phi_value` builds a QuadSurd as it stands when gcd(lam's d, a, b)
+    is 1, since every prime of a power of d divides d, and takes
+    `_lowest`'s full gcd otherwise."""
+
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30), st.integers(0, 40),
+           st.sampled_from([TAU2, parse_quadsurd("1/7+1/11√5"), parse_quadsurd("1/3+1/10√5")]))
+    def test_equals_the_full_reduction(self, a, b, e, lam):
+        d = lam._d ** e
+        value, expected = _phi_value(a, b, d, lam), exact._lowest(a, b, d)
+        assert type(value) is QuadSurd
+        assert (value._a, value._b, value._d) == (expected._a, expected._b, expected._d)
+
+    @pytest.mark.parametrize("text, fallbacks", [
+        ("1/7+1/11√5", 0),  # d = 77: every value is already in lowest terms
+        ("1/3+1/10√5", 254),  # d = 30: all points but one share a prime with d
+    ])
+    def test_both_branches_in_the_g_routes(self, monkeypatch, text, fallbacks):
+        lam = parse_quadsurd(text)
+        points = [x for x in stern_level(8).elements if 0 < x < 1]
+        expected = [field_series(expand_rcf(x).quotients, lam) for x in points]
+        reductions = []
+        full = exact._lowest
+        monkeypatch.setattr(exact, "_lowest", lambda a, b, d: reductions.append(d) or full(a, b, d))
+        for route in (lambda x: g_series(expand_rcf(x), lam), lambda x: g_inductive(x, lam)):
+            reductions.clear()
+            values = [route(x) for x in points]
+            assert (len(points), len(reductions)) == (255, fallbacks)
+            assert values == expected
+            assert all(gcd(v._d, v._a, v._b) == 1 for v in values)

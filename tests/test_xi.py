@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sternbrocot import (
     SQRT5,
@@ -19,8 +21,9 @@ from sternbrocot import (
     theta,
     xi,
 )
+from sternbrocot.exact import MAX_EXACT_BITS
 
-from oracles import generation
+from oracles import additive_fibonacci, generation
 
 
 class TestFibonacci:
@@ -53,6 +56,22 @@ class TestFibonacci:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @given(st.integers(1, 5000))
+    def test_against_the_additive_oracle(self, n):
+        assert fibonacci(n) == additive_fibonacci(n)
+
+    def test_refuses_past_the_size_budget(self):
+        # F(n) takes 0.69 n bits; the refusal comes before any is built
+        tracemalloc.start()
+        try:
+            for n in (MAX_EXACT_BITS + 1, 10 ** 10):
+                with pytest.raises(ValueError, match="size budget"):
+                    fibonacci(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestNodesAndChildren:
