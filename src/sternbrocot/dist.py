@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cf import digit_sum_L, expand_rcf, expand_rrcf
-from .exact import _OVER_BUDGET, MAX_EXACT_BITS, QuadSurd, _phi_pow, _Record, mediant, to_decimal
+from .cf import expand_rcf
+from .exact import _OVER_BUDGET, MAX_EXACT_BITS, QuadSurd, _Record, mediant, to_decimal
 from .singular import g_tau2
 from .stern import path_runs
 from .xi import fibonacci, subtree_count
@@ -49,7 +49,8 @@ def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tupl
     run that starts below depth n: two weights per counted run, each
     O(log n) products on integers of at most n + 1 bits. A caller that
     ranks one x at many n passes `runs = path_runs(x)` and skips the
-    expansion. Refuses n past MAX_EXACT_BITS before building a weight.
+    expansion. Refuses n past MAX_EXACT_BITS, and for "xi" an F(n + 2)
+    past `fibonacci`'s cap, before building a weight.
     """
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
@@ -57,7 +58,7 @@ def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tupl
     if kind == "xi":
         if n < 1:
             raise ValueError("sequence index must be >= 1")
-        left_cost, weight = 2, lambda j: _phi_pow(0, 1, j + 2)[1]
+        left_cost, weight = 2, lambda j: fibonacci(j + 2)
     elif kind == "stern_brocot":
         if n < 0:
             raise ValueError("level index must be >= 0")
@@ -153,13 +154,15 @@ def mediant_ratio(x: Fraction, y: Fraction, n_of_pair: int, m: int) -> Fraction:
     child covers (g(mediant) - g(x)) and the subtree under the mediant
     covers (g(y) - g(x)); their size ratio
     (fibonacci(m-k+1) - 1) / (fibonacci(m-k+3) - 1), with k the mediant's
-    generation, tends to tau**2 as m grows.
+    generation, tends to tau**2 as m grows. k is read off the mediant's
+    path runs (`stern.path_runs`), so no reduced expansion is built.
     """
     rank_x, _, x_is_element = _rank("xi", n_of_pair, x)
     rank_y, _, y_is_element = _rank("xi", n_of_pair, y)
     if not (x_is_element and y_is_element and rank_y == rank_x + 1):
         raise ValueError(f"{x} and {y} are not consecutive in the index-{n_of_pair} sequence")
-    k = digit_sum_L(expand_rrcf(mediant(x, y))) - 1
+    runs = path_runs(mediant(x, y))  # a left turn costs 2 generations, a right turn 1
+    k = 1 + 2 * sum(runs[::2]) + sum(runs[1::2])
     if m < k:
         raise ValueError(f"depth m = {m} does not reach the mediant's generation {k}")
     larger = subtree_count(k, m)  # refused past the budget before the smaller is built

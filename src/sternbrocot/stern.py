@@ -11,8 +11,8 @@ with depth 1 when every edge costs 1. With left edges costing 2 the same
 tree grades the reduced-fraction generations of the `xi` module, so
 `graded_walk` streams both families in increasing order, in O(n) memory,
 from integer mediants alone. `path_runs` gives the one path from the root
-to a given x as its runs of equal turns, the quotients of x, for rank
-counts (`dist`) and for g (`singular`).
+to a given x as its runs of equal turns, the quotients of x, for the
+rank counts and generations of `dist`.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def path_runs(x: Fraction) -> list[int]:
     the last one shorter by one (a1 - 2 when m = 1), so they add up to
     S(x) - 2 and the path has S(x) - 1 nodes, x the last. No path reaches
     0 or 1, so x outside (0,1) raises ValueError; the check compares x's
-    numerator and denominator as integers."""
+    numerator and denominator as integers. Only ranks use the runs (`dist`);
+    g reads the quotients themselves (`singular`)."""
     if not 0 < x.numerator < x.denominator:
         raise ValueError(f"need 0 < x < 1, got {x}")
     runs = list(expand_rcf(x).quotients)

@@ -29,6 +29,7 @@ from sternbrocot import (
     xi,
 )
 
+from sternbrocot.cf import MAX_REDUCED_DIGITS
 from sternbrocot.dist import _rank
 from sternbrocot.exact import MAX_EXACT_BITS
 from sternbrocot.stern import path_runs
@@ -259,6 +260,14 @@ class TestMediantRatio:
     def test_limit_is_the_golden_split(self):
         ratio = mediant_ratio(Fraction(0), Fraction(1, 2), 1, 33)
         assert abs(TAU2 - ratio) < Fraction(1, 10 ** 4)
+
+    def test_generation_past_the_reduced_digit_cap(self):
+        # the mediant of 0 and 1/(N - 1) is 1/N, whose reduced expansion
+        # (N - 1 digits) would pass the cap; its generation 2N - 3 comes
+        # from its single run of N - 2 left turns
+        n = MAX_REDUCED_DIGITS + 3
+        ratio = mediant_ratio(Fraction(0), Fraction(1, n - 1), 2 * (n - 1) - 3, 2 * n - 1)
+        assert ratio == Fraction(1, 4)
 
     def test_matches_subtree_counts_for_inner_pairs(self):
         elements = xi(4).elements

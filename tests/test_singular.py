@@ -294,8 +294,9 @@ STEP_LAMBDAS = (Fraction(1, 3), Fraction(2, 9), Fraction(1, 2), TAU2, TAU,
 
 
 class TestRunsAgainstThePerStepReplay:
-    """`g_inductive` takes one kernel power per run of equal turns; the
-    oracle `path_replay` one step per node of `descend`, in the sqrt5 basis."""
+    """`g_inductive` is the series, one kernel power per quotient, which is
+    one per run of equal turns on the path to x; the oracle `path_replay`
+    takes one step per node of `descend`, in the sqrt5 basis."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(STEP_LAMBDAS), quotient_lists(max_total=10 ** 4))
@@ -347,6 +348,13 @@ class TestSizeBudget:
             g_inductive(Fraction(1, limit + 2), lam)
         with pytest.raises(ValueError, match="size budget"):
             g_inductive(Fraction(1, 10 ** 4300), lam)
+        # x = [0; 2, limit] carries S(x) - 1 = limit + 1 factors and crosses
+        # the budget only at its last quotient; both routes refuse it
+        x = rcf_value((2, limit))
+        with pytest.raises(ValueError, match="size budget"):
+            g_inductive(x, lam)
+        with pytest.raises(ValueError, match="size budget"):
+            g_series(expand_rcf(x), lam)
 
     def test_inductive_admits_a_path_at_the_budget(self):
         # the path to 1/(limit + 1) is one run of limit - 1 left turns,

@@ -8,7 +8,7 @@ Every route runs at the split parameters 1/3, 1/2, tau**2, tau and
 * series    - `g_series` at each point's quotients;
 * tau2      - `g_tau2` (tau**2 only);
 * salem     - `question_mark` (1/2 only);
-* inductive - `g_inductive`, the path replay;
+* inductive - `g_inductive`, the path replay, which is the series;
 * stream    - `g_stream` to 1e-30 on the point's quotients followed by
               an endless run of 1s (an irrational point near it);
 * walk      - `graded_walk(12, 1, lam)`, the g recurrence down the tree.
