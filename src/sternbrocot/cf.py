@@ -151,7 +151,7 @@ def rcf_to_rrcf(cf: RegularCF) -> ReducedRCF:
 
 def expand_rrcf(x: Fraction) -> ReducedRCF:
     """Reduced expansion of x in (0,1), via the regular expansion."""
-    if not 0 < x < 1:
+    if not 0 < x.numerator < x.denominator:
         raise ValueError(f"expand_rrcf needs 0 < x < 1, got {x}")
     return rcf_to_rrcf(expand_rcf(x))
 

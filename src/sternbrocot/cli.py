@@ -9,11 +9,15 @@ exponent beyond 4300 in absolute value ("--x 1e-99999999") is a usage
 error, refused before its power of 10 is built. Sequence
 output is TSV, sorted by value, so downstream golden-file comparisons
 are bit-exact; the rows stream from one Stern-Brocot tree walk
-(`stern.graded_walk`), and no sequence is built. Exit codes: 0 success,
+(`stern.graded_walk`), and no sequence is built. Every `eval` route but
+salem is one call, `singular.g_inductive`, which is the alternating
+series; salem is the `question-mark` command. Exit codes: 0 success,
 1 verification failure, 2 usage error or an input whose result is out of
-reach (a ValueError or OverflowError, reported on one `error:` line). A
-closed output pipe ends the process quietly, killed by SIGPIPE, as it
-would `yes | head`.
+reach. Only argparse's own errors (an unknown command or option, a
+missing or unparsable value) print the usage block; every refusal made
+after parsing (a range, a cap, a size budget: a ValueError or
+OverflowError) is one `error:` line. A closed output pipe ends the
+process quietly, killed by SIGPIPE, as it would `yes | head`.
 """
 
 from __future__ import annotations
@@ -26,16 +30,8 @@ from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import MAX_XI_INDEX, verify_theorem1
-from .exact import (
-    TAU2,
-    QuadSurd,
-    _check_exponent,
-    _phi_value,
-    parse_quadsurd,
-    parse_rational,
-    to_decimal,
-)
-from .singular import g_inductive, g_series, g_stream, g_tau2, question_mark
+from .exact import TAU2, QuadSurd, parse_quadsurd, parse_rational, to_decimal
+from .singular import g_inductive, g_stream, question_mark
 from .stern import graded_walk
 
 DISPLAY_DIGITS = 15
@@ -58,27 +54,16 @@ def _lambda_arg(text: str) -> Fraction | QuadSurd:
     return value.as_fraction() if value.is_rational else value
 
 
-def _epsilon_arg(text: str) -> Fraction:
-    try:
-        _check_exponent(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    try:
-        return Fraction(text)  # accepts p/q, decimals, and exponent notation
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a tolerance: {text!r}") from exc
-
-
 def _emit(*values: Fraction | QuadSurd) -> None:
     """One row: the exact values, then their decimals, tab-separated."""
     print("\t".join([*map(str, values), *(to_decimal(v, DISPLAY_DIGITS) for v in values)]))
 
 
-def _check_range(parser: argparse.ArgumentParser, n: int, low: int, cap: int, flag: str) -> None:
+def _check_range(n: int, low: int, cap: int, flag: str) -> None:
     if n < low:
-        parser.error(f"{flag} must be >= {low}")
+        raise ValueError(f"{flag} must be >= {low}")
     if n > cap:
-        parser.error(f"{flag} {n} exceeds the cap {cap}; raise --cap explicitly if you mean it")
+        raise ValueError(f"{flag} {n} exceeds the cap {cap}; raise --cap explicitly if you mean it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "lo hi lo-decimal hi-decimal, tab-separated, with hi - lo < epsilon.",
     )
     p_stream.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True)
-    p_stream.add_argument("--epsilon", type=_epsilon_arg, required=True,
+    p_stream.add_argument("--epsilon", type=_rational_arg, required=True,
                           help="enclosure width, e.g. 1/1048576 or 1e-6")
     p_stream.set_defaults(handler=_cmd_eval_stream)
 
@@ -173,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--x", type=_rational_arg, required=True, help="point in (0,1)")
     p_thm.add_argument("--n-max", type=int, default=25,
                        help=f"largest sequence index (default 25, max {MAX_XI_INDEX})")
-    p_thm.add_argument("--tol", type=_epsilon_arg, default=Fraction(1, 50),
+    p_thm.add_argument("--tol", type=_rational_arg, default=Fraction(1, 50),
                        help="tolerance on the final error (default 0.02)")
     p_thm.set_defaults(handler=_cmd_verify_theorem1)
 
@@ -190,24 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     x, lam = args.x, args.lam
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
     if args.route == "tau2" and lam != TAU2:
         raise ValueError("--route tau2 needs --lambda tau2")
-    if args.route == "salem" and lam != Fraction(1, 2):
-        raise ValueError("--route salem needs --lambda 1/2")
-    if args.route == "inductive" or x == 0:  # g_inductive checks lam; 0 has no quotients
-        _emit(g_inductive(x, lam))
-        return 0
-    cf = expand_rcf(x)
-    if args.route == "series":
-        _emit(g_series(cf, lam))
-    elif args.route == "tau2":
-        _emit(g_tau2(cf))
-    else:  # salem
-        _emit(question_mark(cf))
+    if args.route == "salem":
+        if lam != Fraction(1, 2):
+            raise ValueError("--route salem needs --lambda 1/2")
+        return _cmd_question_mark(args)
+    _emit(g_inductive(x, lam))  # inductive, series and tau2 alike: g(0) = 0 in lam's type
     return 0
 
 
@@ -224,12 +202,12 @@ def _read_quotients(stream: IO[str]) -> Iterator[int]:
         yield int(partial)
 
 
-def _cmd_eval_stream(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_eval_stream(args: argparse.Namespace) -> int:
     _emit(*g_stream(_read_quotients(sys.stdin), args.lam, args.epsilon))
     return 0
 
 
-def _cmd_question_mark(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_question_mark(args: argparse.Namespace) -> int:
     x = args.x
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
@@ -237,8 +215,8 @@ def _cmd_question_mark(args: argparse.Namespace, parser: argparse.ArgumentParser
     return 0
 
 
-def _cmd_stern_brocot(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_range(parser, args.n, 0, args.cap, "--n")
+def _cmd_stern_brocot(args: argparse.Namespace) -> int:
+    _check_range(args.n, 0, args.cap, "--n")
     out = sys.stdout
     out.write("0\t1\n")
     out.writelines(f"{p}\t{q}\n" for p, q, _, _ in graded_walk(args.n))
@@ -246,8 +224,8 @@ def _cmd_stern_brocot(args: argparse.Namespace, parser: argparse.ArgumentParser)
     return 0
 
 
-def _cmd_xi(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_range(parser, args.n, 1, args.cap, "--n")
+def _cmd_xi(args: argparse.Namespace) -> int:
+    _check_range(args.n, 1, args.cap, "--n")
     out = sys.stdout
     out.write("0\t1\t0\n")
     out.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2))
@@ -255,15 +233,15 @@ def _cmd_xi(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_theta(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_theta(args: argparse.Namespace) -> int:
     k = args.k
-    _check_range(parser, k, 1, args.cap, "--k")
+    _check_range(k, 1, args.cap, "--k")
     sys.stdout.writelines(f"{p}\t{q}\t{k}\n" for p, q, depth, _ in graded_walk(k, 2)
                           if depth == k)
     return 0
 
 
-def _cmd_convert_cf(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_convert_cf(args: argparse.Namespace) -> int:
     if not 0 < args.x < 1:
         raise ValueError(f"--x must lie in (0,1), got {args.x}")
     regular, reduced = expand_rcf(args.x), expand_rrcf(args.x)  # both before a line is printed
@@ -272,7 +250,7 @@ def _cmd_convert_cf(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return 0
 
 
-def _cmd_verify_theorem1(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
     report = verify_theorem1(args.x, args.n_max, args.tol)
     target = str(report.target)
     for row in report.rows:
@@ -281,14 +259,14 @@ def _cmd_verify_theorem1(args: argparse.Namespace, parser: argparse.ArgumentPars
     return 0 if report.passed else 1
 
 
-def _cmd_plot_data(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _check_range(parser, args.grid, 1, args.cap, "--grid")
+def _cmd_plot_data(args: argparse.Namespace) -> int:
+    _check_range(args.grid, 1, args.cap, "--grid")
     lam = args.lam
     nodes = graded_walk(args.grid, 2, lam)  # refuses lam outside (0,1) before any row
-    _emit(Fraction(0), _phi_value(0, 0, 1, lam))  # g(0) = 0 and g(1) = 1, in lam's type
+    _emit(Fraction(0), g_inductive(Fraction(0), lam))  # g(0) = 0 and g(1) = 1, in lam's type
     for p, q, _, g in nodes:
         _emit(Fraction(p, q), g)
-    _emit(Fraction(1), _phi_value(1, 0, 1, lam))
+    _emit(Fraction(1), g_inductive(Fraction(1), lam))
     return 0
 
 
@@ -320,9 +298,7 @@ def _run(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        return args.handler(args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
-        return int(exc.code or 0)
+        return args.handler(args)
     except (ValueError, OverflowError) as exc:  # OverflowError: a size past int or index range
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,8 +49,10 @@ def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tupl
     run that starts below depth n: two weights per counted run, each
     O(log n) products on integers of at most n + 1 bits. A caller that
     ranks one x at many n passes `runs = path_runs(x)` and skips the
-    expansion. Refuses n past MAX_EXACT_BITS, and for "xi" an F(n + 2)
-    past `fibonacci`'s cap, before building a weight.
+    expansion. Before building a weight it refuses the largest one past
+    the cap of the routine that builds it: n + 2 past MAX_EXACT_BITS for
+    "xi" (F(n + 2), `fibonacci`'s cap on its index) and n past it for
+    "stern_brocot" (2**n, MAX_EXACT_BITS bits).
     """
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
@@ -58,14 +60,14 @@ def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tupl
     if kind == "xi":
         if n < 1:
             raise ValueError("sequence index must be >= 1")
-        left_cost, weight = 2, lambda j: fibonacci(j + 2)
+        left_cost, weight, largest = 2, lambda j: fibonacci(j + 2), n + 2
     elif kind == "stern_brocot":
         if n < 0:
             raise ValueError("level index must be >= 0")
-        left_cost, weight = 1, lambda j: 1 << j
+        left_cost, weight, largest = 1, lambda j: 1 << j, n
     else:
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    if n > MAX_EXACT_BITS:
+    if largest > MAX_EXACT_BITS:
         raise ValueError(_OVER_BUDGET)
     total = weight(n) + 1
     if p == 0 or p == q:
@@ -126,13 +128,13 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
     row is one rank count along them (`_rank`) of O(min(m, n)) steps.
     Refuses n_max beyond MAX_XI_INDEX, and a tolerance below 0.
     """
-    if not 0 < x < 1:
+    if not 0 < x.numerator < x.denominator:
         raise ValueError(f"need 0 < x < 1, got {x}")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if n_max > MAX_XI_INDEX:
         raise ValueError(f"refusing n_max > {MAX_XI_INDEX}: the table stops at index {MAX_XI_INDEX}")
-    if tolerance < 0:
+    if tolerance.numerator < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     target = g_tau2(expand_rcf(x))
     runs = path_runs(x)

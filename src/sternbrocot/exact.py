@@ -25,8 +25,9 @@ rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
 parameter's type; for a Fraction that takes a gcd against d alone when
 it can (`_phi_value`). `MAX_EXACT_BITS` is their size budget. Range
-checks on Fractions (`_check_lambda`, `cf.expand_rcf`) compare the
-numerator and denominator as integers, not through Fraction's order.
+checks on Fractions, here (`_check_lambda`) and in `cf`, `stern`,
+`singular` and `dist`, compare the numerator and denominator as
+integers, not through Fraction's order.
 
 `_Record` is the base of the package's immutable value objects
 (`RegularCF`, `ReducedRCF`, `SternBrocotLevel`, `XiTreeNode`,

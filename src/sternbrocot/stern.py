@@ -173,6 +173,6 @@ def characterize_Qn(x: Fraction) -> int:
     Equal to S(x) - 1, where S is the sum of the regular
     continued-fraction quotients of x.
     """
-    if not 0 < x < 1:
+    if not 0 < x.numerator < x.denominator:
         raise ValueError(f"need 0 < x < 1, got {x}")
     return sum_partial_quotients(expand_rcf(x)) - 1

@@ -251,6 +251,24 @@ class TestSequences:
         capsys.readouterr()
 
 
+class TestHandlerRefusals:
+    """A range or cap refused after parsing is one `error:` line, exit 2,
+    as for a bad --x; only argparse's own errors print the usage block."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stern-brocot", "--n", "23"],
+        ["stern-brocot", "--n", "-1"],
+        ["xi", "--n", "0"],
+        ["theta", "--k", "99"],
+        ["plot-data", "--lambda", "1/3", "--grid", "0"],
+    ])
+    def test_one_error_line(self, capsys, argv):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestConvertCF:
     def test_example(self, capsys):
         assert run(["convert-cf", "--x", "3/5"]) == 0

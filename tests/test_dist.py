@@ -158,6 +158,22 @@ class TestEmpiricalCDF:
         else:
             assert value == Fraction(1 + fibonacci(19998), fibonacci(20002) + 1)
 
+    def test_xi_rank_refuses_at_the_cap_of_its_largest_weight(self, monkeypatch):
+        # F(n + 2) is past `fibonacci`'s cap from n = MAX_EXACT_BITS - 1 on;
+        # the rank refuses there itself, before it asks for any weight
+        def no_weight(j):
+            raise AssertionError(f"weight F({j}) asked for")
+
+        monkeypatch.setattr("sternbrocot.dist.fibonacci", no_weight)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="size budget"):
+                empirical_cdf("xi", MAX_EXACT_BITS - 1, Fraction(1, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_index_domain(self):
         with pytest.raises(ValueError):
             empirical_cdf("xi", 0, Fraction(1, 2))
@@ -223,8 +239,9 @@ class TestVerifyTheorem1:
         assert not verify_theorem1(Fraction(1, 2), 5, Fraction(0)).passed
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            verify_theorem1(Fraction(0), 5)
+        for bad in (Fraction(0), Fraction(1), Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                verify_theorem1(bad, 5)
         with pytest.raises(ValueError):
             verify_theorem1(Fraction(1, 2), 1)
 

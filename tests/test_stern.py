@@ -92,7 +92,7 @@ class TestCharacterization:
         assert x in new_mediants(n)
 
     def test_domain(self):
-        for bad in (Fraction(0), Fraction(1), Fraction(5, 4)):
+        for bad in (Fraction(0), Fraction(1), Fraction(5, 4), Fraction(-1, 2)):
             with pytest.raises(ValueError):
                 characterize_Qn(bad)
 

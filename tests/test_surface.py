@@ -1,6 +1,6 @@
 """The public names of the package, and the functions the benchmark tracer
 (perfbench/tracing.py) looks up by name, all resolve; no private helper
-is left unused."""
+is left unused, and the CLI reaches the library by public names only."""
 
 import ast
 from importlib import import_module, util
@@ -48,3 +48,12 @@ def test_every_private_module_name_is_used():
                 used.add(node.attr)
     assert len(defined) > 20
     assert sorted(defined - used) == []
+
+
+def test_the_cli_imports_only_public_names():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.split(".")[0] == "sternbrocot")
+                for alias in node.names]
+    assert "g_inductive" in imported
+    assert [name for name in imported if name.startswith("_")] == []
