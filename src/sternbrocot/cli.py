@@ -13,9 +13,15 @@ are bit-exact; the rows stream from one Stern-Brocot tree walk
 salem is one call, `singular.g_inductive`, which is the alternating
 series; salem is the `question-mark` command. Exit codes: 0 success,
 1 verification failure, 2 usage error or an input whose result is out of
-reach. Only argparse's own errors (an unknown command or option, a
-missing or unparsable value) print the usage block; every refusal made
-after parsing (a range, a cap, a size budget: a ValueError or
+reach. No option bounds the output: every table command estimates the
+bytes it would write, in exact integers from its index and lam, and
+refuses before the first row past one budget, `exact.MAX_OUTPUT_BYTES`
+(the walks through `_walk_bytes`, `verify` through
+`dist.verify_theorem1`); a one-value command prints a value already
+kept well under it by `exact.MAX_EXACT_BITS` or `cf.MAX_REDUCED_DIGITS`.
+Only argparse's own errors (an unknown command or option, a missing or
+unparsable value) print the usage block; every refusal made after
+parsing (a range, the output budget, a size budget: a ValueError or
 OverflowError) is one `error:` line. A closed output pipe ends the
 process quietly, killed by SIGPIPE, as it would `yes | head`.
 """
@@ -29,10 +35,12 @@ from fractions import Fraction
 from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
-from .dist import MAX_XI_INDEX, verify_theorem1
-from .exact import TAU2, QuadSurd, parse_quadsurd, parse_rational, to_decimal
+from .dist import verify_theorem1
+from .exact import (MAX_OUTPUT_BYTES, TAU2, QuadSurd, check_output, parse_quadsurd,
+                    parse_rational, to_decimal)
 from .singular import g_inductive, g_stream, question_mark
 from .stern import graded_walk
+from .xi import fibonacci
 
 DISPLAY_DIGITS = 15
 #: Characters read from stdin at a time by eval-stream.
@@ -59,11 +67,41 @@ def _emit(*values: Fraction | QuadSurd) -> None:
     print("\t".join([*map(str, values), *(to_decimal(v, DISPLAY_DIGITS) for v in values)]))
 
 
-def _check_range(n: int, low: int, cap: int, flag: str) -> None:
+def _walk_bytes(n: int, left: int, lam: Fraction | QuadSurd | None = None) -> int:
+    """An upper bound, in exact integers, on the bytes a walk command writes.
+
+    `graded_walk(n, left, lam)` yields the W(n) - 1 nodes of depth <= n,
+    W(n) = 2**n for left = 1 and F(n + 2) for left = 2, and a command adds
+    at most two endpoint rows, each shorter than a node's. A node's p and
+    q are at most F(n + 2) and its depth at most n, so p, q and the depth
+    with their separators take at most 2 digits(F(n + 2)) + digits(n) + 3
+    bytes. With lam = a + b√5, a node s <= n mediant steps down has
+    g = (X + Y√5)/D**s for D = den(a) den(b): g lies in [0, 1], and its
+    conjugate is a sum of at most s products of the conjugates of lam and
+    1 - lam, each at most M/D with M = D (1 + |a| + 3|b|), so |X| and |Y|
+    are at most (s + 1) M**s <= (n + 1) M**n. g's text is then two
+    integers (a rational lam) or four of at most n digits(M) +
+    digits(n + 1) digits each, with at most 8 bytes of signs, slashes and
+    "√5"; x's slash and the two decimal columns with their tabs add
+    2 (DISPLAY_DIGITS + 2) + 2. Past n = 2 bits(MAX_OUTPUT_BYTES), W(n)
+    alone passes the budget, so n stops growing there and no huge power
+    is built.
+    """
+    n = min(n, 2 * MAX_OUTPUT_BYTES.bit_length())
+    row = 2 * len(str(fibonacci(n + 2))) + len(str(n)) + 3
+    if lam is not None:
+        s = lam if isinstance(lam, QuadSurd) else QuadSurd(lam)
+        m = s.a.denominator * s.b.denominator * (1 + abs(s.a) + 3 * abs(s.b))
+        ints = n * len(str(m)) + len(str(n + 1))
+        row += (2 if s.is_rational else 4) * ints + 8 + 2 * (DISPLAY_DIGITS + 2) + 2
+    return ((1 << n if left == 1 else fibonacci(n + 2)) + 1) * row
+
+
+def _check_walk(n: int, low: int, flag: str, left: int, lam: Fraction | QuadSurd | None = None) -> None:
+    """Refuse an index below low, then a walk whose text would pass the output budget."""
     if n < low:
         raise ValueError(f"{flag} must be >= {low}")
-    if n > cap:
-        raise ValueError(f"{flag} {n} exceeds the cap {cap}; raise --cap explicitly if you mean it")
+    check_output(_walk_bytes(n, left, lam))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="One line per element: numerator<TAB>denominator, increasing.",
     )
     p_sb.add_argument("--n", type=int, required=True, help="level index")
-    p_sb.add_argument("--cap", type=int, default=22,
-                      help="refuse levels above this index (default 22: 2**22 + 1 rows, "
-                           "streamed in O(n) memory)")
     p_sb.set_defaults(handler=_cmd_stern_brocot)
 
     p_xi = sub.add_parser(
@@ -123,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "increasing; the endpoints 0 and 1 carry generation 0.",
     )
     p_xi.add_argument("--n", type=int, required=True, help="sequence index")
-    p_xi.add_argument("--cap", type=int, default=25, help="refuse indices above this (default 25)")
     p_xi.set_defaults(handler=_cmd_xi)
 
     p_theta = sub.add_parser(
@@ -132,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="One line per element: numerator<TAB>denominator<TAB>generation, increasing.",
     )
     p_theta.add_argument("--k", type=int, required=True, help="generation index (>= 1)")
-    p_theta.add_argument("--cap", type=int, default=25, help="refuse indices above this (default 25)")
     p_theta.set_defaults(handler=_cmd_theta)
 
     p_conv = sub.add_parser(
@@ -156,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "then a single PASS or FAIL line comparing the final error to --tol.",
     )
     p_thm.add_argument("--x", type=_rational_arg, required=True, help="point in (0,1)")
-    p_thm.add_argument("--n-max", type=int, default=25,
-                       help=f"largest sequence index (default 25, max {MAX_XI_INDEX})")
+    p_thm.add_argument("--n-max", type=int, default=25, help="largest sequence index (default 25)")
     p_thm.add_argument("--tol", type=_rational_arg, default=Fraction(1, 50),
                        help="tolerance on the final error (default 0.02)")
     p_thm.set_defaults(handler=_cmd_verify_theorem1)
@@ -169,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plot.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True)
     p_plot.add_argument("--grid", type=int, required=True, help="xi sequence index to sample at")
-    p_plot.add_argument("--cap", type=int, default=25, help="refuse grids above this (default 25)")
     p_plot.set_defaults(handler=_cmd_plot_data)
 
     return parser
@@ -216,26 +247,24 @@ def _cmd_question_mark(args: argparse.Namespace) -> int:
 
 
 def _cmd_stern_brocot(args: argparse.Namespace) -> int:
-    _check_range(args.n, 0, args.cap, "--n")
-    out = sys.stdout
-    out.write("0\t1\n")
-    out.writelines(f"{p}\t{q}\n" for p, q, _, _ in graded_walk(args.n))
-    out.write("1\t1\n")
+    _check_walk(args.n, 0, "--n", 1)
+    print("0\t1")
+    sys.stdout.writelines(f"{p}\t{q}\n" for p, q, _, _ in graded_walk(args.n))
+    print("1\t1")
     return 0
 
 
 def _cmd_xi(args: argparse.Namespace) -> int:
-    _check_range(args.n, 1, args.cap, "--n")
-    out = sys.stdout
-    out.write("0\t1\t0\n")
-    out.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2))
-    out.write("1\t1\t0\n")
+    _check_walk(args.n, 1, "--n", 2)
+    print("0\t1\t0")
+    sys.stdout.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2))
+    print("1\t1\t0")
     return 0
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
     k = args.k
-    _check_range(k, 1, args.cap, "--k")
+    _check_walk(k, 1, "--k", 2)
     sys.stdout.writelines(f"{p}\t{q}\t{k}\n" for p, q, depth, _ in graded_walk(k, 2)
                           if depth == k)
     return 0
@@ -260,8 +289,8 @@ def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    _check_range(args.grid, 1, args.cap, "--grid")
     lam = args.lam
+    _check_walk(args.grid, 1, "--grid", 2, lam)
     nodes = graded_walk(args.grid, 2, lam)  # refuses lam outside (0,1) before any row
     _emit(Fraction(0), g_inductive(Fraction(0), lam))  # g(0) = 0 and g(1) = 1, in lam's type
     for p, q, _, g in nodes:

@@ -21,14 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cf import expand_rcf
-from .exact import _OVER_BUDGET, MAX_EXACT_BITS, QuadSurd, _Record, mediant, to_decimal
+from .exact import (_OVER_BUDGET, MAX_EXACT_BITS, MAX_OUTPUT_BYTES, QuadSurd, _Record,
+                    check_output, mediant, to_decimal)
 from .singular import g_tau2
 from .stern import path_runs
 from .xi import fibonacci, subtree_count
-
-#: Largest index verify_theorem1 tabulates: an output budget, as a row costs
-#: only a rank count along the runs of x, two Fibonacci numbers per run.
-MAX_XI_INDEX = 30
 
 
 def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tuple[int, int, bool]:
@@ -119,6 +116,29 @@ class ConvergenceReport(_Record):
         object.__setattr__(self, "passed", passed)
 
 
+def _table_bytes(n_max: int, target: QuadSurd) -> int:
+    """An upper bound on the bytes of the table's text, as `verify theorem1`
+    prints it, summed row by row and no further than past MAX_OUTPUT_BYTES.
+
+    Row n is n, the empirical p/q with p <= q <= F(n + 2) + 1, the target,
+    the error as "0." and 30 digits, and five separators (three tabs, the
+    slash and the newline); a verdict line of 5 bytes ends the table. The
+    target "a+b√5" is four integers, each of at most
+    floor(bits * log10 2) + 1 digits (30103/100000 > log10 2), and at
+    most 8 bytes of signs, slashes and "√5", taken from bit lengths so
+    that no big integer is converted to text.
+    """
+    row = 2 + 8 + 32 + 5 + sum(v.bit_length() * 30103 // 100000 + 1
+                               for c in (target.a, target.b) for v in (c.numerator, c.denominator))
+    size, n, fib, nxt, ten = 5, 2, 3, 5, 10  # F(n + 2) and F(n + 3); 10**digits(F(4) + 1)
+    while n <= n_max and size <= MAX_OUTPUT_BYTES:
+        if fib + 1 >= ten:  # one more digit: F grows less than tenfold a step
+            row, ten = row + 2, ten * 10
+        size += len(str(n)) + row
+        n, fib, nxt = n + 1, nxt, fib + nxt
+    return size
+
+
 def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 50)) -> ConvergenceReport:
     """Tabulate |empirical_cdf(xi, n, x) - g_tau2(x)| for n = 2..n_max.
 
@@ -126,17 +146,17 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
     decimals, and the pass verdict compares the final error against the
     tolerance exactly. The path runs of x are computed once, and each
     row is one rank count along them (`_rank`) of O(min(m, n)) steps.
-    Refuses n_max beyond MAX_XI_INDEX, and a tolerance below 0.
+    Refuses a tolerance below 0, and a table whose text would pass
+    `exact.MAX_OUTPUT_BYTES` (`_table_bytes`), before any row is built.
     """
     if not 0 < x.numerator < x.denominator:
         raise ValueError(f"need 0 < x < 1, got {x}")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if n_max > MAX_XI_INDEX:
-        raise ValueError(f"refusing n_max > {MAX_XI_INDEX}: the table stops at index {MAX_XI_INDEX}")
     if tolerance.numerator < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     target = g_tau2(expand_rcf(x))
+    check_output(_table_bytes(n_max, target))
     runs = path_runs(x)
     rows = []
     final_error: QuadSurd = QuadSurd(0)

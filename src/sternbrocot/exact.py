@@ -24,7 +24,8 @@ type is (u + v*phi)/d over Z[phi], a QuadSurd's own integers or a
 rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
 parameter's type; for a Fraction that takes a gcd against d alone when
-it can (`_phi_value`). `MAX_EXACT_BITS` is their size budget. Range
+it can (`_phi_value`). `MAX_EXACT_BITS` is their size budget, and
+`MAX_OUTPUT_BYTES` (`check_output`) the budget of a command's text. Range
 checks on Fractions, here (`_check_lambda`) and in `cf`, `stern`,
 `singular` and `dist`, compare the numerator and denominator as
 integers, not through Fraction's order.
@@ -319,6 +320,22 @@ def _coprime_fraction(a: int, d: int) -> Fraction:
 #: from running for minutes.
 MAX_EXACT_BITS = 1 << 22
 _OVER_BUDGET = f"the exact value would pass the size budget of {MAX_EXACT_BITS} bits"
+
+#: Output budget of one command, in bytes of UTF-8 text. Each table the CLI
+#: prints (the walks, and `dist.verify_theorem1`'s table) is bounded by an
+#: exact integer estimate from the integers it already holds (an index,
+#: lam's coefficients, the target), passed to `check_output` before
+#: anything is written. The one-value commands print a value that
+#: MAX_EXACT_BITS or `cf.MAX_REDUCED_DIGITS` already keeps well under it.
+#: 2**26 admits the largest default tables, `stern-brocot --n 22` (42 MB),
+#: and refuses `--n 23`.
+MAX_OUTPUT_BYTES = 1 << 26
+
+
+def check_output(estimate: int) -> None:
+    """Refuse, with a ValueError, an output estimated past MAX_OUTPUT_BYTES."""
+    if estimate > MAX_OUTPUT_BYTES:
+        raise ValueError(f"the output would pass the budget of {MAX_OUTPUT_BYTES} bytes")
 
 
 def _phi_split(lam: Fraction | QuadSurd) -> tuple[int, int, int, int]:

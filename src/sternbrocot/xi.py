@@ -18,8 +18,6 @@ is cached between calls.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
-
 from .cf import ReducedRCF, digit_sum_L, expand_rrcf, value_rrcf
 from .exact import _OVER_BUDGET, MAX_EXACT_BITS, _phi_pow, _Record
 from .stern import graded_walk
@@ -118,16 +116,3 @@ def subtree_count(node_level: int, up_to_level: int) -> int:
         return 0
     return fibonacci(up_to_level - node_level + 3) - 1
 
-
-def subtree_nodes(root: XiTreeNode, up_to_level: int) -> Iterator[XiTreeNode]:
-    """Every node of the subtree rooted at `root` down to up_to_level."""
-    if root.level > up_to_level:
-        return
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if node.level + 1 <= up_to_level:
-            stack.append(right_child(node))
-        if node.level + 2 <= up_to_level:
-            stack.append(left_child(node))

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import mpmath
 from hypothesis import strategies as st
 
-from sternbrocot import QuadSurd
+from sternbrocot import QuadSurd, XiTreeNode, left_child, right_child
 
 
 def subtractive_rrcf(x: Fraction) -> tuple[int, ...]:
@@ -82,6 +82,21 @@ def generation(k: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     """Generation k of the reduced tree as (value, digits) pairs, sorted by
     value: one pair per composition of k + 1 into digits >= 2."""
     return sorted((reduced_value(d), d) for d in digit_lists(k + 1))
+
+
+def subtree_nodes(root: XiTreeNode, up_to_level: int) -> Iterator[XiTreeNode]:
+    """Every node of the subtree rooted at `root` down to up_to_level, one
+    child step at a time: the per-node route to `xi.subtree_count`."""
+    if root.level > up_to_level:
+        return
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.level + 1 <= up_to_level:
+            stack.append(right_child(node))
+        if node.level + 2 <= up_to_level:
+            stack.append(left_child(node))
 
 
 def path_depth(x: Fraction, left: int) -> int:

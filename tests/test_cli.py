@@ -1,5 +1,7 @@
+import argparse
 import io
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,7 +17,9 @@ from sternbrocot import (
     TAU2,
     expand_rcf,
     g_series,
+    g_inductive,
     g_tau2,
+    graded_walk,
     parse_quadsurd,
     parse_rational,
     to_decimal,
@@ -23,10 +27,12 @@ from sternbrocot import (
 )
 from sternbrocot import cli
 from sternbrocot.cf import MAX_REDUCED_DIGITS
-from sternbrocot.exact import MAX_EXACT_BITS
+from sternbrocot.dist import _table_bytes
+from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
 from sternbrocot.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+OVER_BUDGET = f"error: the output would pass the budget of {MAX_OUTPUT_BYTES} bytes"
 
 INT_DIGITS_LIMITED = hasattr(sys, "get_int_max_str_digits")
 
@@ -224,10 +230,13 @@ class TestSequences:
         assert lines_of(capsys) == ["0\t1", "1\t3", "1\t2", "2\t3", "1\t1"]
 
     def test_stern_brocot_cap(self, capsys):
+        # the output budget, from the estimate alone: --n 22 (42 MB) is
+        # accepted and --n 23 refused before its first row; --cap is gone
+        assert cli._walk_bytes(22, 1) <= MAX_OUTPUT_BYTES < cli._walk_bytes(23, 1)
         assert run(["stern-brocot", "--n", "23"]) == 2
-        capsys.readouterr()
-        assert run(["stern-brocot", "--n", "3", "--cap", "3"]) == 0
-        assert len(lines_of(capsys)) == 9
+        assert capsys.readouterr() == ("", f"{OVER_BUDGET}\n")
+        assert run(["stern-brocot", "--n", "3", "--cap", "3"]) == 2
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
     def test_xi_rows(self, capsys):
         assert run(["xi", "--n", "3"]) == 0
@@ -245,22 +254,30 @@ class TestSequences:
         assert lines_of(capsys) == ["1\t3\t3", "3\t4\t3"]
 
     def test_caps_are_usage_errors(self, capsys):
-        assert run(["xi", "--n", "26"]) == 2
+        # xi and theta first pass the output budget at index 32
+        assert cli._walk_bytes(31, 2) <= MAX_OUTPUT_BYTES < cli._walk_bytes(32, 2)
+        assert run(["xi", "--n", "32"]) == 2
+        assert run(["theta", "--k", "32"]) == 2
         assert run(["theta", "--k", "99"]) == 2
         assert run(["xi", "--n", "0"]) == 2
         capsys.readouterr()
 
 
 class TestHandlerRefusals:
-    """A range or cap refused after parsing is one `error:` line, exit 2,
-    as for a bad --x; only argparse's own errors print the usage block."""
+    """A range or the output budget refused after parsing is one `error:`
+    line, exit 2, as for a bad --x; only argparse's own errors print the
+    usage block."""
 
     @pytest.mark.parametrize("argv", [
         ["stern-brocot", "--n", "23"],
         ["stern-brocot", "--n", "-1"],
         ["xi", "--n", "0"],
+        ["xi", "--n", "32"],
+        ["theta", "--k", "32"],
         ["theta", "--k", "99"],
         ["plot-data", "--lambda", "1/3", "--grid", "0"],
+        ["plot-data", "--lambda", "1/3", "--grid", "28"],
+        ["verify", "theorem1", "--x", "1/2", "--n-max", "17790"],
     ])
     def test_one_error_line(self, capsys, argv):
         assert run(argv) == 2
@@ -595,3 +612,205 @@ class TestClosedPipe:
         child.stderr.close()
         assert child.wait(timeout=60) == -signal.SIGPIPE
         assert stderr == b""
+
+
+def captured_run(argv, stdin=""):
+    """(exit code, stdout, stderr) of one in-process run, stdin given as text."""
+    saved_stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def written_bytes(argv):
+    code, out, _ = captured_run(argv)
+    assert code in (0, 1)
+    return len(out.encode())
+
+
+def first_walk_past_the_budget(left, lam=None):
+    return next(n for n in range(1, 60) if cli._walk_bytes(n, left, lam) > MAX_OUTPUT_BYTES)
+
+
+class TestOutputBudget:
+    """One output budget, exact.MAX_OUTPUT_BYTES, checked from an exact
+    estimate before the first row; the estimate bounds what is written."""
+
+    @pytest.mark.parametrize("lam", [None, "1/3", "1/2", "tau2", "1e-40"])
+    def test_the_walk_estimate_bounds_the_bytes_written(self, lam):
+        for n in range(1, 13):
+            if lam is None:
+                assert written_bytes(["stern-brocot", "--n", str(n)]) <= cli._walk_bytes(n, 1)
+                assert written_bytes(["xi", "--n", str(n)]) <= cli._walk_bytes(n, 2)
+                assert written_bytes(["theta", "--k", str(n)]) <= cli._walk_bytes(n, 2)
+                continue
+            value = cli._lambda_arg(lam)
+            assert (written_bytes(["plot-data", "--lambda", lam, "--grid", str(n)])
+                    <= cli._walk_bytes(n, 2, value))
+            # no command walks with left edges of cost 1 and a lambda: its
+            # rows, printed as plot-data prints them, against the estimate
+            out = io.StringIO()
+            with redirect_stdout(out), int_digit_limit(0):
+                cli._emit(Fraction(0), g_inductive(Fraction(0), value))
+                for p, q, _, g in graded_walk(n, 1, value):
+                    cli._emit(Fraction(p, q), g)
+                cli._emit(Fraction(1), g_inductive(Fraction(1), value))
+            assert len(out.getvalue().encode()) <= cli._walk_bytes(n, 1, value)
+
+    @pytest.mark.parametrize("x", ["1/2", "355/1133", "2/3", "1/3000"])
+    def test_the_table_estimate_bounds_the_bytes_written(self, x):
+        target = g_tau2(expand_rcf(parse_rational(x)))
+        for n_max in (2, 3, 17, 40):
+            argv = ["verify", "theorem1", "--x", x, "--n-max", str(n_max)]
+            assert written_bytes(argv) <= _table_bytes(n_max, target)
+
+    def test_verify_runs_past_thirty(self):
+        argv = ["verify", "theorem1", "--x", "355/1133", "--n-max"]
+        _, at_30, _ = captured_run([*argv, "30"])
+        code, at_31, _ = captured_run([*argv, "31"])
+        assert code == 0
+        assert at_31.splitlines()[:29] == at_30.splitlines()[:29]
+        assert at_31.splitlines()[29].startswith("31\t")
+
+    def test_plot_data_at_a_tiny_lambda_is_refused_before_its_first_row(self):
+        # lam = 1e-4000 has a 13,288-bit denominator: grids 8 and 12 (1.9 and
+        # 21.5 MB) stay accepted; the first grid past the budget is refused
+        first = first_walk_past_the_budget(2, cli._lambda_arg("1e-4000"))
+        assert first == 14
+        for grid in (first, 25, 10 ** 6, 2 ** 40):
+            start = time.perf_counter()
+            code, out, err = captured_run(["plot-data", "--lambda", "1e-4000", "--grid", str(grid)])
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_no_subcommand_takes_a_cap(self):
+        def options(parser):
+            for action in parser._actions:
+                yield from action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from options(sub)
+
+        found = list(options(cli.build_parser()))
+        assert "--n-max" in found and "--grid" in found
+        assert "--cap" not in found
+
+
+# The CLI grammar, for the property below: every subcommand, with literals
+# that carry signs, exponents near +-4300, √5 forms, p/0 and whitespace; lam
+# near 0 and 1 and x near 0; small sizes, and sizes just past the output
+# budget and far past it, which are refused before any row.
+SIGNED_RATIONALS = st.builds("{}{}/{}".format, st.sampled_from(["", "-", "+"]),
+                             st.integers(0, 30), st.integers(0, 30))
+UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=50).map(str)
+NEAR_ZERO = st.sampled_from(["1/300", "1e-9", "1e-12", "1e-30", "1e-4299"])
+RATIONAL_LITERALS = st.one_of(UNIT_FRACTIONS, NEAR_ZERO, SIGNED_RATIONALS, st.sampled_from([
+    "0", "1", " 1/3 ", "0.25", "-0.5", "1_0e-2", "7/0", "abc", "", "1e-4300", "3e-4301", "2e4300",
+]))
+LAMBDA_LITERALS = st.one_of(UNIT_FRACTIONS, SIGNED_RATIONALS, st.sampled_from([
+    "tau", "tau2", "√5", "-√5", "3-√5", "sqrt5", "1/7+1/11√5", "-1/2+1/2√5", "-2+√5",
+    "1+2e-3√5", "1/2-1/10sqrt5", "x√5", "1e-40", "1/1000000", "999999/1000000", "0.9999999",
+    "1e-4301", "2e4300", "-1e-4300",
+]))
+FAR_PAST = (10 ** 6, 2 ** 40)
+SMALL = st.integers(-1, 8)
+
+
+COMMANDS = ["eval", "eval-stream", "question-mark", "stern-brocot", "xi", "theta", "convert-cf",
+            "verify", "plot-data"]
+
+
+@st.composite
+def cli_commands(draw, command):
+    """(subcommand words, [(option, value), ...], stdin) of one command."""
+    if command == "eval":
+        options = [("--lambda", draw(LAMBDA_LITERALS)), ("--x", draw(RATIONAL_LITERALS))]
+        if draw(st.booleans()):
+            options.append(("--route", draw(st.sampled_from(["inductive", "series", "tau2", "salem"]))))
+        return ["eval"], options, ""
+    if command == "eval-stream":
+        quotient = st.integers(1, 50).map(str)
+        tokens = draw(st.lists(st.one_of(quotient, quotient, quotient,
+                                         st.sampled_from(["0", "-3", str(10 ** 30), "abc"])),
+                               max_size=16))
+        epsilon = draw(st.one_of(st.sampled_from(["1/10", "1e-3", "1/1000000"]), RATIONAL_LITERALS))
+        return (["eval-stream"], [("--lambda", draw(LAMBDA_LITERALS)), ("--epsilon", epsilon)],
+                " ".join(tokens))
+    if command in ("question-mark", "convert-cf"):
+        return [command], [("--x", draw(RATIONAL_LITERALS))], ""
+    if command == "verify":
+        options = [("--x", draw(RATIONAL_LITERALS)),
+                   ("--n-max", str(draw(st.one_of(SMALL, st.integers(9, 40),
+                                                  st.sampled_from((17790, *FAR_PAST))))))]
+        if draw(st.booleans()):
+            options.append(("--tol", draw(RATIONAL_LITERALS)))
+        return ["verify", "theorem1"], options, ""
+    if command == "plot-data":
+        lam = draw(LAMBDA_LITERALS)
+        sizes = [*FAR_PAST]
+        try:
+            sizes.append(first_walk_past_the_budget(2, cli._lambda_arg(lam)))
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+        grid = draw(st.one_of(st.integers(-1, 6), st.sampled_from(sizes)))
+        return ["plot-data"], [("--lambda", lam), ("--grid", str(grid))], ""
+    left, flag = (1, "--n") if command == "stern-brocot" else (2, "--k" if command == "theta" else "--n")
+    size = draw(st.one_of(SMALL, st.sampled_from((first_walk_past_the_budget(left), *FAR_PAST))))
+    return [command], [(flag, str(size))], ""
+
+
+DECIMAL = re.compile(r"-?\d+\.\d+")
+
+
+def check_rows(command, out):
+    """Every exact field of the output parses back, and each decimal column
+    is its exact field rounded."""
+    lines = out.splitlines()
+    if command == "convert-cf":
+        assert [line[:3] for line in lines] == ["[0;", "[[1"]
+        return
+    if command == "verify":
+        assert lines[-1] in ("PASS", "FAIL")
+        lines = lines[:-1]
+    for line in lines:
+        fields = line.split("\t")
+        if command == "verify":
+            _, empirical, target, error = fields
+            assert to_decimal(abs(parse_quadsurd(target) - parse_rational(empirical)), 30) == error
+            continue
+        exact = [field for field in fields if not DECIMAL.fullmatch(field)]
+        decimals = fields[len(exact):]
+        values = [parse_quadsurd(field) for field in exact]
+        if decimals:
+            assert [to_decimal(v, cli.DISPLAY_DIGITS) for v in values] == decimals
+
+
+class TestGrammarProperty:
+    """Any command line, in either the `--option value` or the
+    `--option=value` form, ends with exit code 0, 1 or 2 and no escaping
+    exception; a refusal writes nothing to stdout and one `error:` line or
+    argparse's usage to stderr; output stays within the budget and its
+    exact fields parse back."""
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_every_command_line(self, name, data):
+        words, options, stdin = data.draw(cli_commands(name))
+        spaced = captured_run([*words, *(part for pair in options for part in pair)], stdin)
+        joined = captured_run([*words, *(f"{flag}={value}" for flag, value in options)], stdin)
+        assert spaced == joined
+        code, out, err = joined
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert (len(err.splitlines()) == 1 and err.startswith("error: ")) or err.startswith("usage: ")
+            return
+        assert len(out.encode()) <= MAX_OUTPUT_BYTES
+        with int_digit_limit(0):
+            check_rows(words[0], out)

@@ -22,7 +22,6 @@ from sternbrocot import (
     node_for,
     stern_level,
     subtree_count,
-    subtree_nodes,
     theta,
     value_rcf,
     verify_theorem1,
@@ -30,11 +29,12 @@ from sternbrocot import (
 )
 
 from sternbrocot.cf import MAX_REDUCED_DIGITS
-from sternbrocot.dist import _rank
-from sternbrocot.exact import MAX_EXACT_BITS
+from sternbrocot.dist import _rank, _table_bytes
+from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
 from sternbrocot.stern import path_runs
 
-from oracles import additive_fibonacci, materialized_cdf, path_rank, quotient_lists, rcf_value
+from oracles import (additive_fibonacci, materialized_cdf, path_rank, quotient_lists, rcf_value,
+                     subtree_nodes)
 
 
 @cache
@@ -230,8 +230,20 @@ class TestVerifyTheorem1:
         assert not verify_theorem1(x, 10, Fraction(1, 10 ** 9)).passed
 
     def test_refuses_oversized_sequences(self):
-        with pytest.raises(ValueError):
-            verify_theorem1(Fraction(1, 2), 31)
+        # the table at 1/2 first passes the output budget at n_max = 17790,
+        # by the estimate alone; that index and any later one are refused
+        # before a row is built
+        assert _table_bytes(17789, TAU2) <= MAX_OUTPUT_BYTES < _table_bytes(17790, TAU2)
+        for n_max in (17790, 10 ** 6, 2 ** 40):
+            with pytest.raises(ValueError, match=f"budget of {MAX_OUTPUT_BYTES} bytes"):
+                verify_theorem1(Fraction(1, 2), n_max)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(355, 1133)])
+    def test_rows_past_thirty(self, x):
+        # no fixed last index: the rows up to 30 do not depend on n_max
+        rows = verify_theorem1(x, 40).rows
+        assert rows[:29] == verify_theorem1(x, 30).rows
+        assert [row.empirical for row in rows[29:]] == [empirical_cdf("xi", n, x) for n in range(31, 41)]
 
     def test_refuses_a_negative_tolerance(self):
         with pytest.raises(ValueError, match="tolerance"):

@@ -17,13 +17,12 @@ from sternbrocot import (
     node_for,
     right_child,
     subtree_count,
-    subtree_nodes,
     theta,
     xi,
 )
 from sternbrocot.exact import MAX_EXACT_BITS
 
-from oracles import additive_fibonacci, generation
+from oracles import additive_fibonacci, generation, subtree_nodes
 
 
 class TestFibonacci:
