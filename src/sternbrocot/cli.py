@@ -32,12 +32,13 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from math import comb, lcm
 from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import verify_theorem1
 from .exact import (MAX_OUTPUT_BYTES, TAU2, QuadSurd, check_output, parse_quadsurd,
-                    parse_rational, to_decimal)
+                    parse_rational, text_bytes, to_decimal)
 from .singular import g_inductive, g_stream, question_mark
 from .stern import graded_walk
 from .xi import fibonacci
@@ -67,41 +68,45 @@ def _emit(*values: Fraction | QuadSurd) -> None:
     print("\t".join([*map(str, values), *(to_decimal(v, DISPLAY_DIGITS) for v in values)]))
 
 
-def _walk_bytes(n: int, left: int, lam: Fraction | QuadSurd | None = None) -> int:
-    """An upper bound, in exact integers, on the bytes a walk command writes.
+def _walk_bytes(n: int, left: int, lam: Fraction | QuadSurd | None = None, deepest: bool = False) -> int:
+    """An upper bound, in exact integers, on the bytes a walk command writes:
+    the rows of the nodes of `graded_walk(n, left, lam)`, of depth <= n, or
+    of depth n alone if deepest (theta's rows), and two endpoint rows.
 
-    `graded_walk(n, left, lam)` yields the W(n) - 1 nodes of depth <= n,
-    W(n) = 2**n for left = 1 and F(n + 2) for left = 2, and a command adds
-    at most two endpoint rows, each shorter than a node's. A node's p and
-    q are at most F(n + 2) and its depth at most n, so p, q and the depth
-    with their separators take at most 2 digits(F(n + 2)) + digits(n) + 3
-    bytes. With lam = a + b√5, a node s <= n mediant steps down has
-    g = (X + Y√5)/D**s for D = den(a) den(b): g lies in [0, 1], and its
-    conjugate is a sum of at most s products of the conjugates of lam and
-    1 - lam, each at most M/D with M = D (1 + |a| + 3|b|), so |X| and |Y|
-    are at most (s + 1) M**s <= (n + 1) M**n. g's text is then two
-    integers (a rational lam) or four of at most n digits(M) +
-    digits(n + 1) digits each, with at most 8 bytes of signs, slashes and
-    "√5"; x's slash and the two decimal columns with their tabs add
-    2 (DISPLAY_DIGITS + 2) + 2. Past n = 2 bits(MAX_OUTPUT_BYTES), W(n)
-    alone passes the budget, so n stops growing there and no huge power
-    is built.
+    A node s mediant steps down, with l of its s - 1 edges left ones, has
+    depth s + (left - 1) l, and comb(s - 1, l) nodes share s and l; the
+    endpoint rows are shorter than a node's. A node's p and q are at most
+    F(n + 2) and its depth at most n, and `exact.text_bytes` bounds the
+    three with their separators.
+    With lam = (A + B√5)/D, g at a node s steps down is (X + Y√5)/D**s;
+    g lies in [0, 1], and its conjugate g' is carried by the same
+    recurrence with the conjugates of lam and 1 - lam, so |g'| <= c**s for
+    c = |lam'| + |1 - lam'|. X and Y are D**s (g + g')/2 and
+    D**s (g - g')/(2√5), so X, Y and the denominators D**s are at most
+    m**s for m = |A| + |D - A| + 5|B| >= D c, and m = D for a rational
+    lam. g's text is bounded from the s bits(m) bits of those integers,
+    and the two decimal columns with their tabs add
+    2 (DISPLAY_DIGITS + 2) + 2. Past n = 2 bits(MAX_OUTPUT_BYTES) the
+    nodes of depth n alone outnumber the budget's bytes, so n stops
+    growing there and no huge Fibonacci number is built.
     """
     n = min(n, 2 * MAX_OUTPUT_BYTES.bit_length())
-    row = 2 * len(str(fibonacci(n + 2))) + len(str(n)) + 3
+    row, ints, bits = text_bytes(*[fibonacci(n + 2).bit_length()] * 2, n.bit_length()), 0, 0
     if lam is not None:
-        s = lam if isinstance(lam, QuadSurd) else QuadSurd(lam)
-        m = s.a.denominator * s.b.denominator * (1 + abs(s.a) + 3 * abs(s.b))
-        ints = n * len(str(m)) + len(str(n + 1))
-        row += (2 if s.is_rational else 4) * ints + 8 + 2 * (DISPLAY_DIGITS + 2) + 2
-    return ((1 << n if left == 1 else fibonacci(n + 2)) + 1) * row
+        a, b = (lam.a, lam.b) if isinstance(lam, QuadSurd) else (lam, 0)
+        m = (abs(a) + abs(1 - a) + 5 * abs(b)) * lcm(a.denominator, b.denominator)  # an integer
+        bits, ints, row = int(m).bit_length(), 4 if b else 2, row + 2 * (DISPLAY_DIGITS + 2) + 2
+    return 2 * row + sum(comb(s - 1, l) * (row + text_bytes(*[s * bits] * ints, surd=ints == 4))
+                         for s in range(1, n + 1) for l in range(s)
+                         if (n if deepest else 0) <= s + (left - 1) * l <= n)
 
 
-def _check_walk(n: int, low: int, flag: str, left: int, lam: Fraction | QuadSurd | None = None) -> None:
-    """Refuse an index below low, then a walk whose text would pass the output budget."""
+def _check_walk(n: int, low: int, flag: str, left: int, **walk: object) -> None:
+    """Refuse an index below low, then a walk (`_walk_bytes(n, left, **walk)`)
+    whose text would pass the output budget."""
     if n < low:
         raise ValueError(f"{flag} must be >= {low}")
-    check_output(_walk_bytes(n, left, lam))
+    check_output(_walk_bytes(n, left, **walk))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,23 +253,25 @@ def _cmd_question_mark(args: argparse.Namespace) -> int:
 
 def _cmd_stern_brocot(args: argparse.Namespace) -> int:
     _check_walk(args.n, 0, "--n", 1)
-    print("0\t1")
-    sys.stdout.writelines(f"{p}\t{q}\n" for p, q, _, _ in graded_walk(args.n))
-    print("1\t1")
+    out = sys.stdout
+    out.write("0\t1\n")
+    out.writelines(f"{p}\t{q}\n" for p, q, _, _ in graded_walk(args.n))
+    out.write("1\t1\n")
     return 0
 
 
 def _cmd_xi(args: argparse.Namespace) -> int:
     _check_walk(args.n, 1, "--n", 2)
-    print("0\t1\t0")
-    sys.stdout.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2))
-    print("1\t1\t0")
+    out = sys.stdout
+    out.write("0\t1\t0\n")
+    out.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2))
+    out.write("1\t1\t0\n")
     return 0
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
     k = args.k
-    _check_walk(k, 1, "--k", 2)
+    _check_walk(k, 1, "--k", 2, deepest=True)
     sys.stdout.writelines(f"{p}\t{q}\t{k}\n" for p, q, depth, _ in graded_walk(k, 2)
                           if depth == k)
     return 0
@@ -290,7 +297,7 @@ def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     lam = args.lam
-    _check_walk(args.grid, 1, "--grid", 2, lam)
+    _check_walk(args.grid, 1, "--grid", 2, lam=lam)
     nodes = graded_walk(args.grid, 2, lam)  # refuses lam outside (0,1) before any row
     _emit(Fraction(0), g_inductive(Fraction(0), lam))  # g(0) = 0 and g(1) = 1, in lam's type
     for p, q, _, g in nodes:

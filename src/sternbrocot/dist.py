@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .cf import expand_rcf
 from .exact import (_OVER_BUDGET, MAX_EXACT_BITS, MAX_OUTPUT_BYTES, QuadSurd, _Record,
-                    check_output, mediant, to_decimal)
+                    check_output, mediant, text_bytes, to_decimal)
 from .singular import g_tau2
 from .stern import path_runs
 from .xi import fibonacci, subtree_count
@@ -120,21 +120,17 @@ def _table_bytes(n_max: int, target: QuadSurd) -> int:
     """An upper bound on the bytes of the table's text, as `verify theorem1`
     prints it, summed row by row and no further than past MAX_OUTPUT_BYTES.
 
-    Row n is n, the empirical p/q with p <= q <= F(n + 2) + 1, the target,
-    the error as "0." and 30 digits, and five separators (three tabs, the
-    slash and the newline); a verdict line of 5 bytes ends the table. The
-    target "a+b√5" is four integers, each of at most
-    floor(bits * log10 2) + 1 digits (30103/100000 > log10 2), and at
-    most 8 bytes of signs, slashes and "√5", taken from bit lengths so
-    that no big integer is converted to text.
+    Row n is n, the empirical p/q with p <= q <= F(n + 2) + 1, the target
+    and the error as "0." and 30 digits, separated by tabs; a verdict line
+    of 5 bytes ends the table. `exact.text_bytes` bounds the integers'
+    text from their bit lengths, with a separator beside each but the
+    target's, which takes one more, and the newline after the error.
     """
-    row = 2 + 8 + 32 + 5 + sum(v.bit_length() * 30103 // 100000 + 1
-                               for c in (target.a, target.b) for v in (c.numerator, c.denominator))
-    size, n, fib, nxt, ten = 5, 2, 3, 5, 10  # F(n + 2) and F(n + 3); 10**digits(F(4) + 1)
+    target_bytes = text_bytes(*(v.bit_length() for c in (target.a, target.b)
+                                for v in c.as_integer_ratio()), surd=True) + 1 + 33
+    size, n, fib, nxt = 5, 2, 3, 5  # F(n + 2) and F(n + 3)
     while n <= n_max and size <= MAX_OUTPUT_BYTES:
-        if fib + 1 >= ten:  # one more digit: F grows less than tenfold a step
-            row, ten = row + 2, ten * 10
-        size += len(str(n)) + row
+        size += text_bytes(n.bit_length(), *[(fib + 1).bit_length()] * 2) + target_bytes
         n, fib, nxt = n + 1, nxt, fib + nxt
     return size
 

@@ -338,6 +338,17 @@ def check_output(estimate: int) -> None:
         raise ValueError(f"the output would pass the budget of {MAX_OUTPUT_BYTES} bytes")
 
 
+def text_bytes(*bits: int, surd: bool = False) -> int:
+    """An upper bound on the bytes of integers below 2**b, for each b in
+    bits, written in decimal with one sign, slash or separator beside
+    each: floor(b log10 2) + 2 bytes (30103/100000 > log10 2), taken from
+    the bit length alone, so that no big integer is converted to count
+    them. A QuadSurd "a+b√5" is its four integers with surd set, which
+    adds the 4 bytes of "√5" (√ is 3 bytes of UTF-8) to its sign, two
+    slashes and "+"."""
+    return sum(b * 30103 // 100000 + 2 for b in bits) + 4 * surd
+
+
 def _phi_split(lam: Fraction | QuadSurd) -> tuple[int, int, int, int]:
     """(u, v, d, limit): lam = (u + v*phi)/d in lowest terms with d > 0,
     and limit the most factors lam or 1 - lam a value may carry within

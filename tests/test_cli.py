@@ -17,9 +17,7 @@ from sternbrocot import (
     TAU2,
     expand_rcf,
     g_series,
-    g_inductive,
     g_tau2,
-    graded_walk,
     parse_quadsurd,
     parse_rational,
     to_decimal,
@@ -254,10 +252,12 @@ class TestSequences:
         assert lines_of(capsys) == ["1\t3\t3", "3\t4\t3"]
 
     def test_caps_are_usage_errors(self, capsys):
-        # xi and theta first pass the output budget at index 32
+        # xi first passes the output budget at index 32, theta, whose rows
+        # are the walk's deepest alone, at 33; both from the estimate alone
         assert cli._walk_bytes(31, 2) <= MAX_OUTPUT_BYTES < cli._walk_bytes(32, 2)
+        assert theta_bytes(32) <= MAX_OUTPUT_BYTES < theta_bytes(33)
         assert run(["xi", "--n", "32"]) == 2
-        assert run(["theta", "--k", "32"]) == 2
+        assert run(["theta", "--k", "33"]) == 2
         assert run(["theta", "--k", "99"]) == 2
         assert run(["xi", "--n", "0"]) == 2
         capsys.readouterr()
@@ -273,11 +273,11 @@ class TestHandlerRefusals:
         ["stern-brocot", "--n", "-1"],
         ["xi", "--n", "0"],
         ["xi", "--n", "32"],
-        ["theta", "--k", "32"],
+        ["theta", "--k", "33"],
         ["theta", "--k", "99"],
         ["plot-data", "--lambda", "1/3", "--grid", "0"],
         ["plot-data", "--lambda", "1/3", "--grid", "28"],
-        ["verify", "theorem1", "--x", "1/2", "--n-max", "17790"],
+        ["verify", "theorem1", "--x", "1/2", "--n-max", "17789"],
     ])
     def test_one_error_line(self, capsys, argv):
         assert run(argv) == 2
@@ -632,8 +632,12 @@ def written_bytes(argv):
     return len(out.encode())
 
 
-def first_walk_past_the_budget(left, lam=None):
-    return next(n for n in range(1, 60) if cli._walk_bytes(n, left, lam) > MAX_OUTPUT_BYTES)
+def theta_bytes(k):
+    return cli._walk_bytes(k, 2, deepest=True)
+
+
+def first_walk_past_the_budget(left, lam=None, deepest=False):
+    return next(n for n in range(1, 60) if cli._walk_bytes(n, left, lam, deepest) > MAX_OUTPUT_BYTES)
 
 
 class TestOutputBudget:
@@ -646,20 +650,16 @@ class TestOutputBudget:
             if lam is None:
                 assert written_bytes(["stern-brocot", "--n", str(n)]) <= cli._walk_bytes(n, 1)
                 assert written_bytes(["xi", "--n", str(n)]) <= cli._walk_bytes(n, 2)
-                assert written_bytes(["theta", "--k", str(n)]) <= cli._walk_bytes(n, 2)
+                assert written_bytes(["theta", "--k", str(n)]) <= theta_bytes(n)
                 continue
-            value = cli._lambda_arg(lam)
             assert (written_bytes(["plot-data", "--lambda", lam, "--grid", str(n)])
-                    <= cli._walk_bytes(n, 2, value))
-            # no command walks with left edges of cost 1 and a lambda: its
-            # rows, printed as plot-data prints them, against the estimate
-            out = io.StringIO()
-            with redirect_stdout(out), int_digit_limit(0):
-                cli._emit(Fraction(0), g_inductive(Fraction(0), value))
-                for p, q, _, g in graded_walk(n, 1, value):
-                    cli._emit(Fraction(p, q), g)
-                cli._emit(Fraction(1), g_inductive(Fraction(1), value))
-            assert len(out.getvalue().encode()) <= cli._walk_bytes(n, 1, value)
+                    <= cli._walk_bytes(n, 2, cli._lambda_arg(lam)))
+
+    @pytest.mark.parametrize("lam", ["1/3", "1/2", "tau2", "999999/1000000", "1/7+1/11√5"])
+    def test_plot_data_at_grid_25_is_within_the_budget(self, lam):
+        # from the estimate alone: each of these ran under the old default
+        # cap (999999/1000000 writes 50.2 MB, 1/7+1/11√5 35.3 MB)
+        assert cli._walk_bytes(25, 2, cli._lambda_arg(lam)) <= MAX_OUTPUT_BYTES
 
     @pytest.mark.parametrize("x", ["1/2", "355/1133", "2/3", "1/3000"])
     def test_the_table_estimate_bounds_the_bytes_written(self, x):
@@ -746,7 +746,7 @@ def cli_commands(draw, command):
     if command == "verify":
         options = [("--x", draw(RATIONAL_LITERALS)),
                    ("--n-max", str(draw(st.one_of(SMALL, st.integers(9, 40),
-                                                  st.sampled_from((17790, *FAR_PAST))))))]
+                                                  st.sampled_from((17789, *FAR_PAST))))))]
         if draw(st.booleans()):
             options.append(("--tol", draw(RATIONAL_LITERALS)))
         return ["verify", "theorem1"], options, ""
@@ -760,7 +760,8 @@ def cli_commands(draw, command):
         grid = draw(st.one_of(st.integers(-1, 6), st.sampled_from(sizes)))
         return ["plot-data"], [("--lambda", lam), ("--grid", str(grid))], ""
     left, flag = (1, "--n") if command == "stern-brocot" else (2, "--k" if command == "theta" else "--n")
-    size = draw(st.one_of(SMALL, st.sampled_from((first_walk_past_the_budget(left), *FAR_PAST))))
+    first = first_walk_past_the_budget(left, deepest=command == "theta")
+    size = draw(st.one_of(SMALL, st.sampled_from((first, *FAR_PAST))))
     return [command], [(flag, str(size))], ""
 
 

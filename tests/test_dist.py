@@ -230,11 +230,11 @@ class TestVerifyTheorem1:
         assert not verify_theorem1(x, 10, Fraction(1, 10 ** 9)).passed
 
     def test_refuses_oversized_sequences(self):
-        # the table at 1/2 first passes the output budget at n_max = 17790,
+        # the table at 1/2 first passes the output budget at n_max = 17789,
         # by the estimate alone; that index and any later one are refused
         # before a row is built
-        assert _table_bytes(17789, TAU2) <= MAX_OUTPUT_BYTES < _table_bytes(17790, TAU2)
-        for n_max in (17790, 10 ** 6, 2 ** 40):
+        assert _table_bytes(17788, TAU2) <= MAX_OUTPUT_BYTES < _table_bytes(17789, TAU2)
+        for n_max in (17789, 10 ** 6, 2 ** 40):
             with pytest.raises(ValueError, match=f"budget of {MAX_OUTPUT_BYTES} bytes"):
                 verify_theorem1(Fraction(1, 2), n_max)
 
