@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Every value crosses the boundary in an exact text format: rationals as
-"p/q", elements of Q(sqrt5) as "a+b√5" (keywords tau, tau2 accepted;
-both coefficients may use exponent notation), continued fractions as
-"[0;a1,a2,...]" and "[[1;b1,b2,...]]"; any option value may start with
-a minus ("--x -1/2" meets the command's own range check), and an
-exponent beyond 4300 in absolute value ("--x 1e-99999999") is a usage
-error, refused before its power of 10 is built. Sequence
-output is TSV, sorted by value, so downstream golden-file comparisons
+Values are read and written in exact text formats: rationals as "p/q",
+elements of Q(sqrt5) as "a+b√5" (keywords tau, tau2 accepted; both
+coefficients may use exponent notation). `convert-cf` prints the
+continued-fraction literals "[0;a1,a2,...]" and "[[1;b1,b2,...]]", but
+no command reads one. Any option value may start with a minus ("--x
+-1/2" meets the command's own range check), and an exponent beyond 4300
+in absolute value ("--x 1e-99999999") is a usage error, refused before
+its power of 10 is built; `eval-stream` likewise refuses a quotient
+token longer than 4300 characters (`MAX_TOKEN_CHARS`) before converting
+it, even one whose stream never ends. Sequence output is TSV, sorted by
+value, so downstream golden-file comparisons
 are bit-exact; the rows stream from one Stern-Brocot tree walk
 (`stern.graded_walk`), and no sequence is built. Every `eval` route but
 salem is one call, `singular.g_inductive`, which is the alternating
@@ -17,8 +20,10 @@ reach. No option bounds the output: every table command estimates the
 bytes it would write, in exact integers from its index and lam, and
 refuses before the first row past one budget, `exact.MAX_OUTPUT_BYTES`
 (the walks through `_walk_bytes`, `verify` through
-`dist.verify_theorem1`); a one-value command prints a value already
-kept well under it by `exact.MAX_EXACT_BITS` or `cf.MAX_REDUCED_DIGITS`.
+`dist.verify_theorem1`; plot-data checks lam first, so a lam outside
+(0,1) gets its own message at any grid); a one-value command prints a
+value already kept well under it by `exact.MAX_EXACT_BITS` or
+`cf.MAX_REDUCED_DIGITS`.
 Only argparse's own errors (an unknown command or option, a missing or
 unparsable value) print the usage block; every refusal made after
 parsing (a range, the output budget, a size budget: a ValueError or
@@ -46,6 +51,10 @@ from .xi import fibonacci
 DISPLAY_DIGITS = 15
 #: Characters read from stdin at a time by eval-stream.
 STREAM_CHUNK = 4096
+#: Longest quotient token eval-stream converts: int() is quadratic in the
+#: digits, and no quotient past 2**21 + 1 (7 digits) fits the size budget
+#: at any lam. 4300 is Python's default int-string digit limit.
+MAX_TOKEN_CHARS = 4300
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -76,8 +85,8 @@ def _walk_bytes(n: int, left: int, lam: Fraction | QuadSurd | None = None, deepe
     A node s mediant steps down, with l of its s - 1 edges left ones, has
     depth s + (left - 1) l, and comb(s - 1, l) nodes share s and l; the
     endpoint rows are shorter than a node's. A node's p and q are at most
-    F(n + 2) and its depth at most n, and `exact.text_bytes` bounds the
-    three with their separators.
+    F(n + 2) and its depth at most n, so their digits, counted exactly
+    from those small integers, and three separators bound the three.
     With lam = (A + B√5)/D, g at a node s steps down is (X + Y√5)/D**s;
     g lies in [0, 1], and its conjugate g' is carried by the same
     recurrence with the conjugates of lam and 1 - lam, so |g'| <= c**s for
@@ -91,7 +100,7 @@ def _walk_bytes(n: int, left: int, lam: Fraction | QuadSurd | None = None, deepe
     growing there and no huge Fibonacci number is built.
     """
     n = min(n, 2 * MAX_OUTPUT_BYTES.bit_length())
-    row, ints, bits = text_bytes(*[fibonacci(n + 2).bit_length()] * 2, n.bit_length()), 0, 0
+    row, ints, bits = 2 * len(str(fibonacci(n + 2))) + len(str(n)) + 3, 0, 0
     if lam is not None:
         a, b = (lam.a, lam.b) if isinstance(lam, QuadSurd) else (lam, 0)
         m = (abs(a) + abs(1 - a) + 5 * abs(b)) * lcm(a.denominator, b.denominator)  # an integer
@@ -227,12 +236,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _read_quotients(stream: IO[str]) -> Iterator[int]:
     """Whitespace-separated integers from the stream, read a chunk at a
-    time so that an endless stream is consumed only as far as needed."""
+    time so that an endless stream is consumed only as far as needed; a
+    token longer than MAX_TOKEN_CHARS, even one still unterminated, is
+    refused before it is converted."""
     partial = ""
     while chunk := stream.read(STREAM_CHUNK):
         text = partial + chunk
         tokens = text.split()
         partial = "" if text[-1].isspace() else tokens.pop()
+        if max(map(len, [partial, *tokens])) > MAX_TOKEN_CHARS:
+            raise ValueError(f"a quotient token is longer than {MAX_TOKEN_CHARS} characters")
         yield from map(int, tokens)
     if partial:
         yield int(partial)
@@ -297,9 +310,10 @@ def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     lam = args.lam
+    zero = g_inductive(Fraction(0), lam)  # refuses lam outside (0,1) before it is priced
     _check_walk(args.grid, 1, "--grid", 2, lam=lam)
-    nodes = graded_walk(args.grid, 2, lam)  # refuses lam outside (0,1) before any row
-    _emit(Fraction(0), g_inductive(Fraction(0), lam))  # g(0) = 0 and g(1) = 1, in lam's type
+    nodes = graded_walk(args.grid, 2, lam)
+    _emit(Fraction(0), zero)  # g(0) = 0 and g(1) = 1, in lam's type
     for p, q, _, g in nodes:
         _emit(Fraction(p, q), g)
     _emit(Fraction(1), g_inductive(Fraction(1), lam))

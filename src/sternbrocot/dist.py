@@ -96,24 +96,11 @@ class ConvergenceRow(_Record):
 
     __slots__ = ("n", "empirical", "abs_error_decimal")
 
-    def __init__(self, n: int, empirical: Fraction, abs_error_decimal: str) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "empirical", empirical)
-        object.__setattr__(self, "abs_error_decimal", abs_error_decimal)
-
 
 class ConvergenceReport(_Record):
     """Exact convergence table of the xi empirical CDF at one point."""
 
     __slots__ = ("x", "target", "tolerance", "rows", "passed")
-
-    def __init__(self, x: Fraction, target: QuadSurd, tolerance: Fraction,
-                 rows: tuple[ConvergenceRow, ...], passed: bool) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "passed", passed)
 
 
 def _table_bytes(n_max: int, target: QuadSurd) -> int:

@@ -33,13 +33,19 @@ integers, not through Fraction's order.
 `_Record` is the base of the package's immutable value objects
 (`RegularCF`, `ReducedRCF`, `SternBrocotLevel`, `XiTreeNode`,
 `XiSequence`, `ConvergenceRow`, `ConvergenceReport`). A subclass names
-its fields in `__slots__` and sets them in its own `__init__`; the base
-derives from those names the refusal to assign or delete, equality
-within one class, the hash of the field tuple, the repr
-`Name(field=value, ...)`, and `__reduce__`, so that copy and pickle
-rebuild a record through its constructor. It stands in for frozen
-dataclasses: importing `dataclasses` pulls in `inspect` and `ast`, and
-builds each class's methods with `exec`, at every start of the CLI.
+its fields in `__slots__`, and the base derives from those names the
+constructor, which binds values by position or by name in slot order and
+raises TypeError for a missing, surplus, unknown or repeated field, as a
+Python signature does; the refusal to assign or delete; equality within
+one class; the hash of the field tuple; the repr `Name(field=value, ...)`;
+and `__reduce__`, so that copy and pickle rebuild a record through its
+constructor. `RegularCF`, `ReducedRCF` and `XiTreeNode` keep their own
+`__init__`, which validates its fields and sets them directly: they are
+built once per expansion or tree node, where the generic binding would
+cost about three times a direct one-field constructor. The base stands
+in for frozen dataclasses: importing `dataclasses` pulls in `inspect`
+and `ast`, and builds each class's methods with `exec`, at every start
+of the CLI.
 """
 
 from __future__ import annotations
@@ -54,6 +60,15 @@ class _Record:
     """An immutable value with the fields named in its class's __slots__."""
 
     __slots__ = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        names = self.__slots__
+        fields = dict(zip(names, values), **named)
+        if len(values) + len(named) != len(names) or fields.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__}({', '.join(names)}) takes each field "
+                            "once, by position or by name")
+        for name in names:
+            object.__setattr__(self, name, fields[name])
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

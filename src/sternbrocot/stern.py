@@ -42,10 +42,6 @@ class SternBrocotLevel(_Record):
 
     __slots__ = ("index", "elements")
 
-    def __init__(self, index: int, elements: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "elements", elements)
-
 
 def graded_walk(
     n: int,

@@ -62,10 +62,6 @@ class XiSequence(_Record):
 
     __slots__ = ("index", "elements")
 
-    def __init__(self, index: int, elements: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "elements", elements)
-
 
 def node_for(x: Fraction) -> XiTreeNode:
     """The unique tree node whose value is x in (0,1)."""

@@ -67,6 +67,22 @@ class EndlessOnes:
         return ("1\n" * (size // 2 + 1))[:size]
 
 
+class EndlessDigits:
+    """A stdin that yields "7" forever, with no separator; a fourth read
+    fails, so a reader that never refuses the token cannot hang."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("read to the end of an endless stream")
+        self.reads += 1
+        if self.reads > 3:
+            raise AssertionError("a fourth read of one unterminated token")
+        return "7" * size
+
+
 class TestEval:
     def test_tau2_at_one_half(self, capsys):
         assert run(["eval", "--lambda", "tau2", "--x", "1/2"]) == 0
@@ -191,6 +207,33 @@ class TestEvalStream:
         assert list(cli._read_quotients(text)) == [12, 345, 6, 78, 9]
         assert list(cli._read_quotients(io.StringIO(" \n"))) == []
 
+    def test_an_overlong_token_is_refused_before_it_is_converted(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("7" * 2_000_000))
+        start = time.perf_counter()
+        assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-5"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", f"error: a quotient token is longer than {cli.MAX_TOKEN_CHARS} characters\n")
+
+    def test_an_endless_token_is_refused_within_three_reads(self, capsys, monkeypatch):
+        stdin = EndlessDigits()
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-5"]) == 2
+        assert stdin.reads <= 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_a_token_at_the_length_limit_is_read(self, capsys, monkeypatch):
+        assert cli.MAX_TOKEN_CHARS == 4300
+        ones = " 1" * 40
+        monkeypatch.setattr("sys.stdin", io.StringIO("0" * 4299 + "2" + ones))
+        assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-5"]) == 0
+        padded = capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO("2" + ones))
+        assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-5"]) == 0
+        assert capsys.readouterr() == padded
+        assert list(cli._read_quotients(io.StringIO("0" * 4299 + "2"))) == [2]
+
     def test_bad_token_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 1 x 1"))
         assert run(["eval-stream", "--lambda", "1/2", "--epsilon", "1e-5"]) == 2
@@ -253,11 +296,11 @@ class TestSequences:
 
     def test_caps_are_usage_errors(self, capsys):
         # xi first passes the output budget at index 32, theta, whose rows
-        # are the walk's deepest alone, at 33; both from the estimate alone
+        # are the walk's deepest alone, at 34; both from the estimate alone
         assert cli._walk_bytes(31, 2) <= MAX_OUTPUT_BYTES < cli._walk_bytes(32, 2)
-        assert theta_bytes(32) <= MAX_OUTPUT_BYTES < theta_bytes(33)
+        assert theta_bytes(33) <= MAX_OUTPUT_BYTES < theta_bytes(34)
         assert run(["xi", "--n", "32"]) == 2
-        assert run(["theta", "--k", "33"]) == 2
+        assert run(["theta", "--k", "34"]) == 2
         assert run(["theta", "--k", "99"]) == 2
         assert run(["xi", "--n", "0"]) == 2
         capsys.readouterr()
@@ -273,10 +316,10 @@ class TestHandlerRefusals:
         ["stern-brocot", "--n", "-1"],
         ["xi", "--n", "0"],
         ["xi", "--n", "32"],
-        ["theta", "--k", "33"],
+        ["theta", "--k", "34"],
         ["theta", "--k", "99"],
         ["plot-data", "--lambda", "1/3", "--grid", "0"],
-        ["plot-data", "--lambda", "1/3", "--grid", "28"],
+        ["plot-data", "--lambda", "1/3", "--grid", "29"],
         ["verify", "theorem1", "--x", "1/2", "--n-max", "17789"],
     ])
     def test_one_error_line(self, capsys, argv):
@@ -284,6 +327,12 @@ class TestHandlerRefusals:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("lam, grid", [("5", "40"), ("0", "40"), ("-1/2", "30")])
+    def test_plot_data_checks_lambda_before_the_budget(self, capsys, lam, grid):
+        assert run(["plot-data", "--lambda", lam, "--grid", grid]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the split parameter must lie strictly between 0 and 1\n")
 
 
 class TestConvertCF:

@@ -102,6 +102,28 @@ def test_copies_are_equal(cls, fields, text, clone):
     assert type(twin) is cls and twin == record and hash(twin) == hash(record)
 
 
+#: The four records whose constructor `_Record` derives from __slots__ alone.
+DERIVED = [record for record in RECORDS if record[0] in (SternBrocotLevel, XiSequence,
+                                                          ConvergenceRow, ConvergenceReport)]
+
+
+@pytest.mark.parametrize("cls, fields, text", DERIVED, ids=[cls.__name__ for cls, _, _ in DERIVED])
+def test_a_wrong_argument_list_is_a_type_error(cls, fields, text):
+    values, (first, *_) = list(fields.values()), fields
+    with pytest.raises(TypeError):
+        cls(*values[:-1])  # a missing field
+    with pytest.raises(TypeError):
+        cls(*values, None)  # a surplus positional value
+    with pytest.raises(TypeError):
+        cls(*values, unknown=None)  # an unknown keyword
+    with pytest.raises(TypeError):
+        cls(*values[:-1], unknown=None)  # ... in place of the last field
+    with pytest.raises(TypeError):
+        cls(*values, **{first: values[0]})  # a field by position and by name
+    with pytest.raises(TypeError):
+        cls(*values[:-1], **{first: values[0]})  # ... with the last field missing
+
+
 def test_constructors_still_validate():
     with pytest.raises(ValueError, match="final quotient >= 2"):
         RegularCF((2, 1))
