@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import _Record
+from .exact import MAX_ELEMENTS, _Record
 
 
 class RegularCF(_Record):
@@ -117,12 +117,6 @@ def sum_partial_quotients(cf: RegularCF) -> int:
     return sum(cf.quotients)
 
 
-#: Most digits `rcf_to_rrcf` writes. 2**20 admits x = 1/1000000, whose
-#: reduced expansion has 999999 digits (`convert-cf` prints them in 0.4 s
-#: within 100 MB); a longer expansion is refused before any digit is built.
-MAX_REDUCED_DIGITS = 1 << 20
-
-
 def rcf_to_rrcf(cf: RegularCF) -> ReducedRCF:
     """Rewrite a regular expansion into the reduced one, digit block by block.
 
@@ -131,13 +125,13 @@ def rcf_to_rrcf(cf: RegularCF) -> ReducedRCF:
       even interior  -> the single digit ai + 2,
       even final     -> the single digit ai + 1.
     So the expansion has a1 + a3 + ... digits, less one when m is odd;
-    past MAX_REDUCED_DIGITS it raises ValueError.
+    past `exact.MAX_ELEMENTS` it raises ValueError before any digit is built.
     """
     if not cf.quotients:
         raise ValueError("x = 1 has no reduced expansion")
     m = len(cf.quotients)
-    if sum(cf.quotients[::2]) - m % 2 > MAX_REDUCED_DIGITS:
-        raise ValueError(f"the reduced expansion would pass the cap of {MAX_REDUCED_DIGITS} digits")
+    if sum(cf.quotients[::2]) - m % 2 > MAX_ELEMENTS:
+        raise ValueError(f"the reduced expansion would pass the cap of {MAX_ELEMENTS} digits")
     digits: list[int] = []
     for i, a in enumerate(cf.quotients, start=1):
         if i % 2 == 1:

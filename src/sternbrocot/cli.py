@@ -23,7 +23,7 @@ refuses before the first row past one budget, `exact.MAX_OUTPUT_BYTES`
 `dist.verify_theorem1`; plot-data checks lam first, so a lam outside
 (0,1) gets its own message at any grid); a one-value command prints a
 value already kept well under it by `exact.MAX_EXACT_BITS` or
-`cf.MAX_REDUCED_DIGITS`.
+`exact.MAX_ELEMENTS`.
 Only argparse's own errors (an unknown command or option, a missing or
 unparsable value) print the usage block; every refusal made after
 parsing (a range, the output budget, a size budget: a ValueError or
@@ -34,11 +34,12 @@ process quietly, killed by SIGPIPE, as it would `yes | head`.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, lcm
-from typing import IO, Iterator, Sequence
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import verify_theorem1
@@ -87,25 +88,30 @@ def _walk_bytes(n: int, left: int, lam: Fraction | QuadSurd | None = None, deepe
     endpoint rows are shorter than a node's. A node's p and q are at most
     F(n + 2) and its depth at most n, so their digits, counted exactly
     from those small integers, and three separators bound the three.
-    With lam = (A + B√5)/D, g at a node s steps down is (X + Y√5)/D**s;
-    g lies in [0, 1], and its conjugate g' is carried by the same
-    recurrence with the conjugates of lam and 1 - lam, so |g'| <= c**s for
-    c = |lam'| + |1 - lam'|. X and Y are D**s (g + g')/2 and
-    D**s (g - g')/(2√5), so X, Y and the denominators D**s are at most
-    m**s for m = |A| + |D - A| + 5|B| >= D c, and m = D for a rational
-    lam. g's text is bounded from the s bits(m) bits of those integers,
-    and the two decimal columns with their tabs add
+    With lam = (u + v phi)/d over Z[phi] (a + b√5 = (a - b) + 2b phi),
+    g at a node s steps down is N/d**s for an integer N = A + B phi, with
+    |N| <= d**s as g lies in [0, 1]. Its conjugate N' is carried by the same
+    recurrence with the conjugates of lam d and (1 - lam) d, so
+    |N'| <= m**s for m = max(d, |u| + |d - u| + 2|v|). g prints as
+    (2A + B)/(2 d**s) + B/(2 d**s) √5, and 2A + B = N + N' and
+    B = (N - N')/√5, so its two numerators take at most s bits(m) + 1 bits
+    and its two denominators s bits(d) + 1; a rational lam (v = 0) prints
+    N/d**s, two integers of s bits(d) bits. g's text is bounded from
+    those, and the two decimal columns with their tabs add
     2 (DISPLAY_DIGITS + 2) + 2. Past n = 2 bits(MAX_OUTPUT_BYTES) the
     nodes of depth n alone outnumber the budget's bytes, so n stops
     growing there and no huge Fibonacci number is built.
     """
     n = min(n, 2 * MAX_OUTPUT_BYTES.bit_length())
-    row, ints, bits = 2 * len(str(fibonacci(n + 2))) + len(str(n)) + 3, 0, 0
+    row, bits, surd = 2 * len(str(fibonacci(n + 2))) + len(str(n)) + 3, (), isinstance(lam, QuadSurd)
     if lam is not None:
-        a, b = (lam.a, lam.b) if isinstance(lam, QuadSurd) else (lam, 0)
-        m = (abs(a) + abs(1 - a) + 5 * abs(b)) * lcm(a.denominator, b.denominator)  # an integer
-        bits, ints, row = int(m).bit_length(), 4 if b else 2, row + 2 * (DISPLAY_DIGITS + 2) + 2
-    return 2 * row + sum(comb(s - 1, l) * (row + text_bytes(*[s * bits] * ints, surd=ints == 4))
+        x, y = (lam.a - lam.b, 2 * lam.b) if surd else (lam, 0)  # lam = x + y phi = (u + v phi)/d
+        d = lcm(x.denominator, y.denominator)
+        m = int(d * max(1, abs(x) + abs(1 - x) + 2 * abs(y)))  # max(d, |u| + |d - u| + 2|v|)
+        bits = (m.bit_length(),) * 2 + (d.bit_length(),) * 2 if surd else (d.bit_length(),) * 2
+        row += 2 * (DISPLAY_DIGITS + 2) + 2
+    # s bits per step, and one more for each integer of a surd
+    return 2 * row + sum(comb(s - 1, l) * (row + text_bytes(*(s * b + surd for b in bits), surd=surd))
                          for s in range(1, n + 1) for l in range(s)
                          if (n if deepest else 0) <= s + (left - 1) * l <= n)
 
@@ -234,7 +240,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_quotients(stream: IO[str]) -> Iterator[int]:
+def _read_quotients(stream: io.TextIOBase) -> Iterator[int]:
     """Whitespace-separated integers from the stream, read a chunk at a
     time so that an endless stream is consumed only as far as needed; a
     token longer than MAX_TOKEN_CHARS, even one still unterminated, is

@@ -24,11 +24,12 @@ type is (u + v*phi)/d over Z[phi], a QuadSurd's own integers or a
 rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
 parameter's type; for a Fraction that takes a gcd against d alone when
-it can (`_phi_value`). `MAX_EXACT_BITS` is their size budget, and
-`MAX_OUTPUT_BYTES` (`check_output`) the budget of a command's text. Range
-checks on Fractions, here (`_check_lambda`) and in `cf`, `stern`,
-`singular` and `dist`, compare the numerator and denominator as
-integers, not through Fraction's order.
+it can (`_phi_value`). Every size budget of the package lives here:
+`MAX_EXACT_BITS` is theirs, `MAX_ELEMENTS` that of every tuple the
+library builds, and `MAX_OUTPUT_BYTES` (`check_output`) that of a
+command's text. Range checks on Fractions, here (`_check_lambda`) and
+in `cf`, `stern`, `singular` and `dist`, compare the numerator and
+denominator as integers, not through Fraction's order.
 
 `_Record` is the base of the package's immutable value objects
 (`RegularCF`, `ReducedRCF`, `SternBrocotLevel`, `XiTreeNode`,
@@ -336,12 +337,22 @@ def _coprime_fraction(a: int, d: int) -> Fraction:
 MAX_EXACT_BITS = 1 << 22
 _OVER_BUDGET = f"the exact value would pass the size budget of {MAX_EXACT_BITS} bits"
 
+#: Element budget: the most elements of any tuple the library builds, a
+#: sequence read off the walk (`stern_level`, `new_mediants`, `xi`,
+#: `theta`; `stern._nodes` counts it first) or a reduced expansion's digits
+#: (`cf.rcf_to_rrcf`); a larger one is refused, with a ValueError, before
+#: its first element is built. 2**20 admits x = 1/1000000, whose reduced
+#: expansion has 999999 digits (`convert-cf` prints them in 0.4 s within
+#: 100 MB), level 20 (2**20 + 1 elements) and xi(28) (F(30) + 1), and
+#: refuses level 21, xi(29) and theta(31).
+MAX_ELEMENTS = 1 << 20
+
 #: Output budget of one command, in bytes of UTF-8 text. Each table the CLI
 #: prints (the walks, and `dist.verify_theorem1`'s table) is bounded by an
 #: exact integer estimate from the integers it already holds (an index,
 #: lam's coefficients, the target), passed to `check_output` before
 #: anything is written. The one-value commands print a value that
-#: MAX_EXACT_BITS or `cf.MAX_REDUCED_DIGITS` already keeps well under it.
+#: MAX_EXACT_BITS or MAX_ELEMENTS already keeps well under it.
 #: 2**26 admits the largest default tables, `stern-brocot --n 22` (42 MB),
 #: and refuses `--n 23`.
 MAX_OUTPUT_BYTES = 1 << 26

@@ -36,8 +36,8 @@ at lam = 1/2.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
 
 from .cf import RegularCF, expand_rcf, sum_partial_quotients
 from .exact import (
@@ -51,11 +51,7 @@ from .exact import (
     _sign,
 )
 
-LambdaValue = Union[Fraction, QuadSurd]
-GValue = Union[Fraction, QuadSurd]
-
-
-def g_inductive(x: Fraction, lam: LambdaValue) -> GValue:
+def g_inductive(x: Fraction, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     """Evaluate g at a rational x in [0,1] by replaying the gap splits.
 
     The Stern-Brocot path to x = [0; a1, ..., am] runs through m runs of
@@ -98,7 +94,7 @@ def question_mark(cf: RegularCF) -> Fraction:
     return Fraction(numerator, 1 << shift)
 
 
-def _partial_sums(quotients: Iterable[int], lam: LambdaValue) -> Iterator[tuple[int, ...]]:
+def _partial_sums(quotients: Iterable[int], lam: Fraction | QuadSurd) -> Iterator[tuple[int, ...]]:
     """After each quotient, the partial sum of the alternating series for g
     and the magnitude of its last term, as integers (a, b, m, n, e): the
     sum is (a + b*phi)/e and the magnitude (m + n*phi)/e.
@@ -134,7 +130,7 @@ def _partial_sums(quotients: Iterable[int], lam: LambdaValue) -> Iterator[tuple[
         yield a, b, m, n, e
 
 
-def g_series(cf: RegularCF, lam: LambdaValue) -> GValue:
+def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     """Evaluate g by the finite alternating series over the quotients of x.
 
     The empty quotient list (x = 1) evaluates to 1, mirroring value_rcf.
@@ -158,9 +154,9 @@ def g_tau2(cf: RegularCF) -> QuadSurd:
 
 def g_stream(
     quotients: Iterable[int],
-    lam: LambdaValue,
+    lam: Fraction | QuadSurd,
     epsilon: Fraction,
-) -> tuple[GValue, GValue]:
+) -> tuple[Fraction | QuadSurd, Fraction | QuadSurd]:
     """Enclose g(x) for an irrational x given as a stream of quotients.
 
     Consumes quotients until the magnitude of the next unadded term drops
@@ -177,26 +173,10 @@ def g_stream(
     eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
     previous = 0, 0, 1
     for k, (a, b, m, n, e) in enumerate(_partial_sums(quotients, lam), start=1):
-        if _below(m, n, e, eu, ev, ed):  # term k was added if k is odd, subtracted if even
+        # term k, (m + n*phi)/e, is below epsilon: it was added if k is odd, subtracted if even
+        if _sign(eu * e - m * ed, ev * e - n * ed) > 0:
             lo, hi = (previous, (a, b, e)) if k % 2 else ((a, b, e), previous)
             return _phi_value(*lo, lam), _phi_value(*hi, lam)
         previous = a, b, e
     raise ValueError("quotient stream ended: the value is rational, use g_series")
 
-
-def _below(m: int, n: int, e: int, eu: int, ev: int, ed: int) -> bool:
-    """Whether (m + n*phi)/e < (eu + ev*phi)/ed, for positive values and
-    positive e and ed.
-
-    Without phi parts the bit lengths of m*ed and eu*e settle it when
-    they differ by two or more; otherwise the sign of the difference
-    s + t*phi = e*(eu + ev*phi) - ed*(m + n*phi) is taken exactly.
-    """
-    if not (n or ev):
-        left, right = m.bit_length() + ed.bit_length(), eu.bit_length() + e.bit_length()
-        if left < right - 1:
-            return True
-        if left > right + 1:
-            return False
-    s, t = eu * e - m * ed, ev * e - n * ed
-    return _sign(s, t) > 0

@@ -10,21 +10,26 @@ Those fractions are the nodes of depth n in the Stern-Brocot tree
 with depth 1 when every edge costs 1. With left edges costing 2 the same
 tree grades the reduced-fraction generations of the `xi` module, so
 `graded_walk` streams both families in increasing order, in O(n) memory,
-from integer mediants alone. `path_runs` gives the one path from the root
+from integer mediants alone. The sequences the library builds from it,
+`stern_level`, `new_mediants` and `xi`'s `xi` and `theta`, take one
+route, `_nodes`, which counts them before the walk and refuses one past
+`exact.MAX_ELEMENTS`. `path_runs` gives the one path from the root
 to a given x as its runs of equal turns, the quotients of x, for the
 rank counts and generations of `dist`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .cf import expand_rcf, sum_partial_quotients
 from .exact import (
     _OVER_BUDGET,
+    MAX_ELEMENTS,
     QuadSurd,
     _check_lambda,
+    _coprime_fraction,
     _phi_split,
     _phi_value,
     _Record,
@@ -147,10 +152,7 @@ def next_level(level: SternBrocotLevel) -> SternBrocotLevel:
 
 def stern_level(n: int) -> SternBrocotLevel:
     """Materialize level n (2**n + 1 elements)."""
-    if n < 0:
-        raise ValueError("level index must be >= 0")
-    inner = (Fraction(p, q) for p, q, _, _ in graded_walk(n))
-    return SternBrocotLevel(n, (Fraction(0), *inner, Fraction(1)))
+    return SternBrocotLevel(n, (Fraction(0), *_nodes(n, 0, 1), Fraction(1)))
 
 
 def new_mediants(n: int) -> tuple[Fraction, ...]:
@@ -158,9 +160,32 @@ def new_mediants(n: int) -> tuple[Fraction, ...]:
 
     The endpoints 0 and 1 take part in the mediants but never appear here.
     """
-    if n < 1:
-        raise ValueError("new mediants exist from level 1 on")
-    return tuple(Fraction(p, q) for p, q, depth, _ in graded_walk(n) if depth == n)
+    return tuple(_nodes(n, 1, 1, deepest=True))
+
+
+def _nodes(n: int, low: int, left: int, deepest: bool = False) -> Iterator[Fraction]:
+    """The nodes of `graded_walk(n, left)` as Fractions, or those of depth
+    n alone if deepest: the one route from the walk to the sequences the
+    library builds (`stern_level`, `new_mediants`, `xi.xi`, `xi.theta`).
+
+    Before the walk it refuses, with a ValueError, an index n below low,
+    then a node count past `exact.MAX_ELEMENTS`. With W(k) the node count
+    of depth <= k plus one, 1 at every k <= 0 and W(k) = W(k-1) + W(k-left)
+    (2**k for left = 1, F(k+2) for left = 2), the walk yields W(n) - 1
+    nodes, W(n) - W(n-1) of them at depth n. Past 2 bits(MAX_ELEMENTS) + 2
+    either count passes the budget (F(2b + 2) >= phi**(2b) > 2**b), so n
+    stops growing there and no huge W is built. A walk node is the mediant
+    of two neighbours, already in lowest terms, so no gcd is taken.
+    """
+    if n < low:
+        raise ValueError(f"the index must be >= {low}, got {n}")
+    w = [1] * left  # W(k) at the depths k = 1 - left, ..., 0
+    for _ in range(min(n, 2 * MAX_ELEMENTS.bit_length() + 2)):
+        w.append(w[-1] + w[-left])
+    if w[-1] - (w[-2] if deepest else 1) > MAX_ELEMENTS:
+        raise ValueError(f"the sequence would pass the budget of {MAX_ELEMENTS} elements")
+    return (_coprime_fraction(p, q) for p, q, depth, _ in graded_walk(n, left)
+            if not deepest or depth == n)
 
 
 def characterize_Qn(x: Fraction) -> int:

@@ -11,8 +11,9 @@ whose empirical distribution the `dist` module studies.
 
 That tree is the Stern-Brocot tree with left edges costing two
 generations and right edges one, so `xi` and `theta` read their members
-off `stern.graded_walk` with left = 2, in increasing order, and nothing
-is cached between calls.
+off `stern.graded_walk` with left = 2, in increasing order, through the
+guarded route of `stern`'s builders, which refuses a sequence past
+`exact.MAX_ELEMENTS` before the walk; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from .cf import ReducedRCF, digit_sum_L, expand_rrcf, value_rrcf
 from .exact import _OVER_BUDGET, MAX_EXACT_BITS, _phi_pow, _Record
-from .stern import graded_walk
+from .stern import _nodes
 
 
 def fibonacci(n: int) -> int:
@@ -84,18 +85,12 @@ def theta(k: int) -> tuple[XiTreeNode, ...]:
 
     The nodes of depth k in the graded walk with left edges costing 2.
     """
-    if k < 1:
-        raise ValueError("generations are indexed from 1")
-    values = (Fraction(p, q) for p, q, depth, _ in graded_walk(k, 2) if depth == k)
-    return tuple(XiTreeNode(x, expand_rrcf(x), k) for x in values)
+    return tuple(XiTreeNode(x, expand_rrcf(x), k) for x in _nodes(k, 1, 2, deepest=True))
 
 
 def xi(n: int) -> XiSequence:
     """Generations 1..n plus {0, 1}, as one sorted sequence."""
-    if n < 1:
-        raise ValueError("sequence index must be >= 1")
-    inner = (Fraction(p, q) for p, q, _, _ in graded_walk(n, 2))
-    return XiSequence(n, (Fraction(0), *inner, Fraction(1)))
+    return XiSequence(n, (Fraction(0), *_nodes(n, 1, 2), Fraction(1)))
 
 
 def subtree_count(node_level: int, up_to_level: int) -> int:

@@ -16,7 +16,7 @@ from sternbrocot import (
     value_rrcf,
 )
 
-from sternbrocot.cf import MAX_REDUCED_DIGITS
+from sternbrocot.exact import MAX_ELEMENTS as MAX_REDUCED_DIGITS
 
 from oracles import subtractive_rrcf
 

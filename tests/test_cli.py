@@ -24,7 +24,7 @@ from sternbrocot import (
     xi,
 )
 from sternbrocot import cli
-from sternbrocot.cf import MAX_REDUCED_DIGITS
+from sternbrocot.exact import MAX_ELEMENTS as MAX_REDUCED_DIGITS
 from sternbrocot.dist import _table_bytes
 from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
 from sternbrocot.cli import run
@@ -499,9 +499,10 @@ class TestSizeRefusals:
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # nor typing; under -S, so that no site-packages .pth file loads it first
     probe = ("import sys, sternbrocot.cli; "
-             "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
-    child = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))")
+    child = subprocess.run([sys.executable, "-S", "-c", probe], env=child_env(),
                            capture_output=True, text=True, timeout=30)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "\n"
@@ -693,7 +694,7 @@ class TestOutputBudget:
     """One output budget, exact.MAX_OUTPUT_BYTES, checked from an exact
     estimate before the first row; the estimate bounds what is written."""
 
-    @pytest.mark.parametrize("lam", [None, "1/3", "1/2", "tau2", "1e-40"])
+    @pytest.mark.parametrize("lam", [None, "1/3", "1/2", "tau2", "tau", "1/7+1/11√5", "1e-40"])
     def test_the_walk_estimate_bounds_the_bytes_written(self, lam):
         for n in range(1, 13):
             if lam is None:
@@ -709,6 +710,13 @@ class TestOutputBudget:
         # from the estimate alone: each of these ran under the old default
         # cap (999999/1000000 writes 50.2 MB, 1/7+1/11√5 35.3 MB)
         assert cli._walk_bytes(25, 2, cli._lambda_arg(lam)) <= MAX_OUTPUT_BYTES
+
+    @pytest.mark.parametrize("lam", ["tau2", "tau"])
+    def test_plot_data_at_tau_and_tau2_first_passes_the_budget_at_grid_28(self, lam):
+        # g at tau**2 = 2 - phi keeps denominators <= 2: grid 27 writes 33.3 MB
+        # at tau2 and 34.3 MB at tau, and is priced within the budget
+        assert cli._walk_bytes(27, 2, cli._lambda_arg(lam)) <= MAX_OUTPUT_BYTES
+        assert first_walk_past_the_budget(2, cli._lambda_arg(lam)) == 28
 
     @pytest.mark.parametrize("x", ["1/2", "355/1133", "2/3", "1/3000"])
     def test_the_table_estimate_bounds_the_bytes_written(self, x):

@@ -28,7 +28,7 @@ from sternbrocot import (
     xi,
 )
 
-from sternbrocot.cf import MAX_REDUCED_DIGITS
+from sternbrocot.exact import MAX_ELEMENTS as MAX_REDUCED_DIGITS
 from sternbrocot.dist import _rank, _table_bytes
 from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
 from sternbrocot.stern import path_runs

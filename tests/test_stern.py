@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,8 @@ from sternbrocot import (
     next_level,
     stern_level,
     sum_partial_quotients,
+    theta,
+    xi,
 )
 from sternbrocot.stern import path_runs
 
@@ -231,3 +234,29 @@ class TestPathRuns:
     def test_refuses_points_outside_the_open_unit_interval(self, x):
         with pytest.raises(ValueError):
             path_runs(x)
+
+
+BUILDERS = {"stern_level": stern_level, "new_mediants": new_mediants, "xi": xi, "theta": theta}
+
+
+class TestElementBudget:
+    """The four builders share one route from the walk, which counts the
+    sequence before it walks and refuses one past exact.MAX_ELEMENTS."""
+
+    @pytest.mark.parametrize("name, last", [("stern_level", 6), ("new_mediants", 7), ("xi", 9),
+                                            ("theta", 11)])
+    def test_the_last_accepted_and_first_refused_index(self, monkeypatch, name, last):
+        # budget 100: the last builds accepted hold 2**6 + 1, 2**6, F(11) + 1 and F(11) elements
+        monkeypatch.setattr("sternbrocot.stern.MAX_ELEMENTS", 100)
+        build = BUILDERS[name]
+        build(last)
+        with pytest.raises(ValueError, match="budget of 100 elements"):
+            build(last + 1)
+
+    @pytest.mark.parametrize("name, n", [("stern_level", 21), ("new_mediants", 22), ("xi", 29),
+                                         ("theta", 31), ("xi", 60), ("xi", 10 ** 12)])
+    def test_the_real_budget_refuses_before_the_walk(self, name, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="the sequence would pass the budget"):
+            BUILDERS[name](n)
+        assert time.perf_counter() - start < 0.01
