@@ -10,11 +10,13 @@ in absolute value ("--x 1e-99999999") is a usage error, refused before
 its power of 10 is built; `eval-stream` likewise refuses a quotient
 token longer than 4300 characters (`MAX_TOKEN_CHARS`) before converting
 it, even one whose stream never ends. Sequence output is TSV, sorted by
-value, so downstream golden-file comparisons
-are bit-exact; the rows stream from one Stern-Brocot tree walk
-(`stern.graded_walk`), and no sequence is built. Every `eval` route but
-salem is one call, `singular.g_inductive`, which is the alternating
-series; salem is the `question-mark` command. Exit codes: 0 success,
+value, so downstream golden-file comparisons are bit-exact; the rows
+stream from one Stern-Brocot tree walk, and no sequence is built:
+`stern-brocot`, `xi` and `theta` write each block of `stern.walk_blocks`
+with one %-template (`_write_rows`), and plot-data prints a row per node
+of `stern.graded_walk`, which carries g. Every `eval` route but salem is
+one call, `singular.g_inductive`, which is the alternating series;
+salem is the `question-mark` command. Exit codes: 0 success,
 1 verification failure, 2 usage error or an input whose result is out of
 reach. No option bounds the output: every table command estimates the
 bytes it would write, in exact integers from its index and lam, and
@@ -39,14 +41,16 @@ import os
 import sys
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import compress, repeat
 from math import comb, lcm
+from operator import add
 
 from .cf import expand_rcf, expand_rrcf
 from .dist import verify_theorem1
 from .exact import (MAX_OUTPUT_BYTES, TAU2, QuadSurd, check_output, parse_quadsurd,
                     parse_rational, text_bytes, to_decimal)
 from .singular import g_inductive, g_stream, question_mark
-from .stern import graded_walk
+from .stern import graded_walk, walk_blocks
 from .xi import fibonacci
 
 DISPLAY_DIGITS = 15
@@ -270,29 +274,40 @@ def _cmd_question_mark(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_rows(row: str, *columns: Sequence[int] | Iterator[int]) -> None:
+    """One %-template row per node of a block, all in one write: the
+    first column a list, the others the same length."""
+    count, width = len(columns[0]), len(columns)
+    flat = [0] * (count * width)
+    for i, column in enumerate(columns):
+        flat[i::width] = column
+    sys.stdout.write(row * count % tuple(flat))
+
+
 def _cmd_stern_brocot(args: argparse.Namespace) -> int:
     _check_walk(args.n, 0, "--n", 1)
-    out = sys.stdout
-    out.write("0\t1\n")
-    out.writelines(f"{p}\t{q}\n" for p, q, _, _ in graded_walk(args.n))
-    out.write("1\t1\n")
+    sys.stdout.write("0\t1\n")
+    for ps, qs, _, _ in walk_blocks(args.n):
+        _write_rows("%d\t%d\n", ps, qs)
+    sys.stdout.write("1\t1\n")
     return 0
 
 
 def _cmd_xi(args: argparse.Namespace) -> int:
     _check_walk(args.n, 1, "--n", 2)
-    out = sys.stdout
-    out.write("0\t1\t0\n")
-    out.writelines(f"{p}\t{q}\t{depth}\n" for p, q, depth, _ in graded_walk(args.n, 2))
-    out.write("1\t1\t0\n")
+    sys.stdout.write("0\t1\t0\n")
+    for ps, qs, depths, base in walk_blocks(args.n, 2):
+        _write_rows("%d\t%d\t%d\n", ps, qs, map(add, depths, repeat(base)))
+    sys.stdout.write("1\t1\t0\n")
     return 0
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
     k = args.k
     _check_walk(k, 1, "--k", 2, deepest=True)
-    sys.stdout.writelines(f"{p}\t{q}\t{k}\n" for p, q, depth, _ in graded_walk(k, 2)
-                          if depth == k)
+    for ps, qs, depths, base in walk_blocks(k, 2):
+        keep = [*map((k - base).__eq__, depths)]  # the nodes of depth k
+        _write_rows(f"%d\t%d\t{k}\n", [*compress(ps, keep)], compress(qs, keep))
     return 0
 
 

@@ -12,7 +12,7 @@ d = 1. Its arithmetic, ordering and powers work on those integers alone,
 with one gcd per result. Only the boundaries convert to the sqrt5 basis,
 by (a + b*phi)/d = (2a + b + b*sqrt5)/(2d): the constructor, which takes
 the rational coefficients of a + b*sqrt5, the coefficients `.a` and `.b`,
-and `to_decimal`. Powers are `**` (a negative exponent inverts), and
+`str` and `to_decimal`. Powers are `**` (a negative exponent inverts), and
 `parse_quadsurd`/`str` read and write the text form "a+b√5". Every split
 parameter, rational or not, is checked by `_check_lambda`;
 `parse_rational` refuses an exponent whose 10**N would take longer to
@@ -278,14 +278,25 @@ class QuadSurd:
         return f"QuadSurd({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        a, b = self.a, self.b
+        """The text a+b√5, with a and b as Fraction prints them, built
+        from the stored (a' + b'*phi)/d with one gcd per coefficient,
+        a = (2a' + b')/(2d) and b = b'/(2d). Past Python's int-to-str
+        digit limit it raises int's own ValueError, as Fraction's text
+        would."""
+        a, b, d = self._a, self._b, self._d
         if b == 0:
-            return str(a)
-        surd = f"{abs(b)}√5"
-        if a == 0:
-            return surd if b > 0 else f"-{surd}"
-        op = "+" if b > 0 else "-"
-        return f"{a}{op}{surd}"
+            return _ratio_text(a, d)
+        surd = _ratio_text(abs(b), 2 * d) + "√5"
+        if 2 * a + b == 0:
+            return surd if b > 0 else "-" + surd
+        return _ratio_text(2 * a + b, 2 * d) + ("+" if b > 0 else "-") + surd
+
+
+def _ratio_text(a: int, d: int) -> str:
+    """a/d for d > 0 as Fraction(a, d) prints it: in lowest terms, with no
+    "/1"."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
 
 
 SQRT5 = QuadSurd(0, 1)

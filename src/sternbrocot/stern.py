@@ -9,19 +9,26 @@ Those fractions are the nodes of depth n in the Stern-Brocot tree
 (Graham, Knuth and Patashnik, *Concrete Mathematics* 4.5), rooted at 1/2
 with depth 1 when every edge costs 1. With left edges costing 2 the same
 tree grades the reduced-fraction generations of the `xi` module, so
-`graded_walk` streams both families in increasing order, in O(n) memory,
-from integer mediants alone. The sequences the library builds from it,
-`stern_level`, `new_mediants` and `xi`'s `xi` and `theta`, take one
-route, `_nodes`, which counts them before the walk and refuses one past
-`exact.MAX_ELEMENTS`. `path_runs` gives the one path from the root
-to a given x as its runs of equal turns, the quotients of x, for the
-rank counts and generations of `dist`.
+`walk_blocks` streams both families in increasing order, from integer
+mediants alone: a node below the gap (lo, hi) is A lo + B hi with
+(A, B) fixed by its place, so the subtrees near the depth bound come
+out as blocks of at most BLOCK_NODES nodes, combined from coefficient
+lists built once per call, and the walk keeps a stack only above them.
+`graded_walk` yields the same nodes one at a time and, given a split
+parameter, carries g down the tree with them. The sequences the library
+builds, `stern_level`, `new_mediants` and `xi`'s `xi` and `theta`, take
+one route from the blocks, `_nodes`, which counts them before the walk
+and refuses one past `exact.MAX_ELEMENTS`. `path_runs` gives the one
+path from the root to a given x as its runs of equal turns, the
+quotients of x, for the rank counts and generations of `dist`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add
 
 from .cf import expand_rcf, sum_partial_quotients
 from .exact import (
@@ -37,15 +44,87 @@ from .exact import (
 )
 
 
+#: The most nodes a block of `walk_blocks` holds.
+BLOCK_NODES = 2 ** 11
+
+
 class SternBrocotLevel(_Record):
     """One materialized level: a strictly increasing run from 0 to 1.
 
     A sorted tuple, for callers that need the whole level at once; rank
     queries count along the tree path instead (see `dist`), and the CLI
-    streams rows from `graded_walk`.
+    streams rows from `walk_blocks`.
     """
 
     __slots__ = ("index", "elements")
+
+
+def walk_blocks(n: int, left: int = 1) -> Iterator[tuple[list[int], list[int], list[int], int]]:
+    """The nodes of `graded_walk(n, left)`, in the same order, a block at a time.
+
+    Yields (ps, qs, depths, base): the node ps[i]/qs[i] has depth
+    base + depths[i]. A node below the gap (lo, hi) is the integer
+    combination A lo + B hi of the gap's ends, with (A, B) fixed by its
+    place in the subtree, so each subtree of at most BLOCK_NODES nodes
+    that the bound n cuts (`_block_tables`) comes out as one block, its
+    numerators and denominators combined from those coefficients by one
+    list comprehension each, and base is the depth of its root. Above
+    the blocks the walk keeps an explicit stack, one entry per pending
+    ancestor, and yields each of those few nodes as a block of its own.
+    `depths` is shared between blocks and must not be changed. `left` is
+    checked here, before any block is produced.
+    """
+    if left < 1:
+        raise ValueError("the left edge cost must be >= 1")
+    return _blocks(n, left)
+
+
+def _block_tables(top: int, left: int) -> list[tuple[list[int], list[int], list[int]]]:
+    """For each budget r = 0, 1, ... up to top, while the subtree of the
+    nodes at most r below its root holds at most BLOCK_NODES nodes, the
+    in-order lists (A, B, D) of that subtree: its nodes are A lo + B hi
+    below the gap (lo, hi), D below the root. The root is lo + hi, its
+    left subtree sits in the gap (lo, lo + hi) with budget r - left and
+    its right one in (lo + hi, hi) with budget r - 1, so
+    A(r) = [A(r-left) + B(r-left)] ++ [1] ++ A(r-1),
+    B(r) = B(r-left) ++ [1] ++ [A(r-1) + B(r-1)], and D alike."""
+    tables: list[tuple[list[int], list[int], list[int]]] = []
+    empty: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for r in range(top + 1):
+        la, lb, ld = tables[r - left] if r >= left else empty
+        ra, rb, rd = tables[r - 1] if r else empty
+        if len(la) + len(ra) + 1 > BLOCK_NODES:
+            break
+        tables.append(([*map(add, la, lb), 1, *ra],
+                       [*lb, 1, *map(add, ra, rb)],
+                       [*map(add, ld, repeat(left)), 0, *map(add, rd, repeat(1))]))
+    return tables
+
+
+def _blocks(n: int, left: int) -> Iterator[tuple[list[int], list[int], list[int], int]]:
+    """The walk of `walk_blocks`: a gap whose budget n - depth has a
+    table becomes one block, and the walk goes on above it."""
+    tables = _block_tables(n - 1, left)
+    stack: list[tuple[int, int, int, int, int]] = []
+    lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
+    top, single = len(tables) - 1, [0]
+    while True:
+        while depth <= n:  # down the left spine of the gap (lo, hi)
+            if n - depth <= top:  # the whole subtree below the gap, as one block
+                a, b, d = tables[n - depth]
+                yield ([lo_p * x + hi_p * y for x, y in zip(a, b)],
+                       [lo_q * x + hi_q * y for x, y in zip(a, b)], d, depth)
+                break
+            p, q = lo_p + hi_p, lo_q + hi_q
+            stack.append((p, q, depth, hi_p, hi_q))
+            hi_p, hi_q = p, q
+            depth += left
+        if not stack:
+            return
+        p, q, node_depth, hi_p, hi_q = stack.pop()
+        yield [p], [q], single, node_depth
+        lo_p, lo_q = p, q  # then the right subtree, gap (p/q, hi)
+        depth = node_depth + 1
 
 
 def graded_walk(
@@ -58,10 +137,11 @@ def graded_walk(
     Yields (p, q, depth, g) for each node p/q of (0,1), in lowest terms.
     The root 1/2 has depth 1; a right edge adds 1 to the depth and a
     left edge adds `left`, so left = 1 grades by Stern-Brocot level and
-    left = 2 by reduced-fraction generation. With a split parameter lam
-    in (0,1), g is the singular function at p/q, in lam's type, carried
-    down the tree by the mediant recurrence g(m) = g(lo) + (g(hi) - g(lo))
-    * lam from g(0) = 0 and g(1) = 1; without one, g is None. The
+    left = 2 by reduced-fraction generation. Without a split parameter,
+    g is None and the nodes are those of `walk_blocks`, one at a time.
+    With a split parameter lam in (0,1), g is the singular function at
+    p/q, in lam's type, carried down the tree by the mediant recurrence
+    g(m) = g(lo) + (g(hi) - g(lo)) * lam from g(0) = 0 and g(1) = 1. The
     recurrence runs on the integer kernel of `exact`: a node k mediant
     steps down gets an integer numerator over d**k, lam = (u + v*phi)/d,
     and one gcd when it is yielded. The stack holds one entry per pending
@@ -71,48 +151,47 @@ def graded_walk(
     caller may print a header between the call and the first node; so is
     the size of g at depth n against `exact.MAX_EXACT_BITS`.
     """
+    if lam is None:
+        return chain.from_iterable(zip(ps, qs, map(add, depths, repeat(base)), repeat(None))
+                                   for ps, qs, depths, base in walk_blocks(n, left))
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
-    if lam is not None:
-        _check_lambda(lam)
-        if n > _phi_split(lam)[3]:  # a node of depth n is at most n mediant steps down
-            raise ValueError(_OVER_BUDGET)
+    _check_lambda(lam)
+    if n > _phi_split(lam)[3]:  # a node of depth n is at most n mediant steps down
+        raise ValueError(_OVER_BUDGET)
     return _walk(n, left, lam)
 
 
 def _walk(
-    n: int, left: int, lam: Fraction | QuadSurd | None
-) -> Iterator[tuple[int, int, int, Fraction | QuadSurd | None]]:
-    """The walk of `graded_walk`. With lam = (u + v*phi)/d over Z[phi]
-    (`exact._phi_split`), each gap (lo, hi) carries g(lo) and g(hi) as
-    numerators over the same power e of d, so g at the mediant is the
-    integer numerator g(lo)*(d - u - v*phi) + g(hi)*(u + v*phi) over
-    e*d, reduced into lam's type only when the node is yielded.
+    n: int, left: int, lam: Fraction | QuadSurd
+) -> Iterator[tuple[int, int, int, Fraction | QuadSurd]]:
+    """The walk of `graded_walk` with a split parameter. With
+    lam = (u + v*phi)/d over Z[phi] (`exact._phi_split`), each gap
+    (lo, hi) carries g(lo) and g(hi) as numerators over the same power e
+    of d, so g at the mediant is the integer numerator
+    g(lo)*(d - u - v*phi) + g(hi)*(u + v*phi) over e*d, reduced into
+    lam's type only when the node is yielded.
     """
     stack: list[tuple] = []
     lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
-    gap = right = None
-    if lam is not None:
-        u, v, d, _ = _phi_split(lam)
-        c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
-        gap = (0, 0, 1, 0, 1)  # g(lo) = 0 and g(hi) = 1, over e = 1
+    u, v, d, _ = _phi_split(lam)
+    c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
+    gap = (0, 0, 1, 0, 1)  # g(lo) = 0 and g(hi) = 1, over e = 1
     while True:
         while depth <= n:  # down the left spine of the gap (lo, hi)
             p, q = lo_p + hi_p, lo_q + hi_q
-            if gap is not None:
-                la, lb, ha, hb, e = gap
-                a = la * c + lb * w + ha * u + hb * v
-                b = la * w + lb * (c + w) + ha * v + hb * (u + v)
-                e *= d
-                right = (a, b, ha * d, hb * d, e)  # the gap (p/q, hi)
-                gap = (la * d, lb * d, a, b, e)  # the gap (lo, p/q)
-            stack.append((p, q, depth, hi_p, hi_q, right))
+            la, lb, ha, hb, e = gap
+            a = la * c + lb * w + ha * u + hb * v
+            b = la * w + lb * (c + w) + ha * v + hb * (u + v)
+            e *= d
+            stack.append((p, q, depth, hi_p, hi_q, (a, b, ha * d, hb * d, e)))  # gap (p/q, hi)
+            gap = (la * d, lb * d, a, b, e)  # the gap (lo, p/q)
             hi_p, hi_q = p, q
             depth += left
         if not stack:
             return
         p, q, node_depth, hi_p, hi_q, gap = stack.pop()
-        yield p, q, node_depth, None if gap is None else _phi_value(gap[0], gap[1], gap[4], lam)
+        yield p, q, node_depth, _phi_value(gap[0], gap[1], gap[4], lam)
         lo_p, lo_q = p, q  # then the right subtree, gap (p/q, hi)
         depth = node_depth + 1
 
@@ -164,7 +243,7 @@ def new_mediants(n: int) -> tuple[Fraction, ...]:
 
 
 def _nodes(n: int, low: int, left: int, deepest: bool = False) -> Iterator[Fraction]:
-    """The nodes of `graded_walk(n, left)` as Fractions, or those of depth
+    """The nodes of `walk_blocks(n, left)` as Fractions, or those of depth
     n alone if deepest: the one route from the walk to the sequences the
     library builds (`stern_level`, `new_mediants`, `xi.xi`, `xi.theta`).
 
@@ -184,8 +263,11 @@ def _nodes(n: int, low: int, left: int, deepest: bool = False) -> Iterator[Fract
         w.append(w[-1] + w[-left])
     if w[-1] - (w[-2] if deepest else 1) > MAX_ELEMENTS:
         raise ValueError(f"the sequence would pass the budget of {MAX_ELEMENTS} elements")
-    return (_coprime_fraction(p, q) for p, q, depth, _ in graded_walk(n, left)
-            if not deepest or depth == n)
+    blocks = walk_blocks(n, left)
+    if not deepest:
+        return chain.from_iterable(map(_coprime_fraction, ps, qs) for ps, qs, _, _ in blocks)
+    return (_coprime_fraction(p, q) for ps, qs, depths, base in blocks
+            for p, q, depth in zip(ps, qs, depths) if depth == n - base)
 
 
 def characterize_Qn(x: Fraction) -> int:

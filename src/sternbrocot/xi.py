@@ -11,8 +11,8 @@ whose empirical distribution the `dist` module studies.
 
 That tree is the Stern-Brocot tree with left edges costing two
 generations and right edges one, so `xi` and `theta` read their members
-off `stern.graded_walk` with left = 2, in increasing order, through the
-guarded route of `stern`'s builders, which refuses a sequence past
+off the blocks of `stern.walk_blocks` with left = 2, in increasing
+order, through the guarded route of `stern`'s builders, which refuses a sequence past
 `exact.MAX_ELEMENTS` before the walk; nothing is cached between calls.
 """
 

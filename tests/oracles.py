@@ -201,6 +201,16 @@ def materialized_cdf(elements: Sequence[Fraction], x: Fraction) -> Fraction:
     return Fraction(bisect_right(elements, x), len(elements))
 
 
+def surd_text(a: Fraction, b: Fraction) -> str:
+    """The text "a+b√5" of a + b*sqrt5, from the two Fractions' own text."""
+    if b == 0:
+        return str(a)
+    surd = f"{abs(b)}√5"
+    if a == 0:
+        return surd if b > 0 else f"-{surd}"
+    return f"{a}{'+' if b > 0 else '-'}{surd}"
+
+
 @total_ordering
 class FractionSurd:
     """a + b*sqrt(5) with two Fraction coefficients, the slow route that
@@ -307,12 +317,7 @@ class FractionSurd:
         return result
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        surd = f"{abs(self.b)}√5"
-        if self.a == 0:
-            return surd if self.b > 0 else f"-{surd}"
-        return f"{self.a}{'+' if self.b > 0 else '-'}{surd}"
+        return surd_text(self.a, self.b)
 
     def decimal(self, digits: int) -> str:
         """Rounded half-up to `digits` places: floor((P + R*sqrt5)/D) over
@@ -462,4 +467,23 @@ def field_walk(n: int, left: int, lam) -> Iterator[tuple]:
         p, q, d, g, hi_p, hi_q, g_hi = stack.pop()
         yield p, q, d, g
         lo_p, lo_q, g_lo = p, q, g  # then the right subtree, gap (p/q, hi)
+        depth = d + 1
+
+
+def node_walk(n: int, left: int) -> Iterator[tuple[int, int, int]]:
+    """(p, q, depth) of every node of `graded_walk(n, left)`, one mediant
+    at a time down an explicit stack, with no blocks."""
+    stack: list[tuple] = []
+    lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
+    while True:
+        while depth <= n:  # down the left spine of the gap (lo, hi)
+            p, q = lo_p + hi_p, lo_q + hi_q
+            stack.append((p, q, depth, hi_p, hi_q))
+            hi_p, hi_q = p, q
+            depth += left
+        if not stack:
+            return
+        p, q, d, hi_p, hi_q = stack.pop()
+        yield p, q, d
+        lo_p, lo_q = p, q  # then the right subtree, gap (p/q, hi)
         depth = d + 1

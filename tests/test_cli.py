@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import os
 import re
@@ -586,6 +587,16 @@ GOLDEN_RUNS = {
     "plot-data_1-7+1-11r5_grid8.tsv": ["plot-data", "--lambda", "1/7+1/11√5", "--grid", "8"],
 }
 
+#: SHA-256 of the stdout of outputs too long for a golden file, whose rows
+#: come from many blocks of `stern.walk_blocks` (plot-data: from the walk
+#: with g), taken from the walk that wrote one row per node.
+DIGESTS = {
+    "stern-brocot --n 16": "6f6fa904003fd9d9888dbeaca3bf483913b6496714f95eba5fd47840d979aeee",
+    "xi --n 20": "b598ae624de32a65397affb638dd752a3b041a701c308214a2366e74605a63fc",
+    "theta --k 21": "3a4c32d4bb54e6f6cd74dccdc775b02bd196663740ebc621919eb48e397cf921",
+    "plot-data --lambda tau2 --grid 13":
+        "48ee6a0ee3bfb03c6bcfa3d2b52dc3edb58ff0cfed65c2150a80af0afcf29697",
+}
 
 EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
 EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")
@@ -626,6 +637,12 @@ class TestGoldenOutput:
     def test_matches_the_golden_file(self, capsys, name):
         assert run(GOLDEN_RUNS[name]) == 0
         assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_matches_the_digest(self, capsys, command):
+        assert run(command.split()) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
 
     def test_eval_grid_matches_the_golden_file(self):
         golden = (GOLDEN / "eval_grid.tsv").read_text(encoding="utf-8")

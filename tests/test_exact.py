@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sternbrocot import (
@@ -24,7 +25,8 @@ from sternbrocot import (
 
 from sternbrocot.exact import _coprime_fraction, _phi_value
 
-from oracles import FractionSurd, field_series, rounded_scaled_value, smallest_denominator_between
+from oracles import (FractionSurd, field_series, rounded_scaled_value,
+                     smallest_denominator_between, surd_text)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10_000)
 quads = st.builds(QuadSurd, rationals, rationals)
@@ -319,6 +321,35 @@ class TestTextFormats:
     @given(quads)
     def test_quadsurd_format_parse_round_trip(self, x):
         assert parse_quadsurd(str(x)) == x
+
+    @given(st.one_of(st.just(Fraction(0)), big_rationals),
+           st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), big_rationals))
+    @example(Fraction(0), Fraction(1))  # "1√5"
+    @example(Fraction(0), Fraction(-1))  # "-1√5"
+    @example(Fraction(-3), Fraction(0))
+    @example(Fraction(-5, 3), Fraction(-2, 7))
+    @example(Fraction(1, 3), Fraction(1, 3))  # d = 3 in the phi basis
+    @example(Fraction(3, 2), Fraction(-1, 2))  # tau**2, d = 1
+    def test_quadsurd_text_matches_the_fraction_coefficients(self, a, b):
+        x = QuadSurd(a, b)
+        assert str(x) == surd_text(a, b)
+
+    def test_quadsurd_text_of_units_and_signs(self):
+        assert [str(x) for x in (SQRT5, -SQRT5, TAU, TAU2, QuadSurd(0), QuadSurd(Fraction(-7, 4)))] \
+            == ["1√5", "-1√5", "-1/2+1/2√5", "3/2-1/2√5", "0", "-7/4"]
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+    @pytest.mark.parametrize("x", [QuadSurd(Fraction(1, 10 ** 4400)),
+                                   QuadSurd(Fraction(1, 3), Fraction(10 ** 4400 + 1, 7)),
+                                   QuadSurd(10 ** 4301 + 3, Fraction(1, 9)),
+                                   QuadSurd(0, -10 ** 4301)])
+    def test_quadsurd_text_past_the_digit_limit_raises_as_fractions_do(self, x):
+        with pytest.raises(ValueError) as oracle:
+            surd_text(x.a, x.b)
+        with pytest.raises(ValueError) as raised:
+            str(x)
+        assert str(raised.value) == str(oracle.value)
+        assert "Exceeds the limit (4300 digits)" in str(raised.value)
 
 
 class TestLowestTermsFraction:

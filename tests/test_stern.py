@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -21,9 +22,10 @@ from sternbrocot import (
     theta,
     xi,
 )
-from sternbrocot.stern import path_runs
+from sternbrocot.stern import BLOCK_NODES, path_runs, walk_blocks
 
-from oracles import descend, path_depth, quotient_lists, rcf_value, subtractive_rrcf
+from oracles import (descend, node_walk, path_depth, quotient_lists, rcf_value,
+                     subtractive_rrcf)
 
 
 def frac_set(*pairs):
@@ -167,6 +169,59 @@ class TestGradedWalk:
         for lam in (Fraction(0), Fraction(1), Fraction(3, 2), -TAU):
             with pytest.raises(ValueError, match="split parameter"):
                 graded_walk(3, 2, lam)  # not iterated
+
+
+def largest_block_depth(left):
+    """The largest r whose subtree of the nodes at most r below its root
+    holds at most BLOCK_NODES nodes, by the count c(r) = 1 + c(r - left)
+    + c(r - 1), c(r) = 0 below 0."""
+    counts = {}
+    r = 0
+    while (count := 1 + counts.get(r - left, 0) + counts.get(r - 1, 0)) <= BLOCK_NODES:
+        counts[r] = count
+        r += 1
+    return r - 1
+
+
+class TestWalkBlocks:
+    """The blocks against the walk one node at a time (`oracles.node_walk`)."""
+
+    @pytest.mark.parametrize("left", [1, 2])
+    def test_blocks_flatten_to_the_node_walk(self, left):
+        top = largest_block_depth(left)
+        assert top == {1: 10, 2: 14}[left]
+        for n in range(0, top + 5):
+            blocks = list(walk_blocks(n, left))
+            assert all(len(ps) == len(qs) == len(depths) <= BLOCK_NODES
+                       for ps, qs, depths, _ in blocks)
+            nodes = [(p, q, base + d) for ps, qs, depths, base in blocks
+                     for p, q, d in zip(ps, qs, depths)]
+            expected = list(node_walk(n, left))
+            assert nodes == expected
+            deepest = [Fraction(p, q) for ps, qs, depths, base in blocks
+                       for p, q, d in zip(ps, qs, depths) if d == n - base]
+            assert deepest == [Fraction(p, q) for p, q, depth in expected if depth == n]
+            if n >= 1:  # the builders read the same filter
+                built = [x.value for x in theta(n)] if left == 2 else list(new_mediants(n))
+                assert deepest == built
+            assert list(graded_walk(n, left)) == [(*node, None) for node in expected]
+        assert max(len(ps) for ps, *_ in blocks) == len(list(node_walk(top + 1, left)))
+
+    def test_left_cost_is_checked_at_the_call(self):
+        for left in (0, -1):
+            with pytest.raises(ValueError, match="left edge cost"):
+                walk_blocks(3, left)  # not iterated
+
+    def test_streams(self):
+        # 2**20 - 1 nodes, a block of at most BLOCK_NODES of them at a time
+        tracemalloc.start()
+        try:
+            count = sum(len(ps) for ps, *_ in walk_blocks(20, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2 ** 20 - 1
+        assert peak < 4 * 2 ** 20
 
 
 class TestAgainstTheMediantChain:
