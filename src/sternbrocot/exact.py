@@ -41,9 +41,10 @@ Python signature does; the refusal to assign or delete; equality within
 one class; the hash of the field tuple; the repr `Name(field=value, ...)`;
 and `__reduce__`, so that copy and pickle rebuild a record through its
 constructor. `RegularCF`, `ReducedRCF` and `XiTreeNode` keep their own
-`__init__`, which validates its fields and sets them directly: they are
-built once per expansion or tree node, where the generic binding would
-cost about three times a direct one-field constructor. The base stands
+`__init__`, which validates its fields. The first two set them directly:
+they are built once per expansion, where the generic binding would cost
+about three times a direct one-field constructor; the tree builders of
+`xi` set a node's fields through its private `_known`. The base stands
 in for frozen dataclasses: importing `dataclasses` pulls in `inspect`
 and `ast`, and builds each class's methods with `exec`, at every start
 of the CLI.

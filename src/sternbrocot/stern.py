@@ -13,9 +13,10 @@ tree grades the reduced-fraction generations of the `xi` module, so
 mediants alone: a node below the gap (lo, hi) is A lo + B hi with
 (A, B) fixed by its place, so the subtrees near the depth bound come
 out as blocks of at most BLOCK_NODES nodes, combined from coefficient
-lists built once per call, and the walk keeps a stack only above them.
-`graded_walk` yields the same nodes one at a time and, given a split
-parameter, carries g down the tree with them. The sequences the library
+tables built once per call, and the walk keeps a stack only above them.
+It is the one walk of the nodes alone; `graded_walk` is the walk that
+carries the singular function g of a split parameter down the tree with
+them, one node at a time. The sequences the library
 builds, `stern_level`, `new_mediants` and `xi`'s `xi` and `theta`, take
 one route from the blocks, `_nodes`, which counts them before the walk
 and refuses one past `exact.MAX_ELEMENTS`. `path_runs` gives the one
@@ -59,55 +60,64 @@ class SternBrocotLevel(_Record):
     __slots__ = ("index", "elements")
 
 
-def walk_blocks(n: int, left: int = 1) -> Iterator[tuple[list[int], list[int], list[int], int]]:
-    """The nodes of `graded_walk(n, left)`, in the same order, a block at a time.
+def walk_blocks(n: int, left: int = 1) -> Iterator[tuple[list[int], list[int], tuple[int, ...], int]]:
+    """Every Stern-Brocot node of depth <= n, in increasing order, a block at a time.
 
-    Yields (ps, qs, depths, base): the node ps[i]/qs[i] has depth
-    base + depths[i]. A node below the gap (lo, hi) is the integer
-    combination A lo + B hi of the gap's ends, with (A, B) fixed by its
-    place in the subtree, so each subtree of at most BLOCK_NODES nodes
-    that the bound n cuts (`_block_tables`) comes out as one block, its
-    numerators and denominators combined from those coefficients by one
-    list comprehension each, and base is the depth of its root. Above
-    the blocks the walk keeps an explicit stack, one entry per pending
+    The nodes are the p/q of (0,1), in lowest terms. The root 1/2 has
+    depth 1; a right edge adds 1 to the depth and a left edge adds
+    `left`, so left = 1 grades by Stern-Brocot level and left = 2 by
+    reduced-fraction generation. Yields (ps, qs, depths, base): the node
+    ps[i]/qs[i] has depth base + depths[i], and one comprehension gives
+    the nodes one at a time,
+    [(p, q, base + d) for ps, qs, depths, base in walk_blocks(n, left)
+     for p, q, d in zip(ps, qs, depths)].
+
+    A node below the gap (lo, hi) is the integer combination
+    A lo + B hi of the gap's ends, with (A, B) fixed by its place in the
+    subtree, so each subtree of at most BLOCK_NODES nodes that the bound
+    n cuts (`_block_tables`) comes out as one block, its numerators and
+    denominators combined from those coefficients by one list
+    comprehension each, and base is the depth of its root. Above the
+    blocks the walk keeps an explicit stack, one entry per pending
     ancestor, and yields each of those few nodes as a block of its own.
-    `depths` is shared between blocks and must not be changed. `left` is
-    checked here, before any block is produced.
+    Each block has lists ps and qs of its own; `depths` is a tuple, so a
+    caller may keep or change what it is given without changing the
+    walk. `left` is checked here, before any block is produced.
     """
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
     return _blocks(n, left)
 
 
-def _block_tables(top: int, left: int) -> list[tuple[list[int], list[int], list[int]]]:
+def _block_tables(top: int, left: int) -> list[tuple[tuple[int, ...], ...]]:
     """For each budget r = 0, 1, ... up to top, while the subtree of the
     nodes at most r below its root holds at most BLOCK_NODES nodes, the
-    in-order lists (A, B, D) of that subtree: its nodes are A lo + B hi
+    in-order tuples (A, B, D) of that subtree: its nodes are A lo + B hi
     below the gap (lo, hi), D below the root. The root is lo + hi, its
     left subtree sits in the gap (lo, lo + hi) with budget r - left and
     its right one in (lo + hi, hi) with budget r - 1, so
     A(r) = [A(r-left) + B(r-left)] ++ [1] ++ A(r-1),
     B(r) = B(r-left) ++ [1] ++ [A(r-1) + B(r-1)], and D alike."""
-    tables: list[tuple[list[int], list[int], list[int]]] = []
-    empty: tuple[list[int], list[int], list[int]] = ([], [], [])
+    tables: list[tuple[tuple[int, ...], ...]] = []
+    empty: tuple[tuple[int, ...], ...] = ((), (), ())
     for r in range(top + 1):
         la, lb, ld = tables[r - left] if r >= left else empty
         ra, rb, rd = tables[r - 1] if r else empty
         if len(la) + len(ra) + 1 > BLOCK_NODES:
             break
-        tables.append(([*map(add, la, lb), 1, *ra],
-                       [*lb, 1, *map(add, ra, rb)],
-                       [*map(add, ld, repeat(left)), 0, *map(add, rd, repeat(1))]))
+        tables.append(((*map(add, la, lb), 1, *ra),
+                       (*lb, 1, *map(add, ra, rb)),
+                       (*map(add, ld, repeat(left)), 0, *map(add, rd, repeat(1)))))
     return tables
 
 
-def _blocks(n: int, left: int) -> Iterator[tuple[list[int], list[int], list[int], int]]:
+def _blocks(n: int, left: int) -> Iterator[tuple[list[int], list[int], tuple[int, ...], int]]:
     """The walk of `walk_blocks`: a gap whose budget n - depth has a
     table becomes one block, and the walk goes on above it."""
     tables = _block_tables(n - 1, left)
     stack: list[tuple[int, int, int, int, int]] = []
     lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
-    top, single = len(tables) - 1, [0]
+    top = len(tables) - 1
     while True:
         while depth <= n:  # down the left spine of the gap (lo, hi)
             if n - depth <= top:  # the whole subtree below the gap, as one block
@@ -122,38 +132,31 @@ def _blocks(n: int, left: int) -> Iterator[tuple[list[int], list[int], list[int]
         if not stack:
             return
         p, q, node_depth, hi_p, hi_q = stack.pop()
-        yield [p], [q], single, node_depth
+        yield [p], [q], (0,), node_depth
         lo_p, lo_q = p, q  # then the right subtree, gap (p/q, hi)
         depth = node_depth + 1
 
 
 def graded_walk(
-    n: int,
-    left: int = 1,
-    lam: Fraction | QuadSurd | None = None,
-) -> Iterator[tuple[int, int, int, Fraction | QuadSurd | None]]:
-    """Every Stern-Brocot node of depth <= n, in increasing order.
+    n: int, left: int, lam: Fraction | QuadSurd
+) -> Iterator[tuple[int, int, int, Fraction | QuadSurd]]:
+    """The nodes of `walk_blocks(n, left)`, one at a time, each with the
+    singular function g of the split parameter lam at it.
 
-    Yields (p, q, depth, g) for each node p/q of (0,1), in lowest terms.
-    The root 1/2 has depth 1; a right edge adds 1 to the depth and a
-    left edge adds `left`, so left = 1 grades by Stern-Brocot level and
-    left = 2 by reduced-fraction generation. Without a split parameter,
-    g is None and the nodes are those of `walk_blocks`, one at a time.
-    With a split parameter lam in (0,1), g is the singular function at
-    p/q, in lam's type, carried down the tree by the mediant recurrence
+    Yields (p, q, depth, g) for each node p/q of depth <= n, in
+    increasing order; g is the singular function at p/q, in lam's type,
+    carried down the tree by the mediant recurrence
     g(m) = g(lo) + (g(hi) - g(lo)) * lam from g(0) = 0 and g(1) = 1. The
     recurrence runs on the integer kernel of `exact`: a node k mediant
     steps down gets an integer numerator over d**k, lam = (u + v*phi)/d,
     and one gcd when it is yielded. The stack holds one entry per pending
     ancestor, at most n.
 
-    `left` and lam are checked here, before any node is produced, so a
-    caller may print a header between the call and the first node; so is
-    the size of g at depth n against `exact.MAX_EXACT_BITS`.
+    `left` and lam, which must lie in (0,1), are checked here, before any
+    node is produced, so a caller may print a header between the call
+    and the first node; so is the size of g at depth n against
+    `exact.MAX_EXACT_BITS`.
     """
-    if lam is None:
-        return chain.from_iterable(zip(ps, qs, map(add, depths, repeat(base)), repeat(None))
-                                   for ps, qs, depths, base in walk_blocks(n, left))
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
     _check_lambda(lam)

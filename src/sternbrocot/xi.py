@@ -37,21 +37,36 @@ def fibonacci(n: int) -> int:
 
 
 class XiTreeNode(_Record):
-    """A tree node: a rational in (0,1), its reduced digits, its generation."""
+    """A tree node: a rational in (0,1), its reduced digits, its generation.
+
+    The constructor checks that the level is the digit sum minus one and
+    the value that of the digits. `from_digits` and `theta` build nodes
+    whose fields agree by construction, through `_known`, which skips the
+    checks.
+    """
 
     __slots__ = ("value", "digits", "level")
 
     def __init__(self, value: Fraction, digits: ReducedRCF, level: int) -> None:
         if level != digit_sum_L(digits) - 1:
             raise ValueError("level must be the digit sum minus one")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "level", level)
+        if value != value_rrcf(digits):
+            raise ValueError("value must be the value of the digits")
+        super().__init__(value, digits, level)
+
+    @classmethod
+    def _known(cls, value: Fraction, digits: ReducedRCF, level: int) -> "XiTreeNode":
+        """The node of fields known to agree, set directly."""
+        node = object.__new__(cls)
+        object.__setattr__(node, "value", value)
+        object.__setattr__(node, "digits", digits)
+        object.__setattr__(node, "level", level)
+        return node
 
     @classmethod
     def from_digits(cls, digits: ReducedRCF | tuple[int, ...]) -> "XiTreeNode":
         d = digits if isinstance(digits, ReducedRCF) else ReducedRCF(tuple(digits))
-        return cls(value=value_rrcf(d), digits=d, level=digit_sum_L(d) - 1)
+        return cls._known(value_rrcf(d), d, digit_sum_L(d) - 1)
 
     @classmethod
     def root(cls) -> "XiTreeNode":
@@ -85,7 +100,7 @@ def theta(k: int) -> tuple[XiTreeNode, ...]:
 
     The nodes of depth k in the graded walk with left edges costing 2.
     """
-    return tuple(XiTreeNode(x, expand_rrcf(x), k) for x in _nodes(k, 1, 2, deepest=True))
+    return tuple(XiTreeNode._known(x, expand_rrcf(x), k) for x in _nodes(k, 1, 2, deepest=True))
 
 
 def xi(n: int) -> XiSequence:

@@ -471,8 +471,8 @@ def field_walk(n: int, left: int, lam) -> Iterator[tuple]:
 
 
 def node_walk(n: int, left: int) -> Iterator[tuple[int, int, int]]:
-    """(p, q, depth) of every node of `graded_walk(n, left)`, one mediant
-    at a time down an explicit stack, with no blocks."""
+    """(p, q, depth) of every node of `walk_blocks(n, left)`, in its order,
+    one mediant at a time down an explicit stack, with no blocks."""
     stack: list[tuple] = []
     lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
     while True:

@@ -131,4 +131,6 @@ def test_constructors_still_validate():
         ReducedRCF(digits=(1,))
     with pytest.raises(ValueError, match="digit sum minus one"):
         XiTreeNode(Fraction(3, 7), ReducedRCF((2, 4)), 4)
+    with pytest.raises(ValueError, match="value of the digits"):
+        XiTreeNode(Fraction(1, 3), ReducedRCF((2,)), 1)  # (2,) is 1/2
     assert RegularCF([2, 3]).quotients == (2, 3)  # any iterable becomes a tuple

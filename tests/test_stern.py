@@ -121,54 +121,69 @@ class TestCharacterization:
             assert set(stern_chain[n].elements) == members
 
 
+def flat(n, left):
+    """The nodes of `walk_blocks(n, left)` one at a time, as (p, q, depth)."""
+    return [(p, q, base + d) for ps, qs, depths, base in walk_blocks(n, left)
+            for p, q, d in zip(ps, qs, depths)]
+
+
 class TestGradedWalk:
+    """The graded walk of the tree: its nodes, read off the blocks of
+    `walk_blocks`, and g carried along them by `graded_walk`."""
+
     def test_first_nodes(self):
-        assert list(graded_walk(2)) == [(1, 3, 2, None), (1, 2, 1, None), (2, 3, 2, None)]
-        assert list(graded_walk(3, 2)) == [(1, 3, 3, None), (1, 2, 1, None),
-                                           (2, 3, 2, None), (3, 4, 3, None)]
-        assert list(graded_walk(0)) == []
+        assert flat(2, 1) == [(1, 3, 2), (1, 2, 1), (2, 3, 2)]
+        assert flat(3, 2) == [(1, 3, 3), (1, 2, 1), (2, 3, 2), (3, 4, 3)]
+        assert flat(0, 1) == []
 
     def test_counts(self):
         for n in range(0, 13):
-            assert sum(1 for _ in graded_walk(n)) == 2 ** n - 1
+            assert len(flat(n, 1)) == 2 ** n - 1
         for n in range(1, 19):
-            assert sum(1 for _ in graded_walk(n, 2)) == fibonacci(n + 2) - 1
+            assert len(flat(n, 2)) == fibonacci(n + 2) - 1
 
     def test_increasing_and_in_lowest_terms(self):
         for left in (1, 2):
-            nodes = [(p, q) for p, q, _, _ in graded_walk(12, left)]
+            nodes = [(p, q) for p, q, _ in flat(12, left)]
             assert all(gcd(p, q) == 1 and 0 < p < q for p, q in nodes)
             assert all(p * s < r * q for (p, q), (r, s) in zip(nodes, nodes[1:]))
 
     def test_depth_is_the_level_or_the_generation(self):
         # left = 1: level S(x) - 1; left = 2: generation L(x) - 1
-        for p, q, depth, _ in graded_walk(12):
+        for p, q, depth in flat(12, 1):
             assert depth == sum_partial_quotients(expand_rcf(Fraction(p, q))) - 1
-        for p, q, depth, _ in graded_walk(16, 2):
+        for p, q, depth in flat(16, 2):
             assert depth == sum(subtractive_rrcf(Fraction(p, q))) - 1
 
     @given(st.integers(0, 11), st.integers(1, 4))
     def test_any_left_cost_gives_the_depth_bounded_cut_in_order(self, stern_chain, n, left):
         # every edge costs >= 1, so nodes of depth <= n lie in level n
         expected = [x for x in stern_chain[n].elements[1:-1] if path_depth(x, left) <= n]
-        walked = [(Fraction(p, q), depth) for p, q, depth, _ in graded_walk(n, left)]
+        walked = [(Fraction(p, q), depth) for p, q, depth in flat(n, left)]
         assert walked == [(x, path_depth(x, left)) for x in expected]
 
     @pytest.mark.parametrize("lam", [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), TAU, TAU2])
     def test_split_carries_g_down_the_tree(self, lam):
         for left in (1, 2):
-            for p, q, _, g in graded_walk(8, left, lam):
+            walked = list(graded_walk(8, left, lam))
+            assert [node[:3] for node in walked] == flat(8, left)
+            for p, q, _, g in walked:
                 assert g == g_inductive(Fraction(p, q), lam)
 
     def test_left_cost_must_be_positive_and_is_checked_at_the_call(self):
         for left in (0, -1):
             with pytest.raises(ValueError, match="left edge cost"):
-                graded_walk(3, left)  # not iterated
+                graded_walk(3, left, Fraction(1, 3))  # not iterated
 
     def test_split_must_lie_inside_the_unit_interval(self):
         for lam in (Fraction(0), Fraction(1), Fraction(3, 2), -TAU):
             with pytest.raises(ValueError, match="split parameter"):
                 graded_walk(3, 2, lam)  # not iterated
+
+    def test_the_split_parameter_is_required_at_the_call(self):
+        # the nodes alone are the blocks of walk_blocks
+        with pytest.raises(TypeError):
+            graded_walk(3, 2)  # not iterated
 
 
 def largest_block_depth(left):
@@ -193,7 +208,7 @@ class TestWalkBlocks:
         for n in range(0, top + 5):
             blocks = list(walk_blocks(n, left))
             assert all(len(ps) == len(qs) == len(depths) <= BLOCK_NODES
-                       for ps, qs, depths, _ in blocks)
+                       and type(depths) is tuple for ps, qs, depths, _ in blocks)
             nodes = [(p, q, base + d) for ps, qs, depths, base in blocks
                      for p, q, d in zip(ps, qs, depths)]
             expected = list(node_walk(n, left))
@@ -204,13 +219,27 @@ class TestWalkBlocks:
             if n >= 1:  # the builders read the same filter
                 built = [x.value for x in theta(n)] if left == 2 else list(new_mediants(n))
                 assert deepest == built
-            assert list(graded_walk(n, left)) == [(*node, None) for node in expected]
         assert max(len(ps) for ps, *_ in blocks) == len(list(node_walk(top + 1, left)))
 
     def test_left_cost_is_checked_at_the_call(self):
         for left in (0, -1):
             with pytest.raises(ValueError, match="left edge cost"):
                 walk_blocks(3, left)  # not iterated
+
+    @pytest.mark.parametrize("n, left", [(16, 1), (20, 2)])
+    def test_a_caller_may_change_what_it_is_given(self, n, left):
+        # ps and qs are new lists for each block, depths a tuple: extending
+        # every list a walk gives changes neither its later blocks, many
+        # of which have the same shape, nor a later walk
+        fresh = list(walk_blocks(n, left))
+        seen = []
+        for ps, qs, depths, base in walk_blocks(n, left):
+            seen.append((ps[:], qs[:], depths[:], base))
+            for column in (ps, qs, depths):
+                if isinstance(column, list):
+                    column.append(0)
+        assert seen == fresh
+        assert list(walk_blocks(n, left)) == fresh
 
     def test_streams(self):
         # 2**20 - 1 nodes, a block of at most BLOCK_NODES of them at a time

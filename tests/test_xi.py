@@ -102,6 +102,13 @@ class TestNodesAndChildren:
         with pytest.raises(ValueError):
             XiTreeNode(Fraction(1, 2), ReducedRCF((2,)), level=2)
 
+    def test_the_builders_give_the_nodes_the_constructor_checks(self):
+        # theta and from_digits skip the constructor's checks
+        for k in range(1, 15):
+            for node in theta(k):
+                assert node == XiTreeNode(node.value, node.digits, node.level)
+                assert XiTreeNode.from_digits(node.digits.digits) == node
+
     def test_values_are_reduced_unit_interior(self):
         for k in range(1, 13):
             for node in theta(k):

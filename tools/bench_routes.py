@@ -40,7 +40,7 @@ LAMBDAS = ("1/3", "1/2", "tau2", "tau", "1/7+1/11√5")
 def measure(repeat: int) -> dict[str, dict[str, float]]:
     import sternbrocot as sb
 
-    points = [Fraction(p, q) for p, q, _, _ in sb.graded_walk(LEVEL)]
+    points = [Fraction(p, q) for ps, qs, _, _ in sb.walk_blocks(LEVEL) for p, q in zip(ps, qs)]
     expansions = [sb.expand_rcf(x) for x in points]
     routes = {
         "series": lambda lam: [sb.g_series(cf, lam) for cf in expansions],
