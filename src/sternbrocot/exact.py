@@ -24,12 +24,19 @@ type is (u + v*phi)/d over Z[phi], a QuadSurd's own integers or a
 rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
 parameter's type; for a Fraction that takes a gcd against d alone when
-it can (`_phi_value`). Every size budget of the package lives here:
-`MAX_EXACT_BITS` is theirs, `MAX_ELEMENTS` that of every tuple the
-library builds, and `MAX_OUTPUT_BYTES` (`check_output`) that of a
-command's text. Range checks on Fractions, here (`_check_lambda`) and
-in `cf`, `stern`, `singular` and `dist`, compare the numerator and
-denominator as integers, not through Fraction's order.
+it can (`_phi_value`). `_phi_pow` powers left to right, so each set bit
+of the exponent costs a product by the small base. `to_decimal` reads a
+cancelling value (a + b*sqrt5)/d with a wide b from the exact norm
+a**2 - 5b**2 and the leading bits of a - b*sqrt5 (`_floor_by_norm`); it
+takes the exact square root of `_floor_scaled` when those bounds cannot
+decide, for a narrow b, and when a and b share a sign.
+
+Every size budget of the package lives here: `MAX_EXACT_BITS` is
+theirs, `MAX_ELEMENTS` that of every tuple the library builds, and
+`MAX_OUTPUT_BYTES` (`check_output`) that of a command's text. Range
+checks on Fractions, here (`_check_lambda`) and in `cf`, `stern`,
+`singular` and `dist`, compare the numerator and denominator as
+integers, not through Fraction's order.
 
 `_Record` is the base of the package's immutable value objects
 (`RegularCF`, `ReducedRCF`, `SternBrocotLevel`, `XiTreeNode`,
@@ -400,17 +407,27 @@ def _phi_split(lam: Fraction | QuadSurd) -> tuple[int, int, int, int]:
 
 
 def _phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
-    """(x + y*phi)**n for n >= 0 as the integer pair of its coefficients."""
+    """(x + y*phi)**n for n >= 0 as the integer pair of its coefficients;
+    a negative n raises ValueError.
+
+    Left-to-right binary powering (Knuth, TAOCP vol. 2, 4.6.3): the
+    running power is squared once per bit of n below the leading one and
+    multiplied by the base x + y*phi at each set bit, with phi**2 =
+    phi + 1. The base stays small, so each set bit costs a big-by-small
+    product, where the right-to-left order multiplies two big powers.
+    """
+    if n < 1:
+        if n:
+            raise ValueError(f"the exponent must be >= 0, got {n}")
+        return 1, 0
     if not y:
         return x ** n, 0
-    rx, ry = 1, 0
-    while True:  # square and multiply, with phi**2 = phi + 1
-        if n & 1:
+    rx, ry, bit = x, y, 1 << n.bit_length() - 1
+    while bit := bit >> 1:
+        rx, ry = rx * rx + ry * ry, (2 * rx + ry) * ry
+        if n & bit:
             rx, ry = rx * x + ry * y, rx * y + ry * (x + y)
-        n >>= 1
-        if not n:
-            return rx, ry
-        x, y = x * x + y * y, (2 * x + y) * y
+    return rx, ry
 
 
 def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
@@ -458,11 +475,55 @@ def _floor_scaled(a: int, b: int, d: int, power: int) -> int:
     return (a * scale + _floor_int_sqrt5(b * scale)) // d
 
 
+#: Bit length of |b| past which `to_decimal` takes the norm route
+#: (`_floor_by_norm`) for a + b*sqrt5 with a and b of opposite signs; on
+#: Python 3.11 the two routes cost the same near 250 bits, and below this
+#: the exact square root of `_floor_scaled` is the cheaper.
+_NORM_BITS = 512
+#: Bits that `_floor_by_norm` keeps of a - b*sqrt5 beyond those of the
+#: floor it computes: its two bounds then differ by less than 2**-58.
+_GUARD_BITS = 64
+
+
+def _floor_by_norm(a: int, b: int, d: int, power: int) -> int:
+    """floor((a + b*sqrt5)/d * 10**power) for nonzero integers a and b of
+    opposite signs and d > 0, exactly.
+
+    The two terms may cancel, so the value is taken as N/(d*C) from the norm
+    N = a**2 - 5b**2, exact from two squarings, and C = a - b*sqrt5, which
+    has the sign of a and does not cancel: |C| = |a| + |b|*sqrt5. Its
+    leading bits bound it. With s the bits dropped, L =
+    (|a| >> s) + isqrt(5*(|b| >> s)**2) gives L*2**s <= |C| < (L + 5)*2**s,
+    and s leaves _GUARD_BITS more bits in L than the floor has. The floor
+    is read from both bounds and returned when they agree; otherwise, or
+    when there are no bits to drop, `_floor_scaled` computes it. This is
+    Ziv's method: evaluate with bounds, and take the exact route when
+    they cannot decide.
+    """
+    norm = a * a - 5 * (b * b)  # two squarings
+    scaled = (norm if a > 0 else -norm) * 10 ** power
+    width = max(a.bit_length(), b.bit_length())  # 2**(width - 1) <= |C|
+    s = width - max(scaled.bit_length() - d.bit_length() - width, 0) - _GUARD_BITS
+    if s > 0:
+        top = abs(b) >> s
+        low = (abs(a) >> s) + isqrt(5 * top * top)
+        m = scaled >> s
+        floor = m // (d * low)
+        if floor == m // (d * (low + 5)):
+            return floor
+    return _floor_scaled(a, b, d, power)
+
+
 def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     """Decimal string of x rounded half-up to `digits` fractional digits.
 
-    The result differs from x by less than 10**-digits; computed with
-    exact integer square roots, no floating point.
+    The result differs from x by less than 10**-digits; computed on
+    integers alone, with no floating point. A QuadSurd (a + b*sqrt5)/d
+    whose a and b have opposite signs, |b| past _NORM_BITS bits, takes
+    the norm route (`_floor_by_norm`), which reads the value from the
+    norm and the leading bits of a - b*sqrt5 and falls back to the exact
+    square root of `_floor_scaled` when its bounds cannot decide; every
+    other value takes `_floor_scaled` directly.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -470,7 +531,11 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
         a, b, d = 2 * x._a + x._b, x._b, 2 * x._d
     else:
         a, b, d = x.numerator, 0, x.denominator
-    n = (_floor_scaled(a, b, d, digits + 1) + 5) // 10
+    if b.bit_length() > _NORM_BITS and a and (a > 0) != (b > 0):
+        n = _floor_by_norm(a, b, d, digits + 1)
+    else:
+        n = _floor_scaled(a, b, d, digits + 1)
+    n = (n + 5) // 10
     sign = "-" if n < 0 else ""
     whole, frac = divmod(abs(n), 10 ** digits)
     return f"{sign}{whole}.{frac:0{digits}d}"

@@ -174,6 +174,24 @@ def additive_fibonacci(n: int) -> int:
     return a
 
 
+def right_to_left_phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
+    """(x + y*phi)**n for n >= 0 as the integer pair of its coefficients,
+    phi**2 = phi + 1, by right-to-left binary powering: the base is
+    squared at every bit of n and multiplied into the result at each set
+    bit. The reference for the library's left-to-right `_phi_pow`."""
+    assert n >= 0
+    if not y:
+        return x ** n, 0
+    rx, ry = 1, 0
+    while True:
+        if n & 1:
+            rx, ry = rx * x + ry * y, rx * y + ry * (x + y)
+        n >>= 1
+        if not n:
+            return rx, ry
+        x, y = x * x + y * y, (2 * x + y) * y
+
+
 def path_rank(kind: str, n: int, x: Fraction) -> tuple[int, bool]:
     """(Elements <= x, whether x is an element) for the level-n sequence
     of the given kind, x in (0,1), one node at a time along `descend(x)`:

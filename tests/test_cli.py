@@ -587,16 +587,28 @@ GOLDEN_RUNS = {
     "plot-data_1-7+1-11r5_grid8.tsv": ["plot-data", "--lambda", "1/7+1/11√5", "--grid", "8"],
 }
 
-#: SHA-256 of the stdout of outputs too long for a golden file, whose rows
-#: come from many blocks of `stern.walk_blocks` (plot-data: from the walk
-#: with g), taken from the walk that wrote one row per node.
+#: SHA-256 of the stdout of outputs too long for a golden file. The
+#: tables' rows come from many blocks of `stern.walk_blocks` (plot-data:
+#: from the walk with g), taken from the walk that wrote one row per node.
+#: The tau2 values of eval (139-kbit coefficients), of eval-stream (a first
+#: quotient of 9546, so hi is tau**19090) and the error column of the
+#: verify rows past n = 713 are printed by `to_decimal`'s norm route; their
+#: digests were taken from the exact square-root route alone.
 DIGESTS = {
     "stern-brocot --n 16": "6f6fa904003fd9d9888dbeaca3bf483913b6496714f95eba5fd47840d979aeee",
     "xi --n 20": "b598ae624de32a65397affb638dd752a3b041a701c308214a2366e74605a63fc",
     "theta --k 21": "3a4c32d4bb54e6f6cd74dccdc775b02bd196663740ebc621919eb48e397cf921",
     "plot-data --lambda tau2 --grid 13":
         "48ee6a0ee3bfb03c6bcfa3d2b52dc3edb58ff0cfed65c2150a80af0afcf29697",
+    "eval --lambda tau2 --x 1/100000":
+        "ba766d47224d45499deebb36143785be74964443d4464fe11e498a4f927e37a5",
+    "eval-stream --lambda tau2 --epsilon 1e-30":
+        "59adf3a373b83b9c49242787d11d981b84967fa92a935c919e8abd842297a66e",
+    "verify theorem1 --x 355/1133 --n-max 2000":
+        "55bc5f88ac6e623884c6d1b4c86885a79a7686aa70937f2bcf8bc82535df3922",
 }
+#: The stdin of a DIGESTS command that reads one; the others read none.
+DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n"}
 
 EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
 EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")
@@ -639,10 +651,10 @@ class TestGoldenOutput:
         assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("command", sorted(DIGESTS))
-    def test_matches_the_digest(self, capsys, command):
-        assert run(command.split()) == 0
-        out = capsys.readouterr().out.encode("utf-8")
-        assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
+    def test_matches_the_digest(self, command):
+        code, out, _ = captured_run(command.split(), DIGEST_STDIN.get(command, ""))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
 
     def test_eval_grid_matches_the_golden_file(self):
         golden = (GOLDEN / "eval_grid.tsv").read_text(encoding="utf-8")

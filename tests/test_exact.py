@@ -1,9 +1,10 @@
+import random
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sternbrocot import (
@@ -23,9 +24,9 @@ from sternbrocot import (
     to_decimal,
 )
 
-from sternbrocot.exact import _coprime_fraction, _phi_value
+from sternbrocot.exact import _coprime_fraction, _phi_pow, _phi_value
 
-from oracles import (FractionSurd, field_series, rounded_scaled_value,
+from oracles import (FractionSurd, field_series, right_to_left_phi_pow, rounded_scaled_value,
                      smallest_denominator_between, surd_text)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10_000)
@@ -260,6 +261,103 @@ class TestToDecimal:
         else:
             # strategy values are far enough apart that 30 digits decide
             assert (x < y) == (dx < dy)
+
+
+def near_boundary(b: int, digits: int, k: int, j: int, c: int, sign: int) -> tuple[Fraction, Fraction]:
+    """(A/Q, B/Q), Q = 2**(k + 1) * 10**digits, for a B > 0 and
+    A = (2j + 1)*2**k + c - floor(B*sqrt5), c in {-1, 0}: the terms of
+    (A + B*sqrt5)/Q cancel down to (j + 1/2)/10**digits, a half-up
+    rounding boundary, plus (c + frac(B*sqrt5))/Q, less than 2**-k away.
+    Both coefficients are multiplied by sign."""
+    q = 2 ** (k + 1) * 10 ** digits
+    a = (2 * j + 1) * 2 ** k + c - isqrt(5 * b * b)
+    return Fraction(sign * a, q), Fraction(sign * b, q)
+
+
+@st.composite
+def cancelling_near_boundaries(draw) -> tuple[tuple[Fraction, Fraction], int]:
+    """Coefficients from `near_boundary` with B of 1 to 40 kbit, k up to
+    400 and a boundary in [0, 1), and a digit count from 1 to 40."""
+    digits = draw(st.integers(1, 40))
+    bits = draw(st.integers(1000, 40000))
+    b = random.Random(draw(st.integers(0, 2 ** 32))).getrandbits(bits) | 1 << bits - 1
+    j = draw(st.integers(0, 10 ** digits - 1))
+    p = near_boundary(b, digits, draw(st.integers(0, 400)), j, draw(st.sampled_from((-1, 0))),
+                      draw(st.sampled_from((1, -1))))
+    return p, digits
+
+
+class TestNormRoute:
+    """`to_decimal` on cancelling values whose |b| passes `_NORM_BITS`:
+    the norm and leading-bits route, and its exact fallback."""
+
+    @given(cancelling_near_boundaries())
+    def test_matches_the_square_root_oracle(self, case):
+        p, digits = case
+        x = QuadSurd(*p)
+        assert x._b.bit_length() > exact._NORM_BITS
+        assert to_decimal(x, digits) == FractionSurd(*p).decimal(digits)
+
+    def count_routes(self, monkeypatch) -> dict:
+        calls = {"norm": 0, "scaled": 0}
+        norm, scaled = exact._floor_by_norm, exact._floor_scaled
+
+        def counted_norm(*args):
+            calls["norm"] += 1
+            return norm(*args)
+
+        def counted_scaled(*args):
+            calls["scaled"] += 1
+            return scaled(*args)
+
+        monkeypatch.setattr(exact, "_floor_by_norm", counted_norm)
+        monkeypatch.setattr(exact, "_floor_scaled", counted_scaled)
+        return calls
+
+    def test_the_bounds_decide_alone(self, monkeypatch):
+        calls = self.count_routes(monkeypatch)
+        x = TAU2 + TAU ** 2001  # a 1389-bit b
+        assert to_decimal(x, 30) == FractionSurd(x.a, x.b).decimal(30) == "0.381966011250105151795413165634"
+        assert calls == {"norm": 1, "scaled": 0}
+
+    def test_the_exact_route_runs_when_the_bounds_straddle(self, monkeypatch):
+        # 2**-300 from the boundary 0.38196601125010515, far closer than
+        # the 2**-58 of a last digit that the bounds resolve
+        p = near_boundary(3 ** 700, 16, 300, 3819660112501051, 0, 1)
+        calls = self.count_routes(monkeypatch)
+        assert to_decimal(QuadSurd(*p), 16) == FractionSurd(*p).decimal(16) == "0.3819660112501052"
+        assert to_decimal(-QuadSurd(*p), 16) == (-FractionSurd(*p)).decimal(16)
+        assert calls == {"norm": 2, "scaled": 2}
+
+    def test_small_and_same_sign_values_keep_the_square_root_route(self, monkeypatch):
+        calls = self.count_routes(monkeypatch)
+        for x in (TAU2 + TAU ** 201, TAU ** -2001, -TAU ** -2000, QuadSurd(0, 3 ** 700), Fraction(1, 3)):
+            to_decimal(x, 15)
+        assert calls == {"norm": 0, "scaled": 5}
+
+
+class TestPhiPow:
+    """`_phi_pow`, left to right, against the right-to-left oracle."""
+
+    @pytest.mark.parametrize("base", [(0, 1), (2, -1), (-1, 1), (1, 1)], ids=str)
+    @given(n=st.integers(0, 20000))
+    @example(n=0)
+    @example(n=1)
+    def test_matches_right_to_left(self, base, n):
+        assert _phi_pow(*base, n) == right_to_left_phi_pow(*base, n)
+
+    # a 200-bit base to the power 20000 has 4-Mbit coefficients, some
+    # seconds for each route, hence fewer examples than the small bases
+    @settings(max_examples=10)
+    @given(st.integers(-2 ** 200, 2 ** 200), st.integers(-2 ** 200, 2 ** 200), st.integers(0, 20000))
+    def test_matches_right_to_left_on_200_bit_bases(self, x, y, n):
+        assert _phi_pow(x, y, n) == right_to_left_phi_pow(x, y, n)
+
+    @pytest.mark.parametrize("x, y", [(2, 0), (2, -1), (0, 1), (0, 0)])
+    @pytest.mark.parametrize("n", [-1, -2, -10 ** 6])
+    def test_a_negative_exponent_is_refused(self, x, y, n):
+        with pytest.raises(ValueError, match="exponent"):
+            _phi_pow(x, y, n)
 
 
 class TestTextFormats:
