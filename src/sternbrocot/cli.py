@@ -11,10 +11,11 @@ its power of 10 is built; `eval-stream` likewise refuses a quotient
 token longer than 4300 characters (`MAX_TOKEN_CHARS`) before converting
 it, even one whose stream never ends. Sequence output is TSV, sorted by
 value, so downstream golden-file comparisons are bit-exact; the rows
-stream from one Stern-Brocot tree walk, and no sequence is built:
-`stern-brocot`, `xi` and `theta` write each block of `stern.walk_blocks`
-with one %-template (`_write_rows`), and plot-data prints a row per node
-of `stern.graded_walk`, which carries g. Every `eval` route but salem is
+stream from one traversal of the Stern-Brocot tree, and no sequence is
+built: `stern-brocot`, `xi` and `theta` write each block of
+`stern.walk_blocks` with one %-template (`_write_rows`), and plot-data
+prints a row per node of `stern.graded_walk`, the same traversal with g
+carried at each mediant. Every `eval` route but salem is
 one call, `singular.g_inductive`, which is the alternating series;
 salem is the `question-mark` command. Exit codes: 0 success,
 1 verification failure, 2 usage error or an input whose result is out of

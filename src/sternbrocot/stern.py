@@ -8,16 +8,18 @@ continued-fraction quotients sum to n + 1.
 Those fractions are the nodes of depth n in the Stern-Brocot tree
 (Graham, Knuth and Patashnik, *Concrete Mathematics* 4.5), rooted at 1/2
 with depth 1 when every edge costs 1. With left edges costing 2 the same
-tree grades the reduced-fraction generations of the `xi` module, so
-`walk_blocks` streams both families in increasing order, from integer
-mediants alone: a node below the gap (lo, hi) is A lo + B hi with
-(A, B) fixed by its place, so the subtrees near the depth bound come
-out as blocks of at most BLOCK_NODES nodes, combined from coefficient
-tables built once per call, and the walk keeps a stack only above them.
-It is the one walk of the nodes alone; `graded_walk` is the walk that
-carries the singular function g of a split parameter down the tree with
-them, one node at a time. The sequences the library
-builds, `stern_level`, `new_mediants` and `xi`'s `xi` and `theta`, take
+tree grades the reduced-fraction generations of the `xi` module. One
+in-order traversal of that graded tree, `_inorder`, goes down the left
+spine of each gap with a stack of pending ancestors, and each walk
+supplies only its step at a mediant. `walk_blocks` streams both families
+in increasing order from the integer mediant: a node below the gap
+(lo, hi) is A lo + B hi with (A, B) fixed by its place, so its step gives
+each subtree near the depth bound whole, as a block of at most
+BLOCK_NODES nodes combined from coefficient tables built once per call.
+`graded_walk` steps by the mediant in Z[phi] that carries the singular
+function g of a split parameter down the tree with the nodes, one node
+at a time. The sequences the library builds, `stern_level`,
+`new_mediants` and `xi`'s `xi` and `theta`, take
 one route from the blocks, `_nodes`, which counts them before the walk
 and refuses one past `exact.MAX_ELEMENTS`. `path_runs` gives the one
 path from the root to a given x as its runs of equal turns, the
@@ -26,7 +28,7 @@ quotients of x, for the rank counts and generations of `dist`.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
@@ -72,21 +74,34 @@ def walk_blocks(n: int, left: int = 1) -> Iterator[tuple[list[int], list[int], t
     [(p, q, base + d) for ps, qs, depths, base in walk_blocks(n, left)
      for p, q, d in zip(ps, qs, depths)].
 
-    A node below the gap (lo, hi) is the integer combination
-    A lo + B hi of the gap's ends, with (A, B) fixed by its place in the
-    subtree, so each subtree of at most BLOCK_NODES nodes that the bound
-    n cuts (`_block_tables`) comes out as one block, its numerators and
+    The walk is `_inorder` with the integer mediant as its step. A node
+    below the gap (lo, hi) is the integer combination A lo + B hi of the
+    gap's ends, with (A, B) fixed by its place in the subtree, so the
+    step gives each subtree of at most BLOCK_NODES nodes that the bound
+    n cuts (`_block_tables`) whole, as one block, its numerators and
     denominators combined from those coefficients by one list
     comprehension each, and base is the depth of its root. Above the
-    blocks the walk keeps an explicit stack, one entry per pending
-    ancestor, and yields each of those few nodes as a block of its own.
-    Each block has lists ps and qs of its own; `depths` is a tuple, so a
-    caller may keep or change what it is given without changing the
-    walk. `left` is checked here, before any block is produced.
+    blocks the step gives each of the few pending ancestors as a block
+    of its own. Each block has lists ps and qs of its own; `depths` is a
+    tuple, so a caller may keep or change what it is given without
+    changing the walk. `left` is checked here, before any block is
+    produced.
     """
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
-    return _blocks(n, left)
+    tables = _block_tables(n - 1, left)
+    top = len(tables) - 1
+
+    def step(gap: tuple, depth: int) -> tuple:
+        lo_p, lo_q, hi_p, hi_q = gap
+        if n - depth <= top:  # the whole subtree below the gap, as one block
+            a, b, d = tables[n - depth]
+            return ([lo_p * x + hi_p * y for x, y in zip(a, b)],
+                    [lo_q * x + hi_q * y for x, y in zip(a, b)], d, depth), None, None
+        p, q = lo_p + hi_p, lo_q + hi_q
+        return ([p], [q], (0,), depth), (lo_p, lo_q, p, q), (p, q, hi_p, hi_q)
+
+    return _inorder(n, left, step, (0, 1, 1, 1))
 
 
 def _block_tables(top: int, left: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -111,32 +126,6 @@ def _block_tables(top: int, left: int) -> list[tuple[tuple[int, ...], ...]]:
     return tables
 
 
-def _blocks(n: int, left: int) -> Iterator[tuple[list[int], list[int], tuple[int, ...], int]]:
-    """The walk of `walk_blocks`: a gap whose budget n - depth has a
-    table becomes one block, and the walk goes on above it."""
-    tables = _block_tables(n - 1, left)
-    stack: list[tuple[int, int, int, int, int]] = []
-    lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
-    top = len(tables) - 1
-    while True:
-        while depth <= n:  # down the left spine of the gap (lo, hi)
-            if n - depth <= top:  # the whole subtree below the gap, as one block
-                a, b, d = tables[n - depth]
-                yield ([lo_p * x + hi_p * y for x, y in zip(a, b)],
-                       [lo_q * x + hi_q * y for x, y in zip(a, b)], d, depth)
-                break
-            p, q = lo_p + hi_p, lo_q + hi_q
-            stack.append((p, q, depth, hi_p, hi_q))
-            hi_p, hi_q = p, q
-            depth += left
-        if not stack:
-            return
-        p, q, node_depth, hi_p, hi_q = stack.pop()
-        yield [p], [q], (0,), node_depth
-        lo_p, lo_q = p, q  # then the right subtree, gap (p/q, hi)
-        depth = node_depth + 1
-
-
 def graded_walk(
     n: int, left: int, lam: Fraction | QuadSurd
 ) -> Iterator[tuple[int, int, int, Fraction | QuadSurd]]:
@@ -146,11 +135,13 @@ def graded_walk(
     Yields (p, q, depth, g) for each node p/q of depth <= n, in
     increasing order; g is the singular function at p/q, in lam's type,
     carried down the tree by the mediant recurrence
-    g(m) = g(lo) + (g(hi) - g(lo)) * lam from g(0) = 0 and g(1) = 1. The
-    recurrence runs on the integer kernel of `exact`: a node k mediant
-    steps down gets an integer numerator over d**k, lam = (u + v*phi)/d,
-    and one gcd when it is yielded. The stack holds one entry per pending
-    ancestor, at most n.
+    g(m) = g(lo) + (g(hi) - g(lo)) * lam from g(0) = 0 and g(1) = 1.
+    The walk is `_inorder` with this recurrence as its step, on the
+    integer kernel of `exact`: with lam = (u + v*phi)/d over Z[phi]
+    (`exact._phi_split`), each gap (lo, hi) carries g(lo) and g(hi) as
+    numerators over the same power e of d, so g at the mediant is the
+    integer numerator g(lo)*(d - u - v*phi) + g(hi)*(u + v*phi) over
+    e*d, reduced into lam's type by one gcd (`exact._phi_value`).
 
     `left` and lam, which must lie in (0,1), are checked here, before any
     node is produced, so a caller may print a header between the call
@@ -160,43 +151,51 @@ def graded_walk(
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
     _check_lambda(lam)
-    if n > _phi_split(lam)[3]:  # a node of depth n is at most n mediant steps down
+    u, v, d, limit = _phi_split(lam)
+    if n > limit:  # a node of depth n is at most n mediant steps down
         raise ValueError(_OVER_BUDGET)
-    return _walk(n, left, lam)
+    c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
+
+    def step(gap: tuple, depth: int) -> tuple:
+        lo_p, lo_q, hi_p, hi_q, la, lb, ha, hb, e = gap
+        p, q = lo_p + hi_p, lo_q + hi_q
+        a = la * c + lb * w + ha * u + hb * v
+        b = la * w + lb * (c + w) + ha * v + hb * (u + v)
+        e *= d
+        return ((p, q, depth, _phi_value(a, b, e, lam)),
+                (lo_p, lo_q, p, q, la * d, lb * d, a, b, e), (p, q, hi_p, hi_q, a, b, ha * d, hb * d, e))
+
+    return _inorder(n, left, step, (0, 1, 1, 1, 0, 0, 1, 0, 1))  # g(0) = 0, g(1) = 1, over e = 1
 
 
-def _walk(
-    n: int, left: int, lam: Fraction | QuadSurd
-) -> Iterator[tuple[int, int, int, Fraction | QuadSurd]]:
-    """The walk of `graded_walk` with a split parameter. With
-    lam = (u + v*phi)/d over Z[phi] (`exact._phi_split`), each gap
-    (lo, hi) carries g(lo) and g(hi) as numerators over the same power e
-    of d, so g at the mediant is the integer numerator
-    g(lo)*(d - u - v*phi) + g(hi)*(u + v*phi) over e*d, reduced into
-    lam's type only when the node is yielded.
+def _inorder(n: int, left: int, step: Callable[[tuple, int], tuple], gap: tuple) -> Iterator:
+    """The one traversal of the tree under both walks: what `step` makes
+    of each node of depth <= n below `gap`, the walk's own form of the
+    root gap (0/1, 1/1), in increasing order. The root 1/2 has depth 1,
+    a right edge adds 1 and a left edge `left`.
+
+    step(gap, depth) is given a gap and the depth of its mediant, and
+    returns (node, lower, upper): what to yield for the mediant, and the
+    gaps on either side of it. A step that returns no gaps (None) has
+    given the whole subtree below the gap as its node. The traversal goes
+    down the left spine of each gap and keeps an explicit stack, one
+    entry per pending ancestor, at most n.
     """
     stack: list[tuple] = []
-    lo_p, lo_q, hi_p, hi_q, depth = 0, 1, 1, 1, 1
-    u, v, d, _ = _phi_split(lam)
-    c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
-    gap = (0, 0, 1, 0, 1)  # g(lo) = 0 and g(hi) = 1, over e = 1
+    push, pop = stack.append, stack.pop
+    depth = 1
     while True:
-        while depth <= n:  # down the left spine of the gap (lo, hi)
-            p, q = lo_p + hi_p, lo_q + hi_q
-            la, lb, ha, hb, e = gap
-            a = la * c + lb * w + ha * u + hb * v
-            b = la * w + lb * (c + w) + ha * v + hb * (u + v)
-            e *= d
-            stack.append((p, q, depth, hi_p, hi_q, (a, b, ha * d, hb * d, e)))  # gap (p/q, hi)
-            gap = (la * d, lb * d, a, b, e)  # the gap (lo, p/q)
-            hi_p, hi_q = p, q
+        while depth <= n:  # down the left spine of the gap
+            node, gap, upper = step(gap, depth)
+            if gap is None:  # the whole subtree came out as one node
+                yield node
+                break
+            push((node, upper, depth + 1))
             depth += left
         if not stack:
             return
-        p, q, node_depth, hi_p, hi_q, gap = stack.pop()
-        yield p, q, node_depth, _phi_value(gap[0], gap[1], gap[4], lam)
-        lo_p, lo_q = p, q  # then the right subtree, gap (p/q, hi)
-        depth = node_depth + 1
+        node, gap, depth = pop()
+        yield node  # then the subtree of the gap above it
 
 
 def path_runs(x: Fraction) -> list[int]:

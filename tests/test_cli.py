@@ -590,6 +590,10 @@ GOLDEN_RUNS = {
 #: SHA-256 of the stdout of outputs too long for a golden file. The
 #: tables' rows come from many blocks of `stern.walk_blocks` (plot-data:
 #: from the walk with g), taken from the walk that wrote one row per node.
+#: plot-data at 2/9, grid 18 (6,766 rows), takes `exact._phi_value`'s
+#: full gcd, for a numerator that shares the prime 3 with d = 9**s, to
+#: deeper nodes than its grid-8 golden file; its digest was taken before
+#: `graded_walk` and `walk_blocks` shared one traversal.
 #: The tau2 values of eval (139-kbit coefficients), of eval-stream (a first
 #: quotient of 9546, so hi is tau**19090) and the error column of the
 #: verify rows past n = 713 are printed by `to_decimal`'s norm route; their
@@ -600,6 +604,8 @@ DIGESTS = {
     "theta --k 21": "3a4c32d4bb54e6f6cd74dccdc775b02bd196663740ebc621919eb48e397cf921",
     "plot-data --lambda tau2 --grid 13":
         "48ee6a0ee3bfb03c6bcfa3d2b52dc3edb58ff0cfed65c2150a80af0afcf29697",
+    "plot-data --lambda 2/9 --grid 18":
+        "21ee4eb023f3bb5ccf7717a665d0115d1161c9773171c89f2da80a6b5280bdc6",
     "eval --lambda tau2 --x 1/100000":
         "ba766d47224d45499deebb36143785be74964443d4464fe11e498a4f927e37a5",
     "eval-stream --lambda tau2 --epsilon 1e-30":

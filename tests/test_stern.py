@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 from sternbrocot import (
     TAU,
     TAU2,
+    QuadSurd,
     characterize_Qn,
     expand_rcf,
     fibonacci,
@@ -24,7 +25,7 @@ from sternbrocot import (
 )
 from sternbrocot.stern import BLOCK_NODES, path_runs, walk_blocks
 
-from oracles import (descend, node_walk, path_depth, quotient_lists, rcf_value,
+from oracles import (descend, field_walk, node_walk, path_depth, quotient_lists, rcf_value,
                      subtractive_rrcf)
 
 
@@ -169,6 +170,31 @@ class TestGradedWalk:
             assert [node[:3] for node in walked] == flat(8, left)
             for p, q, _, g in walked:
                 assert g == g_inductive(Fraction(p, q), lam)
+
+    @pytest.mark.parametrize("n, left", [(12, 1), (13, 1), (16, 2), (17, 2)])
+    def test_past_the_first_block_cut(self, n, left):
+        # past largest_block_depth(left) walk_blocks gives the nodes in
+        # many blocks, with the ancestors between them on their own: the
+        # nodes of graded_walk are theirs, in order, and g is the mediant
+        # recurrence in lam's field (`oracles.field_walk`)
+        assert n > largest_block_depth(left)
+        assert len(list(walk_blocks(n, left))) > 2
+        for lam in (Fraction(1, 3), TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11))):
+            walked = list(graded_walk(n, left, lam))
+            assert [node[:3] for node in walked] == flat(n, left)
+            assert [g for *_, g in walked] == [g for *_, g in field_walk(n, left, lam)]
+            assert all(type(g) is type(lam) for *_, g in walked)
+
+    def test_streams(self):
+        # 2**14 - 1 nodes, one at a time from a stack of at most 14 entries
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in graded_walk(14, 1, Fraction(1, 3)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2 ** 14 - 1
+        assert peak < 256 * 2 ** 10
 
     def test_left_cost_must_be_positive_and_is_checked_at_the_call(self):
         for left in (0, -1):
