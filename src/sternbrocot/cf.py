@@ -37,6 +37,13 @@ class RegularCF(_Record):
             raise ValueError("canonical form needs a final quotient >= 2")
         object.__setattr__(self, "quotients", quotients)
 
+    @classmethod
+    def _known(cls, quotients: tuple[int, ...]) -> "RegularCF":
+        """The record of a tuple known to be canonical, set directly."""
+        cf = object.__new__(cls)
+        object.__setattr__(cf, "quotients", quotients)
+        return cf
+
     def __str__(self) -> str:
         return "[0;" + ",".join(map(str, self.quotients)) + "]"
 
@@ -87,19 +94,21 @@ def expand_rcf(x: Fraction) -> RegularCF:
 
     The algorithm lands on the canonical form (final quotient >= 2)
     automatically; x = 1 expands to the empty quotient list. The range
-    check compares x's numerator and denominator as integers.
+    check compares x's numerator and denominator as integers. Euclid's
+    quotients are canonical by construction, so the record is built
+    without the constructor's checks (`RegularCF._known`).
     """
     num, den = x.denominator, x.numerator  # Euclid on 1/x
     if not 0 < den <= num:
         raise ValueError(f"expand_rcf needs 0 < x <= 1, got {x}")
     if den == num:
-        return RegularCF(())
+        return RegularCF._known(())
     quotients = []
     while den:
         q, r = divmod(num, den)
         quotients.append(q)
         num, den = den, r
-    return RegularCF(tuple(quotients))
+    return RegularCF._known(tuple(quotients))
 
 
 def value_rcf(cf: RegularCF) -> Fraction:

@@ -29,7 +29,9 @@ of the exponent costs a product by the small base. `to_decimal` reads a
 cancelling value (a + b*sqrt5)/d with a wide b from the exact norm
 a**2 - 5b**2 and the leading bits of a - b*sqrt5 (`_floor_by_norm`); it
 takes the exact square root of `_floor_scaled` when those bounds cannot
-decide, for a narrow b, and when a and b share a sign.
+decide, for a narrow b, when a and b share a sign, and when the leading
+bits of a and b*sqrt5 already show too little cancellation
+(`_may_cancel`).
 
 Every size budget of the package lives here: `MAX_EXACT_BITS` is
 theirs, `MAX_ELEMENTS` that of every tuple the library builds, and
@@ -51,7 +53,9 @@ constructor. `RegularCF`, `ReducedRCF` and `XiTreeNode` keep their own
 `__init__`, which validates its fields. The first two set them directly:
 they are built once per expansion, where the generic binding would cost
 about three times a direct one-field constructor; the tree builders of
-`xi` set a node's fields through its private `_known`. The base stands
+`xi` set a node's fields through its private `_known`, and
+`cf.expand_rcf`, whose quotients are canonical by construction, those
+of a RegularCF through its own `_known`. The base stands
 in for frozen dataclasses: importing `dataclasses` pulls in `inspect`
 and `ast`, and builds each class's methods with `exec`, at every start
 of the CLI.
@@ -469,9 +473,12 @@ def _floor_scaled(a: int, b: int, d: int, power: int) -> int:
     (P + floor(R*sqrt5)) // D: the fractional part of R*sqrt5 is < 1,
     so the integer numerator P + floor(R*sqrt5) and the true numerator
     always sit in the same length-D window [Q*D, (Q+1)*D). Here
-    P = a*10**power, R = b*10**power and D = d.
+    P = a*10**power, R = b*10**power and D = d; a rational (b = 0) takes
+    no square root.
     """
     scale = 10 ** power
+    if not b:
+        return a * scale // d
     return (a * scale + _floor_int_sqrt5(b * scale)) // d
 
 
@@ -514,12 +521,30 @@ def _floor_by_norm(a: int, b: int, d: int, power: int) -> int:
     return _floor_scaled(a, b, d, power)
 
 
+def _may_cancel(a: int, b: int, d: int, power: int) -> bool:
+    """Whether a + b*sqrt5, for integers a and b of opposite signs wider
+    than _GUARD_BITS bits, may cancel enough bits for `_floor_by_norm` to
+    drop any at this d and power; decided from the leading _GUARD_BITS
+    bits of |a| and |b|*sqrt5, with no full-width product.
+
+    With t the bits below those, A = |a| >> t and R = isqrt(5*(|b| >> t)**2),
+    | |a| - |b|*sqrt5 | > (|A - R| - 4) * 2**t. Once that bound times
+    10**power reaches 2**bits(d), the floor `_floor_by_norm` computes is
+    at least as wide as a and b less _GUARD_BITS: it has no bits to drop
+    and would fall back to `_floor_scaled` after its two squarings.
+    """
+    t = max(a.bit_length(), b.bit_length()) - _GUARD_BITS
+    gap = abs((abs(a) >> t) - isqrt(5 * (abs(b) >> t) ** 2)) - 4
+    return gap <= 0 or (gap * 10 ** power).bit_length() <= d.bit_length()
+
+
 def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     """Decimal string of x rounded half-up to `digits` fractional digits.
 
     The result differs from x by less than 10**-digits; computed on
     integers alone, with no floating point. A QuadSurd (a + b*sqrt5)/d
-    whose a and b have opposite signs, |b| past _NORM_BITS bits, takes
+    whose a and b have opposite signs, |b| past _NORM_BITS bits, and
+    whose leading bits leave room for cancellation (`_may_cancel`) takes
     the norm route (`_floor_by_norm`), which reads the value from the
     norm and the leading bits of a - b*sqrt5 and falls back to the exact
     square root of `_floor_scaled` when its bounds cannot decide; every
@@ -531,7 +556,8 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
         a, b, d = 2 * x._a + x._b, x._b, 2 * x._d
     else:
         a, b, d = x.numerator, 0, x.denominator
-    if b.bit_length() > _NORM_BITS and a and (a > 0) != (b > 0):
+    if (b.bit_length() > _NORM_BITS and a and (a > 0) != (b > 0)
+            and _may_cancel(a, b, d, digits + 1)):
         n = _floor_by_norm(a, b, d, digits + 1)
     else:
         n = _floor_scaled(a, b, d, digits + 1)

@@ -10,12 +10,13 @@ Two ways to the same values, one computation each:
 * `g_series`     - the alternating series over the regular
   continued-fraction quotients of x: the k-th term is (-1)**(k+1) times
   lam**(sum of odd-position quotients up to k, minus 1) times
-  (1-lam)**(sum of even-position quotients up to k), one kernel power
-  per quotient. `g_tau2` is this series at lam = tau**2, where
-  1 - lam = tau makes every term a signed power of tau in Q(sqrt5), and
-  `g_inductive` is it too: replaying the mediant recurrence along the
-  Stern-Brocot path to x, one run of equal turns per quotient, visits
-  exactly the series' partial sums as the ends of the current gap.
+  (1-lam)**(sum of even-position quotients up to k). `g_tau2` is this
+  series at lam = tau**2, where 1 - lam = tau makes every term a signed
+  power of tau in Q(sqrt5), and `g_inductive` is it too: replaying the
+  mediant recurrence along the Stern-Brocot path to x, one run of equal
+  turns per quotient, visits exactly the series' partial sums as the
+  ends of the current gap. `g_stream` runs the same series on a stream
+  of quotients and stops at the first term below its epsilon.
 * `question_mark` - Salem's dyadic form of the series at lam = 1/2,
   one integer numerator over a power of 2 built by shifts. It stays a
   separate route because it is faster than the kernel series at
@@ -25,18 +26,27 @@ Two ways to the same values, one computation each:
 Every route but `question_mark` runs on one integer kernel (`exact`),
 the same for every lam: lam = (u + v*phi)/d over Z[phi], phi the golden
 ratio, the form a QuadSurd stores, with v = 0 for a rational lam and
-d = 1 at tau and tau**2. A value is carried as an integer numerator
-a + b*phi over a power of d, with no gcd and no Fraction inside the
-loops, and reduced once into lam's own type (Fraction or QuadSurd) when
-it is returned. Nothing here touches floating point. A value whose size
-estimate passes `exact.MAX_EXACT_BITS` is refused with a ValueError
-before it is built, and so is a `question_mark` shift past the budget
-at lam = 1/2.
+d = 1 at tau and tau**2. One loop, `_series`, sums the series by
+Horner's rule on integers: at quotient a it multiplies the last term's
+magnitude by lam**a or (1-lam)**a, one power of a small base, and the
+partial sum so far by d**a, and adds or subtracts the new magnitude. So
+a quotient costs one small power and a few products of integers no
+larger than the result; a rational lam carries no phi half, and tau and
+tau**2 no power of d. `g_series` runs the loop to the last quotient,
+`g_stream` stops it at the first term whose magnitude is below epsilon
+and takes the partial sums on either side of that term. A value is an
+integer numerator a + b*phi over a power of d, with no gcd and no
+Fraction inside the loop, and reduced once into lam's own type
+(Fraction or QuadSurd) when it is returned. Nothing here touches
+floating point. A value whose size estimate passes
+`exact.MAX_EXACT_BITS` is refused with a ValueError, at the quotient
+that passes it and before it is built, and so is a `question_mark`
+shift past the budget at lam = 1/2.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .cf import RegularCF, expand_rcf, sum_partial_quotients
@@ -94,56 +104,82 @@ def question_mark(cf: RegularCF) -> Fraction:
     return Fraction(numerator, 1 << shift)
 
 
-def _partial_sums(quotients: Iterable[int], lam: Fraction | QuadSurd) -> Iterator[tuple[int, ...]]:
-    """After each quotient, the partial sum of the alternating series for g
-    and the magnitude of its last term, as integers (a, b, m, n, e): the
-    sum is (a + b*phi)/e and the magnitude (m + n*phi)/e.
+def _series(
+    quotients: Iterable[int],
+    lam: Fraction | QuadSurd,
+    epsilon: Fraction | None = None,
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The alternating series for g over `quotients`, in one loop: the
+    partial sums before and after its last term, as (lo, hi) in
+    increasing order, each an integer triple (a, b, e) for
+    (a + b*phi)/e over the same e, so the one before the last term is
+    not in lowest terms. The last term is that of the last quotient or,
+    given epsilon, the first whose magnitude is below epsilon; then a
+    stream that ends first is refused.
 
     Term k multiplies the previous magnitude by lam**ak (k odd, added) or
-    (1-lam)**ak (k even, subtracted); both factors are < 1, so magnitudes
-    strictly decrease - which is what makes partial sums bracket the value.
-    Over e = d**(S - 1), S the sum of the quotients so far, that is
-    Horner's rule: the sum so far times d**ak, plus or minus the new
-    magnitude numerator.
+    (1-lam)**ak (k even, subtracted), with a1 - 1 in place of a1; both
+    factors are < 1, so magnitudes strictly decrease, which is what makes
+    consecutive partial sums bracket the value. Over e = d**(S - 1), S the
+    sum of the quotients so far, that is Horner's rule: the sum so far
+    times d**ak, plus or minus the new magnitude numerator. A quotient
+    costs one power of a small base and a few products; a rational lam
+    (v = 0) carries no phi half, and tau and tau**2 (d = 1) no scale.
     """
     u, v, d, limit = _phi_split(lam)
     c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
+    if epsilon is not None:
+        eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
     a = b = n = factors = 0
-    m = e = 1
-    for position, q in enumerate(quotients, start=1):
+    m = e = skip = 1  # skip: term 1 is lam**(a1 - 1)
+    odd = False
+    for q in quotients:
         if q < 1:
             raise ValueError(f"partial quotients must be >= 1, got {q}")
-        if position == 1:
-            q -= 1  # term 1 is lam**(a1 - 1)
+        q -= skip
         factors += q
         if factors > limit:
             raise ValueError(_OVER_BUDGET)
-        x, y = _phi_pow(u, v, q) if position % 2 else _phi_pow(c, w, q)
-        m, n = m * x + n * y, m * y + n * (x + y)
-        if d != 1:
+        skip, odd = 0, not odd
+        if v:  # the magnitude is (m + n*phi)/e
+            x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
+            m, n = m * x + n * y, m * y + n * (x + y)
+            if d != 1:
+                scale = d ** q
+                a, b, e = a * scale, b * scale, e * scale
+            a, b = (a + m, b + n) if odd else (a - m, b - n)
+        else:  # a rational lam: b and n stay 0
+            m *= (u if odd else c) ** q
             scale = d ** q
-            a, b, e = a * scale, b * scale, e * scale
-        if position % 2:
-            a, b = a + m, b + n
-        else:
-            a, b = a - m, b - n
-        yield a, b, m, n, e
+            a, e = a * scale + m if odd else a * scale - m, e * scale
+        if epsilon is not None and _sign(eu * e - m * ed, ev * e - n * ed) > 0:
+            break
+    else:
+        if epsilon is not None:
+            raise ValueError("quotient stream ended: the value is rational, use g_series")
+    if odd:  # the last term was added
+        return (a - m, b - n, e), (a, b, e)
+    return (a, b, e), (a + m, b + n, e)
 
 
 def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     """Evaluate g by the finite alternating series over the quotients of x.
 
     The empty quotient list (x = 1) evaluates to 1, mirroring value_rcf.
-    m quotients cost m kernel powers and O(m) products of integers no
-    larger than the result, whose size is checked against
+    Otherwise `_series` runs to the last quotient, and g is its last
+    partial sum: the upper end of the bracket it returns when the last
+    term is added (an odd count of quotients), else the lower. m
+    quotients cost m powers of a small base and O(m) products of
+    integers no larger than the result, whose size is checked against
     `exact.MAX_EXACT_BITS` quotient by quotient, before it is built, and
     one reduction (`exact._phi_value`).
     """
     _check_lambda(lam)
-    a, b, e = 1, 0, 1  # x = 1 has no quotients
-    for a, b, _, _, e in _partial_sums(cf.quotients, lam):
-        pass  # g is the last partial sum
-    return _phi_value(a, b, e, lam)
+    quotients = cf.quotients
+    if not quotients:
+        return _phi_value(1, 0, 1, lam)
+    lo, hi = _series(quotients, lam)
+    return _phi_value(*(hi if len(quotients) % 2 else lo), lam)
 
 
 def g_tau2(cf: RegularCF) -> QuadSurd:
@@ -159,10 +195,14 @@ def g_stream(
 ) -> tuple[Fraction | QuadSurd, Fraction | QuadSurd]:
     """Enclose g(x) for an irrational x given as a stream of quotients.
 
-    Consumes quotients until the magnitude of the next unadded term drops
-    below epsilon, then returns (lo, hi) with lo < g(x) < hi and
-    hi - lo < epsilon: the signs alternate and the magnitudes strictly
-    decrease, so the value always lies between consecutive partial sums.
+    Draws quotients one at a time into `_series` and stops at quotient k,
+    the first whose term has a magnitude below epsilon, drawing no
+    quotient past it. Returns (lo, hi), the partial sums after k - 1 and
+    k terms in increasing order, with lo < g(x) < hi and hi - lo <
+    epsilon: the signs alternate and the magnitudes strictly decrease,
+    so the value always lies between consecutive partial sums. Each
+    quotient costs what it costs in `g_series`, plus one exact
+    comparison of the new magnitude with epsilon.
 
     Raises if the stream is exhausted first - a finite stream means x was
     rational, and g_series gives the exact value instead.
@@ -170,13 +210,5 @@ def g_stream(
     _check_lambda(lam)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
-    previous = 0, 0, 1
-    for k, (a, b, m, n, e) in enumerate(_partial_sums(quotients, lam), start=1):
-        # term k, (m + n*phi)/e, is below epsilon: it was added if k is odd, subtracted if even
-        if _sign(eu * e - m * ed, ev * e - n * ed) > 0:
-            lo, hi = (previous, (a, b, e)) if k % 2 else ((a, b, e), previous)
-            return _phi_value(*lo, lam), _phi_value(*hi, lam)
-        previous = a, b, e
-    raise ValueError("quotient stream ended: the value is rational, use g_series")
-
+    lo, hi = _series(quotients, lam, epsilon)
+    return _phi_value(*lo, lam), _phi_value(*hi, lam)

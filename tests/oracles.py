@@ -7,6 +7,7 @@ code path with the implementation it checks.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from functools import total_ordering
@@ -387,6 +388,35 @@ def quotient_lists(draw, max_total: int = 8 * 10 ** 4) -> list[int]:
 
 
 @st.composite
+def long_quotient_lists(draw) -> list[int]:
+    """200 to 2000 partial quotients that follow Gauss-Kuzmin below 1000
+    (1/(2**u - 1) for u uniform in (0, 1], from a drawn seed), with the
+    first or the second in 1000..9999 and a last quotient >= 2."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    quotients = [min(999, int(1 / (2 ** (1 - rng.random()) - 1)))
+                 for _ in range(draw(st.integers(200, 2000)))]
+    quotients[draw(st.integers(0, 1))] = draw(st.integers(1000, 9999))
+    quotients[-1] = max(quotients[-1], 2)
+    return quotients
+
+
+class Counting:
+    """An iterator over quotients that counts the ones drawn from it."""
+
+    def __init__(self, quotients: Iterable[int]) -> None:
+        self.quotients = iter(quotients)
+        self.drawn = 0
+
+    def __iter__(self) -> "Counting":
+        return self
+
+    def __next__(self) -> int:
+        quotient = next(self.quotients)
+        self.drawn += 1
+        return quotient
+
+
+@st.composite
 def quadratic_parameters(draw) -> QuadSurd:
     """An irrational lambda = a + b*sqrt5 in (0,1), with denominators up to 50.
 
@@ -464,6 +494,75 @@ def field_stream(quotients: Iterable[int], lam, epsilon):
             return (previous, total) if k % 2 else (total, previous)
         previous = total
     raise ValueError("quotient stream ended: the value is rational, use g_series")
+
+
+class PowerSurd:
+    """(a + b*sqrt5) / base**k with integers a and b: the elements of
+    Q(sqrt5) whose denominators are powers of one base, the base of the
+    lambda they are built from. The field routes above run on it as on
+    any field, but it takes no gcd, so their time stays linear in the size
+    of the integers on long expansions, where Fraction and QuadSurd take a
+    gcd of the full width at every operation. `value` reduces it once.
+    It compares with an int, a Fraction or a QuadSurd.
+    """
+
+    __slots__ = ("a", "b", "base", "k")
+
+    def __init__(self, a: int, b: int, base: int, k: int) -> None:
+        self.a, self.b, self.base, self.k = a, b, base, k
+
+    @classmethod
+    def of(cls, lam) -> "PowerSurd":
+        """lam, a Fraction or a QuadSurd, over its own denominator."""
+        a, b = (lam, Fraction(0)) if isinstance(lam, Fraction) else (lam.a, lam.b)
+        base = math.lcm(a.denominator, b.denominator)
+        return cls(a.numerator * (base // a.denominator), b.numerator * (base // b.denominator),
+                   base, 1)
+
+    def value(self) -> QuadSurd:
+        denominator = self.base ** self.k
+        return QuadSurd(Fraction(self.a, denominator), Fraction(self.b, denominator))
+
+    def _aligned(self, other) -> tuple[int, int, int, int, int]:
+        """Both numerators over base**k, for the larger k of the two."""
+        if isinstance(other, int):
+            other = PowerSurd(other, 0, self.base, 0)
+        assert other.base == self.base
+        k = max(self.k, other.k)
+        s, t = self.base ** (k - self.k), self.base ** (k - other.k)
+        return self.a * s, self.b * s, other.a * t, other.b * t, k
+
+    def __add__(self, other) -> "PowerSurd":
+        a, b, c, e, k = self._aligned(other)
+        return PowerSurd(a + c, b + e, self.base, k)
+
+    def __sub__(self, other) -> "PowerSurd":
+        a, b, c, e, k = self._aligned(other)
+        return PowerSurd(a - c, b - e, self.base, k)
+
+    def __mul__(self, other) -> "PowerSurd":
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return PowerSurd(a * c + 5 * b * e, a * e + b * c, self.base, self.k + other.k)
+
+    def __pow__(self, n: int) -> "PowerSurd":
+        result, square = PowerSurd(1, 0, self.base, 0), self
+        while n:  # right to left: result collects the squares of the set bits
+            if n & 1:
+                result = result * square
+            square, n = square * square, n >> 1
+        return result
+
+    def __lt__(self, other) -> bool:
+        if isinstance(other, QuadSurd):
+            c, e = other.a, other.b
+        else:
+            c, e = Fraction(other), Fraction(0)
+        denominator = math.lcm(c.denominator, e.denominator)
+        c, e = c.numerator * (denominator // c.denominator), e.numerator * (denominator // e.denominator)
+        scale = self.base ** self.k
+        p, q = self.a * denominator - c * scale, self.b * denominator - e * scale
+        # the sign of p + q*sqrt5 is that of the larger of |p| and |q|*sqrt5
+        return (p < 0 if p * p > 5 * q * q else q < 0)
 
 
 def field_walk(n: int, left: int, lam) -> Iterator[tuple]:

@@ -29,6 +29,7 @@ from sternbrocot.exact import MAX_ELEMENTS as MAX_REDUCED_DIGITS
 from sternbrocot.dist import _table_bytes
 from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
 from sternbrocot.cli import run
+from sternbrocot.xi import fibonacci
 
 GOLDEN = Path(__file__).parent / "golden"
 OVER_BUDGET = f"error: the output would pass the budget of {MAX_OUTPUT_BYTES} bytes"
@@ -612,9 +613,18 @@ DIGESTS = {
         "59adf3a373b83b9c49242787d11d981b84967fa92a935c919e8abd842297a66e",
     "verify theorem1 --x 355/1133 --n-max 2000":
         "55bc5f88ac6e623884c6d1b4c86885a79a7686aa70937f2bcf8bc82535df3922",
+    # the series at a rational lambda (d = 9) and at an irrational one
+    # with d > 1, over x = F(301)/F(302) = [0; 1, ..., 1, 2], 300 quotients
+    "eval --lambda 2/9 --x 1/100000":
+        "86b2f924d83b81a0e6586ce54cee6b78c0ebf56d076cec72fa9215958df33633",
+    f"eval --lambda 1/7+1/11√5 --x {fibonacci(301)}/{fibonacci(302)}":
+        "57648c56a2eb8030bcf2936161c863dc65123426b5ce42290059f05fb4cd872a",
+    "eval-stream --lambda 1/3 --epsilon 1e-30":
+        "c2065d358998bf159cbcc401fc99acef424097a9f80df8e9f2bd8e4361056df4",
 }
 #: The stdin of a DIGESTS command that reads one; the others read none.
-DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n"}
+DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",
+                "eval-stream --lambda 1/3 --epsilon 1e-30": "9546 1 2 3 4 5\n"}
 
 EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
 EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")

@@ -1,5 +1,6 @@
 import random
 import sys
+from unittest import mock
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -334,6 +335,37 @@ class TestNormRoute:
         for x in (TAU2 + TAU ** 201, TAU ** -2001, -TAU ** -2000, QuadSurd(0, 3 ** 700), Fraction(1, 3)):
             to_decimal(x, 15)
         assert calls == {"norm": 0, "scaled": 5}
+
+    def test_a_wide_value_without_cancellation_skips_the_norm(self, monkeypatch):
+        # |a| = 3 * 7**4000 and |b|*sqrt5 = 2.236... * 7**4000 part in their
+        # leading bits: nothing cancels, so the floor needs every bit of a
+        # and b and the norm's squarings would be wasted
+        calls = self.count_routes(monkeypatch)
+        x = QuadSurd(3 * 7 ** 4000, -7 ** 4000)
+        assert x._b.bit_length() > exact._NORM_BITS
+        for value in (x, -x):
+            for digits in (1, 15, 40):
+                assert to_decimal(value, digits) == FractionSurd(value.a, value.b).decimal(digits)
+        assert calls == {"norm": 0, "scaled": 6}
+
+    @settings(max_examples=100)
+    @given(st.integers(600, 4000), st.integers(0, 2 ** 32), st.integers(0, 300),
+           st.integers(1, 300), st.integers(1, 60))
+    def test_a_value_sent_past_the_norm_would_have_fallen_back(self, bits, seed, cancelled,
+                                                               d_bits, power):
+        # a and b*sqrt5 of opposite signs that cancel in about `cancelled`
+        # leading bits, over a d of 1 to 300 bits: whenever `_may_cancel`
+        # sends the value past the norm route, that route would have found
+        # no bits to drop and fallen back to `_floor_scaled`
+        rng = random.Random(seed)
+        b = rng.getrandbits(bits) | 1 << bits - 1
+        a = -(isqrt(5 * b * b) + rng.getrandbits(bits - cancelled))
+        d = rng.getrandbits(d_bits) | 1 << d_bits - 1
+        scaled = exact._floor_scaled
+        with mock.patch.object(exact, "_floor_scaled", wraps=scaled) as fallback:
+            assert exact._floor_by_norm(a, b, d, power) == scaled(a, b, d, power)
+        if not exact._may_cancel(a, b, d, power):
+            assert fallback.call_count == 1
 
 
 class TestPhiPow:

@@ -7,6 +7,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sternbrocot import (
     TAU2,
@@ -17,6 +18,8 @@ from sternbrocot import (
     SternBrocotLevel,
     XiSequence,
     XiTreeNode,
+    expand_rcf,
+    value_rcf,
 )
 
 ROW = ConvergenceRow(2, Fraction(1, 2), "0.118")
@@ -134,3 +137,35 @@ def test_constructors_still_validate():
     with pytest.raises(ValueError, match="value of the digits"):
         XiTreeNode(Fraction(1, 3), ReducedRCF((2,)), 1)  # (2,) is 1/2
     assert RegularCF([2, 3]).quotients == (2, 3)  # any iterable becomes a tuple
+
+
+EXPANDED = [Fraction(1), Fraction(1, 10 ** 30), Fraction(355, 1133), Fraction(10 ** 30, 10 ** 30 + 1)]
+CLONES = (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record)))
+
+
+def check_expanded(x):
+    """expand_rcf(x), whose record is set without the constructor, is the
+    record RegularCF builds from the same quotients, and behaves as one."""
+    built = expand_rcf(x)
+    record = RegularCF(built.quotients)
+    assert type(built) is RegularCF and type(built.quotients) is tuple
+    assert built == record and not built != record and hash(built) == hash(record)
+    assert repr(built) == repr(record) and str(built) == str(record)
+    assert value_rcf(built) == x
+    for clone in CLONES:
+        twin = clone(built)
+        assert type(twin) is RegularCF and twin == record and hash(twin) == hash(record)
+    with pytest.raises(AttributeError):
+        built.quotients = ()
+    with pytest.raises(AttributeError):
+        del built.quotients
+
+
+@pytest.mark.parametrize("x", EXPANDED, ids=["1", "1e-30", "355/1133", "quotient-1e30"])
+def test_expand_rcf_builds_the_constructors_record(x):
+    check_expanded(x)
+
+
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10 ** 12).filter(lambda x: x > 0))
+def test_expand_rcf_builds_the_constructors_record_for_any_rational(x):
+    check_expanded(x)

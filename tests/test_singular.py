@@ -8,6 +8,7 @@ from sternbrocot import (
     TAU,
     TAU2,
     QuadSurd,
+    RegularCF,
     expand_rcf,
     g_inductive,
     g_series,
@@ -20,10 +21,13 @@ from sternbrocot import (
 from sternbrocot.exact import MAX_EXACT_BITS, _phi_split
 
 from oracles import (
+    Counting,
+    PowerSurd,
     field_partial_sums,
     field_series,
     field_stream,
     field_walk,
+    long_quotient_lists,
     path_replay,
     quotient_lists,
     rcf_value,
@@ -284,6 +288,91 @@ class TestKernelAgainstFieldOracles:
         expected = list(field_walk(n, left, lam))
         assert [node[:3] for node in walked] == [node[:3] for node in expected]
         assert all(same(node[3], old[3]) for node, old in zip(walked, expected))
+
+
+#: One split parameter per branch of the series loop: rational (v = 0),
+#: tau and tau**2 (d = 1), and an irrational parameter whose d is not 1.
+BRANCH_LAMBDAS = (Fraction(1, 3), Fraction(2, 9), TAU, TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11)))
+
+
+def in_type(value: PowerSurd, lam):
+    """A PowerSurd reduced into lam's type: Fraction or QuadSurd."""
+    value = value.value()
+    return value if isinstance(lam, QuadSurd) else value.as_fraction()
+
+
+def magnitude(quotients, lam):
+    """The magnitude of the last term of the series over quotients, in lam's type."""
+    *_, (_, last) = field_partial_sums(quotients, PowerSurd.of(lam))
+    return in_type(last, lam)
+
+
+class TestLongExpansions:
+    """The series loop on each of its branches, against the field routes
+    run on PowerSurd, over 200 to 2000 quotients with a first or second
+    quotient in 1000..9999: the values, the quotients a stream draws, and
+    the quotient at which a refusal is raised."""
+
+    @pytest.mark.parametrize("lam", BRANCH_LAMBDAS)
+    @settings(max_examples=6, deadline=None)
+    @given(quotients=long_quotient_lists())
+    def test_series(self, lam, quotients):
+        expected = in_type(field_series(quotients, PowerSurd.of(lam)), lam)
+        assert same(g_series(RegularCF(quotients), lam), expected)
+
+    @pytest.mark.parametrize("lam", BRANCH_LAMBDAS)
+    @settings(max_examples=6, deadline=None)
+    @given(quotients=long_quotient_lists(), data=st.data())
+    def test_stream_draws_as_many_quotients_as_the_oracle(self, lam, quotients, data):
+        # epsilon: a power of 10, or the magnitude of term j, which is not
+        # below it, so that the stream stops at term j + 1
+        if data.draw(st.booleans()):
+            epsilon = Fraction(1, 10 ** data.draw(st.integers(0, 3000)))
+        else:
+            epsilon = magnitude(quotients[:data.draw(st.integers(1, 100))], lam)
+        kernel, oracle = Counting(quotients), Counting(quotients)
+        try:
+            lo, hi = field_stream(oracle, PowerSurd.of(lam), epsilon)
+        except ValueError:
+            with pytest.raises(ValueError, match="stream ended"):
+                g_stream(kernel, lam, epsilon)
+        else:
+            kernel_lo, kernel_hi = g_stream(kernel, lam, epsilon)
+            assert same(kernel_lo, in_type(lo, lam)) and same(kernel_hi, in_type(hi, lam))
+        assert kernel.drawn == oracle.drawn
+
+    @pytest.mark.parametrize("lam", BRANCH_LAMBDAS)
+    @settings(max_examples=4, deadline=None)
+    @given(quotients=long_quotient_lists(), data=st.data())
+    def test_a_quotient_below_one_is_refused_where_the_oracle_refuses_it(self, lam, quotients,
+                                                                        data):
+        j = data.draw(st.integers(3, 100))
+        quotients[j - 1] = data.draw(st.integers(-2, 0))
+        epsilon = magnitude(quotients[:j - 1], lam)  # no term before j is below it
+        kernel, oracle = Counting(quotients), Counting(quotients)
+        with pytest.raises(ValueError, match=">= 1"):
+            for _ in field_partial_sums(oracle, PowerSurd.of(lam)):
+                pass
+        with pytest.raises(ValueError, match=">= 1"):
+            g_stream(kernel, lam, epsilon)
+        assert kernel.drawn == oracle.drawn == j
+
+    @pytest.mark.parametrize("lam", BRANCH_LAMBDAS)
+    @settings(max_examples=4, deadline=None)
+    @given(quotients=long_quotient_lists(), data=st.data())
+    def test_the_budget_is_refused_at_the_quotient_that_crosses_it(self, lam, quotients, data):
+        # term j carries S - 1 factors, S the sum of the quotients up to j:
+        # the refusal comes at the first j where that passes the limit
+        limit = _phi_split(lam)[3]
+        j = data.draw(st.integers(3, 100))
+        quotients[j - 1] = limit - (sum(quotients[:j - 1]) - 1) + data.draw(st.integers(1, 3))
+        epsilon = magnitude(quotients[:j - 1], lam)
+        kernel = Counting(quotients)
+        with pytest.raises(ValueError, match="size budget"):
+            g_stream(kernel, lam, epsilon)
+        assert kernel.drawn == j
+        with pytest.raises(ValueError, match="size budget"):
+            g_series(RegularCF(quotients), lam)
 
 
 #: Split parameters of the per-step comparisons: rationals with and
