@@ -28,15 +28,22 @@ the same for every lam: lam = (u + v*phi)/d over Z[phi], phi the golden
 ratio, the form a QuadSurd stores, with v = 0 for a rational lam and
 d = 1 at tau and tau**2. One loop, `_series`, sums the series by
 Horner's rule on integers: at quotient a it multiplies the last term's
-magnitude by lam**a or (1-lam)**a, one power of a small base, and the
+magnitude by lam**a or (1-lam)**a, one power of a small base (read from
+a table, `exact._phi_powers`, for a below 48 and a narrow base), and the
 partial sum so far by d**a, and adds or subtracts the new magnitude. So
 a quotient costs one small power and a few products of integers no
 larger than the result; a rational lam carries no phi half, and tau and
 tau**2 no power of d. `g_series` runs the loop to the last quotient,
 `g_stream` stops it at the first term whose magnitude is below epsilon
-and takes the partial sums on either side of that term. A value is an
-integer numerator a + b*phi over a power of d, with no gcd and no
-Fraction inside the loop, and reduced once into lam's own type
+and takes the partial sums on either side of that term. For a quadratic
+lam and a rational epsilon the loop also carries the norm of the term's
+numerator, the product of the norms of lam*d and (1-lam)*d (+-1 at tau
+and tau**2), and decides a term wider than 512 bits from its leading
+bits or those of its conjugate (`exact._term_below`), with no product of
+two wide integers; the exact sign of the difference, two squarings of
+the term's width, is taken only when those bounds cannot decide. A
+value is an integer numerator a + b*phi over a power of d, with no gcd
+and no Fraction inside the loop, and reduced once into lam's own type
 (Fraction or QuadSurd) when it is returned. Nothing here touches
 floating point. A value whose size estimate passes
 `exact.MAX_EXACT_BITS` is refused with a ValueError, at the quotient
@@ -51,15 +58,19 @@ from fractions import Fraction
 
 from .cf import RegularCF, expand_rcf, sum_partial_quotients
 from .exact import (
+    _NORM_BITS,
     _OVER_BUDGET,
     TAU2,
     QuadSurd,
     _check_lambda,
     _phi_pow,
+    _phi_powers,
     _phi_split,
     _phi_value,
     _sign,
+    _term_below,
 )
+
 
 def g_inductive(x: Fraction, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     """Evaluate g at a rational x in [0,1] by replaying the gap splits.
@@ -128,10 +139,15 @@ def _series(
     """
     u, v, d, limit = _phi_split(lam)
     c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
+    if v:  # small powers of a narrow base come from a table
+        lam_powers, rest_powers = _phi_powers(u, v), _phi_powers(c, w)
     if epsilon is not None:
         eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
+        leading = v != 0 and ev == 0  # then a wide term may be compared by its leading bits
+        if leading:  # the norms of lam*d and (1 - lam)*d
+            lam_norm, rest_norm = u * u + u * v - v * v, c * c + c * w - w * w
     a = b = n = factors = 0
-    m = e = skip = 1  # skip: term 1 is lam**(a1 - 1)
+    m = e = norm = skip = 1  # skip: term 1 is lam**(a1 - 1)
     odd = False
     for q in quotients:
         if q < 1:
@@ -142,7 +158,11 @@ def _series(
             raise ValueError(_OVER_BUDGET)
         skip, odd = 0, not odd
         if v:  # the magnitude is (m + n*phi)/e
-            x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
+            powers = lam_powers if odd else rest_powers
+            if q < len(powers):
+                x, y = powers[q]
+            else:
+                x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
             m, n = m * x + n * y, m * y + n * (x + y)
             if d != 1:
                 scale = d ** q
@@ -152,8 +172,16 @@ def _series(
             m *= (u if odd else c) ** q
             scale = d ** q
             a, e = a * scale + m if odd else a * scale - m, e * scale
-        if epsilon is not None and _sign(eu * e - m * ed, ev * e - n * ed) > 0:
-            break
+        if epsilon is not None:
+            below = None
+            if leading:  # the norm is multiplicative
+                norm *= (lam_norm if odd else rest_norm) ** q
+                if n.bit_length() > _NORM_BITS:
+                    below = _term_below(norm, m, n, e, eu, ed)
+            if below is None:
+                below = _sign(eu * e - m * ed, ev * e - n * ed) > 0
+            if below:
+                break
     else:
         if epsilon is not None:
             raise ValueError("quotient stream ended: the value is rational, use g_series")
@@ -202,7 +230,13 @@ def g_stream(
     epsilon: the signs alternate and the magnitudes strictly decrease,
     so the value always lies between consecutive partial sums. Each
     quotient costs what it costs in `g_series`, plus one exact
-    comparison of the new magnitude with epsilon.
+    comparison of the new magnitude with epsilon. At a quadratic lam and
+    a rational epsilon, a term wider than 512 bits is compared by the
+    leading bits of its numerator or of its conjugate, the latter through
+    the norm the loop carries (one power of a small integer per quotient),
+    which costs a few products by 64-bit integers instead of two
+    squarings of the term; the exact comparison runs only when the
+    magnitude lies within about 2**-60 of epsilon, relatively.
 
     Raises if the stream is exhausted first - a finite stream means x was
     rational, and g_series gives the exact value instead.

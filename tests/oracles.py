@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
@@ -228,6 +230,23 @@ def surd_text(a: Fraction, b: Fraction) -> str:
     if a == 0:
         return surd if b > 0 else f"-{surd}"
     return f"{a}{'+' if b > 0 else '-'}{surd}"
+
+
+INT_DIGITS_LIMITED = hasattr(sys, "get_int_max_str_digits")
+
+
+@contextmanager
+def int_digit_limit(digits: int) -> Iterator[None]:
+    """Set Python's int-to-str digit limit (0: none), where it has one, for a block."""
+    if not INT_DIGITS_LIMITED:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @total_ordering
@@ -604,3 +623,31 @@ def node_walk(n: int, left: int) -> Iterator[tuple[int, int, int]]:
         yield p, q, d
         lo_p, lo_q = p, q  # then the right subtree, gap (p/q, hi)
         depth = d + 1
+
+
+def term_numerator(lam, powers: int, rest: int) -> tuple[int, int, int, int]:
+    """lam**powers * (1 - lam)**rest as the series loop carries a term:
+    (m, n, e, norm) for (m + n*phi)/e with e = d**(powers + rest), lam =
+    (u + v*phi)/d, and norm = m**2 + m*n - n**2 as the product of the
+    norms of lam*d and (1 - lam)*d. The powers are taken right to left."""
+    a, b = (lam, Fraction(0)) if isinstance(lam, Fraction) else (lam.a, lam.b)
+    d = math.lcm(a.denominator, b.denominator)
+    u, v = (a - b) * d, 2 * b * d  # a + b*sqrt5 = (a - b) + 2b*phi
+    g = math.gcd(u.numerator, v.numerator, d)
+    u, v, d = u.numerator // g, v.numerator // g, d // g
+    c, w = d - u, -v
+    x, y = right_to_left_phi_pow(u, v, powers)
+    z, t = right_to_left_phi_pow(c, w, rest)
+    m, n = x * z + y * t, x * t + y * (z + t)
+    norm = (u * u + u * v - v * v) ** powers * (c * c + c * w - w * w) ** rest
+    return m, n, d ** (powers + rest), norm
+
+
+def rational_near(m: int, n: int, e: int, offset: int) -> Fraction:
+    """(m + n*phi)/e times 1 + offset/2**62, for m + n*phi > 0, to far more
+    bits than that offset: m + n*phi floored at 2**-k, k past the bits of
+    m and n, so offset 0 gives a rational just below the value."""
+    k = 4 * max(m.bit_length(), n.bit_length()) + 400
+    root = math.isqrt(5 * (n << k) ** 2)  # floor(|n| * 2**k * sqrt5)
+    twice = (2 * m + n << k) + (root if n >= 0 else -root - 1)  # 2(m + n*phi)*2**k, floored
+    return Fraction(twice, 2 * e << k) * (1 + Fraction(offset, 2 ** 62))

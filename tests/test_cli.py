@@ -7,7 +7,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,29 +31,14 @@ from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
 from sternbrocot.cli import run
 from sternbrocot.xi import fibonacci
 
+from oracles import INT_DIGITS_LIMITED, int_digit_limit
+
 GOLDEN = Path(__file__).parent / "golden"
 OVER_BUDGET = f"error: the output would pass the budget of {MAX_OUTPUT_BYTES} bytes"
-
-INT_DIGITS_LIMITED = hasattr(sys, "get_int_max_str_digits")
-
 
 def lines_of(capsys):
     out = capsys.readouterr().out
     return out.splitlines()
-
-
-@contextmanager
-def int_digit_limit(digits):
-    """Set Python's int-to-str digit limit (0: none), where it has one, for a block."""
-    if not INT_DIGITS_LIMITED:
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 class EndlessOnes:
@@ -621,10 +606,19 @@ DIGESTS = {
         "57648c56a2eb8030bcf2936161c863dc65123426b5ce42290059f05fb4cd872a",
     "eval-stream --lambda 1/3 --epsilon 1e-30":
         "c2065d358998bf159cbcc401fc99acef424097a9f80df8e9f2bd8e4361056df4",
+    # streams that stop at a wide term, decided by its leading bits: at tau
+    # a quotient of 9892 at place 2 (lo lies just under 1), and at an
+    # irrational lambda with d > 1, whose norm is not a unit
+    "eval-stream --lambda tau --epsilon 1e-30":
+        "1b1b05df12722c3946eb4cd707c4e48ee43bd6391692571c477fa59bcbcf589e",
+    "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50":
+        "6f688d9aa3ea3667787821a6b89faad6e113109a4159108c6bb93e47b44b6b13",
 }
 #: The stdin of a DIGESTS command that reads one; the others read none.
 DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",
-                "eval-stream --lambda 1/3 --epsilon 1e-30": "9546 1 2 3 4 5\n"}
+                "eval-stream --lambda 1/3 --epsilon 1e-30": "9546 1 2 3 4 5\n",
+                "eval-stream --lambda tau --epsilon 1e-30": "1 9892 4 1 2\n",
+                "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50": "2 7480 1 3 5\n"}
 
 EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
 EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")

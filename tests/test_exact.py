@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sternbrocot import (
@@ -25,10 +25,12 @@ from sternbrocot import (
     to_decimal,
 )
 
-from sternbrocot.exact import _coprime_fraction, _phi_pow, _phi_value
+from sternbrocot.exact import (_coprime_fraction, _int_text, _phi_pow, _phi_powers, _phi_split,
+                               _phi_value, _pow5)
 
-from oracles import (FractionSurd, field_series, right_to_left_phi_pow, rounded_scaled_value,
-                     smallest_denominator_between, surd_text)
+from oracles import (INT_DIGITS_LIMITED, FractionSurd, field_series, int_digit_limit, rational_near,
+                     right_to_left_phi_pow, rounded_scaled_value, smallest_denominator_between,
+                     surd_text, term_numerator)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10_000)
 quads = st.builds(QuadSurd, rationals, rationals)
@@ -390,6 +392,143 @@ class TestPhiPow:
     def test_a_negative_exponent_is_refused(self, x, y, n):
         with pytest.raises(ValueError, match="exponent"):
             _phi_pow(x, y, n)
+
+
+#: One split parameter per kind of term: powers of tau (d = 1), whose m and
+#: n have opposite signs, and one with d > 1 whose numerators may have
+#: either.
+TERM_LAMBDAS = (TAU, TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11)), QuadSurd(Fraction(1, 4), Fraction(1, 8)))
+
+
+class TestTermBelow:
+    """`_term_below`, the stop test of `g_stream` for a quadratic lam and a
+    rational epsilon, against the exact `_sign` it stands in for."""
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(TERM_LAMBDAS), st.integers(0, 3000), st.integers(0, 3000),
+           st.one_of(st.integers(1, 100).map(lambda k: Fraction(1, 10 ** k)),
+                     st.integers(-4, 4)))
+    @example(TAU2, 2000, 1000, 0)  # undecided: epsilon within 2**-62 of the magnitude
+    def test_a_decision_is_the_exact_sign(self, lam, powers, rest, epsilon):
+        m, n, e, norm = term_numerator(lam, powers, rest)
+        assume(n.bit_length() > exact._GUARD_BITS)
+        assert norm == m * m + m * n - n * n
+        if not isinstance(epsilon, Fraction):  # within 1 +- 2**-60 of the magnitude
+            epsilon = rational_near(m, n, e, epsilon)
+        eu, _, ed, _ = _phi_split(epsilon)
+        below = exact._term_below(norm, m, n, e, eu, ed)
+        if below is not None:
+            assert below == (exact._sign(eu * e - m * ed, -n * ed) > 0)
+
+    @pytest.mark.parametrize("lam", TERM_LAMBDAS, ids=str)
+    @pytest.mark.parametrize("powers, rest", [(2000, 1000), (1000, 2000), (3000, 0), (0, 3000)])
+    def test_undecided_only_next_to_the_magnitude(self, lam, powers, rest):
+        m, n, e, norm = term_numerator(lam, powers, rest)
+        decisions = []
+        for offset in (-2 ** 20, -8, 0, 8, 2 ** 20):
+            eu, _, ed, _ = _phi_split(rational_near(m, n, e, offset))
+            decisions.append(exact._term_below(norm, m, n, e, eu, ed))
+        assert decisions[0] is False and decisions[-1] is True
+        assert decisions[2] is None
+        assert decisions[1] in (False, None) and decisions[3] in (True, None)
+
+    def test_both_conjugates_take_their_turn(self):
+        # tau**2 powers: m and n of opposite signs, read through the norm;
+        # at 1/7+1/11sqrt5, lam**2000 has m and n of one sign, read as it is
+        for lam, same in ((TAU2, False), (QuadSurd(Fraction(1, 7), Fraction(1, 11)), True)):
+            m, n, e, norm = term_numerator(lam, 2000, 0)
+            assert ((m > 0) == (n > 0)) is same
+            eu, _, ed, _ = _phi_split(rational_near(m, n, e, 2 ** 20))
+            assert exact._term_below(norm, m, n, e, eu, ed) is True
+
+
+class TestPhiPowers:
+    """The small-power table the series loop reads instead of `_phi_pow`."""
+
+    @pytest.mark.parametrize("lam", [TAU, TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11)),
+                                     Fraction(2, 9)], ids=str)
+    def test_every_entry_is_the_power(self, lam):
+        u, v, d, _ = _phi_split(lam)
+        for base in ((u, v), (d - u, -v)):
+            table = _phi_powers(*base)
+            assert len(table) == exact._TABLE_POWERS
+            assert list(table) == [_phi_pow(*base, k) for k in range(exact._TABLE_POWERS)]
+
+    def test_the_cache_stays_bounded(self):
+        lams = [QuadSurd(Fraction(1, k), Fraction(1, 3 * k)) for k in range(3, 103)]
+        for lam in lams:
+            g_series(expand_rcf(Fraction(3, 7)), lam)
+        info = _phi_powers.cache_info()
+        assert len(set(lams)) == 100
+        assert info.currsize <= info.maxsize == 16
+
+    def test_a_wide_base_is_powered_by_phi_pow(self):
+        lam = QuadSurd(Fraction(1, 3), Fraction(1, 10 ** 40))  # 133-bit integers
+        u, v, d, _ = _phi_split(lam)
+        assert _phi_powers(u, v) == _phi_powers(d - u, -v) == ()
+        x = Fraction(2, 7)  # quotients 3, 2
+        with mock.patch("sternbrocot.singular._phi_pow", wraps=_phi_pow) as powered:
+            value = g_series(expand_rcf(x), lam)
+        assert powered.call_count == 2
+        assert value == field_series(expand_rcf(x).quotients, lam)
+
+
+class TestTextByHalves:
+    """`_int_text`, the integer text of `QuadSurd.__str__`, against `str`."""
+
+    @staticmethod
+    def edges():
+        """10**k - 1, 10**k and 10**k + 1 for every split point k = 2**j
+        the coefficients of 3 to 64 kbit reach, with multiples that put the
+        zeros of the padding inside a part, and their negatives."""
+        values = []
+        for j in range(8, 15):
+            k = 1 << j
+            for base in (10 ** k, 7 * 10 ** k, 10 ** (2 * k) + 10 ** k, 10 ** (3 * k)):
+                values += [base - 1, base, base + 1]
+        values = [n for n in values if exact._SPLIT_BITS < n.bit_length() <= 65536]
+        return values + [-n for n in values]
+
+    def test_matches_str_at_the_split_points(self):
+        with int_digit_limit(0):
+            for n in self.edges():
+                assert _int_text(n) == str(n)
+
+    def test_quadsurd_text_matches_the_fraction_coefficients(self):
+        rng = random.Random(5)
+        values = self.edges()
+        for _ in range(12):
+            bits = rng.randint(exact._SPLIT_BITS + 1, 65536)
+            values.append(rng.choice((1, -1)) * rng.getrandbits(bits) | 1 << bits - 1)
+        with int_digit_limit(0):
+            for a, b in zip(values, reversed(values)):
+                for x in (QuadSurd(a, b), QuadSurd(Fraction(a, 7), Fraction(b, 3)), QuadSurd(0, a)):
+                    assert str(x) == surd_text(x.a, x.b)
+
+    @pytest.mark.skipif(not INT_DIGITS_LIMITED, reason="no int-to-str limit")
+    @pytest.mark.parametrize("limit", [4300, 5000, 1400])
+    def test_at_the_digit_limit_it_prints_or_raises_as_str_does(self, limit):
+        with int_digit_limit(limit):
+            for n in (10 ** (limit - 1), 10 ** limit - 1, 10 ** limit, 10 ** limit + 1, 2 ** 3073 + 1):
+                for value in (n, -n):
+                    try:
+                        expected = str(value)
+                    except ValueError as oracle:
+                        with pytest.raises(ValueError) as raised:
+                            _int_text(value)
+                        assert str(raised.value) == str(oracle)
+                    else:
+                        assert _int_text(value) == expected
+
+    def test_the_ladder_of_powers_stays_bounded(self):
+        rng = random.Random(7)
+        with int_digit_limit(0):
+            for bits in rng.sample(range(exact._SPLIT_BITS + 1, 24577), 1000):
+                n = rng.getrandbits(bits) | 1 << bits - 1
+                assert _int_text(n) == str(n)
+        info = _pow5.cache_info()
+        assert info.currsize <= info.maxsize == 32
+        assert [_pow5(j) for j in range(4)] == [5, 25, 625, 5 ** 8]
 
 
 class TestTextFormats:

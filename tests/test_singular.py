@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +19,7 @@ from sternbrocot import (
     mediant,
     question_mark,
 )
-from sternbrocot.exact import MAX_EXACT_BITS, _phi_split
+from sternbrocot.exact import MAX_EXACT_BITS, _phi_split, _sign, _term_below
 
 from oracles import (
     Counting,
@@ -30,9 +31,11 @@ from oracles import (
     long_quotient_lists,
     path_replay,
     quotient_lists,
+    rational_near,
     rcf_value,
     split_parameters,
     tau_power_series,
+    term_numerator,
 )
 
 LAMBDAS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
@@ -373,6 +376,67 @@ class TestLongExpansions:
         assert kernel.drawn == j
         with pytest.raises(ValueError, match="size budget"):
             g_series(RegularCF(quotients), lam)
+
+
+@st.composite
+def big_quotient_streams(draw) -> list[int]:
+    """2 to 12 quotients in 1..50 with one in 1000..9999 at the first or
+    second place, the point where a stream's term is widest when it stops."""
+    quotients = draw(st.lists(st.integers(1, 50), min_size=2, max_size=12))
+    quotients[draw(st.integers(0, 1))] = draw(st.integers(1000, 9999))
+    return quotients
+
+
+#: The split parameters of the stop-test comparisons: tau and tau**2, a
+#: rational, and an irrational one with d > 1 and a norm that is not a unit.
+STOP_LAMBDAS = (TAU, TAU2, Fraction(2, 9), QuadSurd(Fraction(1, 7), Fraction(1, 11)))
+
+
+class TestStopOnTheLeadingBits:
+    """A stream at a quadratic lam and a rational epsilon decides whether a
+    wide term is below epsilon from the leading bits of the term or of its
+    conjugate (`exact._term_below`), and takes the exact `_sign` only when
+    those cannot decide: the bracket and the quotients drawn stay those of
+    the field oracle."""
+
+    @pytest.mark.parametrize("lam", STOP_LAMBDAS, ids=str)
+    @settings(max_examples=25, deadline=None)
+    @given(quotients=big_quotient_streams(), k=st.integers(1, 100))
+    def test_the_stream_stops_where_the_oracle_stops(self, lam, quotients, k):
+        epsilon = Fraction(1, 10 ** k)
+        kernel = Counting(itertools.chain(quotients, itertools.repeat(1)))
+        oracle = Counting(itertools.chain(quotients, itertools.repeat(1)))
+        lo, hi = field_stream(oracle, PowerSurd.of(lam), epsilon)
+        kernel_lo, kernel_hi = g_stream(kernel, lam, epsilon)
+        assert same(kernel_lo, in_type(lo, lam)) and same(kernel_hi, in_type(hi, lam))
+        assert kernel.drawn == oracle.drawn
+
+    @pytest.mark.parametrize("lam", [TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11))], ids=str)
+    def test_an_undecided_term_takes_the_exact_sign(self, lam):
+        # epsilon just under the magnitude of term 2, lam**2 (1-lam)**2000:
+        # term 1 is narrow and goes to `_sign` alone; at term 2 the leading
+        # bits cannot decide and `_sign` finds the term not below; term 3
+        # is decided by its leading bits, and the stream stops there
+        quotients = [3, 2000, 5, 1, 1, 1]
+        m, n, e, _ = term_numerator(lam, 2, 2000)
+        epsilon = rational_near(m, n, e, 0)
+        assert epsilon < magnitude(quotients[:2], lam)
+        kernel, oracle = Counting(quotients), Counting(quotients)
+        lo, hi = field_stream(oracle, PowerSurd.of(lam), epsilon)
+        with mock.patch("sternbrocot.singular._sign", wraps=_sign) as sign, \
+                mock.patch("sternbrocot.singular._term_below", wraps=_term_below) as leading:
+            kernel_lo, kernel_hi = g_stream(kernel, lam, epsilon)
+        assert same(kernel_lo, in_type(lo, lam)) and same(kernel_hi, in_type(hi, lam))
+        assert kernel.drawn == oracle.drawn == 3
+        assert sign.call_count == leading.call_count == 2
+
+    def test_the_digest_stream_takes_no_wide_sign(self):
+        # the stream of the eval-stream digest at tau**2: one term of
+        # 13-kbit coefficients, tau**19090, decided by its conjugate
+        with mock.patch("sternbrocot.singular._sign", wraps=_sign) as sign:
+            lo, hi = g_stream(iter([9546, 1, 2, 3, 4, 5]), TAU2, Fraction(1, 10 ** 30))
+        assert hi - lo == TAU ** 19090
+        assert sign.call_count == 0
 
 
 #: Split parameters of the per-step comparisons: rationals with and
