@@ -28,9 +28,13 @@ it can (`_phi_value`). `_phi_pow` powers left to right, so each set bit
 of the exponent costs a product by the small base; `_phi_powers` keeps
 the powers below 48 of a base of at most 32 bits in a table, built once
 per base and cached for the 16 latest bases (`functools.lru_cache`,
-whose `cache_info` shows it). `_term_below` tells whether a wide
-(m + n*phi)/e lies below a rational, from the leading bits of m + n*phi
-or, through its norm, of its conjugate, for `singular`'s stream stop.
+whose `cache_info` shows it). One helper, `_leading`, bounds a + b*sqrt5
+from the leading bits of a and b, with one slack proof, for three
+routines that decide from those bounds and take an exact route when they
+cannot (Ziv's method): `_term_below` tells whether a wide (m + n*phi)/e
+lies below a rational, from m + n*phi or, through its norm, its
+conjugate, for `singular`'s stream stop; `_may_cancel` and
+`_floor_by_norm` serve `to_decimal`, below.
 `str` of a QuadSurd prints a coefficient past 3072 bits by halves
 (`_int_text`): split at a power of ten 10**(2**j), dividing by its odd
 part 5**(2**j) from a ladder of at most 32 cached rungs (`_pow5`), each
@@ -40,7 +44,9 @@ coefficient that may reach Python's int-to-str digit limit, when there
 is one, goes to `str` itself, so it prints, or raises its ValueError,
 exactly as `str` would. `to_decimal` reads a
 cancelling value (a + b*sqrt5)/d with a wide b from the exact norm
-a**2 - 5b**2 and the leading bits of a - b*sqrt5 (`_floor_by_norm`); it
+a**2 - 5b**2 and the leading bits of a - b*sqrt5 (`_floor_by_norm`), and
+a value within 2**-58 of 1, where those bounds straddle 1, from
+1 - value, which is not next to an integer (the complement route); it
 takes the exact square root of `_floor_scaled` when those bounds cannot
 decide, for a narrow b, when a and b share a sign, and when the leading
 bits of a and b*sqrt5 already show too little cancellation
@@ -531,17 +537,6 @@ def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | Q
     return Fraction(a, d)
 
 
-def _floor_int_sqrt5(n: int) -> int:
-    """floor(n * sqrt5) for an integer n.
-
-    n*sqrt5 is irrational for n != 0, so the ceiling of a negative
-    multiple is floor + 1 of its mirror image.
-    """
-    if n >= 0:
-        return isqrt(5 * n * n)
-    return -isqrt(5 * n * n) - 1
-
-
 def _floor_scaled(a: int, b: int, d: int, power: int) -> int:
     """floor((a + b*sqrt5)/d * 10**power) for integers a, b and d > 0, exactly.
 
@@ -550,12 +545,14 @@ def _floor_scaled(a: int, b: int, d: int, power: int) -> int:
     so the integer numerator P + floor(R*sqrt5) and the true numerator
     always sit in the same length-D window [Q*D, (Q+1)*D). Here
     P = a*10**power, R = b*10**power and D = d; a rational (b = 0) takes
-    no square root.
+    no square root. R*sqrt5 is irrational for R != 0, so the floor of a
+    negative R*sqrt5 is one below minus that of its mirror image.
     """
     scale = 10 ** power
     if not b:
         return a * scale // d
-    return (a * scale + _floor_int_sqrt5(b * scale)) // d
+    root = isqrt(5 * (b * scale) ** 2)
+    return (a * scale + (root if b > 0 else -root - 1)) // d
 
 
 #: Bit length of |b| past which `to_decimal` takes the norm route
@@ -565,9 +562,28 @@ def _floor_scaled(a: int, b: int, d: int, power: int) -> int:
 #: of `singular` reads a term by its leading bits (`_term_below`) past the
 #: same width, where that costs about what two squarings of it do.
 _NORM_BITS = 512
-#: Bits that `_floor_by_norm` keeps of a - b*sqrt5 beyond those of the
-#: floor it computes: its two bounds then differ by less than 2**-58.
+#: Bits that the leading-bits bounds (`_leading`) keep beyond those a
+#: decision needs: `_floor_by_norm`'s two bounds on a floor then differ
+#: by less than 2**-58 of it, and `_term_below` and `_may_cancel` read
+#: the leading _GUARD_BITS bits of their integers.
 _GUARD_BITS = 64
+
+
+def _leading(a: int, b: int, s: int) -> tuple[int, int]:
+    """(L, L + 5) with L*2**s <= a + b*sqrt5 < (L + 5)*2**s, for an
+    integer a of either sign, b >= 0 and s >= 0, from the bits of a and b
+    above the s lowest: L = (a >> s) + isqrt(5*(b >> s)**2).
+
+    The three truncations, of a, of b (times sqrt5) and of the square
+    root, lose less than 1, sqrt5 and 1, and 2 + sqrt5 < 5. For b > 0
+    the value is irrational, so it lies strictly above L*2**s. This is
+    the one bound of Ziv's method in the three routines that read it
+    (`_floor_by_norm`, `_term_below`, `_may_cancel`): evaluate with
+    bounds, and take an exact route when they cannot decide.
+    """
+    t = b >> s
+    low = (a >> s) + isqrt(5 * t * t)
+    return low, low + 5
 
 
 def _floor_by_norm(a: int, b: int, d: int, power: int) -> int:
@@ -576,26 +592,28 @@ def _floor_by_norm(a: int, b: int, d: int, power: int) -> int:
 
     The two terms may cancel, so the value is taken as N/(d*C) from the norm
     N = a**2 - 5b**2, exact from two squarings, and C = a - b*sqrt5, which
-    has the sign of a and does not cancel: |C| = |a| + |b|*sqrt5. Its
-    leading bits bound it. With s the bits dropped, L =
-    (|a| >> s) + isqrt(5*(|b| >> s)**2) gives L*2**s <= |C| < (L + 5)*2**s,
-    and s leaves _GUARD_BITS more bits in L than the floor has. The floor
-    is read from both bounds and returned when they agree; otherwise, or
-    when there are no bits to drop, `_floor_scaled` computes it. This is
-    Ziv's method: evaluate with bounds, and take the exact route when
-    they cannot decide.
+    has the sign of a and does not cancel: |C| = |a| + |b|*sqrt5, bounded
+    by `_leading` with s bits dropped, s leaving _GUARD_BITS more bits in
+    its bounds than the floor has. The floor is read from both bounds and
+    returned when they agree. When they straddle 10**power the value lies
+    within 2**-58 of 1, and the floor is read from 1 - value, whose terms
+    (d - a) - b*sqrt5 again have opposite signs and whose floor is far
+    from an integer: floor(10**power - y) = 10**power - 1 - floor(y) for
+    an irrational y. Otherwise, or when there are no bits to drop,
+    `_floor_scaled` computes it.
     """
+    scale = 10 ** power
     norm = a * a - 5 * (b * b)  # two squarings
-    scaled = (norm if a > 0 else -norm) * 10 ** power
+    scaled = (norm if a > 0 else -norm) * scale
     width = max(a.bit_length(), b.bit_length())  # 2**(width - 1) <= |C|
     s = width - max(scaled.bit_length() - d.bit_length() - width, 0) - _GUARD_BITS
     if s > 0:
-        top = abs(b) >> s
-        low = (abs(a) >> s) + isqrt(5 * top * top)
-        m = scaled >> s
-        floor = m // (d * low)
-        if floor == m // (d * (low + 5)):
+        m, (low, high) = scaled >> s, _leading(abs(a), abs(b), s)
+        floor, under = m // (d * low), m // (d * high)
+        if floor == under:
             return floor
+        if under < scale <= floor:  # next to 1: read the complement
+            return scale - 1 - _floor_by_norm(d - a, -b, d, power)
     return _floor_scaled(a, b, d, power)
 
 
@@ -608,31 +626,24 @@ def _term_below(norm: int, m: int, n: int, e: int, eu: int, ed: int) -> bool | N
 
     Of m + n*phi and its conjugate m + n*(1 - phi), one has no
     cancellation: the first when m and n share a sign, else the second,
-    since 1 - phi < 0. Twice it is V = 2|m| + |n|*(sqrt5 +- 1), and with s
-    the bits dropped, L = 2(|m| >> s) + isqrt(5*(|n| >> s)**2) +- (|n| >> s)
-    gives L*2**s <= V < (L + 7)*2**s: the three truncations lose less than
-    2, sqrt5 + 1 and 1 (as in `_floor_by_norm`). The
-    magnitude is V/(2e) in the first case and, the two conjugates
-    multiplying to the norm, 2|norm|/(V*e) in the second; each comparison
-    with eu/ed is decided unless V falls inside the bounds' gap there
-    (Ziv's method again).
+    since 1 - phi < 0. Twice it is V = (2|m| +- |n|) + |n|*sqrt5, and
+    with s the bits dropped, `_leading` gives (L, H) with L < v < H for
+    v = V/2**s. The magnitude is V/(2e) in the first case and, the two
+    conjugates multiplying to the norm, 2|norm|/(V*e) in the second, so
+    it is below eu/ed iff v*y < x, with (x, y) = (2*eu*e, ed*2**s), in
+    the first case, and iff v*y > x, with (x, y) = (2|norm|*ed,
+    eu*e*2**s), in the second. y*H <= x puts v*y below x, and y*L >= x
+    above it; in between the bounds cannot decide (Ziv's method
+    again).
     """
     same = (m > 0) == (n > 0)
     s = max(m.bit_length(), n.bit_length()) - _GUARD_BITS
-    t = abs(n) >> s
-    low = 2 * (abs(m) >> s) + isqrt(5 * t * t) + (t if same else -t)
-    if same:  # below iff V*ed < 2*eu*e
-        x, y = 2 * eu * e, ed << s
-        if y * (low + 7) <= x:
-            return True
-        if y * low >= x:
-            return False
-    else:  # below iff 2|norm|*ed < eu*e*V
-        x, y = 2 * abs(norm) * ed, eu * e << s
-        if x < y * low:
-            return True
-        if x >= y * (low + 7):
-            return False
+    low, high = _leading(2 * abs(m) + (abs(n) if same else -abs(n)), abs(n), s)
+    x, y = (2 * eu * e, ed << s) if same else (2 * abs(norm) * ed, eu * e << s)
+    if y * high <= x:
+        return same
+    if y * low >= x:
+        return not same
     return None
 
 
@@ -640,16 +651,17 @@ def _may_cancel(a: int, b: int, d: int, power: int) -> bool:
     """Whether a + b*sqrt5, for integers a and b of opposite signs wider
     than _GUARD_BITS bits, may cancel enough bits for `_floor_by_norm` to
     drop any at this d and power; decided from the leading _GUARD_BITS
-    bits of |a| and |b|*sqrt5, with no full-width product.
+    bits of |a| and |b|, with no full-width product.
 
-    With t the bits below those, A = |a| >> t and R = isqrt(5*(|b| >> t)**2),
-    | |a| - |b|*sqrt5 | > (|A - R| - 4) * 2**t. Once that bound times
-    10**power reaches 2**bits(d), the floor `_floor_by_norm` computes is
-    at least as wide as a and b less _GUARD_BITS: it has no bits to drop
-    and would fall back to `_floor_scaled` after its two squarings.
+    With t the bits below those, the (L, H) of `_leading` put
+    |b|*sqrt5 - |a| in [L, H)*2**t, so | |a| - |b|*sqrt5 | >= gap*2**t
+    with gap = max(L, -H). Once that bound times 10**power reaches
+    2**bits(d), the floor `_floor_by_norm` computes is at least as wide
+    as a and b less _GUARD_BITS: it has no bits to drop and would fall
+    back to `_floor_scaled` after its two squarings.
     """
-    t = max(a.bit_length(), b.bit_length()) - _GUARD_BITS
-    gap = abs((abs(a) >> t) - isqrt(5 * (abs(b) >> t) ** 2)) - 4
+    low, high = _leading(-abs(a), abs(b), max(a.bit_length(), b.bit_length()) - _GUARD_BITS)
+    gap = max(low, -high)
     return gap <= 0 or (gap * 10 ** power).bit_length() <= d.bit_length()
 
 
@@ -661,7 +673,8 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     whose a and b have opposite signs, |b| past _NORM_BITS bits, and
     whose leading bits leave room for cancellation (`_may_cancel`) takes
     the norm route (`_floor_by_norm`), which reads the value from the
-    norm and the leading bits of a - b*sqrt5 and falls back to the exact
+    norm and the leading bits of a - b*sqrt5 (`_leading`), a value next
+    to 1 from its complement 1 - value, and falls back to the exact
     square root of `_floor_scaled` when its bounds cannot decide; every
     other value takes `_floor_scaled` directly.
     """

@@ -613,6 +613,13 @@ DIGESTS = {
         "1b1b05df12722c3946eb4cd707c4e48ee43bd6391692571c477fa59bcbcf589e",
     "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50":
         "6f688d9aa3ea3667787821a6b89faad6e113109a4159108c6bb93e47b44b6b13",
+    # tau2 values just under 1, x = [0; 1, 5456, ...] and [0; 1, 3896, ...],
+    # whose decimals are read from 1 - value by the norm route; digests
+    # taken when they still ran the exact square root
+    "eval --lambda tau2 --x 60020/60031":
+        "4741d876f648d9a568ca2f512c9d8b83181f323c6da8e06c5befd650778a2a4f",
+    "eval --lambda tau2 --x 179261/179307":
+        "a03a026b092bdf584f24ff3d10afb29e1f42898ce6a6c6349913be6b8c77282d",
 }
 #: The stdin of a DIGESTS command that reads one; the others read none.
 DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",

@@ -18,6 +18,8 @@ from sternbrocot import (
     expand_rcf,
     g_inductive,
     g_series,
+    g_stream,
+    g_tau2,
     mediant,
     parse_quadsurd,
     parse_rational,
@@ -368,6 +370,80 @@ class TestNormRoute:
             assert exact._floor_by_norm(a, b, d, power) == scaled(a, b, d, power)
         if not exact._may_cancel(a, b, d, power):
             assert fallback.call_count == 1
+
+    @pytest.mark.parametrize("x, routes", [
+        (g_stream(iter([1, 9892, 4, 1, 2]), TAU, Fraction(1, 10 ** 30))[0], {"norm": 2, "scaled": 0}),
+        (g_stream(iter([1, 9892, 4, 1, 2]), TAU2, Fraction(1, 10 ** 30))[0], {"norm": 2, "scaled": 0}),
+        (g_tau2(expand_rcf(Fraction(60020, 60031))), {"norm": 2, "scaled": 0}),
+        (g_tau2(expand_rcf(Fraction(179261, 179307))), {"norm": 2, "scaled": 0}),
+        (1 - TAU ** 2001, {"norm": 2, "scaled": 0}),
+        (1 + TAU ** 2001, {"norm": 2, "scaled": 0}),
+        (TAU ** 2001 - 1, {"norm": 1, "scaled": 1}),
+    ], ids=["stream-lo-tau", "stream-lo-tau2", "tau2-60020/60031", "tau2-179261/179307",
+            "1-tau^2001", "1+tau^2001", "tau^2001-1"])
+    def test_a_value_next_to_one_reads_its_complement(self, monkeypatch, x, routes):
+        # within 2**-58 of 1 the two floors straddle 10**16, and the floor
+        # is read from 1 - x by the norm route once more; next to -1 the
+        # exact fallback still runs
+        calls = self.count_routes(monkeypatch)
+        assert to_decimal(x, 15) == FractionSurd(x.a, x.b).decimal(15)
+        assert calls == routes
+
+    @given(st.integers(600, 20000), st.integers(1, 40))
+    @example(600, 1)
+    @example(20000, 40)
+    def test_next_to_one_matches_the_square_root_oracle(self, k, digits):
+        small = TAU ** k
+        for x in (1 - small, 1 + small, small - 1):
+            assert to_decimal(x, digits) == FractionSurd(x.a, x.b).decimal(digits)
+
+
+def convergent_denominators(count: int) -> list[int]:
+    """0 and the denominators q of the first convergents p/q of sqrt5 =
+    [2; 4, 4, ...]: q*sqrt5 lies within 1/(4q) of the integer p, below it
+    for 9/4, 161/72, ... (at even places of the list) and above it for
+    2/1, 38/17, ... (at odd places)."""
+    qs = [0, 1]
+    while len(qs) < count:
+        qs.append(4 * qs[-1] + qs[-2])
+    return qs
+
+
+CONVERGENT_DENOMINATORS = convergent_denominators(100)
+
+
+def at_least(a: int, b: int, x: int) -> bool:
+    """Whether a + b*sqrt5 >= x, for b >= 0, on integers alone."""
+    return x - a <= 0 or 5 * b * b >= (x - a) ** 2
+
+
+class TestLeading:
+    """`_leading`, the one leading-bits bound of a + b*sqrt5, at the edge of
+    its slack: the s dropped bits of a and b all ones, and t = b >> s the
+    denominator of a convergent of sqrt5, so that the three truncations
+    lose close to 1, sqrt5 and 1 (within 2**-60 of 2 + sqrt5 once s and t
+    pass 62 bits), or, at s = 0, close to nothing."""
+
+    @given(st.integers(-2 ** 200, 2 ** 200), st.sampled_from(CONVERGENT_DENOMINATORS),
+           st.integers(0, 200))
+    @example(3 ** 100, CONVERGENT_DENOMINATORS[40], 100)  # loses within 2**-60 of 2 + sqrt5
+    @example(-3 ** 100, CONVERGENT_DENOMINATORS[41], 0)  # loses under 1/(4t)
+    def test_both_bounds_hold(self, high, t, s):
+        ones = (1 << s) - 1
+        a, b = high << s | ones, t << s | ones
+        low, top = exact._leading(a, b, s)
+        assert at_least(a, b, low << s)
+        assert not at_least(a, b, top << s)
+
+    def test_the_edge_examples_reach_the_edge(self):
+        # the loss of the first example passes 4 and that of the second
+        # stays below 2**-60, so a slack of 4 or a bound one above fails
+        a, b = 3 ** 100 << 100 | (1 << 100) - 1, CONVERGENT_DENOMINATORS[40] << 100 | (1 << 100) - 1
+        low, _ = exact._leading(a, b, 100)
+        assert at_least(a, b, (low + 4) << 100)
+        a, b = -3 ** 100, CONVERGENT_DENOMINATORS[41]
+        low, _ = exact._leading(a, b, 0)
+        assert not at_least(a << 60, b << 60, (low << 60) + 1)
 
 
 class TestPhiPow:
