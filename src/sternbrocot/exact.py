@@ -14,27 +14,34 @@ by (a + b*phi)/d = (2a + b + b*sqrt5)/(2d): the constructor, which takes
 the rational coefficients of a + b*sqrt5, the coefficients `.a` and `.b`,
 `str` and `to_decimal`. Powers are `**` (a negative exponent inverts), and
 `parse_quadsurd`/`str` read and write the text form "a+b√5". Every split
-parameter, rational or not, is checked by `_check_lambda`;
+parameter, rational or not, is range-checked in one place, `_kernel`;
 `parse_rational` refuses an exponent whose 10**N would take longer to
 build than to read.
 
 The routes to the singular function g share one integer kernel here,
-`_phi_split`, `_phi_pow` and `_phi_value`: a split parameter of either
+`_kernel`, `_phi_pow` and `_phi_value`: a split parameter of either
 type is (u + v*phi)/d over Z[phi], a QuadSurd's own integers or a
 rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
 parameter's type; for a Fraction that takes a gcd against d alone when
-it can (`_phi_value`). `_phi_pow` powers left to right, so each set bit
-of the exponent costs a product by the small base; `_phi_powers` keeps
-the powers below 48 of a base of at most 32 bits in a table, built once
-per base and cached for the 16 latest bases (`functools.lru_cache`,
-whose `cache_info` shows it). One helper, `_leading`, bounds a + b*sqrt5
-from the leading bits of a and b, with one slack proof, for three
-routines that decide from those bounds and take an exact route when they
-cannot (Ziv's method): `_term_below` tells whether a wide (m + n*phi)/e
-lies below a rational, from m + n*phi or, through its norm, its
-conjugate, for `singular`'s stream stop; `_may_cancel` and
-`_floor_by_norm` serve `to_decimal`, below.
+it can (`_phi_value`). `_kernel` returns one record per split
+parameter: u, v and d, the size limit, 1 - lam = (c + w*phi)/d, the
+power tables of both bases and their norms, built once after the range
+check and cached for the 16 latest parameters by their integers
+(`_kernel_record`, a `functools.lru_cache` whose `cache_info` shows it),
+so g at many points of one parameter derives none of that again.
+`_phi_split` gives the same (u, v, d) and limit for any rational or
+QuadSurd, unchecked, such as the stream's epsilon. `_phi_pow` powers
+left to right, so each set bit of the exponent costs a product by the
+small base; `_phi_powers` keeps the powers below 48 of a base of at
+most 32 bits in a table, built once per base and cached for the 16
+latest bases (`functools.lru_cache` again). One helper, `_leading`,
+bounds a + b*sqrt5 from the leading bits of a and b, with one slack
+proof, for three routines that decide from those bounds and take an
+exact route when they cannot (Ziv's method): `_term_below` tells
+whether a wide (m + n*phi)/e lies below a rational, from m + n*phi or,
+through its norm, its conjugate, for `singular`'s stream stop;
+`_may_cancel` and `_floor_by_norm` serve `to_decimal`, below.
 `str` of a QuadSurd prints a coefficient past 3072 bits by halves
 (`_int_text`): split at a power of ten 10**(2**j), dividing by its odd
 part 5**(2**j) from a ladder of at most 32 cached rungs (`_pow5`), each
@@ -55,7 +62,7 @@ bits of a and b*sqrt5 already show too little cancellation
 Every size budget of the package lives here: `MAX_EXACT_BITS` is
 theirs, `MAX_ELEMENTS` that of every tuple the library builds, and
 `MAX_OUTPUT_BYTES` (`check_output`) that of a command's text. Range
-checks on Fractions, here (`_check_lambda`) and in `cf`, `stern`,
+checks on Fractions, here (`_kernel_record`) and in `cf`, `stern`,
 `singular` and `dist`, compare the numerator and denominator as
 integers, not through Fraction's order.
 
@@ -379,16 +386,6 @@ TAU = QuadSurd(Fraction(-1, 2), Fraction(1, 2))
 TAU2 = QuadSurd(Fraction(3, 2), Fraction(-1, 2))
 
 
-def _check_lambda(lam: Fraction | QuadSurd) -> None:
-    # both checks compare integers: (a + b*phi)/d and a Fraction have d > 0
-    if isinstance(lam, QuadSurd):
-        inside = _sign(lam._a, lam._b) > 0 and _sign(lam._d - lam._a, -lam._b) > 0
-    else:
-        inside = 0 < lam.numerator < lam.denominator
-    if not inside:
-        raise ValueError("the split parameter must lie strictly between 0 and 1")
-
-
 def _coprime_fraction(a: int, d: int) -> Fraction:
     """Fraction(a, d) for integers already in lowest terms with d > 0,
     built without the gcd the constructor would take: the two slots of
@@ -467,8 +464,13 @@ def _phi_split(lam: Fraction | QuadSurd) -> tuple[int, int, int, int]:
         u, v, d = lam._a, lam._b, lam._d
     else:
         u, v, d = lam.numerator, 0, lam.denominator
-    bits = max(d, abs(u) + 2 * abs(v), abs(d - u) + 2 * abs(v)).bit_length()
-    return u, v, d, MAX_EXACT_BITS // bits
+    return u, v, d, _factor_limit(u, v, d)
+
+
+def _factor_limit(u: int, v: int, d: int) -> int:
+    """The most factors lam or 1 - lam a value may carry within
+    MAX_EXACT_BITS, for lam = (u + v*phi)/d."""
+    return MAX_EXACT_BITS // max(d, abs(u) + 2 * abs(v), abs(d - u) + 2 * abs(v)).bit_length()
 
 
 def _phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
@@ -514,6 +516,37 @@ def _phi_powers(x: int, y: int) -> tuple[tuple[int, int], ...]:
         a, b = powers[-1]
         powers.append((a * x + b * y, a * y + b * (x + y)))
     return tuple(powers)
+
+
+def _kernel(lam: Fraction | QuadSurd) -> tuple:
+    """The kernel record of the split parameter lam: `_kernel_record` of
+    lam's integers (u, v, d), lam = (u + v*phi)/d as `_phi_split` reads
+    them. A lam outside (0,1) raises ValueError."""
+    if isinstance(lam, QuadSurd):
+        return _kernel_record(lam._a, lam._b, lam._d)
+    return _kernel_record(lam.numerator, 0, lam.denominator)
+
+
+@lru_cache(maxsize=16)
+def _kernel_record(u: int, v: int, d: int) -> tuple:
+    """(u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm)
+    for lam = (u + v*phi)/d in lowest terms with d > 0: limit as
+    `_phi_split` gives it, 1 - lam = (c + w*phi)/d, the `_phi_powers`
+    tables of the bases u + v*phi and c + w*phi, and their norms. Built
+    once per split parameter and cached for the 16 latest
+    (`functools.lru_cache`, whose `cache_info` shows it), so a g route
+    at many points of one lam reads it by one lookup.
+
+    The one range check of a split parameter: lam and 1 - lam must be
+    positive, both exact signs of integers (`_sign`). A lam outside (0,1)
+    raises ValueError before anything is built, and lru_cache keeps no
+    exception, so no refused lam is cached.
+    """
+    c, w = d - u, -v
+    if _sign(u, v) <= 0 or _sign(c, w) <= 0:
+        raise ValueError("the split parameter must lie strictly between 0 and 1")
+    return (u, v, d, _factor_limit(u, v, d), c, w, _phi_powers(u, v), _phi_powers(c, w),
+            u * u + u * v - v * v, c * c + c * w - w * w)
 
 
 def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
@@ -690,9 +723,8 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     else:
         n = _floor_scaled(a, b, d, digits + 1)
     n = (n + 5) // 10
-    sign = "-" if n < 0 else ""
     whole, frac = divmod(abs(n), 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return ("-" if n < 0 else "") + str(whole) + "." + str(frac).zfill(digits)
 
 
 #: Largest |N| taken in a literal's exponent "eN": Fraction builds 10**N

@@ -26,21 +26,24 @@ Two ways to the same values, one computation each:
 Every route but `question_mark` runs on one integer kernel (`exact`),
 the same for every lam: lam = (u + v*phi)/d over Z[phi], phi the golden
 ratio, the form a QuadSurd stores, with v = 0 for a rational lam and
-d = 1 at tau and tau**2. One loop, `_series`, sums the series by
-Horner's rule on integers: at quotient a it multiplies the last term's
-magnitude by lam**a or (1-lam)**a, one power of a small base (read from
-a table, `exact._phi_powers`, for a below 48 and a narrow base), and the
-partial sum so far by d**a, and adds or subtracts the new magnitude. So
-a quotient costs one small power and a few products of integers no
-larger than the result; a rational lam carries no phi half, and tau and
-tau**2 no power of d. `g_series` runs the loop to the last quotient,
-`g_stream` stops it at the first term whose magnitude is below epsilon
-and takes the partial sums on either side of that term. For a quadratic
-lam and a rational epsilon the loop also carries the norm of the term's
-numerator, the product of the norms of lam*d and (1-lam)*d (+-1 at tau
-and tau**2), and decides a term wider than 512 bits from its leading
-bits or those of its conjugate (`exact._term_below`), with no product of
-two wide integers; the exact sign of the difference, two squarings of
+d = 1 at tau and tau**2. Each route reads lam's record from
+`exact._kernel` once per call: the range check, those integers, 1 - lam,
+the small-power tables and the norms, built once per lam and cached. One
+loop, `_series`, sums the series by Horner's rule on integers: at
+quotient a it multiplies the last term's magnitude by lam**a or
+(1-lam)**a, one power of a small base (read from the record's table for
+a below 48 and a narrow base), and the partial sum so far by d**a, and
+adds or subtracts the new magnitude. So a quotient costs one small
+power and a few products of integers no larger than the result; a
+rational lam carries no phi half, and tau and tau**2 no power of d.
+`g_series` runs the loop to the last quotient, `g_stream` stops it at
+the first term whose magnitude is below epsilon and takes the partial
+sums on either side of that term. For a quadratic lam and a rational
+epsilon the loop also carries the norm of the term's numerator, the
+product of the norms of lam*d and (1-lam)*d (+-1 at tau and tau**2),
+and decides a term wider than 512 bits from its leading bits or those
+of its conjugate (`exact._term_below`), with no product of two wide
+integers; the exact sign of the difference, two squarings of
 the term's width, is taken only when those bounds cannot decide. A
 value is an integer numerator a + b*phi over a power of d, with no gcd
 and no Fraction inside the loop, and reduced once into lam's own type
@@ -62,9 +65,8 @@ from .exact import (
     _OVER_BUDGET,
     TAU2,
     QuadSurd,
-    _check_lambda,
+    _kernel,
     _phi_pow,
-    _phi_powers,
     _phi_split,
     _phi_value,
     _sign,
@@ -82,13 +84,13 @@ def g_inductive(x: Fraction, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     the replay is `g_series` on the quotients of x, with the same cost and
     the same size budget; g(0) = 0 has no quotients and is returned here.
     """
-    _check_lambda(lam)
+    kernel = _kernel(lam)
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if p == 0:
         return _phi_value(0, 0, 1, lam)  # g(0) = 0
-    return g_series(expand_rcf(x), lam)
+    return _series_value(expand_rcf(x).quotients, lam, kernel)
 
 
 #: The most bits `question_mark` shifts by: the budget of the kernel routes at lam = 1/2.
@@ -117,10 +119,11 @@ def question_mark(cf: RegularCF) -> Fraction:
 
 def _series(
     quotients: Iterable[int],
-    lam: Fraction | QuadSurd,
+    kernel: tuple,
     epsilon: Fraction | None = None,
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """The alternating series for g over `quotients`, in one loop: the
+    """The alternating series for g over `quotients`, at the split
+    parameter whose record `exact._kernel` gives as kernel, in one loop: the
     partial sums before and after its last term, as (lo, hi) in
     increasing order, each an integer triple (a, b, e) for
     (a + b*phi)/e over the same e, so the one before the last term is
@@ -137,15 +140,12 @@ def _series(
     costs one power of a small base and a few products; a rational lam
     (v = 0) carries no phi half, and tau and tau**2 (d = 1) no scale.
     """
-    u, v, d, limit = _phi_split(lam)
-    c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
-    if v:  # small powers of a narrow base come from a table
-        lam_powers, rest_powers = _phi_powers(u, v), _phi_powers(c, w)
+    # lam = (u + v*phi)/d and 1 - lam = (c + w*phi)/d; small powers of a
+    # narrow base come from the two tables
+    u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm = kernel
     if epsilon is not None:
         eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
         leading = v != 0 and ev == 0  # then a wide term may be compared by its leading bits
-        if leading:  # the norms of lam*d and (1 - lam)*d
-            lam_norm, rest_norm = u * u + u * v - v * v, c * c + c * w - w * w
     a = b = n = factors = 0
     m = e = norm = skip = 1  # skip: term 1 is lam**(a1 - 1)
     odd = False
@@ -202,11 +202,18 @@ def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     `exact.MAX_EXACT_BITS` quotient by quotient, before it is built, and
     one reduction (`exact._phi_value`).
     """
-    _check_lambda(lam)
-    quotients = cf.quotients
+    return _series_value(cf.quotients, lam, _kernel(lam))
+
+
+def _series_value(
+    quotients: tuple[int, ...], lam: Fraction | QuadSurd, kernel: tuple
+) -> Fraction | QuadSurd:
+    """g by the series over `quotients` at lam, whose record is kernel:
+    the body of `g_series`, for it and `g_inductive` once each has read
+    the record."""
     if not quotients:
         return _phi_value(1, 0, 1, lam)
-    lo, hi = _series(quotients, lam)
+    lo, hi = _series(quotients, kernel)
     return _phi_value(*(hi if len(quotients) % 2 else lo), lam)
 
 
@@ -241,8 +248,8 @@ def g_stream(
     Raises if the stream is exhausted first - a finite stream means x was
     rational, and g_series gives the exact value instead.
     """
-    _check_lambda(lam)
+    kernel = _kernel(lam)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    lo, hi = _series(quotients, lam, epsilon)
+    lo, hi = _series(quotients, kernel, epsilon)
     return _phi_value(*lo, lam), _phi_value(*hi, lam)

@@ -38,9 +38,8 @@ from .exact import (
     _OVER_BUDGET,
     MAX_ELEMENTS,
     QuadSurd,
-    _check_lambda,
     _coprime_fraction,
-    _phi_split,
+    _kernel,
     _phi_value,
     _Record,
     mediant,
@@ -137,8 +136,9 @@ def graded_walk(
     carried down the tree by the mediant recurrence
     g(m) = g(lo) + (g(hi) - g(lo)) * lam from g(0) = 0 and g(1) = 1.
     The walk is `_inorder` with this recurrence as its step, on the
-    integer kernel of `exact`: with lam = (u + v*phi)/d over Z[phi]
-    (`exact._phi_split`), each gap (lo, hi) carries g(lo) and g(hi) as
+    integer kernel of `exact`: with lam = (u + v*phi)/d over Z[phi] and
+    1 - lam from lam's record (`exact._kernel`, which also range-checks
+    lam), each gap (lo, hi) carries g(lo) and g(hi) as
     numerators over the same power e of d, so g at the mediant is the
     integer numerator g(lo)*(d - u - v*phi) + g(hi)*(u + v*phi) over
     e*d, reduced into lam's type by one gcd (`exact._phi_value`).
@@ -150,11 +150,9 @@ def graded_walk(
     """
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
-    _check_lambda(lam)
-    u, v, d, limit = _phi_split(lam)
+    u, v, d, limit, c, w, *_ = _kernel(lam)  # 1 - lam = (c + w*phi)/d
     if n > limit:  # a node of depth n is at most n mediant steps down
         raise ValueError(_OVER_BUDGET)
-    c, w = d - u, -v  # 1 - lam = (c + w*phi)/d
 
     def step(gap: tuple, depth: int) -> tuple:
         lo_p, lo_q, hi_p, hi_q, la, lb, ha, hb, e = gap

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from unittest import mock
@@ -20,6 +21,7 @@ from sternbrocot import (
     g_series,
     g_stream,
     g_tau2,
+    graded_walk,
     mediant,
     parse_quadsurd,
     parse_rational,
@@ -244,6 +246,31 @@ class TestToDecimal:
     def test_digit_count_validation(self):
         with pytest.raises(ValueError):
             to_decimal(TAU, 0)
+
+    @pytest.mark.parametrize("x, text", [
+        (Fraction(4, 10 ** 16), "0.000000000000000"), (Fraction(-4, 10 ** 16), "0.000000000000000"),
+        (Fraction(5, 10 ** 16), "0.000000000000001"), (Fraction(-5, 10 ** 16), "0.000000000000000"),
+        (Fraction(6, 10 ** 16), "0.000000000000001"), (Fraction(-6, 10 ** 16), "-0.000000000000001"),
+        (TAU ** 80, "0.000000000000000"), (-TAU ** 80, "0.000000000000000"),
+        (TAU ** 73, "0.000000000000001"), (-TAU ** 73, "-0.000000000000001"),
+    ], ids=str)
+    def test_a_value_rounding_to_zero_prints_no_sign(self, x, text):
+        assert to_decimal(x, 15) == text
+
+    @pytest.mark.skipif(not INT_DIGITS_LIMITED, reason="no int-to-str limit")
+    def test_at_the_digit_limit_it_prints_or_raises_as_str_does(self):
+        whole = 10 ** 4299  # 4300 digits
+        with int_digit_limit(4300):
+            assert to_decimal(Fraction(3 * whole + 1, 3), 2) == "1" + "0" * 4299 + ".33"
+            assert to_decimal(Fraction(-3 * whole - 1, 3), 2) == "-1" + "0" * 4299 + ".33"
+            assert to_decimal(Fraction(1, 3), 4300) == "0." + "3" * 4300
+            with pytest.raises(ValueError) as oracle:
+                str(10 * whole)  # 4301 digits
+            for x, digits in ((Fraction(10 * whole), 2), (Fraction(-10 * whole), 2),
+                              (Fraction(1, 3), 4301)):
+                with pytest.raises(ValueError) as raised:
+                    to_decimal(x, digits)
+                assert str(raised.value) == str(oracle.value)
 
     @given(quads, st.integers(min_value=1, max_value=25))
     def test_error_below_one_ulp(self, x, digits):
@@ -547,6 +574,48 @@ class TestPhiPowers:
             value = g_series(expand_rcf(x), lam)
         assert powered.call_count == 2
         assert value == field_series(expand_rcf(x).quotients, lam)
+
+
+class TestKernel:
+    """The record of a split parameter that every g route but Salem's reads."""
+
+    @pytest.mark.parametrize("lam", [TAU, TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11)),
+                                     Fraction(2, 9), QuadSurd(Fraction(1, 3), Fraction(1, 10 ** 40))],
+                             ids=["tau", "tau2", "1/7+1/11sqrt5", "2/9", "133-bit"])
+    def test_the_fields(self, lam):
+        u, v, d, limit = _phi_split(lam)
+        assert (u + v * QuadSurd(Fraction(1, 2), Fraction(1, 2))) / d == lam
+        # the norm of x + y*sqrt5 is x**2 - 5*y**2: those of lam*d and (1 - lam)*d
+        norms = [z.a ** 2 - 5 * z.b ** 2 for z in (QuadSurd(0) + lam * d,
+                                                   QuadSurd(0) + (1 - lam) * d)]
+        assert exact._kernel(lam) == (u, v, d, limit, d - u, -v, _phi_powers(u, v),
+                                      _phi_powers(d - u, -v), *norms)
+
+    def test_the_cache_stays_bounded(self):
+        lams = [QuadSurd(Fraction(1, k), Fraction(1, 5 * k)) for k in range(3, 103)]
+        for lam in lams:
+            g_series(expand_rcf(Fraction(3, 7)), lam)
+        info = exact._kernel_record.cache_info()
+        assert len(set(lams)) == 100
+        assert info.currsize <= info.maxsize == 16
+
+    def test_a_refused_parameter_is_not_cached(self):
+        exact._kernel_record.cache_clear()
+        for lam in (Fraction(3, 2), -TAU, QuadSurd(1)):
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                exact._kernel(lam)
+        assert exact._kernel_record.cache_info().currsize == 0
+
+    def test_each_route_reads_the_record_once_per_call(self):
+        x, lam, epsilon = Fraction(2, 7), TAU2, Fraction(1, 10 ** 9)
+        with mock.patch("sternbrocot.singular._kernel", wraps=exact._kernel) as read:
+            g_inductive(x, lam)
+            g_series(expand_rcf(x), lam)
+            g_stream(itertools.repeat(2), lam, epsilon)
+        assert read.call_count == 3
+        with mock.patch("sternbrocot.stern._kernel", wraps=exact._kernel) as read:
+            list(graded_walk(4, 2, lam))
+        assert read.call_count == 1
 
 
 class TestTextByHalves:

@@ -19,6 +19,7 @@ from sternbrocot import (
     mediant,
     question_mark,
 )
+from sternbrocot import cli
 from sternbrocot.exact import MAX_EXACT_BITS, _phi_split, _sign, _term_below
 
 from oracles import (
@@ -532,3 +533,54 @@ class TestSizeBudget:
         with pytest.raises(ValueError, match="size budget"):
             graded_walk(limit + 1, 1, Fraction(1, 3))  # not iterated
         assert next(graded_walk(limit, limit, Fraction(1, 3))) == (1, 2, 1, Fraction(1, 3))
+
+
+#: Split parameters outside (0,1): both ends, either side, and the same in
+#: Q(sqrt5), rational (QuadSurd(1)) and not.
+OUTSIDE = {"0": Fraction(0), "1": Fraction(1), "-1/2": Fraction(-1, 2), "3/2": Fraction(3, 2),
+           "QuadSurd(1)": QuadSurd(1), "-tau": -TAU, "1+tau": 1 + TAU,
+           "1/2+sqrt5": QuadSurd(Fraction(1, 2), 1)}
+OUTSIDE_TEXT = "the split parameter must lie strictly between 0 and 1"
+
+
+def stream_refused_before_drawing(lam, epsilon):
+    stream = iter([2, 1])
+    try:
+        g_stream(stream, lam, epsilon)
+    finally:
+        assert next(stream) == 2
+
+
+class TestRangeCheck:
+    """Every entry refuses a split parameter outside (0,1) with the same
+    message, before its other refusals except graded_walk's left edge
+    cost, and before it reads anything."""
+
+    ENTRIES = {
+        "g_series": lambda lam: g_series(expand_rcf(Fraction(2, 7)), lam),
+        "g_series at x = 1": lambda lam: g_series(expand_rcf(Fraction(1)), lam),
+        "g_inductive": lambda lam: g_inductive(Fraction(2, 7), lam),
+        "g_inductive at x = 0": lambda lam: g_inductive(Fraction(0), lam),
+        "g_inductive at x = 2": lambda lam: g_inductive(Fraction(2), lam),
+        "g_stream": lambda lam: stream_refused_before_drawing(lam, Fraction(1, 10 ** 9)),
+        "g_stream at epsilon = 0": lambda lam: stream_refused_before_drawing(lam, Fraction(0)),
+        "graded_walk": lambda lam: graded_walk(3, 2, lam),  # not iterated
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("lam", OUTSIDE.values(), ids=OUTSIDE.keys())
+    def test_every_entry_refuses_with_one_message(self, entry, lam):
+        with pytest.raises(ValueError) as refused:
+            self.ENTRIES[entry](lam)
+        assert str(refused.value) == OUTSIDE_TEXT
+
+    @pytest.mark.parametrize("lam", OUTSIDE.values(), ids=OUTSIDE.keys())
+    def test_the_walk_checks_its_left_edge_cost_first(self, lam):
+        with pytest.raises(ValueError) as refused:
+            graded_walk(3, 0, lam)
+        assert str(refused.value) == "the left edge cost must be >= 1"
+
+    @pytest.mark.parametrize("lam", OUTSIDE.values(), ids=OUTSIDE.keys())
+    def test_plot_data_prints_one_error_line(self, capsys, lam):
+        assert cli.run(["plot-data", "--lambda", str(lam), "--grid", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {OUTSIDE_TEXT}\n")
