@@ -25,17 +25,18 @@ rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
 parameter's type; for a Fraction that takes a gcd against d alone when
 it can (`_phi_value`). `_kernel` returns one record per split
-parameter: u, v and d, the size limit, 1 - lam = (c + w*phi)/d, the
-power tables of both bases and their norms, built once after the range
-check and cached for the 16 latest parameters by their integers
-(`_kernel_record`, a `functools.lru_cache` whose `cache_info` shows it),
-so g at many points of one parameter derives none of that again.
-`_phi_split` gives the same (u, v, d) and limit for any rational or
-QuadSurd, unchecked, such as the stream's epsilon. `_phi_pow` powers
-left to right, so each set bit of the exponent costs a product by the
-small base; `_phi_powers` keeps the powers below 48 of a base of at
-most 32 bits in a table, built once per base and cached for the 16
-latest bases (`functools.lru_cache` again). One helper, `_leading`,
+parameter, a `_Kernel` namedtuple: u, v and d, the size limit,
+1 - lam = (c + w*phi)/d, the power tables of both bases and their
+norms, built once after the range check and cached for the 16 latest
+parameters by their integers (`_kernel_record`, a `functools.lru_cache`
+whose `cache_info` shows it), so g at many points of one parameter
+derives none of that again. `_phi_split` gives the same (u, v, d) and
+limit for any rational or QuadSurd, unchecked, such as the stream's
+epsilon. `_phi_pow` powers left to right, so each set bit of the
+exponent costs a product by the small base; `_phi_powers` builds the
+table of the powers below 48 of a base of at most 32 bits, which the
+record of a quadratic parameter holds for both its bases (a rational
+one needs none). One helper, `_leading`,
 bounds a + b*sqrt5 from the leading bits of a and b, with one slack
 proof, for three routines that decide from those bounds and take an
 exact route when they cannot (Ziv's method): `_term_below` tells
@@ -91,6 +92,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm
@@ -504,11 +506,11 @@ _TABLE_POWERS = 48
 _TABLE_BITS = 32
 
 
-@lru_cache(maxsize=16)
 def _phi_powers(x: int, y: int) -> tuple[tuple[int, int], ...]:
     """(x + y*phi)**k for k < _TABLE_POWERS, each as `_phi_pow` gives it,
     for a base no wider than _TABLE_BITS; a wider base gets the empty
-    table. Built once per base, by one product per power."""
+    table. Built by one product per power, once per split parameter: the
+    kernel record keeps it."""
     if max(abs(x), abs(y)).bit_length() > _TABLE_BITS:
         return ()
     powers = [(1, 0)]
@@ -518,7 +520,11 @@ def _phi_powers(x: int, y: int) -> tuple[tuple[int, int], ...]:
     return tuple(powers)
 
 
-def _kernel(lam: Fraction | QuadSurd) -> tuple:
+#: The kernel record of lam = (u + v*phi)/d (`_kernel_record`).
+_Kernel = namedtuple("_Kernel", "u v d limit c w lam_powers rest_powers lam_norm rest_norm")
+
+
+def _kernel(lam: Fraction | QuadSurd) -> _Kernel:
     """The kernel record of the split parameter lam: `_kernel_record` of
     lam's integers (u, v, d), lam = (u + v*phi)/d as `_phi_split` reads
     them. A lam outside (0,1) raises ValueError."""
@@ -528,11 +534,13 @@ def _kernel(lam: Fraction | QuadSurd) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _kernel_record(u: int, v: int, d: int) -> tuple:
-    """(u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm)
-    for lam = (u + v*phi)/d in lowest terms with d > 0: limit as
-    `_phi_split` gives it, 1 - lam = (c + w*phi)/d, the `_phi_powers`
-    tables of the bases u + v*phi and c + w*phi, and their norms. Built
+def _kernel_record(u: int, v: int, d: int) -> _Kernel:
+    """The `_Kernel` (u, v, d, limit, c, w, lam_powers, rest_powers,
+    lam_norm, rest_norm) of lam = (u + v*phi)/d in lowest terms with
+    d > 0: limit as `_phi_split` gives it, 1 - lam = (c + w*phi)/d, the
+    `_phi_powers` tables of the bases u + v*phi and c + w*phi (empty for
+    a rational lam, v = 0, whose series powers u and c itself), and
+    their norms. Built
     once per split parameter and cached for the 16 latest
     (`functools.lru_cache`, whose `cache_info` shows it), so a g route
     at many points of one lam reads it by one lookup.
@@ -545,8 +553,9 @@ def _kernel_record(u: int, v: int, d: int) -> tuple:
     c, w = d - u, -v
     if _sign(u, v) <= 0 or _sign(c, w) <= 0:
         raise ValueError("the split parameter must lie strictly between 0 and 1")
-    return (u, v, d, _factor_limit(u, v, d), c, w, _phi_powers(u, v), _phi_powers(c, w),
-            u * u + u * v - v * v, c * c + c * w - w * w)
+    return _Kernel(u, v, d, _factor_limit(u, v, d), c, w,
+                   _phi_powers(u, v) if v else (), _phi_powers(c, w) if v else (),
+                   u * u + u * v - v * v, c * c + c * w - w * w)
 
 
 def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:

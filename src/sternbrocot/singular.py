@@ -27,8 +27,8 @@ Every route but `question_mark` runs on one integer kernel (`exact`),
 the same for every lam: lam = (u + v*phi)/d over Z[phi], phi the golden
 ratio, the form a QuadSurd stores, with v = 0 for a rational lam and
 d = 1 at tau and tau**2. Each route reads lam's record from
-`exact._kernel` once per call: the range check, those integers, 1 - lam,
-the small-power tables and the norms, built once per lam and cached. One
+`exact._kernel`: the range check, those integers, 1 - lam, the
+small-power tables and the norms, built once per lam and cached. One
 loop, `_series`, sums the series by Horner's rule on integers: at
 quotient a it multiplies the last term's magnitude by lam**a or
 (1-lam)**a, one power of a small base (read from the record's table for
@@ -65,6 +65,7 @@ from .exact import (
     _OVER_BUDGET,
     TAU2,
     QuadSurd,
+    _Kernel,
     _kernel,
     _phi_pow,
     _phi_split,
@@ -84,13 +85,13 @@ def g_inductive(x: Fraction, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     the replay is `g_series` on the quotients of x, with the same cost and
     the same size budget; g(0) = 0 has no quotients and is returned here.
     """
-    kernel = _kernel(lam)
+    _kernel(lam)  # the range check of lam, before that of x
     p, q = x.numerator, x.denominator
     if not 0 <= p <= q:
         raise ValueError(f"need 0 <= x <= 1, got {x}")
     if p == 0:
         return _phi_value(0, 0, 1, lam)  # g(0) = 0
-    return _series_value(expand_rcf(x).quotients, lam, kernel)
+    return g_series(expand_rcf(x), lam)
 
 
 #: The most bits `question_mark` shifts by: the budget of the kernel routes at lam = 1/2.
@@ -119,7 +120,7 @@ def question_mark(cf: RegularCF) -> Fraction:
 
 def _series(
     quotients: Iterable[int],
-    kernel: tuple,
+    kernel: _Kernel,
     epsilon: Fraction | None = None,
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """The alternating series for g over `quotients`, at the split
@@ -202,15 +203,8 @@ def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     `exact.MAX_EXACT_BITS` quotient by quotient, before it is built, and
     one reduction (`exact._phi_value`).
     """
-    return _series_value(cf.quotients, lam, _kernel(lam))
-
-
-def _series_value(
-    quotients: tuple[int, ...], lam: Fraction | QuadSurd, kernel: tuple
-) -> Fraction | QuadSurd:
-    """g by the series over `quotients` at lam, whose record is kernel:
-    the body of `g_series`, for it and `g_inductive` once each has read
-    the record."""
+    kernel = _kernel(lam)
+    quotients = cf.quotients
     if not quotients:
         return _phi_value(1, 0, 1, lam)
     lo, hi = _series(quotients, kernel)

@@ -150,9 +150,10 @@ def graded_walk(
     """
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
-    u, v, d, limit, c, w, *_ = _kernel(lam)  # 1 - lam = (c + w*phi)/d
-    if n > limit:  # a node of depth n is at most n mediant steps down
+    kernel = _kernel(lam)
+    if n > kernel.limit:  # a node of depth n is at most n mediant steps down
         raise ValueError(_OVER_BUDGET)
+    u, v, d, c, w = kernel.u, kernel.v, kernel.d, kernel.c, kernel.w  # 1 - lam = (c + w*phi)/d
 
     def step(gap: tuple, depth: int) -> tuple:
         lo_p, lo_q, hi_p, hi_q, la, lb, ha, hb, e = gap

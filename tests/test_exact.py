@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 from unittest import mock
@@ -21,7 +20,6 @@ from sternbrocot import (
     g_series,
     g_stream,
     g_tau2,
-    graded_walk,
     mediant,
     parse_quadsurd,
     parse_rational,
@@ -561,7 +559,7 @@ class TestPhiPowers:
         lams = [QuadSurd(Fraction(1, k), Fraction(1, 3 * k)) for k in range(3, 103)]
         for lam in lams:
             g_series(expand_rcf(Fraction(3, 7)), lam)
-        info = _phi_powers.cache_info()
+        info = exact._kernel_record.cache_info()  # the record holds the tables
         assert len(set(lams)) == 100
         assert info.currsize <= info.maxsize == 16
 
@@ -588,16 +586,8 @@ class TestKernel:
         # the norm of x + y*sqrt5 is x**2 - 5*y**2: those of lam*d and (1 - lam)*d
         norms = [z.a ** 2 - 5 * z.b ** 2 for z in (QuadSurd(0) + lam * d,
                                                    QuadSurd(0) + (1 - lam) * d)]
-        assert exact._kernel(lam) == (u, v, d, limit, d - u, -v, _phi_powers(u, v),
-                                      _phi_powers(d - u, -v), *norms)
-
-    def test_the_cache_stays_bounded(self):
-        lams = [QuadSurd(Fraction(1, k), Fraction(1, 5 * k)) for k in range(3, 103)]
-        for lam in lams:
-            g_series(expand_rcf(Fraction(3, 7)), lam)
-        info = exact._kernel_record.cache_info()
-        assert len(set(lams)) == 100
-        assert info.currsize <= info.maxsize == 16
+        tables = (_phi_powers(u, v), _phi_powers(d - u, -v)) if v else ((), ())
+        assert exact._kernel(lam) == (u, v, d, limit, d - u, -v, *tables, *norms)
 
     def test_a_refused_parameter_is_not_cached(self):
         exact._kernel_record.cache_clear()
@@ -605,17 +595,6 @@ class TestKernel:
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 exact._kernel(lam)
         assert exact._kernel_record.cache_info().currsize == 0
-
-    def test_each_route_reads_the_record_once_per_call(self):
-        x, lam, epsilon = Fraction(2, 7), TAU2, Fraction(1, 10 ** 9)
-        with mock.patch("sternbrocot.singular._kernel", wraps=exact._kernel) as read:
-            g_inductive(x, lam)
-            g_series(expand_rcf(x), lam)
-            g_stream(itertools.repeat(2), lam, epsilon)
-        assert read.call_count == 3
-        with mock.patch("sternbrocot.stern._kernel", wraps=exact._kernel) as read:
-            list(graded_walk(4, 2, lam))
-        assert read.call_count == 1
 
 
 class TestTextByHalves:

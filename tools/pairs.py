@@ -1,13 +1,13 @@
 """Alternating pairs of benchmark runs: a base revision against the working tree.
 
-    python3 tools/pairs.py --workload pointwise --pairs 10 --seed 17
-        [--base HEAD] [--seconds 24]
+    python3 tools/pairs.py --workload pointwise --seed 17 [--pairs 10] [--base HEAD]
 
 The base revision (`git archive`) and the working tree (its tracked and
 untracked files that git does not ignore) are each copied into a fresh
 temporary directory, so the two sides share no `__pycache__` and no
 earlier run's files. Pair i runs `perfbench/run.py --workload W --seed
-S+i --seconds T` once in each copy, the base first in even pairs and the
+S+i --seconds T` once in each copy, T the `run_seconds` of the working
+tree's BENCHMARK.json, the base first in even pairs and the
 working tree first in odd ones, one run at a time. Each pair prints a
 comment line as it ends. Then, for every end-to-end metric of the
 working tree's BENCHMARK.json, one line
@@ -98,16 +98,14 @@ def summary_line(name: str, unit: str, better: str, s: dict[str, float]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="pairs to run, at least 10")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2")
+    if args.pairs < 10:  # fewer pairs cannot show a gain in nine of ten
+        parser.error("--pairs must be >= 10")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     values: dict[str, list[tuple[float, float]]] = {m["name"]: [] for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         base, change = Path(scratch, "base"), Path(scratch, "change")
