@@ -33,7 +33,9 @@ whose `cache_info` shows it), so g at many points of one parameter
 derives none of that again. `_phi_split` gives the same (u, v, d) and
 limit for any rational or QuadSurd, unchecked, such as the stream's
 epsilon. `_phi_pow` powers left to right, so each set bit of the
-exponent costs a product by the small base; `_phi_powers` builds the
+exponent costs a product by the small base, and squares the power of a
+unit (norm +-1: tau, tau**2, phi) by two squarings, not three products,
+reading the norm from the base itself; `_phi_powers` builds the
 table of the powers below 48 of a base of at most 32 bits, which the
 record of a quadratic parameter holds for both its bases (a rational
 one needs none). One helper, `_leading`,
@@ -484,6 +486,12 @@ def _phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
     multiplied by the base x + y*phi at each set bit, with phi**2 =
     phi + 1. The base stays small, so each set bit costs a big-by-small
     product, where the right-to-left order multiplies two big powers.
+    Squaring r = rx + ry*phi gives rx**2 + ry**2 and (2*rx + ry)*ry,
+    three full-width products. When the base is a unit (norm
+    x**2 + x*y - y**2 = +-1, as tau, tau**2 and phi are), the running
+    power's norm N is known, 1 after a squaring and the base's after a
+    product by it, so rx*ry = N - rx**2 + ry**2 and the phi coefficient
+    is 2N - 2rx**2 + 3ry**2: two squarings.
     """
     if n < 1:
         if n:
@@ -492,10 +500,18 @@ def _phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
     if not y:
         return x ** n, 0
     rx, ry, bit = x, y, 1 << n.bit_length() - 1
+    unit = norm = x * x + x * y - y * y
+    if unit not in (1, -1):
+        while bit := bit >> 1:
+            rx, ry = rx * rx + ry * ry, (2 * rx + ry) * ry
+            if n & bit:
+                rx, ry = rx * x + ry * y, rx * y + ry * (x + y)
+        return rx, ry
     while bit := bit >> 1:
-        rx, ry = rx * rx + ry * ry, (2 * rx + ry) * ry
+        xx, yy = rx * rx, ry * ry
+        rx, ry, norm = xx + yy, 2 * norm - 2 * xx + 3 * yy, 1
         if n & bit:
-            rx, ry = rx * x + ry * y, rx * y + ry * (x + y)
+            rx, ry, norm = rx * x + ry * y, rx * y + ry * (x + y), unit
     return rx, ry
 
 

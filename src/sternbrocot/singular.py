@@ -28,30 +28,36 @@ the same for every lam: lam = (u + v*phi)/d over Z[phi], phi the golden
 ratio, the form a QuadSurd stores, with v = 0 for a rational lam and
 d = 1 at tau and tau**2. Each route reads lam's record from
 `exact._kernel`: the range check, those integers, 1 - lam, the
-small-power tables and the norms, built once per lam and cached. One
-loop, `_series`, sums the series by Horner's rule on integers: at
-quotient a it multiplies the last term's magnitude by lam**a or
-(1-lam)**a, one power of a small base (read from the record's table for
-a below 48 and a narrow base), and the partial sum so far by d**a, and
-adds or subtracts the new magnitude. So a quotient costs one small
-power and a few products of integers no larger than the result; a
-rational lam carries no phi half, and tau and tau**2 no power of d.
-`g_series` runs the loop to the last quotient, `g_stream` stops it at
-the first term whose magnitude is below epsilon and takes the partial
-sums on either side of that term. For a quadratic lam and a rational
-epsilon the loop also carries the norm of the term's numerator, the
-product of the norms of lam*d and (1-lam)*d (+-1 at tau and tau**2),
-and decides a term wider than 512 bits from its leading bits or those
-of its conjugate (`exact._term_below`), with no product of two wide
-integers; the exact sign of the difference, two squarings of
-the term's width, is taken only when those bounds cannot decide. A
+small-power tables and the norms, built once per lam and cached. Two
+loops sum the series on integers, each a quotient at a time, with one
+power of a small base per quotient (read from the record's table for a
+below 48 and a narrow base): a rational lam carries no phi half, and
+tau and tau**2 no power of d. `g_series` knows the last quotient and
+sums from it back to the first, Horner's rule from the other end: the
+tail after quotient k is lam**a or (1-lam)**a times 1 minus the tail
+after k + 1, so a quotient costs its power, one product of it by the
+tail and one product by d**a, and a large quotient's power enters one
+product, not every later step. `_series`, the loop of `g_stream`, sums
+from the first quotient, since its stop rule reads the terms in order:
+at quotient a it multiplies the last term's magnitude by lam**a or
+(1-lam)**a and the partial sum so far by d**a, adds or subtracts the
+new magnitude, and stops at the first term whose magnitude is below
+epsilon, taking the partial sums on either side of that term. For a
+quadratic lam and a rational epsilon that loop also carries the norm of
+the term's numerator, the product of the norms of lam*d and (1-lam)*d
+(+-1 at tau and tau**2), and decides a term wider than 512 bits from
+its leading bits or those of its conjugate (`exact._term_below`), with
+no product of two wide integers; the exact sign of the difference, two
+squarings of the term's width, is taken only when those bounds cannot
+decide. A
 value is an integer numerator a + b*phi over a power of d, with no gcd
 and no Fraction inside the loop, and reduced once into lam's own type
 (Fraction or QuadSurd) when it is returned. Nothing here touches
 floating point. A value whose size estimate passes
-`exact.MAX_EXACT_BITS` is refused with a ValueError, at the quotient
-that passes it and before it is built, and so is a `question_mark`
-shift past the budget at lam = 1/2.
+`exact.MAX_EXACT_BITS` is refused with a ValueError before it is built:
+by `g_series` from the sum of the quotients before any power, by a
+stream at the quotient that passes it, and by `question_mark` before
+its shift at lam = 1/2.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from .exact import (
     _OVER_BUDGET,
     TAU2,
     QuadSurd,
+    _coprime_fraction,
     _Kernel,
     _kernel,
     _phi_pow,
@@ -102,9 +109,11 @@ def question_mark(cf: RegularCF) -> Fraction:
     """Minkowski's ?(x) from the quotients of x: the alternating sum of
     1 / 2**(a1 + ... + ak - 1). Always a dyadic rational, so the sum is
     one integer numerator over 2**(S(x) - 1), built by Horner's rule:
-    shift left by each quotient, then add or subtract 1. An S(x) - 1 past
-    the budget the kernel routes keep at lam = 1/2 is refused, with a
-    ValueError, before the shift."""
+    shift left by each quotient, then add or subtract 1. The numerator is
+    odd, since each step shifts by at least 1 and adds +-1, so the value
+    is built in lowest terms with no gcd. An S(x) - 1 past the budget the
+    kernel routes keep at lam = 1/2 is refused, with a ValueError, before
+    the shift."""
     if not cf.quotients:
         return Fraction(1)
     shift = sum_partial_quotients(cf) - 1
@@ -115,22 +124,22 @@ def question_mark(cf: RegularCF) -> Fraction:
     for a in cf.quotients:
         numerator = (numerator << a) + sign
         sign = -sign
-    return Fraction(numerator, 1 << shift)
+    return _coprime_fraction(numerator, 1 << shift)
 
 
 def _series(
     quotients: Iterable[int],
     kernel: _Kernel,
-    epsilon: Fraction | None = None,
+    epsilon: Fraction,
 ) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """The alternating series for g over `quotients`, at the split
-    parameter whose record `exact._kernel` gives as kernel, in one loop: the
-    partial sums before and after its last term, as (lo, hi) in
-    increasing order, each an integer triple (a, b, e) for
-    (a + b*phi)/e over the same e, so the one before the last term is
-    not in lowest terms. The last term is that of the last quotient or,
-    given epsilon, the first whose magnitude is below epsilon; then a
-    stream that ends first is refused.
+    """The alternating series for g over a stream of quotients, at the
+    split parameter whose record `exact._kernel` gives as kernel, up to
+    the first term whose magnitude is below epsilon: the partial sums
+    before and after that term, as (lo, hi) in increasing order, each an
+    integer triple (a, b, e) for (a + b*phi)/e over the same e, so the
+    one before the last term is not in lowest terms. A stream that ends
+    first is refused. This is `g_stream`'s loop; `g_series`, whose last
+    quotient is known, sums from that end instead.
 
     Term k multiplies the previous magnitude by lam**ak (k odd, added) or
     (1-lam)**ak (k even, subtracted), with a1 - 1 in place of a1; both
@@ -144,9 +153,8 @@ def _series(
     # lam = (u + v*phi)/d and 1 - lam = (c + w*phi)/d; small powers of a
     # narrow base come from the two tables
     u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm = kernel
-    if epsilon is not None:
-        eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
-        leading = v != 0 and ev == 0  # then a wide term may be compared by its leading bits
+    eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
+    leading = v != 0 and ev == 0  # then a wide term may be compared by its leading bits
     a = b = n = factors = 0
     m = e = norm = skip = 1  # skip: term 1 is lam**(a1 - 1)
     odd = False
@@ -173,19 +181,17 @@ def _series(
             m *= (u if odd else c) ** q
             scale = d ** q
             a, e = a * scale + m if odd else a * scale - m, e * scale
-        if epsilon is not None:
-            below = None
-            if leading:  # the norm is multiplicative
-                norm *= (lam_norm if odd else rest_norm) ** q
-                if n.bit_length() > _NORM_BITS:
-                    below = _term_below(norm, m, n, e, eu, ed)
-            if below is None:
-                below = _sign(eu * e - m * ed, ev * e - n * ed) > 0
-            if below:
-                break
+        below = None
+        if leading:  # the norm is multiplicative
+            norm *= (lam_norm if odd else rest_norm) ** q
+            if n.bit_length() > _NORM_BITS:
+                below = _term_below(norm, m, n, e, eu, ed)
+        if below is None:
+            below = _sign(eu * e - m * ed, ev * e - n * ed) > 0
+        if below:
+            break
     else:
-        if epsilon is not None:
-            raise ValueError("quotient stream ended: the value is rational, use g_series")
+        raise ValueError("quotient stream ended: the value is rational, use g_series")
     if odd:  # the last term was added
         return (a - m, b - n, e), (a, b, e)
     return (a, b, e), (a + m, b + n, e)
@@ -195,20 +201,45 @@ def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     """Evaluate g by the finite alternating series over the quotients of x.
 
     The empty quotient list (x = 1) evaluates to 1, mirroring value_rcf.
-    Otherwise `_series` runs to the last quotient, and g is its last
-    partial sum: the upper end of the bracket it returns when the last
-    term is added (an odd count of quotients), else the lower. m
-    quotients cost m powers of a small base and O(m) products of
-    integers no larger than the result, whose size is checked against
-    `exact.MAX_EXACT_BITS` quotient by quotient, before it is built, and
-    one reduction (`exact._phi_value`).
+    Otherwise the series is summed from its last quotient to its first,
+    Horner's rule from the other end (Knuth, TAOCP vol. 2, 4.6.4): with
+    f_k = lam**qk (k odd) or (1-lam)**qk (k even), q1 = a1 - 1 and qk =
+    ak after, the tail R_m = f_m and R_k = f_k * (1 - R_(k+1)) give g =
+    R_1. On integers R_k = N_k/E_k, with N_k = F_k * (E_(k+1) - N_(k+1)),
+    E_k = d**qk * E_(k+1) and f_k = F_k/d**qk, so g = N_1/d**(S - 1), S
+    the sum of the quotients, the numerator the left-to-right sum builds.
+    A quotient costs one power of a small base, read from the record's
+    table when it has one, a product of it by the tail, and the product
+    of E by d**qk (none at tau and tau**2, where d = 1); a large quotient's
+    power enters one product, not every later step. S - 1 is checked
+    against `exact.MAX_EXACT_BITS` before any power is built, and the
+    value is reduced once (`exact._phi_value`).
     """
-    kernel = _kernel(lam)
+    u, v, d, limit, c, w, lam_powers, rest_powers, *_ = _kernel(lam)
     quotients = cf.quotients
     if not quotients:
         return _phi_value(1, 0, 1, lam)
-    lo, hi = _series(quotients, kernel)
-    return _phi_value(*(hi if len(quotients) % 2 else lo), lam)
+    if sum_partial_quotients(cf) - 1 > limit:
+        raise ValueError(_OVER_BUDGET)
+    a = b = 0
+    e = 1
+    odd = len(quotients) % 2 == 1  # the place of the last quotient
+    for q in quotients[:0:-1] + (quotients[0] - 1,):  # qm, ..., q2, then q1 = a1 - 1
+        if v:  # the tail is (a + b*phi)/e, and 1 - tail = (e - a - b*phi)/e
+            powers = lam_powers if odd else rest_powers
+            if q < len(powers):
+                x, y = powers[q]
+            else:
+                x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
+            p = e - a
+            a, b = p * x - b * y, p * y - b * (x + y)
+            if d != 1:
+                e *= d ** q
+        else:  # a rational lam: b stays 0
+            a = (u if odd else c) ** q * (e - a)
+            e *= d ** q
+        odd = not odd
+    return _phi_value(a, b, e, lam)
 
 
 def g_tau2(cf: RegularCF) -> QuadSurd:
@@ -230,7 +261,7 @@ def g_stream(
     k terms in increasing order, with lo < g(x) < hi and hi - lo <
     epsilon: the signs alternate and the magnitudes strictly decrease,
     so the value always lies between consecutive partial sums. Each
-    quotient costs what it costs in `g_series`, plus one exact
+    quotient costs one small power and a few products, plus one exact
     comparison of the new magnitude with epsilon. At a quadratic lam and
     a rational epsilon, a term wider than 512 bits is compared by the
     leading bits of its numerator or of its conjugate, the latter through

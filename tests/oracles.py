@@ -625,16 +625,45 @@ def node_walk(n: int, left: int) -> Iterator[tuple[int, int, int]]:
         depth = d + 1
 
 
+def phi_integers(lam) -> tuple[int, int, int]:
+    """(u, v, d): lam = (u + v*phi)/d in lowest terms, from lam's sqrt5
+    coefficients, with v = 0 for a Fraction."""
+    a, b = (lam, Fraction(0)) if isinstance(lam, Fraction) else (lam.a, lam.b)
+    d = math.lcm(a.denominator, b.denominator)
+    u, v = (a - b) * d, 2 * b * d  # a + b*sqrt5 = (a - b) + 2b*phi
+    g = math.gcd(u.numerator, v.numerator, d)
+    return u.numerator // g, v.numerator // g, d // g
+
+
+def left_to_right_series(quotients: Sequence[int], lam) -> tuple[int, int, int]:
+    """g at [0; a1, ..., am] as the integer triple (a, b, e), for
+    (a + b*phi)/e with e = d**(S - 1), S the sum of the quotients: the
+    series summed from the first quotient by Horner's rule, the partial
+    sum times d**qk plus or minus the new magnitude numerator, with q1 =
+    a1 - 1 and qk = ak after. The loop `g_series` ran before it summed
+    from the last quotient; the powers are taken right to left."""
+    if not quotients:
+        return 1, 0, 1
+    u, v, d = phi_integers(lam)
+    a = b = n = 0
+    m = e = 1
+    for k, q in enumerate(quotients, start=1):
+        if k == 1:
+            q -= 1
+        x, y = right_to_left_phi_pow(u, v, q) if k % 2 else right_to_left_phi_pow(d - u, -v, q)
+        m, n = m * x + n * y, m * y + n * (x + y)
+        scale = d ** q
+        a, b, e = a * scale, b * scale, e * scale
+        a, b = (a + m, b + n) if k % 2 else (a - m, b - n)
+    return a, b, e
+
+
 def term_numerator(lam, powers: int, rest: int) -> tuple[int, int, int, int]:
     """lam**powers * (1 - lam)**rest as the series loop carries a term:
     (m, n, e, norm) for (m + n*phi)/e with e = d**(powers + rest), lam =
     (u + v*phi)/d, and norm = m**2 + m*n - n**2 as the product of the
     norms of lam*d and (1 - lam)*d. The powers are taken right to left."""
-    a, b = (lam, Fraction(0)) if isinstance(lam, Fraction) else (lam.a, lam.b)
-    d = math.lcm(a.denominator, b.denominator)
-    u, v = (a - b) * d, 2 * b * d  # a + b*sqrt5 = (a - b) + 2b*phi
-    g = math.gcd(u.numerator, v.numerator, d)
-    u, v, d = u.numerator // g, v.numerator // g, d // g
+    u, v, d = phi_integers(lam)
     c, w = d - u, -v
     x, y = right_to_left_phi_pow(u, v, powers)
     z, t = right_to_left_phi_pow(c, w, rest)

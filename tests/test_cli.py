@@ -620,6 +620,14 @@ DIGESTS = {
         "4741d876f648d9a568ca2f512c9d8b83181f323c6da8e06c5befd650778a2a4f",
     "eval --lambda tau2 --x 179261/179307":
         "a03a026b092bdf584f24ff3d10afb29e1f42898ce6a6c6349913be6b8c77282d",
+    # the two shapes of the slowest pointwise points, a quotient in
+    # 1000..9999 at the first place (tau2, x = [0; 9272, ...], 15
+    # quotients) or the second (1/3, x = [0; 1, 8695, ...], 14 quotients),
+    # whose power the series summed from the last quotient builds once
+    "eval --lambda tau2 --x 192289497/1783023865006":
+        "49fff1583f739e1815b56ba05370070550257f8140eedc11bfd5a4d602221d48",
+    "eval --lambda 1/3 --x 209961559609/209985706024":
+        "dda50cf5bb26fa02d2090e2800cec3efa52c8807e96363ba414d41e2aee7fc3c",
 }
 #: The stdin of a DIGESTS command that reads one; the others read none.
 DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",

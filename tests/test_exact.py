@@ -474,7 +474,10 @@ class TestLeading:
 class TestPhiPow:
     """`_phi_pow`, left to right, against the right-to-left oracle."""
 
-    @pytest.mark.parametrize("base", [(0, 1), (2, -1), (-1, 1), (1, 1)], ids=str)
+    # four units, phi, tau**2, tau and phi**2 (norms -1, 1, -1, 1), which
+    # are squared by two squarings, and two bases of norm 5 and -5, which
+    # are not
+    @pytest.mark.parametrize("base", [(0, 1), (2, -1), (-1, 1), (1, 1), (2, 1), (1, 3)], ids=str)
     @given(n=st.integers(0, 20000))
     @example(n=0)
     @example(n=1)

@@ -29,6 +29,7 @@ from oracles import (
     field_series,
     field_stream,
     field_walk,
+    left_to_right_series,
     long_quotient_lists,
     path_replay,
     quotient_lists,
@@ -116,6 +117,22 @@ class TestQuestionMark:
         for x in stern_chain[8].elements[1:]:
             cf = expand_rcf(x)
             assert question_mark(cf) == g_series(cf, Fraction(1, 2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(quotient_lists(), long_quotient_lists()))
+    def test_the_value_is_built_in_lowest_terms(self, quotients):
+        # the numerator is odd, so the Fraction question_mark builds with
+        # no gcd is the one the gcd would give
+        cf = RegularCF(quotients) if quotients[-1] >= 2 else expand_rcf(rcf_value(quotients))
+        assume(cf.quotients)
+        total, partial, numerator = sum(cf.quotients), 0, 0
+        for k, a in enumerate(cf.quotients, start=1):
+            partial += a
+            numerator += (-1) ** (k + 1) * 2 ** (total - partial)
+        expected = Fraction(numerator, 2 ** (total - 1))
+        value = question_mark(cf)
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert value.numerator % 2 == 1
 
 
 class TestRouteAgreement:
@@ -377,6 +394,66 @@ class TestLongExpansions:
         assert kernel.drawn == j
         with pytest.raises(ValueError, match="size budget"):
             g_series(RegularCF(quotients), lam)
+
+
+@st.composite
+def with_a_large_quotient(draw, lists) -> list[int]:
+    """A list drawn from `lists` with one quotient in 1000..9999 at its
+    first place, its second, its middle or its last, and a last quotient
+    >= 2."""
+    quotients = list(draw(lists))
+    place = draw(st.sampled_from((0, 1, len(quotients) // 2, len(quotients) - 1)))
+    quotients[min(place, len(quotients) - 1)] = draw(st.integers(1000, 9999))
+    quotients[-1] = max(quotients[-1], 2)
+    return quotients
+
+
+def from_triple(a, b, e, lam):
+    """(a + b*phi)/e in lam's type, through the sqrt5 basis and its gcd."""
+    if isinstance(lam, QuadSurd):
+        return QuadSurd(Fraction(2 * a + b, 2 * e), Fraction(b, 2 * e))
+    return Fraction(a, e)
+
+
+class TestSeriesFromTheLastQuotient:
+    """`g_series` sums the series from the last quotient back to the first:
+    its values are those of the left-to-right sum it replaced
+    (`oracles.left_to_right_series`) and of the field route on PowerSurd,
+    on each branch of the loop, with a large quotient at the first,
+    second, middle or last place; and the size budget is checked before
+    any power is built."""
+
+    @staticmethod
+    def check(lam, quotients):
+        value = g_series(RegularCF(quotients), lam)
+        assert same(value, from_triple(*left_to_right_series(quotients, lam), lam))
+        assert same(value, in_type(field_series(quotients, PowerSurd.of(lam)), lam))
+
+    @pytest.mark.parametrize("lam", BRANCH_LAMBDAS, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(quotients=with_a_large_quotient(st.lists(st.integers(1, 100), min_size=1, max_size=40)))
+    def test_one_to_forty_quotients(self, lam, quotients):
+        self.check(lam, quotients)
+
+    @pytest.mark.parametrize("lam", BRANCH_LAMBDAS, ids=str)
+    @settings(max_examples=6, deadline=None)
+    @given(quotients=with_a_large_quotient(long_quotient_lists()))
+    def test_long_expansions(self, lam, quotients):
+        self.check(lam, quotients)
+
+    @pytest.mark.parametrize("lam", BRANCH_LAMBDAS, ids=str)
+    @settings(max_examples=10, deadline=None)
+    @given(quotients=st.lists(st.integers(1, 1000), max_size=40),
+           over=st.one_of(st.integers(1, 3), st.just(10 ** 4300)))
+    def test_a_budget_passed_at_the_last_quotient_is_refused_before_any_power(self, lam,
+                                                                               quotients, over):
+        # S - 1 = limit + over, crossed only by the last quotient
+        limit = _phi_split(lam)[3]
+        quotients.append(limit + over + 1 - sum(quotients))
+        with mock.patch("sternbrocot.singular._phi_pow") as powered:
+            with pytest.raises(ValueError, match="size budget"):
+                g_series(RegularCF(quotients), lam)
+        assert not powered.called
 
 
 @st.composite
