@@ -21,9 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cf import expand_rcf
-from .exact import (_OVER_BUDGET, MAX_EXACT_BITS, MAX_OUTPUT_BYTES, QuadSurd, _Record,
+from .exact import (_OVER_BUDGET, MAX_EXACT_BITS, MAX_OUTPUT_BYTES, TAU2, QuadSurd, _Record,
                     check_output, mediant, text_bytes, to_decimal)
-from .singular import g_tau2
+from .singular import g_series
 from .stern import path_runs
 from .xi import fibonacci, subtree_count
 
@@ -123,12 +123,14 @@ def _table_bytes(n_max: int, target: QuadSurd) -> int:
 
 
 def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 50)) -> ConvergenceReport:
-    """Tabulate |empirical_cdf(xi, n, x) - g_tau2(x)| for n = 2..n_max.
+    """Tabulate |empirical_cdf(xi, n, x) - g(x)| for n = 2..n_max, g at
+    lam = tau**2.
 
-    The target is exact in Q(sqrt5); errors are reported as 30-digit
-    decimals, and the pass verdict compares the final error against the
-    tolerance exactly. The path runs of x are computed once, and each
-    row is one rank count along them (`_rank`) of O(min(m, n)) steps.
+    The target g(x) is `g_series` at TAU2, exact in Q(sqrt5); errors are
+    reported as 30-digit decimals, and the pass verdict compares the
+    final error against the tolerance exactly. The path runs of x are
+    computed once, and each row is one rank count along them (`_rank`)
+    of O(min(m, n)) steps.
     Refuses a tolerance below 0, and a table whose text would pass
     `exact.MAX_OUTPUT_BYTES` (`_table_bytes`), before any row is built.
     """
@@ -138,7 +140,7 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
         raise ValueError("n_max must be >= 2")
     if tolerance.numerator < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    target = g_tau2(expand_rcf(x))
+    target = g_series(expand_rcf(x), TAU2)
     check_output(_table_bytes(n_max, target))
     runs = path_runs(x)
     rows = []

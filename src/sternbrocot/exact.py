@@ -40,11 +40,11 @@ table of the powers below 48 of a base of at most 32 bits, which the
 record of a quadratic parameter holds for both its bases (a rational
 one needs none). One helper, `_leading`,
 bounds a + b*sqrt5 from the leading bits of a and b, with one slack
-proof, for three routines that decide from those bounds and take an
+proof, for two routines that decide from those bounds and take an
 exact route when they cannot (Ziv's method): `_term_below` tells
 whether a wide (m + n*phi)/e lies below a rational, from m + n*phi or,
-through its norm, its conjugate, for `singular`'s stream stop;
-`_may_cancel` and `_floor_by_norm` serve `to_decimal`, below.
+through its norm, its conjugate, for `singular`'s stream stop, and
+`_floor_by_norm` serves `to_decimal`, below.
 `str` of a QuadSurd prints a coefficient past 3072 bits by halves
 (`_int_text`): split at a power of ten 10**(2**j), dividing by its odd
 part 5**(2**j) from a ladder of at most 32 cached rungs (`_pow5`), each
@@ -52,15 +52,16 @@ half printed the same way, which on Python 3.11 beats `str` by 1.2 times
 at 4 kbit and 1.5 times at 9 to 16 kbit. A
 coefficient that may reach Python's int-to-str digit limit, when there
 is one, goes to `str` itself, so it prints, or raises its ValueError,
-exactly as `str` would. `to_decimal` reads a
-cancelling value (a + b*sqrt5)/d with a wide b from the exact norm
-a**2 - 5b**2 and the leading bits of a - b*sqrt5 (`_floor_by_norm`), and
-a value within 2**-58 of 1, where those bounds straddle 1, from
-1 - value, which is not next to an integer (the complement route); it
-takes the exact square root of `_floor_scaled` when those bounds cannot
-decide, for a narrow b, when a and b share a sign, and when the leading
-bits of a and b*sqrt5 already show too little cancellation
-(`_may_cancel`).
+exactly as `str` would. `to_decimal` sends
+`_floor_by_norm` every value (a + b*sqrt5)/d with a wide b and with a
+and b of opposite signs, which may cancel. That routine reads the value
+from the exact norm a**2 - 5b**2 and the leading bits of a - b*sqrt5,
+and a value within 2**-58 of 1, where those bounds straddle 1, from
+1 - value, which is not next to an integer (the complement route). It
+alone judges whether its bounds can read the value, and takes the exact
+square root of `_floor_scaled` when they cannot decide or leave no bits
+to drop, as for a wide value far outside [-1, 1]; a narrow b, or a and
+b of one sign, go to `_floor_scaled` directly.
 
 Every size budget of the package lives here: `MAX_EXACT_BITS` is
 theirs, `MAX_ELEMENTS` that of every tuple the library builds, and
@@ -622,8 +623,8 @@ def _floor_scaled(a: int, b: int, d: int, power: int) -> int:
 _NORM_BITS = 512
 #: Bits that the leading-bits bounds (`_leading`) keep beyond those a
 #: decision needs: `_floor_by_norm`'s two bounds on a floor then differ
-#: by less than 2**-58 of it, and `_term_below` and `_may_cancel` read
-#: the leading _GUARD_BITS bits of their integers.
+#: by less than 2**-58 of it, and `_term_below` reads the leading
+#: _GUARD_BITS bits of its integers.
 _GUARD_BITS = 64
 
 
@@ -635,9 +636,9 @@ def _leading(a: int, b: int, s: int) -> tuple[int, int]:
     The three truncations, of a, of b (times sqrt5) and of the square
     root, lose less than 1, sqrt5 and 1, and 2 + sqrt5 < 5. For b > 0
     the value is irrational, so it lies strictly above L*2**s. This is
-    the one bound of Ziv's method in the three routines that read it
-    (`_floor_by_norm`, `_term_below`, `_may_cancel`): evaluate with
-    bounds, and take an exact route when they cannot decide.
+    the one bound of Ziv's method in the two routines that read it
+    (`_floor_by_norm`, `_term_below`): evaluate with bounds, and take an
+    exact route when they cannot decide.
     """
     t = b >> s
     low = (a >> s) + isqrt(5 * t * t)
@@ -658,7 +659,13 @@ def _floor_by_norm(a: int, b: int, d: int, power: int) -> int:
     (d - a) - b*sqrt5 again have opposite signs and whose floor is far
     from an integer: floor(10**power - y) = 10**power - 1 - floor(y) for
     an irrational y. Otherwise, or when there are no bits to drop,
-    `_floor_scaled` computes it.
+    `_floor_scaled` computes it: this routine is the one judge of
+    whether its bounds can read the value. They always leave bits to drop
+    for |value| <= 1, |b| past _NORM_BITS bits and power <= 134: the
+    floor is below 10**134 < 2**446 and |C| below 2**(width + 2), so
+    s >= 513 - 446 - 2 - _GUARD_BITS = 1. A wide value far outside
+    [-1, 1] may leave none, and then costs two squarings before the
+    fallback.
     """
     scale = 10 ** power
     norm = a * a - 5 * (b * b)  # two squarings
@@ -705,36 +712,18 @@ def _term_below(norm: int, m: int, n: int, e: int, eu: int, ed: int) -> bool | N
     return None
 
 
-def _may_cancel(a: int, b: int, d: int, power: int) -> bool:
-    """Whether a + b*sqrt5, for integers a and b of opposite signs wider
-    than _GUARD_BITS bits, may cancel enough bits for `_floor_by_norm` to
-    drop any at this d and power; decided from the leading _GUARD_BITS
-    bits of |a| and |b|, with no full-width product.
-
-    With t the bits below those, the (L, H) of `_leading` put
-    |b|*sqrt5 - |a| in [L, H)*2**t, so | |a| - |b|*sqrt5 | >= gap*2**t
-    with gap = max(L, -H). Once that bound times 10**power reaches
-    2**bits(d), the floor `_floor_by_norm` computes is at least as wide
-    as a and b less _GUARD_BITS: it has no bits to drop and would fall
-    back to `_floor_scaled` after its two squarings.
-    """
-    low, high = _leading(-abs(a), abs(b), max(a.bit_length(), b.bit_length()) - _GUARD_BITS)
-    gap = max(low, -high)
-    return gap <= 0 or (gap * 10 ** power).bit_length() <= d.bit_length()
-
-
 def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     """Decimal string of x rounded half-up to `digits` fractional digits.
 
     The result differs from x by less than 10**-digits; computed on
     integers alone, with no floating point. A QuadSurd (a + b*sqrt5)/d
-    whose a and b have opposite signs, |b| past _NORM_BITS bits, and
-    whose leading bits leave room for cancellation (`_may_cancel`) takes
-    the norm route (`_floor_by_norm`), which reads the value from the
-    norm and the leading bits of a - b*sqrt5 (`_leading`), a value next
-    to 1 from its complement 1 - value, and falls back to the exact
-    square root of `_floor_scaled` when its bounds cannot decide; every
-    other value takes `_floor_scaled` directly.
+    whose a and b have opposite signs and whose |b| passes _NORM_BITS
+    bits takes the norm route (`_floor_by_norm`), which reads the value
+    from the norm and the leading bits of a - b*sqrt5 (`_leading`), a
+    value next to 1 from its complement 1 - value, and falls back to the
+    exact square root of `_floor_scaled` when its bounds cannot decide
+    or leave no bits to drop; every other value takes `_floor_scaled`
+    directly.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -742,8 +731,7 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
         a, b, d = 2 * x._a + x._b, x._b, 2 * x._d
     else:
         a, b, d = x.numerator, 0, x.denominator
-    if (b.bit_length() > _NORM_BITS and a and (a > 0) != (b > 0)
-            and _may_cancel(a, b, d, digits + 1)):
+    if b.bit_length() > _NORM_BITS and a and (a > 0) != (b > 0):
         n = _floor_by_norm(a, b, d, digits + 1)
     else:
         n = _floor_scaled(a, b, d, digits + 1)

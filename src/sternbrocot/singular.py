@@ -37,12 +37,12 @@ sums from it back to the first, Horner's rule from the other end: the
 tail after quotient k is lam**a or (1-lam)**a times 1 minus the tail
 after k + 1, so a quotient costs its power, one product of it by the
 tail and one product by d**a, and a large quotient's power enters one
-product, not every later step. `_series`, the loop of `g_stream`, sums
-from the first quotient, since its stop rule reads the terms in order:
-at quotient a it multiplies the last term's magnitude by lam**a or
-(1-lam)**a and the partial sum so far by d**a, adds or subtracts the
-new magnitude, and stops at the first term whose magnitude is below
-epsilon, taking the partial sums on either side of that term. For a
+product, not every later step. `g_stream` sums from the first
+quotient, since its stop rule reads the terms in order: at quotient a
+it multiplies the last term's magnitude by lam**a or (1-lam)**a and the
+partial sum so far by d**a, adds or subtracts the new magnitude, and
+stops at the first term whose magnitude is below epsilon, taking the
+partial sums on either side of that term. For a
 quadratic lam and a rational epsilon that loop also carries the norm of
 the term's numerator, the product of the norms of lam*d and (1-lam)*d
 (+-1 at tau and tau**2), and decides a term wider than 512 bits from
@@ -72,7 +72,6 @@ from .exact import (
     TAU2,
     QuadSurd,
     _coprime_fraction,
-    _Kernel,
     _kernel,
     _phi_pow,
     _phi_split,
@@ -125,76 +124,6 @@ def question_mark(cf: RegularCF) -> Fraction:
         numerator = (numerator << a) + sign
         sign = -sign
     return _coprime_fraction(numerator, 1 << shift)
-
-
-def _series(
-    quotients: Iterable[int],
-    kernel: _Kernel,
-    epsilon: Fraction,
-) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """The alternating series for g over a stream of quotients, at the
-    split parameter whose record `exact._kernel` gives as kernel, up to
-    the first term whose magnitude is below epsilon: the partial sums
-    before and after that term, as (lo, hi) in increasing order, each an
-    integer triple (a, b, e) for (a + b*phi)/e over the same e, so the
-    one before the last term is not in lowest terms. A stream that ends
-    first is refused. This is `g_stream`'s loop; `g_series`, whose last
-    quotient is known, sums from that end instead.
-
-    Term k multiplies the previous magnitude by lam**ak (k odd, added) or
-    (1-lam)**ak (k even, subtracted), with a1 - 1 in place of a1; both
-    factors are < 1, so magnitudes strictly decrease, which is what makes
-    consecutive partial sums bracket the value. Over e = d**(S - 1), S the
-    sum of the quotients so far, that is Horner's rule: the sum so far
-    times d**ak, plus or minus the new magnitude numerator. A quotient
-    costs one power of a small base and a few products; a rational lam
-    (v = 0) carries no phi half, and tau and tau**2 (d = 1) no scale.
-    """
-    # lam = (u + v*phi)/d and 1 - lam = (c + w*phi)/d; small powers of a
-    # narrow base come from the two tables
-    u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm = kernel
-    eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
-    leading = v != 0 and ev == 0  # then a wide term may be compared by its leading bits
-    a = b = n = factors = 0
-    m = e = norm = skip = 1  # skip: term 1 is lam**(a1 - 1)
-    odd = False
-    for q in quotients:
-        if q < 1:
-            raise ValueError(f"partial quotients must be >= 1, got {q}")
-        q -= skip
-        factors += q
-        if factors > limit:
-            raise ValueError(_OVER_BUDGET)
-        skip, odd = 0, not odd
-        if v:  # the magnitude is (m + n*phi)/e
-            powers = lam_powers if odd else rest_powers
-            if q < len(powers):
-                x, y = powers[q]
-            else:
-                x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
-            m, n = m * x + n * y, m * y + n * (x + y)
-            if d != 1:
-                scale = d ** q
-                a, b, e = a * scale, b * scale, e * scale
-            a, b = (a + m, b + n) if odd else (a - m, b - n)
-        else:  # a rational lam: b and n stay 0
-            m *= (u if odd else c) ** q
-            scale = d ** q
-            a, e = a * scale + m if odd else a * scale - m, e * scale
-        below = None
-        if leading:  # the norm is multiplicative
-            norm *= (lam_norm if odd else rest_norm) ** q
-            if n.bit_length() > _NORM_BITS:
-                below = _term_below(norm, m, n, e, eu, ed)
-        if below is None:
-            below = _sign(eu * e - m * ed, ev * e - n * ed) > 0
-        if below:
-            break
-    else:
-        raise ValueError("quotient stream ended: the value is rational, use g_series")
-    if odd:  # the last term was added
-        return (a - m, b - n, e), (a, b, e)
-    return (a, b, e), (a + m, b + n, e)
 
 
 def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
@@ -255,26 +184,79 @@ def g_stream(
 ) -> tuple[Fraction | QuadSurd, Fraction | QuadSurd]:
     """Enclose g(x) for an irrational x given as a stream of quotients.
 
-    Draws quotients one at a time into `_series` and stops at quotient k,
-    the first whose term has a magnitude below epsilon, drawing no
-    quotient past it. Returns (lo, hi), the partial sums after k - 1 and
-    k terms in increasing order, with lo < g(x) < hi and hi - lo <
-    epsilon: the signs alternate and the magnitudes strictly decrease,
-    so the value always lies between consecutive partial sums. Each
-    quotient costs one small power and a few products, plus one exact
-    comparison of the new magnitude with epsilon. At a quadratic lam and
-    a rational epsilon, a term wider than 512 bits is compared by the
-    leading bits of its numerator or of its conjugate, the latter through
-    the norm the loop carries (one power of a small integer per quotient),
-    which costs a few products by 64-bit integers instead of two
-    squarings of the term; the exact comparison runs only when the
-    magnitude lies within about 2**-60 of epsilon, relatively.
+    Sums the alternating series of `g_series` from the first quotient,
+    drawing quotients one at a time, since the stop rule reads the terms
+    in order, and stops at quotient k, the first whose term has a
+    magnitude below epsilon, drawing no quotient past it. Returns
+    (lo, hi), the partial sums after k - 1 and k terms in increasing
+    order, with lo < g(x) < hi and hi - lo < epsilon: the signs alternate
+    and the magnitudes strictly decrease, so the value always lies
+    between consecutive partial sums. A stream that ends first raises -
+    a finite stream means x was rational, and g_series gives the exact
+    value instead. lam is range-checked first, then epsilon, then each
+    quotient as it is drawn.
 
-    Raises if the stream is exhausted first - a finite stream means x was
-    rational, and g_series gives the exact value instead.
+    Term k multiplies the previous magnitude by lam**ak (k odd, added) or
+    (1-lam)**ak (k even, subtracted), with a1 - 1 in place of a1; both
+    factors are < 1, so magnitudes strictly decrease. Over e = d**(S - 1),
+    S the sum of the quotients so far, that is Horner's rule: the sum so
+    far times d**ak, plus or minus the new magnitude numerator, both
+    integer pairs (a + b*phi)/e. A quotient costs one power of a small
+    base (from the record's table for a narrow base), a few products and
+    one exact comparison of the new magnitude with epsilon; a rational
+    lam (v = 0) carries no phi half, and tau and tau**2 (d = 1) no scale.
+    At a quadratic lam and a rational epsilon, the loop carries the
+    term's norm (one power of a small integer per quotient), and a term
+    wider than 512 bits is compared by the leading bits of its numerator
+    or of its conjugate (`exact._term_below`), which costs a few products
+    by 64-bit integers instead of two squarings of the term; the exact
+    comparison runs only when the magnitude lies within about 2**-60 of
+    epsilon, relatively. Both sums are reduced once (`exact._phi_value`).
     """
-    kernel = _kernel(lam)
+    # lam = (u + v*phi)/d and 1 - lam = (c + w*phi)/d; small powers of a
+    # narrow base come from the two tables
+    u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm = _kernel(lam)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    lo, hi = _series(quotients, kernel, epsilon)
-    return _phi_value(*lo, lam), _phi_value(*hi, lam)
+    eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
+    leading = v != 0 and ev == 0  # then a wide term may be compared by its leading bits
+    a = b = n = factors = 0
+    m = e = norm = skip = 1  # skip: term 1 is lam**(a1 - 1)
+    odd = False
+    for q in quotients:
+        if q < 1:
+            raise ValueError(f"partial quotients must be >= 1, got {q}")
+        q -= skip
+        factors += q
+        if factors > limit:
+            raise ValueError(_OVER_BUDGET)
+        skip, odd = 0, not odd
+        if v:  # the magnitude is (m + n*phi)/e
+            powers = lam_powers if odd else rest_powers
+            if q < len(powers):
+                x, y = powers[q]
+            else:
+                x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
+            m, n = m * x + n * y, m * y + n * (x + y)
+            if d != 1:
+                scale = d ** q
+                a, b, e = a * scale, b * scale, e * scale
+            a, b = (a + m, b + n) if odd else (a - m, b - n)
+        else:  # a rational lam: b and n stay 0
+            m *= (u if odd else c) ** q
+            scale = d ** q
+            a, e = a * scale + m if odd else a * scale - m, e * scale
+        below = None
+        if leading:  # the norm is multiplicative
+            norm *= (lam_norm if odd else rest_norm) ** q
+            if n.bit_length() > _NORM_BITS:
+                below = _term_below(norm, m, n, e, eu, ed)
+        if below is None:
+            below = _sign(eu * e - m * ed, ev * e - n * ed) > 0
+        if below:
+            break
+    else:
+        raise ValueError("quotient stream ended: the value is rational, use g_series")
+    if odd:  # the last term was added
+        return _phi_value(a - m, b - n, e, lam), _phi_value(a, b, e, lam)
+    return _phi_value(a, b, e, lam), _phi_value(a + m, b + n, e, lam)

@@ -365,27 +365,26 @@ class TestNormRoute:
             to_decimal(x, 15)
         assert calls == {"norm": 0, "scaled": 5}
 
-    def test_a_wide_value_without_cancellation_skips_the_norm(self, monkeypatch):
+    def test_a_wide_value_without_cancellation_tries_the_norm_then_falls_back(self, monkeypatch):
         # |a| = 3 * 7**4000 and |b|*sqrt5 = 2.236... * 7**4000 part in their
         # leading bits: nothing cancels, so the floor needs every bit of a
-        # and b and the norm's squarings would be wasted
+        # and b, the norm route finds no bits to drop, and each call falls
+        # back to the exact square root
         calls = self.count_routes(monkeypatch)
         x = QuadSurd(3 * 7 ** 4000, -7 ** 4000)
         assert x._b.bit_length() > exact._NORM_BITS
         for value in (x, -x):
             for digits in (1, 15, 40):
                 assert to_decimal(value, digits) == FractionSurd(value.a, value.b).decimal(digits)
-        assert calls == {"norm": 0, "scaled": 6}
+        assert calls == {"norm": 6, "scaled": 6}
 
     @settings(max_examples=100)
     @given(st.integers(600, 4000), st.integers(0, 2 ** 32), st.integers(0, 300),
            st.integers(1, 300), st.integers(1, 60))
-    def test_a_value_sent_past_the_norm_would_have_fallen_back(self, bits, seed, cancelled,
-                                                               d_bits, power):
+    def test_the_norm_route_falls_back_at_most_once(self, bits, seed, cancelled, d_bits, power):
         # a and b*sqrt5 of opposite signs that cancel in about `cancelled`
-        # leading bits, over a d of 1 to 300 bits: whenever `_may_cancel`
-        # sends the value past the norm route, that route would have found
-        # no bits to drop and fallen back to `_floor_scaled`
+        # leading bits, over a d of 1 to 300 bits: the norm route returns
+        # the exact floor, by its bounds or by one call of `_floor_scaled`
         rng = random.Random(seed)
         b = rng.getrandbits(bits) | 1 << bits - 1
         a = -(isqrt(5 * b * b) + rng.getrandbits(bits - cancelled))
@@ -393,8 +392,28 @@ class TestNormRoute:
         scaled = exact._floor_scaled
         with mock.patch.object(exact, "_floor_scaled", wraps=scaled) as fallback:
             assert exact._floor_by_norm(a, b, d, power) == scaled(a, b, d, power)
-        if not exact._may_cancel(a, b, d, power):
-            assert fallback.call_count == 1
+        assert fallback.call_count <= 1
+
+    @given(st.integers(600, 4000), st.integers(0, 2 ** 32), st.integers(1, 8), st.booleans(),
+           st.booleans(), st.integers(1, 300), st.integers(1, 60))
+    def test_a_value_that_does_not_cancel_matches_the_square_root_oracle(
+            self, bits, seed, agreed, above, negative, d_bits, digits):
+        # |a| and |b|*sqrt5 differ within their leading `agreed` bits, so
+        # nothing past them cancels: the norm route reads the floor by its
+        # bounds when d leaves it bits to drop, and else falls back to the
+        # exact route (about half of such draws)
+        rng = random.Random(seed)
+        b = rng.getrandbits(bits) | 1 << bits - 1
+        root = isqrt(5 * b * b)
+        offset = (root >> agreed) + rng.getrandbits(bits - agreed - 2)
+        a = root + offset if above else root - offset
+        a, b = (a, -b) if negative else (-a, b)
+        d = rng.getrandbits(d_bits) | 1 << d_bits - 1
+        x = QuadSurd(Fraction(a, d), Fraction(b, d))
+        assert x._b.bit_length() > exact._NORM_BITS
+        with mock.patch.object(exact, "_floor_by_norm", wraps=exact._floor_by_norm) as norm:
+            assert to_decimal(x, digits) == FractionSurd(x.a, x.b).decimal(digits)
+        assert norm.call_count == 1
 
     @pytest.mark.parametrize("x, routes", [
         (g_stream(iter([1, 9892, 4, 1, 2]), TAU, Fraction(1, 10 ** 30))[0], {"norm": 2, "scaled": 0}),

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import sternbrocot
 from sternbrocot import (
     TAU,
     TAU2,
@@ -268,15 +273,26 @@ class TestWalkBlocks:
         assert list(walk_blocks(n, left)) == fresh
 
     def test_streams(self):
-        # 2**20 - 1 nodes, a block of at most BLOCK_NODES of them at a time
-        tracemalloc.start()
-        try:
-            count = sum(len(ps) for ps, *_ in walk_blocks(20, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # 2**20 - 1 nodes, a block of at most BLOCK_NODES of them at a time:
+        # in a fresh child, the peak resident set over the walk (VmHWM, in
+        # KiB) passes the resident set after the import by less than
+        # 4 MiB. tracemalloc would slow this walk about 30 times; and
+        # ru_maxrss would not do, as Linux carries into it, across exec,
+        # the resident set of the test process that spawned the child
+        probe = ("import re, sternbrocot\n"
+                 "from sternbrocot.stern import walk_blocks\n"
+                 "status = lambda key: int(re.search(key + r':\\s*(\\d+)', "
+                 "open('/proc/self/status').read())[1])\n"
+                 "before = status('VmRSS')\n"
+                 "count = sum(len(ps) for ps, *_ in walk_blocks(20, 1))\n"
+                 "print(count, before, status('VmHWM'))\n")
+        src = str(Path(sternbrocot.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                               timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert child.returncode == 0, child.stderr
+        count, before, peak = map(int, child.stdout.split())
         assert count == 2 ** 20 - 1
-        assert peak < 4 * 2 ** 20
+        assert peak - before < 4 * 2 ** 10
 
 
 class TestAgainstTheMediantChain:
