@@ -47,19 +47,6 @@ class RegularCF(_Record):
     def __str__(self) -> str:
         return "[0;" + ",".join(map(str, self.quotients)) + "]"
 
-    @classmethod
-    def parse(cls, text: str) -> "RegularCF":
-        s = text.strip()
-        if not (s.startswith("[0;") and s.endswith("]") and not s.endswith("]]")):
-            raise ValueError(f"not a regular continued fraction literal: {text!r}")
-        body = s[3:-1]
-        if not body:
-            return cls(())
-        try:
-            return cls(tuple(int(part) for part in body.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"not a regular continued fraction literal: {text!r}") from exc
-
 
 class ReducedRCF(_Record):
     """Reduced continued fraction [[1; b1,...,bl]] of x in (0,1); all bi >= 2."""
@@ -77,16 +64,6 @@ class ReducedRCF(_Record):
 
     def __str__(self) -> str:
         return "[[1;" + ",".join(map(str, self.digits)) + "]]"
-
-    @classmethod
-    def parse(cls, text: str) -> "ReducedRCF":
-        s = text.strip()
-        if not (s.startswith("[[1;") and s.endswith("]]")):
-            raise ValueError(f"not a reduced continued fraction literal: {text!r}")
-        try:
-            return cls(tuple(int(part) for part in s[4:-2].split(",")))
-        except ValueError as exc:
-            raise ValueError(f"not a reduced continued fraction literal: {text!r}") from exc
 
 
 def expand_rcf(x: Fraction) -> RegularCF:
@@ -109,16 +86,6 @@ def expand_rcf(x: Fraction) -> RegularCF:
         quotients.append(q)
         num, den = den, r
     return RegularCF._known(tuple(quotients))
-
-
-def value_rcf(cf: RegularCF) -> Fraction:
-    """Exact value of [0; a1,...,am], evaluated bottom-up."""
-    if not cf.quotients:
-        return Fraction(1)
-    acc = Fraction(cf.quotients[-1])
-    for a in reversed(cf.quotients[:-1]):
-        acc = a + 1 / acc
-    return 1 / acc
 
 
 def sum_partial_quotients(cf: RegularCF) -> int:

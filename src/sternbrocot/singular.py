@@ -129,7 +129,7 @@ def question_mark(cf: RegularCF) -> Fraction:
 def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     """Evaluate g by the finite alternating series over the quotients of x.
 
-    The empty quotient list (x = 1) evaluates to 1, mirroring value_rcf.
+    The empty quotient list (x = 1) evaluates to 1, as g(1) = 1.
     Otherwise the series is summed from its last quotient to its first,
     Horner's rule from the other end (Knuth, TAOCP vol. 2, 4.6.4): with
     f_k = lam**qk (k odd) or (1-lam)**qk (k even), q1 = a1 - 1 and qk =

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
 
-from .cf import expand_rcf, sum_partial_quotients
+from .cf import expand_rcf
 from .exact import (
     _OVER_BUDGET,
     MAX_ELEMENTS,
@@ -269,14 +269,3 @@ def _nodes(n: int, low: int, left: int, deepest: bool = False) -> Iterator[Fract
         return chain.from_iterable(map(_coprime_fraction, ps, qs) for ps, qs, _, _ in blocks)
     return (_coprime_fraction(p, q) for ps, qs, depths, base in blocks
             for p, q, depth in zip(ps, qs, depths) if depth == n - base)
-
-
-def characterize_Qn(x: Fraction) -> int:
-    """The unique level at which x in (0,1) first appears.
-
-    Equal to S(x) - 1, where S is the sum of the regular
-    continued-fraction quotients of x.
-    """
-    if not 0 < x.numerator < x.denominator:
-        raise ValueError(f"need 0 < x < 1, got {x}")
-    return sum_partial_quotients(expand_rcf(x)) - 1

@@ -68,10 +68,6 @@ class XiTreeNode(_Record):
         d = digits if isinstance(digits, ReducedRCF) else ReducedRCF(tuple(digits))
         return cls._known(value_rrcf(d), d, digit_sum_L(d) - 1)
 
-    @classmethod
-    def root(cls) -> "XiTreeNode":
-        return cls.from_digits((2,))
-
 
 class XiSequence(_Record):
     """Generations 1..index plus the endpoints, sorted; fibonacci(index+2) + 1 values."""

@@ -28,12 +28,11 @@ from sternbrocot import (
     sum_partial_quotients,
     theta,
     to_decimal,
-    value_rcf,
     value_rrcf,
     xi,
 )
 
-from oracles import subtractive_rrcf, tau_power_series
+from oracles import rcf_value, subtractive_rrcf, tau_power_series
 
 SAMPLE_LAMBDAS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
 
@@ -95,7 +94,7 @@ def test_criterion_04_reduced_rewrite_round_trips(stern_chain, clock):
     interior = stern_chain[12].elements[1:-1]
     for x in interior:
         cf = expand_rcf(x)
-        assert value_rcf(cf) == x
+        assert rcf_value(cf.quotients) == x
         rewritten = rcf_to_rrcf(cf)
         assert value_rrcf(rewritten) == x
         assert rewritten.digits == subtractive_rrcf(x)

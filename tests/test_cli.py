@@ -628,6 +628,12 @@ DIGESTS = {
         "49fff1583f739e1815b56ba05370070550257f8140eedc11bfd5a4d602221d48",
     "eval --lambda 1/3 --x 209961559609/209985706024":
         "dda50cf5bb26fa02d2090e2800cec3efa52c8807e96363ba414d41e2aee7fc3c",
+    # both continued-fraction literals: a long regular expansion (300
+    # quotients, x = F(301)/F(302)) and a long reduced one (99,999 digits)
+    f"convert-cf --x {fibonacci(301)}/{fibonacci(302)}":
+        "7a3bea1218ebe3b5c333ac0e5d3043bcefce27c31145ef5c98ce3734308b5812",
+    "convert-cf --x 1/100000":
+        "4569629aa0ef0293af7ae456d979bc8ce33da9e11ab7f5af72e76d80d4223b91",
 }
 #: The stdin of a DIGESTS command that reads one; the others read none.
 DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",

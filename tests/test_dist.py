@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sternbrocot import (
     TAU,
     TAU2,
-    RegularCF,
     empirical_cdf,
     expand_rrcf,
     digit_sum_L,
@@ -23,7 +22,6 @@ from sternbrocot import (
     stern_level,
     subtree_count,
     theta,
-    value_rcf,
     verify_theorem1,
     xi,
 )
@@ -63,7 +61,7 @@ def rank_queries(draw):
         x = draw(st.sampled_from((Fraction(0), Fraction(1))))
     else:
         quotients = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=6))
-        x = value_rcf(RegularCF(tuple(quotients[:-1]) + (max(quotients[-1], 2),)))
+        x = rcf_value(quotients[:-1] + [max(quotients[-1], 2)])
     return kind, n, x
 
 

@@ -1,4 +1,6 @@
+import operator
 import random
+import re
 import sys
 from unittest import mock
 from fractions import Fraction
@@ -13,7 +15,6 @@ from sternbrocot import (
     TAU,
     TAU2,
     QuadSurd,
-    characterize_Qn,
     exact,
     expand_rcf,
     g_inductive,
@@ -24,6 +25,7 @@ from sternbrocot import (
     parse_quadsurd,
     parse_rational,
     stern_level,
+    sum_partial_quotients,
     to_decimal,
 )
 
@@ -77,8 +79,8 @@ class TestMediant:
         # (0+1)/(1+2) and (1+1)/(2+1); both first appear at level 2
         assert mediant(Fraction(0), Fraction(1, 2)) == Fraction(1, 3)
         assert mediant(Fraction(1, 2), Fraction(1)) == Fraction(2, 3)
-        assert characterize_Qn(Fraction(1, 3)) == 2
-        assert characterize_Qn(Fraction(2, 3)) == 2
+        assert sum_partial_quotients(expand_rcf(Fraction(1, 3))) - 1 == 2
+        assert sum_partial_quotients(expand_rcf(Fraction(2, 3))) - 1 == 2
 
     def test_equal_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -131,6 +133,25 @@ class TestQuadSurd:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             TAU / QuadSurd(0)
+
+    @pytest.mark.parametrize("other", [1.5, "1"])
+    @pytest.mark.parametrize("method, op", [
+        ("__lt__", operator.lt), ("__add__", operator.add), ("__sub__", operator.sub),
+        ("__rsub__", lambda x, y: y - x), ("__mul__", operator.mul),
+        ("__truediv__", operator.truediv), ("__rtruediv__", lambda x, y: y / x),
+        ("__pow__", operator.pow),
+    ])
+    def test_an_operand_outside_the_field_is_refused(self, method, op, other):
+        # neither int, Fraction nor QuadSurd: `_coerce` gives None, the
+        # method returns NotImplemented, and Python raises TypeError
+        assert getattr(TAU, method)(other) is NotImplemented
+        with pytest.raises(TypeError):
+            op(TAU, other)
+
+    def test_an_irrational_has_no_fraction(self):
+        assert QuadSurd(Fraction(2, 3)).as_fraction() == Fraction(2, 3)
+        with pytest.raises(ValueError, match=re.escape(f"{TAU} is irrational")):
+            TAU.as_fraction()
 
     @given(quads, quads, quads)
     def test_addition_associates(self, a, b, c):

@@ -15,7 +15,6 @@ from sternbrocot import (
     TAU,
     TAU2,
     QuadSurd,
-    characterize_Qn,
     expand_rcf,
     fibonacci,
     first_level,
@@ -99,13 +98,8 @@ class TestCharacterization:
         [(Fraction(1, 2), 1), (Fraction(2, 3), 2), (Fraction(3, 5), 3)],
     )
     def test_examples(self, x, n):
-        assert characterize_Qn(x) == n
+        assert sum_partial_quotients(expand_rcf(x)) - 1 == n
         assert x in new_mediants(n)
-
-    def test_domain(self):
-        for bad in (Fraction(0), Fraction(1), Fraction(5, 4), Fraction(-1, 2)):
-            with pytest.raises(ValueError):
-                characterize_Qn(bad)
 
     def test_layers_match_quotient_sums(self, stern_chain):
         # first-appearance layer == quotient sum minus one, levels 1..8

@@ -1,10 +1,17 @@
 """The public names of the package, and the functions the benchmark tracer
 (perfbench/tracing.py) looks up by name, all resolve; no private helper
-is left unused, and the CLI reaches the library by public names only."""
+or module-level import is left unused, the CLI reaches the library by
+public names only, and importing the package loads none of the stdlib
+modules it was built to avoid."""
 
 import ast
+import os
+import subprocess
+import sys
 from importlib import import_module, util
 from pathlib import Path
+
+import pytest
 
 import sternbrocot
 
@@ -50,6 +57,27 @@ def test_every_private_module_name_is_used():
     assert sorted(defined - used) == []
 
 
+def test_every_module_level_import_is_read():
+    """A name a package module imports at module level is read in that
+    module, so removing its last reader removes the import too. The
+    package's `__init__` reads its imports through `__all__`."""
+    imported, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [(alias.asname or alias.name).split(".")[0] for node in tree.body
+                 if isinstance(node, ast.Import)
+                 or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                 for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read.update(sternbrocot.__all__)
+        imported += len(names)
+        unread += [f"{path.stem}.{name}" for name in names if name not in read]
+    assert imported > 100
+    assert unread == []
+
+
 def test_the_cli_imports_only_public_names():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -57,3 +85,21 @@ def test_the_cli_imports_only_public_names():
                 for alias in node.names]
     assert "g_inductive" in imported
     assert [name for name in imported if name.startswith("_")] == []
+
+
+#: Stdlib modules that importing the package must not load: the records
+#: are built on `exact._Record`, not dataclasses, and `cli.main` imports
+#: `signal` only when it runs.
+AVOIDED_AT_IMPORT = ("dataclasses", "inspect", "ast", "signal", "json", "typing", "logging",
+                     "subprocess", "tempfile", "locale")
+
+
+@pytest.mark.parametrize("module", ["sternbrocot", "sternbrocot.cli"])
+def test_import_loads_none_of_the_avoided_modules(module):
+    # a fresh interpreter without `site`, whose own start-up imports none of them
+    code = (f"import sys\nimport {module}\n"
+            f"print(' '.join(sorted(set({AVOIDED_AT_IMPORT!r}) & set(sys.modules))))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    child = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    assert child.stdout == "\n"

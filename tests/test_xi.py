@@ -75,19 +75,19 @@ class TestFibonacci:
 
 class TestNodesAndChildren:
     def test_root(self):
-        root = XiTreeNode.root()
+        root = XiTreeNode.from_digits((2,))
         assert root.value == Fraction(1, 2)
         assert root.digits.digits == (2,)
         assert root.level == 1
 
     def test_left_child_examples(self):
-        assert left_child(XiTreeNode.root()) == node_for(Fraction(1, 3))
+        assert left_child(XiTreeNode.from_digits((2,))) == node_for(Fraction(1, 3))
         two_thirds = node_for(Fraction(2, 3))
         assert left_child(two_thirds).value == Fraction(3, 5)
         assert left_child(two_thirds).level == 4
 
     def test_right_child_examples(self):
-        assert right_child(XiTreeNode.root()) == node_for(Fraction(2, 3))
+        assert right_child(XiTreeNode.from_digits((2,))) == node_for(Fraction(2, 3))
         assert right_child(node_for(Fraction(2, 3))).value == Fraction(3, 4)
         assert right_child(node_for(Fraction(1, 3))).value == Fraction(2, 5)
         assert right_child(node_for(Fraction(1, 3))).level == 4
