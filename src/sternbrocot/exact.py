@@ -170,7 +170,7 @@ def _lowest(a: int, b: int, d: int) -> "QuadSurd":
     if g != 1:
         a, b, d = a // g, b // g, d // g
     x = object.__new__(QuadSurd)
-    x._a, x._b, x._d = a, b, d
+    x._a, x._b, x._d, x._n = a, b, d, None
     return x
 
 
@@ -187,9 +187,16 @@ class QuadSurd:
     basis, QuadSurd(a, b) = a + b*sqrt5 with a and b int or Fraction, and
     `.a` and `.b` return them as Fractions. Instances are immutable and
     safe to share.
+
+    A private fourth slot, `_n`, holds the norm a**2 + a*b - b**2 of the
+    stored numerator a + b*phi when the routine that built the value knew
+    it exactly (a power of a unit of at most _TABLE_BITS bits, such as
+    tau, tau**2 or phi; g at tau or tau**2, see `singular`),
+    and None otherwise, as after any arithmetic. `to_decimal` reads it in
+    place of squaring the coefficients; nothing else does.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_a", "_b", "_d", "_n")
 
     def __new__(cls, a: int | Fraction = 0, b: int | Fraction = 0) -> "QuadSurd":
         if type(a) is int and type(b) is int:
@@ -315,8 +322,13 @@ class QuadSurd:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self.inverse() if exponent < 0 else self
-        n = abs(exponent)
-        return _lowest(*_phi_pow(base._a, base._b, n), base._d ** n)
+        n, a, b, d = abs(exponent), base._a, base._b, base._d
+        power = _lowest(*_phi_pow(a, b, n), d ** n)
+        if d == 1 and abs(a) + abs(b) <= 1 << _TABLE_BITS:  # a unit's powers: norm (+-1)**n
+            unit = a * a + a * b - b * b
+            if unit in (1, -1):
+                power._n = unit if n & 1 else 1
+        return power
 
     def __repr__(self) -> str:
         return f"QuadSurd({self.a!r}, {self.b!r})"
@@ -575,9 +587,12 @@ def _kernel_record(u: int, v: int, d: int) -> _Kernel:
                    u * u + u * v - v * v, c * c + c * w - w * w)
 
 
-def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
+def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd,
+               norm: int | None = None) -> Fraction | QuadSurd:
     """(a + b*phi)/d in the type of lam, in lowest terms: a Fraction for a
-    Fraction lam (then b = 0), else a QuadSurd.
+    Fraction lam (then b = 0), else a QuadSurd, which keeps `norm`, the
+    exact norm a**2 + a*b - b**2 when the caller knows it, unless a gcd
+    reduces it.
 
     d is a power of lam's denominator q, so every prime of d divides q:
     a numerator prime to q is prime to d, and then the value is built as
@@ -589,7 +604,7 @@ def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd) -> Fraction | Q
         if gcd(lam._d, a, b) != 1:
             return _lowest(a, b, d)
         x = object.__new__(QuadSurd)
-        x._a, x._b, x._d = a, b, d
+        x._a, x._b, x._d, x._n = a, b, d, norm
         return x
     if gcd(lam.denominator, a) == 1:
         return _coprime_fraction(a, d)
@@ -645,18 +660,20 @@ def _leading(a: int, b: int, s: int) -> tuple[int, int]:
     return low, low + 5
 
 
-def _floor_by_norm(a: int, b: int, d: int, power: int) -> int:
+def _floor_by_norm(a: int, b: int, d: int, power: int, norm: int | None = None) -> int:
     """floor((a + b*sqrt5)/d * 10**power) for nonzero integers a and b of
-    opposite signs and d > 0, exactly.
+    opposite signs and d > 0, exactly; `norm`, when given, must be
+    a**2 - 5b**2.
 
     The two terms may cancel, so the value is taken as N/(d*C) from the norm
-    N = a**2 - 5b**2, exact from two squarings, and C = a - b*sqrt5, which
+    N = a**2 - 5b**2, given or exact from two squarings, and C = a - b*sqrt5, which
     has the sign of a and does not cancel: |C| = |a| + |b|*sqrt5, bounded
     by `_leading` with s bits dropped, s leaving _GUARD_BITS more bits in
     its bounds than the floor has. The floor is read from both bounds and
     returned when they agree. When they straddle 10**power the value lies
     within 2**-58 of 1, and the floor is read from 1 - value, whose terms
-    (d - a) - b*sqrt5 again have opposite signs and whose floor is far
+    (d - a) - b*sqrt5 again have opposite signs, whose norm is
+    d**2 - 2ad + N, and whose floor is far
     from an integer: floor(10**power - y) = 10**power - 1 - floor(y) for
     an irrational y. Otherwise, or when there are no bits to drop,
     `_floor_scaled` computes it: this routine is the one judge of
@@ -668,7 +685,8 @@ def _floor_by_norm(a: int, b: int, d: int, power: int) -> int:
     fallback.
     """
     scale = 10 ** power
-    norm = a * a - 5 * (b * b)  # two squarings
+    if norm is None:
+        norm = a * a - 5 * (b * b)  # two squarings
     scaled = (norm if a > 0 else -norm) * scale
     width = max(a.bit_length(), b.bit_length())  # 2**(width - 1) <= |C|
     s = width - max(scaled.bit_length() - d.bit_length() - width, 0) - _GUARD_BITS
@@ -678,7 +696,7 @@ def _floor_by_norm(a: int, b: int, d: int, power: int) -> int:
         if floor == under:
             return floor
         if under < scale <= floor:  # next to 1: read the complement
-            return scale - 1 - _floor_by_norm(d - a, -b, d, power)
+            return scale - 1 - _floor_by_norm(d - a, -b, d, power, d * (d - 2 * a) + norm)
     return _floor_scaled(a, b, d, power)
 
 
@@ -728,16 +746,18 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if isinstance(x, QuadSurd):  # (a + b*phi)/d = (2a + b + b*sqrt5)/(2d)
-        a, b, d = 2 * x._a + x._b, x._b, 2 * x._d
+        b = x._b
+        a, d = 2 * x._a + b, 2 * x._d
+        if b.bit_length() > _NORM_BITS and a and (a > 0) != (b > 0):
+            norm = x._n  # a**2 - 5b**2 is 4 times the stored norm
+            n = _floor_by_norm(a, b, d, digits + 1, None if norm is None else 4 * norm)
+        else:
+            n = _floor_scaled(a, b, d, digits + 1)
     else:
-        a, b, d = x.numerator, 0, x.denominator
-    if b.bit_length() > _NORM_BITS and a and (a > 0) != (b > 0):
-        n = _floor_by_norm(a, b, d, digits + 1)
-    else:
-        n = _floor_scaled(a, b, d, digits + 1)
+        n = _floor_scaled(x.numerator, 0, x.denominator, digits + 1)
     n = (n + 5) // 10
     whole, frac = divmod(abs(n), 10 ** digits)
-    return ("-" if n < 0 else "") + str(whole) + "." + str(frac).zfill(digits)
+    return f"{'-' if n < 0 else ''}{whole}.{str(frac).zfill(digits)}"
 
 
 #: Largest |N| taken in a literal's exponent "eN": Fraction builds 10**N

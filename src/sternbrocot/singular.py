@@ -52,8 +52,12 @@ squarings of the term's width, is taken only when those bounds cannot
 decide. A
 value is an integer numerator a + b*phi over a power of d, with no gcd
 and no Fraction inside the loop, and reduced once into lam's own type
-(Fraction or QuadSurd) when it is returned. Nothing here touches
-floating point. A value whose size estimate passes
+(Fraction or QuadSurd) when it is returned. At tau and tau**2 a wide
+value also carries the norm of its numerator, which `exact.to_decimal`
+then reads in place of two squarings: `g_series` carries it through its
+loop at linear cost, and `g_stream` derives both bounds' norms from
+the term's when the sum before the last term is narrow. Nothing here
+touches floating point. A value whose size estimate passes
 `exact.MAX_EXACT_BITS` is refused with a ValueError before it is built:
 by `g_series` from the sum of the quotients before any power, by a
 stream at the quotient that passes it, and by `question_mark` before
@@ -126,6 +130,14 @@ def question_mark(cf: RegularCF) -> Fraction:
     return _coprime_fraction(numerator, 1 << shift)
 
 
+#: Most factors lam or 1 - lam of a value at a unit lam (tau, tau**2) that
+#: leave its phi coefficient within _NORM_BITS bits: that coefficient is
+#: (value - conjugate)/sqrt5, and the conjugates of the at most S terms of
+#: the series lie within phi**(2(S - 1)), so it is below 2**481 for
+#: S - 1 = 341.
+_UNIT_FACTORS = 2 * _NORM_BITS // 3
+
+
 def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     """Evaluate g by the finite alternating series over the quotients of x.
 
@@ -142,16 +154,25 @@ def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     of E by d**qk (none at tau and tau**2, where d = 1); a large quotient's
     power enters one product, not every later step. S - 1 is checked
     against `exact.MAX_EXACT_BITS` before any power is built, and the
-    value is reduced once (`exact._phi_value`).
+    value is reduced once (`exact._phi_value`). At a unit lam (tau,
+    tau**2) and more than _UNIT_FACTORS factors, the loop also carries
+    the norm of N_k, with E = 1 there: N(F_k * (1 - R)) =
+    (+-1)**qk * (1 - (2a + b) + N(R)) for R = a + b*phi, so the value
+    hands `to_decimal` its norm at the cost of a few additions per
+    quotient.
     """
-    u, v, d, limit, c, w, lam_powers, rest_powers, *_ = _kernel(lam)
+    u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm = _kernel(lam)
     quotients = cf.quotients
     if not quotients:
         return _phi_value(1, 0, 1, lam)
-    if sum_partial_quotients(cf) - 1 > limit:
+    factors = sum(quotients) - 1
+    if factors > limit:
         raise ValueError(_OVER_BUDGET)
     a = b = 0
     e = 1
+    norm = None  # the norm of the tail, carried at a unit lam for a value that may be wide
+    if factors > _UNIT_FACTORS and d == 1 and abs(lam_norm) == abs(rest_norm) == 1:
+        norm = 0
     odd = len(quotients) % 2 == 1  # the place of the last quotient
     for q in quotients[:0:-1] + (quotients[0] - 1,):  # qm, ..., q2, then q1 = a1 - 1
         if v:  # the tail is (a + b*phi)/e, and 1 - tail = (e - a - b*phi)/e
@@ -160,6 +181,10 @@ def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
                 x, y = powers[q]
             else:
                 x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
+            if norm is not None:  # N(F * (1 - tail)) = N(F) * (1 - (2a + b) + N(tail))
+                norm += 1 - 2 * a - b
+                if q & 1 and (lam_norm if odd else rest_norm) < 0:
+                    norm = -norm
             p = e - a
             a, b = p * x - b * y, p * y - b * (x + y)
             if d != 1:
@@ -168,7 +193,7 @@ def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
             a = (u if odd else c) ** q * (e - a)
             e *= d ** q
         odd = not odd
-    return _phi_value(a, b, e, lam)
+    return _phi_value(a, b, e, lam, norm)
 
 
 def g_tau2(cf: RegularCF) -> QuadSurd:
@@ -212,6 +237,9 @@ def g_stream(
     by 64-bit integers instead of two squarings of the term; the exact
     comparison runs only when the magnitude lies within about 2**-60 of
     epsilon, relatively. Both sums are reduced once (`exact._phi_value`).
+    At d = 1, when the last term is wide and the sum before it narrow,
+    both carry their norms, derived from the term's with no product of
+    two wide integers.
     """
     # lam = (u + v*phi)/d and 1 - lam = (c + w*phi)/d; small powers of a
     # narrow base come from the two tables
@@ -257,6 +285,15 @@ def g_stream(
             break
     else:
         raise ValueError("quotient stream ended: the value is rational, use g_series")
-    if odd:  # the last term was added
-        return _phi_value(a - m, b - n, e, lam), _phi_value(a, b, e, lam)
-    return _phi_value(a, b, e, lam), _phi_value(a + m, b + n, e, lam)
+    # The sum before the last term, S = sa + sb*phi; the last term took it
+    # to S + T or S - T, T = m + n*phi. At d = 1 (tau, tau**2), with T
+    # wide and S narrow, both norms cost no squaring of T:
+    # N(S +- T) = N(S) +- ((2sa + sb)m + (sa - 2sb)n) + N(T).
+    sa, sb = (a - m, b - n) if odd else (a + m, b + n)
+    before = after = None  # the norms of S and of S +- T, where known
+    if leading and d == 1 and n.bit_length() > _NORM_BITS >= max(sa.bit_length(), sb.bit_length()):
+        before = sa * sa + sa * sb - sb * sb
+        cross = (2 * sa + sb) * m + (sa - 2 * sb) * n
+        after = before + (cross if odd else -cross) + norm
+    before, after = _phi_value(sa, sb, e, lam, before), _phi_value(a, b, e, lam, after)
+    return (before, after) if odd else (after, before)  # lo, hi

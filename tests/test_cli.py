@@ -594,6 +594,11 @@ DIGESTS = {
         "21ee4eb023f3bb5ccf7717a665d0115d1161c9773171c89f2da80a6b5280bdc6",
     "eval --lambda tau2 --x 1/100000":
         "ba766d47224d45499deebb36143785be74964443d4464fe11e498a4f927e37a5",
+    # a wide value at the unit kernel tau, tau**99999 with 69-kbit
+    # coefficients, whose decimals read the norm it carries; digest taken
+    # before values carried their norms
+    "eval --lambda tau --x 1/100000":
+        "77524fa3d50bfab56e3a6d6e9b9feef081059731c5073bd861d57828cb36bdbd",
     "eval-stream --lambda tau2 --epsilon 1e-30":
         "59adf3a373b83b9c49242787d11d981b84967fa92a935c919e8abd842297a66e",
     "verify theorem1 --x 355/1133 --n-max 2000":
