@@ -40,11 +40,10 @@ table of the powers below 48 of a base of at most 32 bits, which the
 record of a quadratic parameter holds for both its bases (a rational
 one needs none). One helper, `_leading`,
 bounds a + b*sqrt5 from the leading bits of a and b, with one slack
-proof, for two routines that decide from those bounds and take an
-exact route when they cannot (Ziv's method): `_term_below` tells
-whether a wide (m + n*phi)/e lies below a rational, from m + n*phi or,
-through its norm, its conjugate, for `singular`'s stream stop, and
-`_floor_by_norm` serves `to_decimal`, below.
+proof, for one judge of every wide value, `_floor_by_norm`, which
+decides its floor from those bounds and takes an exact route when they
+cannot (Ziv's method); it serves `to_decimal` and `singular`'s stream
+stop, below.
 `str` of a QuadSurd prints a coefficient past 3072 bits by halves
 (`_int_text`): split at a power of ten 10**(2**j), dividing by its odd
 part 5**(2**j) from a ladder of at most 32 cached rungs (`_pow5`), each
@@ -53,15 +52,19 @@ at 4 kbit and 1.5 times at 9 to 16 kbit. A
 coefficient that may reach Python's int-to-str digit limit, when there
 is one, goes to `str` itself, so it prints, or raises its ValueError,
 exactly as `str` would. `to_decimal` sends
-`_floor_by_norm` every value (a + b*sqrt5)/d with a wide b and with a
-and b of opposite signs, which may cancel. That routine reads the value
-from the exact norm a**2 - 5b**2 and the leading bits of a - b*sqrt5,
-and a value within 2**-58 of 1, where those bounds straddle 1, from
-1 - value, which is not next to an integer (the complement route). It
-alone judges whether its bounds can read the value, and takes the exact
-square root of `_floor_scaled` when they cannot decide or leave no bits
-to drop, as for a wide value far outside [-1, 1]; a narrow b, or a and
-b of one sign, go to `_floor_scaled` directly.
+`_floor_by_norm` every value (a + b*sqrt5)/d with a wide b. That
+routine reads a value whose a and b share a sign, or whose a is 0, from
+the leading bits of |a| + |b|*sqrt5; one whose a and b have opposite
+signs, which may cancel, from the exact norm a**2 - 5b**2 and the
+leading bits of a - b*sqrt5; and a value within 2**-58 of 1, where
+those bounds straddle 1, from 1 - value, which is not next to an
+integer (the complement route). It alone judges whether its bounds can
+read the value, and takes the exact square root of `_floor_scaled` when
+they cannot decide or leave no bits to drop, as for a wide value far
+outside [-1, 1]; a narrow b goes to `_floor_scaled` directly. The
+stream stop of `singular` asks the same judge, at power 0, whether a
+wide term over a rational epsilon has floor 0, when bit lengths leave
+the two within a few bits of each other.
 
 Every size budget of the package lives here: `MAX_EXACT_BITS` is
 theirs, `MAX_ELEMENTS` that of every tuple the library builds, and
@@ -568,7 +571,8 @@ def _kernel_record(u: int, v: int, d: int) -> _Kernel:
     lam_norm, rest_norm) of lam = (u + v*phi)/d in lowest terms with
     d > 0: limit as `_phi_split` gives it, 1 - lam = (c + w*phi)/d, the
     `_phi_powers` tables of the bases u + v*phi and c + w*phi (empty for
-    a rational lam, v = 0, whose series powers u and c itself), and
+    a rational lam, v = 0, whose powers are the integer powers of u
+    and c, `_phi_pow(u, 0, q)` in the stream), and
     their norms. Built
     once per split parameter and cached for the 16 latest
     (`functools.lru_cache`, whose `cache_info` shows it), so a g route
@@ -629,17 +633,17 @@ def _floor_scaled(a: int, b: int, d: int, power: int) -> int:
     return (a * scale + (root if b > 0 else -root - 1)) // d
 
 
-#: Bit length of |b| past which `to_decimal` takes the norm route
-#: (`_floor_by_norm`) for a + b*sqrt5 with a and b of opposite signs; on
-#: Python 3.11 the two routes cost the same near 250 bits, and below this
-#: the exact square root of `_floor_scaled` is the cheaper. The stream stop
-#: of `singular` reads a term by its leading bits (`_term_below`) past the
-#: same width, where that costs about what two squarings of it do.
+#: Bit length of |b| past which `to_decimal` reads a + b*sqrt5 by its
+#: leading bits (`_floor_by_norm`); on Python 3.11 that and the exact
+#: square root of `_floor_scaled` cost the same near 250 bits for a value
+#: whose terms cancel, and below this the square root is the cheaper. The
+#: stream stop of `singular` takes the exact sign of a term no wider than
+#: this, and reads a wider one by bit lengths and this judge.
 _NORM_BITS = 512
 #: Bits that the leading-bits bounds (`_leading`) keep beyond those a
 #: decision needs: `_floor_by_norm`'s two bounds on a floor then differ
-#: by less than 2**-58 of it, and `_term_below` reads the leading
-#: _GUARD_BITS bits of its integers.
+#: by less than 2**-58, so they straddle an integer only for a value
+#: that close to it.
 _GUARD_BITS = 64
 
 
@@ -651,9 +655,9 @@ def _leading(a: int, b: int, s: int) -> tuple[int, int]:
     The three truncations, of a, of b (times sqrt5) and of the square
     root, lose less than 1, sqrt5 and 1, and 2 + sqrt5 < 5. For b > 0
     the value is irrational, so it lies strictly above L*2**s. This is
-    the one bound of Ziv's method in the two routines that read it
-    (`_floor_by_norm`, `_term_below`): evaluate with bounds, and take an
-    exact route when they cannot decide.
+    the one bound of Ziv's method in the one routine that reads it,
+    `_floor_by_norm`: evaluate with bounds, and take an exact route when
+    they cannot decide.
     """
     t = b >> s
     low = (a >> s) + isqrt(5 * t * t)
@@ -661,34 +665,50 @@ def _leading(a: int, b: int, s: int) -> tuple[int, int]:
 
 
 def _floor_by_norm(a: int, b: int, d: int, power: int, norm: int | None = None) -> int:
-    """floor((a + b*sqrt5)/d * 10**power) for nonzero integers a and b of
-    opposite signs and d > 0, exactly; `norm`, when given, must be
-    a**2 - 5b**2.
+    """floor((a + b*sqrt5)/d * 10**power) for integers a and b != 0 and
+    d > 0, exactly; `norm`, when given, must be a**2 - 5b**2.
 
-    The two terms may cancel, so the value is taken as N/(d*C) from the norm
-    N = a**2 - 5b**2, given or exact from two squarings, and C = a - b*sqrt5, which
-    has the sign of a and does not cancel: |C| = |a| + |b|*sqrt5, bounded
-    by `_leading` with s bits dropped, s leaving _GUARD_BITS more bits in
-    its bounds than the floor has. The floor is read from both bounds and
-    returned when they agree. When they straddle 10**power the value lies
-    within 2**-58 of 1, and the floor is read from 1 - value, whose terms
-    (d - a) - b*sqrt5 again have opposite signs, whose norm is
-    d**2 - 2ad + N, and whose floor is far
-    from an integer: floor(10**power - y) = 10**power - 1 - floor(y) for
-    an irrational y. Otherwise, or when there are no bits to drop,
-    `_floor_scaled` computes it: this routine is the one judge of
-    whether its bounds can read the value. They always leave bits to drop
-    for |value| <= 1, |b| past _NORM_BITS bits and power <= 134: the
-    floor is below 10**134 < 2**446 and |C| below 2**(width + 2), so
-    s >= 513 - 446 - 2 - _GUARD_BITS = 1. A wide value far outside
-    [-1, 1] may leave none, and then costs two squarings before the
-    fallback.
+    The one judge of a wide a + b*sqrt5: it reads the floor from the
+    leading bits of a and b (`_leading`, with s bits dropped, s leaving
+    _GUARD_BITS more bits in the bounds than the floor has), returns it
+    when both bounds agree, and else computes it by `_floor_scaled`,
+    which also takes a value that leaves no bits to drop, as a wide value
+    far outside [-1, 1] does. When a and b share a sign, or a = 0, nothing
+    cancels: the bounds are those of |a| + |b|*sqrt5, and a negative
+    value, never an integer, floors to -floor(|value|) - 1. When they have
+    opposite signs the two terms may cancel, so the value is taken as
+    N/(d*C) from the norm N = a**2 - 5b**2, given or exact from two
+    squarings, and C = a - b*sqrt5, which has the sign of a and does not
+    cancel: |C| = |a| + |b|*sqrt5. When those bounds straddle 10**power
+    the value lies within 2**-58 of 1, and the floor is read from
+    1 - value, whose terms (d - a) - b*sqrt5 again have opposite signs,
+    whose norm is d**2 - 2ad + N, and whose floor is far from an integer:
+    floor(10**power - y) = 10**power - 1 - floor(y) for an irrational y.
+    The cancelling bounds always leave bits to drop for |value| <= 1, |b|
+    past _NORM_BITS bits and power <= 134: the floor is below
+    10**134 < 2**446 and |C| below 2**(width + 2), so
+    s >= 513 - 446 - 2 - _GUARD_BITS = 1.
+
+    `to_decimal` sends it every value with |b| past _NORM_BITS bits, and
+    `singular.g_stream` asks at power 0 whether a wide term
+    (m + n*phi)/e is below a rational epsilon = eu/ed, as
+    floor(((2m + n) + n*sqrt5)*ed / (2*e*eu)) == 0, passing the norm
+    4*ed**2*(m**2 + m*n - n**2) that the stream carries, when bit
+    lengths leave the term within 2**6 of epsilon.
     """
     scale = 10 ** power
+    width = max(a.bit_length(), b.bit_length())  # 2**(width - 1) <= |a| + |b|*sqrt5
+    if not a or (a > 0) == (b > 0):  # |value| = (|a| + |b|*sqrt5)*scale/d
+        s = min(width, d.bit_length() - scale.bit_length()) - _GUARD_BITS
+        if s > 0:
+            low, high = _leading(abs(a), abs(b), s)
+            floor, over = (low * scale << s) // d, (high * scale << s) // d
+            if floor == over:
+                return floor if b > 0 else -floor - 1
+        return _floor_scaled(a, b, d, power)
     if norm is None:
         norm = a * a - 5 * (b * b)  # two squarings
     scaled = (norm if a > 0 else -norm) * scale
-    width = max(a.bit_length(), b.bit_length())  # 2**(width - 1) <= |C|
     s = width - max(scaled.bit_length() - d.bit_length() - width, 0) - _GUARD_BITS
     if s > 0:
         m, (low, high) = scaled >> s, _leading(abs(a), abs(b), s)
@@ -700,44 +720,14 @@ def _floor_by_norm(a: int, b: int, d: int, power: int, norm: int | None = None) 
     return _floor_scaled(a, b, d, power)
 
 
-def _term_below(norm: int, m: int, n: int, e: int, eu: int, ed: int) -> bool | None:
-    """Whether (m + n*phi)/e < eu/ed, for integers with m + n*phi > 0, its
-    norm m**2 + m*n - n**2 given as `norm`, e, eu and ed > 0 and n wider
-    than _GUARD_BITS bits, from the leading bits of m and n; None when the
-    bounds below cannot decide it. No product here is wider than one
-    operand times _GUARD_BITS bits and eu or ed.
-
-    Of m + n*phi and its conjugate m + n*(1 - phi), one has no
-    cancellation: the first when m and n share a sign, else the second,
-    since 1 - phi < 0. Twice it is V = (2|m| +- |n|) + |n|*sqrt5, and
-    with s the bits dropped, `_leading` gives (L, H) with L < v < H for
-    v = V/2**s. The magnitude is V/(2e) in the first case and, the two
-    conjugates multiplying to the norm, 2|norm|/(V*e) in the second, so
-    it is below eu/ed iff v*y < x, with (x, y) = (2*eu*e, ed*2**s), in
-    the first case, and iff v*y > x, with (x, y) = (2|norm|*ed,
-    eu*e*2**s), in the second. y*H <= x puts v*y below x, and y*L >= x
-    above it; in between the bounds cannot decide (Ziv's method
-    again).
-    """
-    same = (m > 0) == (n > 0)
-    s = max(m.bit_length(), n.bit_length()) - _GUARD_BITS
-    low, high = _leading(2 * abs(m) + (abs(n) if same else -abs(n)), abs(n), s)
-    x, y = (2 * eu * e, ed << s) if same else (2 * abs(norm) * ed, eu * e << s)
-    if y * high <= x:
-        return same
-    if y * low >= x:
-        return not same
-    return None
-
-
 def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     """Decimal string of x rounded half-up to `digits` fractional digits.
 
     The result differs from x by less than 10**-digits; computed on
     integers alone, with no floating point. A QuadSurd (a + b*sqrt5)/d
-    whose a and b have opposite signs and whose |b| passes _NORM_BITS
-    bits takes the norm route (`_floor_by_norm`), which reads the value
-    from the norm and the leading bits of a - b*sqrt5 (`_leading`), a
+    whose |b| passes _NORM_BITS bits goes to the judge `_floor_by_norm`,
+    which reads the value from the leading bits of |a| + |b|*sqrt5
+    (`_leading`), through the norm when a and b have opposite signs, a
     value next to 1 from its complement 1 - value, and falls back to the
     exact square root of `_floor_scaled` when its bounds cannot decide
     or leave no bits to drop; every other value takes `_floor_scaled`
@@ -748,7 +738,7 @@ def to_decimal(x: QuadSurd | Fraction | int, digits: int) -> str:
     if isinstance(x, QuadSurd):  # (a + b*phi)/d = (2a + b + b*sqrt5)/(2d)
         b = x._b
         a, d = 2 * x._a + b, 2 * x._d
-        if b.bit_length() > _NORM_BITS and a and (a > 0) != (b > 0):
+        if b.bit_length() > _NORM_BITS:
             norm = x._n  # a**2 - 5b**2 is 4 times the stored norm
             n = _floor_by_norm(a, b, d, digits + 1, None if norm is None else 4 * norm)
         else:

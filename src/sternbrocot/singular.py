@@ -31,8 +31,10 @@ d = 1 at tau and tau**2. Each route reads lam's record from
 small-power tables and the norms, built once per lam and cached. Two
 loops sum the series on integers, each a quotient at a time, with one
 power of a small base per quotient (read from the record's table for a
-below 48 and a narrow base): a rational lam carries no phi half, and
-tau and tau**2 no power of d. `g_series` knows the last quotient and
+below 48 and a narrow base): tau and tau**2 carry no power of d, and a
+rational lam no phi half, in a branch of its own in `g_series` and in
+the one loop of `g_stream`, where its phi coefficients stay 0.
+`g_series` knows the last quotient and
 sums from it back to the first, Horner's rule from the other end: the
 tail after quotient k is lam**a or (1-lam)**a times 1 minus the tail
 after k + 1, so a quotient costs its power, one product of it by the
@@ -45,11 +47,12 @@ stops at the first term whose magnitude is below epsilon, taking the
 partial sums on either side of that term. For a
 quadratic lam and a rational epsilon that loop also carries the norm of
 the term's numerator, the product of the norms of lam*d and (1-lam)*d
-(+-1 at tau and tau**2), and decides a term wider than 512 bits from
-its leading bits or those of its conjugate (`exact._term_below`), with
-no product of two wide integers; the exact sign of the difference, two
-squarings of the term's width, is taken only when those bounds cannot
-decide. A
+(+-1 at tau and tau**2), and asks the judge of every wide value,
+`exact._floor_by_norm`, whether a term wider than 512 bits over epsilon
+has floor 0, unless the bit lengths of the term and of epsilon already
+tell: the judge reads the leading bits of the term, through that norm
+when its coefficients cancel, with no product of two wide integers, and
+takes an exact route only when those bounds cannot decide. A
 value is an integer numerator a + b*phi over a power of d, with no gcd
 and no Fraction inside the loop, and reduced once into lam's own type
 (Fraction or QuadSurd) when it is returned. At tau and tau**2 a wide
@@ -76,12 +79,12 @@ from .exact import (
     TAU2,
     QuadSurd,
     _coprime_fraction,
+    _floor_by_norm,
     _kernel,
     _phi_pow,
     _phi_split,
     _phi_value,
     _sign,
-    _term_below,
 )
 
 
@@ -228,15 +231,27 @@ def g_stream(
     far times d**ak, plus or minus the new magnitude numerator, both
     integer pairs (a + b*phi)/e. A quotient costs one power of a small
     base (from the record's table for a narrow base), a few products and
-    one exact comparison of the new magnitude with epsilon; a rational
-    lam (v = 0) carries no phi half, and tau and tau**2 (d = 1) no scale.
-    At a quadratic lam and a rational epsilon, the loop carries the
-    term's norm (one power of a small integer per quotient), and a term
-    wider than 512 bits is compared by the leading bits of its numerator
-    or of its conjugate (`exact._term_below`), which costs a few products
-    by 64-bit integers instead of two squarings of the term; the exact
-    comparison runs only when the magnitude lies within about 2**-60 of
-    epsilon, relatively. Both sums are reduced once (`exact._phi_value`).
+    one exact comparison of the new magnitude with epsilon. One loop
+    serves every lam: a rational lam (v = 0) has no tables, its power
+    `_phi_pow(u, 0, q)` is (u**q, 0), and its phi coefficients b and n
+    stay 0; tau and tau**2 (d = 1) take no scale. At a quadratic lam and
+    a rational epsilon eu/ed, the loop carries the term's norm N (one
+    power of a small integer per quotient), and a term wider than 512
+    bits is below epsilon when the judge `exact._floor_by_norm` reads
+    floor(term/epsilon) = 0, with term/epsilon =
+    ((2m + n) + n*sqrt5)*ed / (2*e*eu), whose norm is 4*ed**2*N: it reads
+    the leading bits of the term, through N when its coefficients cancel,
+    with a few products by 64-bit integers instead of two squarings of
+    the term, and takes an exact route only when the magnitude lies
+    within about 2**-58 of epsilon. The judge computes that whole floor,
+    which has as many bits as term/epsilon, and its arguments cost three
+    products by ed, so it is asked only when the bit lengths of m, n, e,
+    N, eu and ed leave the term within 2**6 of epsilon either way; past
+    that they decide alone. At epsilon = 1e-4300 a stream may pass
+    thousands of wide terms before it stops, and each would cost a
+    division of 14-kbit integers. A narrow term, or an irrational
+    epsilon, takes the exact sign of epsilon - term (`exact._sign`).
+    Both sums are reduced once (`exact._phi_value`).
     At d = 1, when the last term is wide and the sum before it narrow,
     both carry their norms, derived from the term's with no product of
     two wide integers.
@@ -259,27 +274,30 @@ def g_stream(
         if factors > limit:
             raise ValueError(_OVER_BUDGET)
         skip, odd = 0, not odd
-        if v:  # the magnitude is (m + n*phi)/e
-            powers = lam_powers if odd else rest_powers
-            if q < len(powers):
-                x, y = powers[q]
-            else:
-                x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
-            m, n = m * x + n * y, m * y + n * (x + y)
-            if d != 1:
-                scale = d ** q
-                a, b, e = a * scale, b * scale, e * scale
-            a, b = (a + m, b + n) if odd else (a - m, b - n)
-        else:  # a rational lam: b and n stay 0
-            m *= (u if odd else c) ** q
+        # the magnitude is (m + n*phi)/e; a rational lam has no tables, and b and n stay 0
+        powers = lam_powers if odd else rest_powers
+        if q < len(powers):
+            x, y = powers[q]
+        else:
+            x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
+        m, n = m * x + n * y, m * y + n * (x + y)
+        if d != 1:
             scale = d ** q
-            a, e = a * scale + m if odd else a * scale - m, e * scale
-        below = None
+            a, b, e = a * scale, b * scale, e * scale
+        a, b = (a + m, b + n) if odd else (a - m, b - n)
         if leading:  # the norm is multiplicative
             norm *= (lam_norm if odd else rest_norm) ** q
-            if n.bit_length() > _NORM_BITS:
-                below = _term_below(norm, m, n, e, eu, ed)
-        if below is None:
+        if leading and n.bit_length() > _NORM_BITS:
+            # From bit lengths alone the term lies in (2**low, 2**(low + 5)): it is
+            # (|m| + |n|*phi)/e when m and n share a sign, else |norm|/(e*|conjugate|)
+            # with 2**(width - 2) < |conjugate| < 2**(width + 1); and epsilon lies in
+            # (2**(k - 1), 2**(k + 1)). The judge reads term/epsilon < 1 only in between.
+            width = max(m.bit_length(), n.bit_length())
+            low = (width - 1 if (m > 0) == (n > 0) else norm.bit_length() - width - 2) - e.bit_length()
+            k = eu.bit_length() - ed.bit_length()
+            below = low + 6 <= k or low <= k and _floor_by_norm(
+                (2 * m + n) * ed, n * ed, 2 * e * eu, 0, 4 * ed * ed * norm) == 0
+        else:
             below = _sign(eu * e - m * ed, ev * e - n * ed) > 0
         if below:
             break

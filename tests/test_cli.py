@@ -618,6 +618,11 @@ DIGESTS = {
         "1b1b05df12722c3946eb4cd707c4e48ee43bd6391692571c477fa59bcbcf589e",
     "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50":
         "6f688d9aa3ea3667787821a6b89faad6e113109a4159108c6bb93e47b44b6b13",
+    # a stream whose wide first term, lam**19999 with coefficients of one
+    # sign, is judged by its leading bits, and whose two bounds' decimals
+    # are read the same way; digest taken before the judge read such values
+    "eval-stream --lambda 1/4+1/8√5 --epsilon 1e-30":
+        "862e6ad056b08059af2dc0afd92049e5ae08bae406518b1c46dc2610091298f7",
     # tau2 values just under 1, x = [0; 1, 5456, ...] and [0; 1, 3896, ...],
     # whose decimals are read from 1 - value by the norm route; digests
     # taken when they still ran the exact square root
@@ -644,7 +649,8 @@ DIGESTS = {
 DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",
                 "eval-stream --lambda 1/3 --epsilon 1e-30": "9546 1 2 3 4 5\n",
                 "eval-stream --lambda tau --epsilon 1e-30": "1 9892 4 1 2\n",
-                "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50": "2 7480 1 3 5\n"}
+                "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50": "2 7480 1 3 5\n",
+                "eval-stream --lambda 1/4+1/8√5 --epsilon 1e-30": "20000 1 2 3\n"}
 
 EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
 EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")
@@ -937,3 +943,64 @@ class TestGrammarProperty:
         assert len(out.encode()) <= MAX_OUTPUT_BYTES
         with int_digit_limit(0):
             check_rows(words[0], out)
+
+
+# Literals no command accepts as they stand, or only after a range check:
+# p/0 and 0/0, nan and inf, an exponent past 4300, a doubled √5,
+# Arabic-Indic digits (which int and Fraction read as digits), 20-digit
+# integers and leading minus signs.
+ODD_LITERALS = st.sampled_from([
+    "0/0", "1/0", "nan", "-inf", "1e-4301", "√5√5", "sqrt5√5", "٣/٧", "-١/٢", "٠٫٥",
+    "12345678901234567890", "-12345678901234567890", "1/12345678901234567890", "-0", "-1/2", "-tau",
+    "--", "-", "", " ", "tau", "tau2", "1/7+1/11√5", "1e-30", "2/9",
+])
+SMALL_FRACTIONS = st.fractions(0, 1, max_denominator=20).map(str)
+VALUES = st.one_of(ODD_LITERALS, SMALL_FRACTIONS, SMALL_FRACTIONS)  # two in three in [0, 1]
+
+
+def sizes(limit: int) -> st.SearchStrategy[str]:
+    """An index up to `limit`, or a literal int() refuses or the range check does."""
+    return st.one_of(st.integers(-2, limit).map(str), st.sampled_from(
+        ["٩", "-٣", "12345678901234567890", "-12345678901234567890", "0/0", "nan", "", "1e3"]))
+
+
+#: The options of every subcommand, each with its values: levels up to 12,
+#: grids up to 9 and --n-max up to 30, so that every run is quick.
+ARGV_OPTIONS = {
+    ("eval",): {"--lambda": VALUES, "--x": VALUES,
+                "--route": st.sampled_from(["series", "inductive", "tau2", "salem", "", "-1"])},
+    ("eval-stream",): {"--lambda": VALUES, "--epsilon": VALUES},
+    ("question-mark",): {"--x": VALUES},
+    ("convert-cf",): {"--x": VALUES},
+    ("stern-brocot",): {"--n": sizes(12)},
+    ("xi",): {"--n": sizes(12)},
+    ("theta",): {"--k": sizes(12)},
+    ("verify", "theorem1"): {"--x": VALUES, "--n-max": sizes(30), "--tol": VALUES},
+    ("plot-data",): {"--lambda": VALUES, "--grid": sizes(9)},
+}
+STREAM_TOKENS = st.sampled_from(["1", "2", "7", "99", "0", "-3", "٣", "12345678901234567890", "nan", "1/2"])
+
+
+class TestNoArgvCrashes:
+    """Any argv of a subcommand, its options in any order, left out,
+    repeated or unknown, their values odd literals, exits 0, 1 or 2 with
+    no escaping exception; exit 2 writes nothing to stdout and either
+    argparse's usage block or one `error:` line to stderr."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_exits_0_1_or_2(self, data):
+        words = data.draw(st.sampled_from(sorted(ARGV_OPTIONS)))
+        pairs = [[flag, data.draw(values)] for flag, values in ARGV_OPTIONS[words].items()
+                 if data.draw(st.integers(0, 7))]  # each option in 7 of 8 draws
+        if not data.draw(st.integers(0, 7)):
+            pairs.append(data.draw(st.sampled_from([["--bogus", "1"], pairs[0] if pairs else ["-x"]])))
+        argv = [*words, *(part for pair in data.draw(st.permutations(pairs)) for part in pair)]
+        stdin = data.draw(st.lists(STREAM_TOKENS, max_size=6).map(" ".join))
+        code, out, err = captured_run(argv, stdin)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            lines = err.splitlines()
+            assert (len(lines) == 1 and err.startswith("error: ")) or (
+                err.startswith("usage: ") and ": error: " in lines[-1])

@@ -339,8 +339,9 @@ def cancelling_near_boundaries(draw) -> tuple[tuple[Fraction, Fraction], int]:
 
 
 class TestNormRoute:
-    """`to_decimal` on cancelling values whose |b| passes `_NORM_BITS`:
-    the norm and leading-bits route, and its exact fallback."""
+    """`to_decimal` on values whose |b| passes `_NORM_BITS`, and the judge
+    `_floor_by_norm` it sends them to: the leading-bits route, through the
+    norm for cancelling values, and its exact fallback."""
 
     @given(cancelling_near_boundaries())
     def test_matches_the_square_root_oracle(self, case):
@@ -380,11 +381,20 @@ class TestNormRoute:
         assert to_decimal(-QuadSurd(*p), 16) == (-FractionSurd(*p)).decimal(16)
         assert calls == {"norm": 2, "scaled": 2}
 
-    def test_small_and_same_sign_values_keep_the_square_root_route(self, monkeypatch):
+    def test_narrow_values_keep_the_square_root_route(self, monkeypatch):
         calls = self.count_routes(monkeypatch)
-        for x in (TAU2 + TAU ** 201, TAU ** -2001, -TAU ** -2000, QuadSurd(0, 3 ** 700), Fraction(1, 3)):
+        for x in (TAU2 + TAU ** 201, QuadSurd(2, 3 ** 300), Fraction(1, 3)):
             to_decimal(x, 15)
-        assert calls == {"norm": 0, "scaled": 5}
+        assert calls == {"norm": 0, "scaled": 3}
+
+    def test_a_wide_value_far_outside_one_reaches_the_judge_then_falls_back(self, monkeypatch):
+        # coefficients of one sign, or a = 0, and a value past 2**1000:
+        # the floor needs every bit of a and b, so the judge finds no bits
+        # to drop and calls the exact square root once
+        calls = self.count_routes(monkeypatch)
+        for x in (TAU ** -2001, -TAU ** -2000, QuadSurd(0, 3 ** 700), QuadSurd(0, -3 ** 700)):
+            assert to_decimal(x, 15) == FractionSurd(x.a, x.b).decimal(15)
+        assert calls == {"norm": 4, "scaled": 4}
 
     def test_a_wide_value_without_cancellation_tries_the_norm_then_falls_back(self, monkeypatch):
         # |a| = 3 * 7**4000 and |b|*sqrt5 = 2.236... * 7**4000 part in their
@@ -435,6 +445,60 @@ class TestNormRoute:
         with mock.patch.object(exact, "_floor_by_norm", wraps=exact._floor_by_norm) as norm:
             assert to_decimal(x, digits) == FractionSurd(x.a, x.b).decimal(digits)
         assert norm.call_count == 1
+
+    @given(st.integers(600, 4000), st.integers(0, 2 ** 32), st.one_of(st.just(0), st.integers(1, 4008)),
+           st.one_of(st.integers(1, 300), st.just(None)), st.booleans(), st.integers(0, 60))
+    @example(600, 0, 0, None, True, 0)  # a = 0 and b < 0 over a d as wide as b
+    @example(4000, 1, 0, 300, True, 60)
+    def test_a_wide_value_whose_coefficients_share_a_sign(self, bits, seed, a_bits, d_bits,
+                                                         negative, power):
+        # nothing cancels: the judge reads |a| + |b|*sqrt5 by its leading
+        # bits, and a negative value as -floor - 1, over a d of 1 to 300
+        # bits or as wide as b; a value far outside [-1, 1] leaves no bits
+        # to drop and takes one call of `_floor_scaled`
+        rng = random.Random(seed)
+        b = rng.getrandbits(bits) | 1 << bits - 1
+        a = rng.getrandbits(a_bits) | 1 << a_bits - 1 if a_bits else 0
+        if negative:
+            a, b = -a, -b
+        d_bits = d_bits or bits
+        d = rng.getrandbits(d_bits) | 1 << d_bits - 1
+        scaled = exact._floor_scaled
+        with mock.patch.object(exact, "_floor_scaled", wraps=scaled) as fallback:
+            assert exact._floor_by_norm(a, b, d, power) == scaled(a, b, d, power)
+        assert fallback.call_count <= 1
+        digits = max(power, 1)
+        x = QuadSurd(Fraction(a, d), Fraction(b, d))
+        assert to_decimal(x, digits) == FractionSurd(x.a, x.b).decimal(digits)
+
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("gap, fallbacks", [(45, 0), (70, 1)])
+    def test_a_value_of_one_sign_next_to_an_integer(self, negative, gap, fallbacks):
+        # (a + b*sqrt5)/d = 7 + about 2**-gap, with a, b and d of 1200
+        # bits: the bounds, 2**-60 apart, read the floor 2**-45 from the
+        # integer and leave it to `_floor_scaled` 2**-70 from it
+        rng = random.Random(gap)
+        b, d = rng.getrandbits(1200) | 1 << 1199, rng.getrandbits(1200) | 1 << 1199
+        a = 7 * d - isqrt(5 * b * b) + (d >> gap)
+        assert a > 0
+        if negative:
+            a, b = -a, -b
+        with mock.patch.object(exact, "_floor_scaled", wraps=exact._floor_scaled) as fallback:
+            assert exact._floor_by_norm(a, b, d, 0) == (-8 if negative else 7)
+        assert fallback.call_count == fallbacks
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_a_value_with_a_zero_next_to_one(self, negative):
+        # b*sqrt5/d = 1 + about 2**-69, with a = 0: nothing cancels, the
+        # bounds straddle 1, and `_floor_scaled` reads it, once, with no
+        # complement route
+        b = random.Random(0).getrandbits(1200) | 1 << 1199
+        d = isqrt(5 * b * b) - (b >> 68)
+        b = -b if negative else b
+        with mock.patch.object(exact, "_floor_scaled", wraps=exact._floor_scaled) as fallback, \
+                mock.patch.object(exact, "_floor_by_norm", wraps=exact._floor_by_norm) as judge:
+            assert judge(0, b, d, 0) == (-2 if negative else 1)
+        assert (judge.call_count, fallback.call_count) == (1, 1)
 
     @pytest.mark.parametrize("x, routes", [
         (g_stream(iter([1, 9892, 4, 1, 2]), TAU, Fraction(1, 10 ** 30))[0], {"norm": 2, "scaled": 0}),
@@ -539,51 +603,67 @@ class TestPhiPow:
 
 
 #: One split parameter per kind of term: powers of tau (d = 1), whose m and
-#: n have opposite signs, and one with d > 1 whose numerators may have
+#: n have opposite signs, and two with d > 1 whose numerators may have
 #: either.
 TERM_LAMBDAS = (TAU, TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11)), QuadSurd(Fraction(1, 4), Fraction(1, 8)))
 
 
-class TestTermBelow:
-    """`_term_below`, the stop test of `g_stream` for a quadratic lam and a
-    rational epsilon, against the exact `_sign` it stands in for."""
+def stream_stop(m: int, n: int, e: int, norm: int, epsilon: Fraction) -> bool:
+    """Whether the term (m + n*phi)/e, of norm m**2 + m*n - n**2, is below
+    epsilon, asked of the judge at power 0 as `g_stream` asks it."""
+    eu, _, ed, _ = _phi_split(epsilon)
+    return exact._floor_by_norm((2 * m + n) * ed, n * ed, 2 * e * eu, 0, 4 * ed * ed * norm) == 0
+
+
+def exact_stop(m: int, n: int, e: int, epsilon: Fraction) -> bool:
+    """The same answer by the exact sign of epsilon - term."""
+    eu, _, ed, _ = _phi_split(epsilon)
+    return exact._sign(eu * e - m * ed, -n * ed) > 0
+
+
+class TestStreamStop:
+    """`_floor_by_norm` at power 0, called as the stop test of `g_stream`
+    for a quadratic lam and a rational epsilon, against the exact `_sign`
+    it stands in for, on terms whose coefficients cancel and on terms
+    whose coefficients share a sign."""
 
     @settings(max_examples=200)
     @given(st.sampled_from(TERM_LAMBDAS), st.integers(0, 3000), st.integers(0, 3000),
            st.one_of(st.integers(1, 100).map(lambda k: Fraction(1, 10 ** k)),
                      st.integers(-4, 4)))
-    @example(TAU2, 2000, 1000, 0)  # undecided: epsilon within 2**-62 of the magnitude
+    @example(TAU2, 2000, 1000, 0)  # epsilon within 2**-62 of the magnitude
+    @example(QuadSurd(Fraction(1, 4), Fraction(1, 8)), 2000, 0, 0)
     def test_a_decision_is_the_exact_sign(self, lam, powers, rest, epsilon):
         m, n, e, norm = term_numerator(lam, powers, rest)
-        assume(n.bit_length() > exact._GUARD_BITS)
+        assume(n.bit_length() > exact._NORM_BITS)
         assert norm == m * m + m * n - n * n
         if not isinstance(epsilon, Fraction):  # within 1 +- 2**-60 of the magnitude
             epsilon = rational_near(m, n, e, epsilon)
-        eu, _, ed, _ = _phi_split(epsilon)
-        below = exact._term_below(norm, m, n, e, eu, ed)
-        if below is not None:
-            assert below == (exact._sign(eu * e - m * ed, -n * ed) > 0)
+        assert stream_stop(m, n, e, norm, epsilon) == exact_stop(m, n, e, epsilon)
 
     @pytest.mark.parametrize("lam", TERM_LAMBDAS, ids=str)
     @pytest.mark.parametrize("powers, rest", [(2000, 1000), (1000, 2000), (3000, 0), (0, 3000)])
-    def test_undecided_only_next_to_the_magnitude(self, lam, powers, rest):
+    def test_the_exact_route_runs_only_next_to_the_magnitude(self, lam, powers, rest):
+        # epsilon within 2**-59 of the magnitude may take one fallback to
+        # `_floor_scaled`; 2**-42 away, the leading bits decide alone
         m, n, e, norm = term_numerator(lam, powers, rest)
-        decisions = []
         for offset in (-2 ** 20, -8, 0, 8, 2 ** 20):
-            eu, _, ed, _ = _phi_split(rational_near(m, n, e, offset))
-            decisions.append(exact._term_below(norm, m, n, e, eu, ed))
-        assert decisions[0] is False and decisions[-1] is True
-        assert decisions[2] is None
-        assert decisions[1] in (False, None) and decisions[3] in (True, None)
+            epsilon = rational_near(m, n, e, offset)
+            with mock.patch.object(exact, "_floor_scaled", wraps=exact._floor_scaled) as fallback:
+                assert stream_stop(m, n, e, norm, epsilon) == exact_stop(m, n, e, epsilon) == (offset > 0)
+            assert fallback.call_count <= (1 if abs(offset) <= 8 else 0)
 
-    def test_both_conjugates_take_their_turn(self):
-        # tau**2 powers: m and n of opposite signs, read through the norm;
-        # at 1/7+1/11sqrt5, lam**2000 has m and n of one sign, read as it is
+    def test_both_sign_patterns_take_their_turn(self):
+        # tau**2 powers: 2m + n and n of opposite signs, read through the
+        # norm; at 1/7+1/11sqrt5, lam**2000 has them of one sign, read as
+        # they are: both decided by their leading bits alone
         for lam, same in ((TAU2, False), (QuadSurd(Fraction(1, 7), Fraction(1, 11)), True)):
             m, n, e, norm = term_numerator(lam, 2000, 0)
-            assert ((m > 0) == (n > 0)) is same
-            eu, _, ed, _ = _phi_split(rational_near(m, n, e, 2 ** 20))
-            assert exact._term_below(norm, m, n, e, eu, ed) is True
+            assert ((2 * m + n > 0) == (n > 0)) is same
+            with mock.patch.object(exact, "_floor_scaled") as fallback:
+                assert stream_stop(m, n, e, norm, rational_near(m, n, e, 2 ** 20)) is True
+                assert stream_stop(m, n, e, norm, rational_near(m, n, e, -2 ** 20)) is False
+            assert not fallback.called
 
 
 class TestPhiPowers:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sternbrocot import (
     TAU,
@@ -20,7 +20,8 @@ from sternbrocot import (
     question_mark,
 )
 from sternbrocot import cli
-from sternbrocot.exact import MAX_EXACT_BITS, _phi_split, _sign, _term_below
+from sternbrocot import exact
+from sternbrocot.exact import MAX_EXACT_BITS, _phi_split, _sign
 
 from oracles import (
     Counting,
@@ -469,13 +470,26 @@ def big_quotient_streams(draw) -> list[int]:
 #: rational, and an irrational one with d > 1 and a norm that is not a unit.
 STOP_LAMBDAS = (TAU, TAU2, Fraction(2, 9), QuadSurd(Fraction(1, 7), Fraction(1, 11)))
 
+#: (lam, quotients, j, lam's power, 1 - lam's power): term j of the stream
+#: is wide, lam**powers * (1 - lam)**rest. Term 2 below has coefficients
+#: that cancel in the sqrt5 basis, as every power of tau**2 has, and at
+#: 1/7+1/11sqrt5 every power of 1 - lam; term 1 at 1/7+1/11sqrt5, a power
+#: of lam alone, has coefficients of one sign.
+NEXT_TO_EPSILON = [
+    (TAU2, [3, 2000, 1, 1, 1, 1], 2, 2, 2000),
+    (STOP_LAMBDAS[3], [3, 2000, 1, 1, 1, 1], 2, 2, 2000),
+    (STOP_LAMBDAS[3], [2001, 1, 1, 1, 1, 1], 1, 2000, 0),
+]
+
 
 class TestStopOnTheLeadingBits:
-    """A stream at a quadratic lam and a rational epsilon decides whether a
-    wide term is below epsilon from the leading bits of the term or of its
-    conjugate (`exact._term_below`), and takes the exact `_sign` only when
-    those cannot decide: the bracket and the quotients drawn stay those of
-    the field oracle."""
+    """A stream at a quadratic lam and a rational epsilon decides a wide
+    term from the bit lengths of the term and of epsilon, and when the two
+    lie within a few bits of each other asks the judge
+    `exact._floor_by_norm` whether the term over epsilon has floor 0,
+    which reads the term's leading bits and takes an exact route only when
+    those cannot decide; a narrow term takes the exact `_sign`. The
+    bracket and the quotients drawn stay those of the field oracle."""
 
     @pytest.mark.parametrize("lam", STOP_LAMBDAS, ids=str)
     @settings(max_examples=25, deadline=None)
@@ -489,32 +503,93 @@ class TestStopOnTheLeadingBits:
         assert same(kernel_lo, in_type(lo, lam)) and same(kernel_hi, in_type(hi, lam))
         assert kernel.drawn == oracle.drawn
 
-    @pytest.mark.parametrize("lam", [TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11))], ids=str)
-    def test_an_undecided_term_takes_the_exact_sign(self, lam):
-        # epsilon just under the magnitude of term 2, lam**2 (1-lam)**2000:
-        # term 1 is narrow and goes to `_sign` alone; at term 2 the leading
-        # bits cannot decide and `_sign` finds the term not below; term 3
-        # is decided by its leading bits, and the stream stops there
-        quotients = [3, 2000, 5, 1, 1, 1]
-        m, n, e, _ = term_numerator(lam, 2, 2000)
-        epsilon = rational_near(m, n, e, 0)
-        assert epsilon < magnitude(quotients[:2], lam)
+    @staticmethod
+    def routes(quotients, lam, epsilon) -> tuple[int, int, int, int, int]:
+        """The quotients a stream draws, and its calls of `_sign`, of the
+        judge, of the judge's complement route (the judge calling itself)
+        and of its fallback `_floor_scaled`, after checking the bracket
+        and the quotients drawn against the field oracle."""
         kernel, oracle = Counting(quotients), Counting(quotients)
         lo, hi = field_stream(oracle, PowerSurd.of(lam), epsilon)
         with mock.patch("sternbrocot.singular._sign", wraps=_sign) as sign, \
-                mock.patch("sternbrocot.singular._term_below", wraps=_term_below) as leading:
+                mock.patch("sternbrocot.singular._floor_by_norm", wraps=exact._floor_by_norm) as judge, \
+                mock.patch.object(exact, "_floor_by_norm", wraps=exact._floor_by_norm) as complement, \
+                mock.patch.object(exact, "_floor_scaled", wraps=exact._floor_scaled) as fallback:
             kernel_lo, kernel_hi = g_stream(kernel, lam, epsilon)
         assert same(kernel_lo, in_type(lo, lam)) and same(kernel_hi, in_type(hi, lam))
-        assert kernel.drawn == oracle.drawn == 3
-        assert sign.call_count == leading.call_count == 2
+        assert kernel.drawn == oracle.drawn
+        return kernel.drawn, sign.call_count, judge.call_count, complement.call_count, fallback.call_count
+
+    @pytest.mark.parametrize("lam, quotients, j, powers, rest", NEXT_TO_EPSILON, ids=str)
+    def test_a_term_just_above_epsilon_is_decided_exactly(self, lam, quotients, j, powers, rest):
+        # epsilon just under the magnitude of term j: neither the bit
+        # lengths nor the leading bits decide it, and the judge finds the
+        # term not below, from 1 minus the term over epsilon when the
+        # term's coefficients cancel (term 1, narrow, goes to `_sign`
+        # alone) and by `_floor_scaled` when they share a sign; term j + 1,
+        # one factor lam or 1 - lam smaller, is within the few bits of
+        # epsilon the bit lengths leave to the judge, whose leading bits
+        # decide it, and the stream stops there
+        m, n, e, _ = term_numerator(lam, powers, rest)
+        epsilon = rational_near(m, n, e, 0)
+        assert epsilon < magnitude(quotients[:j], lam)
+        cancels = j == 2
+        assert ((2 * m + n > 0) != (n > 0)) is cancels
+        assert self.routes(quotients, lam, epsilon) == (
+            (3, 1, 2, 1, 0) if cancels else (2, 0, 2, 0, 1))
+
+    @pytest.mark.parametrize("lam, quotients, j, powers, rest", NEXT_TO_EPSILON, ids=str)
+    def test_a_term_just_below_epsilon_stops_the_stream(self, lam, quotients, j, powers, rest):
+        # epsilon 2**-42 above the magnitude of term j, relatively: its
+        # leading bits put it below, with no exact route
+        m, n, e, _ = term_numerator(lam, powers, rest)
+        epsilon = rational_near(m, n, e, 2 ** 20)
+        assert self.routes(quotients, lam, epsilon) == (j, j - 1, 1, 0, 0)
+
+    @pytest.mark.parametrize("lam, quotients", [
+        (TAU2, [400] + [1] * 2000),
+        (QuadSurd(Fraction(1, 7), Fraction(1, 11)), [300] + [1] * 2000),
+        (QuadSurd(Fraction(1, 7), Fraction(1, 11)), [3, 300] + [1] * 2000),
+    ], ids=["tau2", "one-sign-first", "cancelling-second"])
+    def test_a_term_far_above_epsilon_is_screened_by_its_width(self, lam, quotients):
+        # at epsilon = 1e-300 hundreds of wide terms come before the stop;
+        # the bit lengths of each show it above epsilon, and only the few
+        # within a few bits of epsilon reach the judge, whose floor would
+        # otherwise have as many bits as the term over epsilon
+        drawn, sign, judge, _, fallback = self.routes(quotients, lam, Fraction(1, 10 ** 300))
+        assert drawn > 400
+        assert judge <= 5 and fallback == 0
+
+    @pytest.mark.parametrize("lam", STOP_LAMBDAS[:2] + STOP_LAMBDAS[3:], ids=str)
+    @settings(max_examples=20, deadline=None)
+    @given(powers=st.integers(0, 3000), rest=st.integers(1, 3000))
+    @example(powers=421, rest=1783)  # at 1/7+1/11sqrt5 a dyadic epsilon meets the bounds' edge
+    def test_the_width_screen_is_exact_next_to_epsilon(self, lam, powers, rest):
+        # term 2 of [powers + 1, rest, 1, ...] is lam**powers (1-lam)**rest;
+        # with epsilon 2**-42 above it, relatively, the stream stops there,
+        # and 2**-42 below it, one term later: the bit lengths never decide
+        # a term that close to epsilon, either way. Each epsilon is taken
+        # as it is and as a dyadic rational, whose bit lengths sit at
+        # one edge of the interval they give
+        m, n, e, _ = term_numerator(lam, powers, rest)
+        quotients = [powers + 1, rest, 1, 1]
+        bits = 4 * max(m.bit_length(), n.bit_length()) + 400
+        for offset, stop in ((2 ** 20, 2), (-2 ** 20, 3)):
+            near = rational_near(m, n, e, offset)
+            for epsilon in (near, Fraction((near.numerator << bits) // near.denominator, 1 << bits)):
+                kernel = Counting(quotients)
+                g_stream(kernel, lam, epsilon)
+                assert kernel.drawn == stop
 
     def test_the_digest_stream_takes_no_wide_sign(self):
         # the stream of the eval-stream digest at tau**2: one term of
-        # 13-kbit coefficients, tau**19090, decided by its conjugate
-        with mock.patch("sternbrocot.singular._sign", wraps=_sign) as sign:
+        # 13-kbit coefficients, tau**19090, about 2**-13253 against an
+        # epsilon near 2**-100, is below it by the bit lengths alone
+        with mock.patch("sternbrocot.singular._sign", wraps=_sign) as sign, \
+                mock.patch("sternbrocot.singular._floor_by_norm") as judge:
             lo, hi = g_stream(iter([9546, 1, 2, 3, 4, 5]), TAU2, Fraction(1, 10 ** 30))
         assert hi - lo == TAU ** 19090
-        assert sign.call_count == 0
+        assert sign.call_count == judge.call_count == 0
 
 
 #: Split parameters of the per-step comparisons: rationals with and
