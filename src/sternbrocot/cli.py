@@ -46,7 +46,7 @@ from itertools import compress, repeat
 from math import comb, lcm
 from operator import add
 
-from .cf import expand_rcf, expand_rrcf
+from .cf import expand_rcf, rcf_to_rrcf
 from .dist import verify_theorem1
 from .exact import (MAX_OUTPUT_BYTES, TAU2, QuadSurd, check_output, parse_quadsurd,
                     parse_rational, text_bytes, to_decimal)
@@ -315,7 +315,8 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 def _cmd_convert_cf(args: argparse.Namespace) -> int:
     if not 0 < args.x < 1:
         raise ValueError(f"--x must lie in (0,1), got {args.x}")
-    regular, reduced = expand_rcf(args.x), expand_rrcf(args.x)  # both before a line is printed
+    regular = expand_rcf(args.x)
+    reduced = rcf_to_rrcf(regular)  # both before a line is printed
     print(regular)
     print(reduced)
     return 0

@@ -128,9 +128,9 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
 
     The target g(x) is `g_series` at TAU2, exact in Q(sqrt5); errors are
     reported as 30-digit decimals, and the pass verdict compares the
-    final error against the tolerance exactly. The path runs of x are
-    computed once, and each row is one rank count along them (`_rank`)
-    of O(min(m, n)) steps.
+    final error against the tolerance exactly. x is expanded once, for
+    its target and its path runs, and each row is one rank count along
+    those runs (`_rank`) of O(min(m, n)) steps.
     Refuses a tolerance below 0, and a table whose text would pass
     `exact.MAX_OUTPUT_BYTES` (`_table_bytes`), before any row is built.
     """
@@ -140,9 +140,10 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
         raise ValueError("n_max must be >= 2")
     if tolerance.numerator < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    target = g_series(expand_rcf(x), TAU2)
+    cf = expand_rcf(x)
+    target = g_series(cf, TAU2)
     check_output(_table_bytes(n_max, target))
-    runs = path_runs(x)
+    runs = path_runs(cf)
     rows = []
     final_error: QuadSurd = QuadSurd(0)
     for n in range(2, n_max + 1):

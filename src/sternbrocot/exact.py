@@ -25,20 +25,23 @@ rational's numerator and denominator, the g routes carry integer
 numerators over powers of d, and a result is reduced once, into the
 parameter's type; for a Fraction that takes a gcd against d alone when
 it can (`_phi_value`). `_kernel` returns one record per split
-parameter, a `_Kernel` namedtuple: u, v and d, the size limit,
-1 - lam = (c + w*phi)/d, the power tables of both bases and their
-norms, built once after the range check and cached for the 16 latest
-parameters by their integers (`_kernel_record`, a `functools.lru_cache`
-whose `cache_info` shows it), so g at many points of one parameter
-derives none of that again. `_phi_split` gives the same (u, v, d) and
-limit for any rational or QuadSurd, unchecked, such as the stream's
-epsilon. `_phi_pow` powers left to right, so each set bit of the
-exponent costs a product by the small base, and squares the power of a
-unit (norm +-1: tau, tau**2, phi) by two squarings, not three products,
-reading the norm from the base itself; `_phi_powers` builds the
-table of the powers below 48 of a base of at most 32 bits, which the
-record of a quadratic parameter holds for both its bases (a rational
-one needs none). One helper, `_leading`,
+parameter, a `_Kernel` namedtuple: v and d, the size limit, and three
+pairs indexed by the parity of a quotient's place in the series, with
+1 - lam = (c + w*phi)/d at index 0 and lam at index 1: `bases`, the
+numerators c + w*phi and u + v*phi, `tables`, their small powers, and
+`norms`. It is built once after the range check and cached for the 16
+latest parameters by their integers (`_kernel_record`, a
+`functools.lru_cache` whose `cache_info` shows it), so g at many points
+of one parameter derives none of that again. `_phi_split` is the one
+reader of the integers (u, v, d) of a rational or QuadSurd, unchecked:
+`_kernel` reads lam through it, and the stream its epsilon. `_phi_pow`
+powers left to right, so each set bit of the exponent costs a product
+by the small base, and squares the power of a unit (norm +-1: tau,
+tau**2, phi) by two squarings, not three products, reading the norm
+from the base itself; `_phi_powers` builds the table of the powers
+below 48 of a base of at most 32 bits, which the record of a quadratic
+parameter holds for both its bases (a rational one needs none). One
+helper, `_leading`,
 bounds a + b*sqrt5 from the leading bits of a and b, with one slack
 proof, for one judge of every wide value, `_floor_by_norm`, which
 decides its floor from those bounds and takes an exact route when they
@@ -476,21 +479,15 @@ def text_bytes(*bits: int, surd: bool = False) -> int:
     return sum(b * 30103 // 100000 + 2 for b in bits) + 4 * surd
 
 
-def _phi_split(lam: Fraction | QuadSurd) -> tuple[int, int, int, int]:
-    """(u, v, d, limit): lam = (u + v*phi)/d in lowest terms with d > 0,
-    and limit the most factors lam or 1 - lam a value may carry within
-    MAX_EXACT_BITS."""
-    if isinstance(lam, QuadSurd):
-        u, v, d = lam._a, lam._b, lam._d
-    else:
-        u, v, d = lam.numerator, 0, lam.denominator
-    return u, v, d, _factor_limit(u, v, d)
-
-
-def _factor_limit(u: int, v: int, d: int) -> int:
-    """The most factors lam or 1 - lam a value may carry within
-    MAX_EXACT_BITS, for lam = (u + v*phi)/d."""
-    return MAX_EXACT_BITS // max(d, abs(u) + 2 * abs(v), abs(d - u) + 2 * abs(v)).bit_length()
+def _phi_split(x: Fraction | QuadSurd) -> tuple[int, int, int]:
+    """(u, v, d): x = (u + v*phi)/d in lowest terms with d > 0, the
+    integers of a QuadSurd as it stores them, or a rational's numerator,
+    0 and denominator. The one reader of those integers, unchecked: the
+    kernel record reads a split parameter through it, and the stream its
+    epsilon."""
+    if isinstance(x, QuadSurd):
+        return x._a, x._b, x._d
+    return x.numerator, 0, x.denominator
 
 
 def _phi_pow(x: int, y: int, n: int) -> tuple[int, int]:
@@ -552,31 +549,31 @@ def _phi_powers(x: int, y: int) -> tuple[tuple[int, int], ...]:
     return tuple(powers)
 
 
-#: The kernel record of lam = (u + v*phi)/d (`_kernel_record`).
-_Kernel = namedtuple("_Kernel", "u v d limit c w lam_powers rest_powers lam_norm rest_norm")
+#: The kernel record of lam = (u + v*phi)/d (`_kernel_record`): its pairs
+#: hold 1 - lam at index 0 and lam at index 1, the parity of a quotient's
+#: place in the series.
+_Kernel = namedtuple("_Kernel", "v d limit bases tables norms")
 
 
 def _kernel(lam: Fraction | QuadSurd) -> _Kernel:
     """The kernel record of the split parameter lam: `_kernel_record` of
     lam's integers (u, v, d), lam = (u + v*phi)/d as `_phi_split` reads
     them. A lam outside (0,1) raises ValueError."""
-    if isinstance(lam, QuadSurd):
-        return _kernel_record(lam._a, lam._b, lam._d)
-    return _kernel_record(lam.numerator, 0, lam.denominator)
+    return _kernel_record(*_phi_split(lam))
 
 
 @lru_cache(maxsize=16)
 def _kernel_record(u: int, v: int, d: int) -> _Kernel:
-    """The `_Kernel` (u, v, d, limit, c, w, lam_powers, rest_powers,
-    lam_norm, rest_norm) of lam = (u + v*phi)/d in lowest terms with
-    d > 0: limit as `_phi_split` gives it, 1 - lam = (c + w*phi)/d, the
-    `_phi_powers` tables of the bases u + v*phi and c + w*phi (empty for
-    a rational lam, v = 0, whose powers are the integer powers of u
-    and c, `_phi_pow(u, 0, q)` in the stream), and
-    their norms. Built
-    once per split parameter and cached for the 16 latest
-    (`functools.lru_cache`, whose `cache_info` shows it), so a g route
-    at many points of one lam reads it by one lookup.
+    """The `_Kernel` (v, d, limit, bases, tables, norms) of
+    lam = (u + v*phi)/d in lowest terms with d > 0. Each pair holds
+    1 - lam = (c + w*phi)/d at index 0 and lam at index 1: `bases` the
+    numerators ((c, w), (u, v)), `tables` their `_phi_powers` tables
+    (empty for a rational lam, v = 0, whose powers are the integer powers
+    of u and c, `_phi_pow(u, 0, q)` in the stream) and `norms` their
+    norms. limit is the most factors lam or 1 - lam a value may carry
+    within MAX_EXACT_BITS. Built once per split parameter and cached for
+    the 16 latest (`functools.lru_cache`, whose `cache_info` shows it), so
+    a g route at many points of one lam reads it by one lookup.
 
     The one range check of a split parameter: lam and 1 - lam must be
     positive, both exact signs of integers (`_sign`). A lam outside (0,1)
@@ -586,9 +583,10 @@ def _kernel_record(u: int, v: int, d: int) -> _Kernel:
     c, w = d - u, -v
     if _sign(u, v) <= 0 or _sign(c, w) <= 0:
         raise ValueError("the split parameter must lie strictly between 0 and 1")
-    return _Kernel(u, v, d, _factor_limit(u, v, d), c, w,
-                   _phi_powers(u, v) if v else (), _phi_powers(c, w) if v else (),
-                   u * u + u * v - v * v, c * c + c * w - w * w)
+    bases = (c, w), (u, v)
+    limit = MAX_EXACT_BITS // max(d, abs(u) + 2 * abs(v), abs(c) + 2 * abs(v)).bit_length()
+    return _Kernel(v, d, limit, bases, tuple(_phi_powers(*base) if v else () for base in bases),
+                   tuple(x * x + x * y - y * y for x, y in bases))
 
 
 def _phi_value(a: int, b: int, d: int, lam: Fraction | QuadSurd,

@@ -27,13 +27,16 @@ Every route but `question_mark` runs on one integer kernel (`exact`),
 the same for every lam: lam = (u + v*phi)/d over Z[phi], phi the golden
 ratio, the form a QuadSurd stores, with v = 0 for a rational lam and
 d = 1 at tau and tau**2. Each route reads lam's record from
-`exact._kernel`: the range check, those integers, 1 - lam, the
-small-power tables and the norms, built once per lam and cached. Two
+`exact._kernel`, built once per lam after its range check and cached:
+v, d, and lam and 1 - lam as pairs indexed by the parity of a
+quotient's place, 1 for an odd place (lam) and 0 for an even one
+(1 - lam), of their numerators, small-power tables and norms. Two
 loops sum the series on integers, each a quotient at a time, with one
-power of a small base per quotient (read from the record's table for a
-below 48 and a narrow base): tau and tau**2 carry no power of d, and a
-rational lam no phi half, in a branch of its own in `g_series` and in
-the one loop of `g_stream`, where its phi coefficients stay 0.
+power of a small base per quotient, the pairs' entry at its parity
+(read from the table for a below 48 and a narrow base): tau and tau**2
+carry no power of d, and a rational lam no phi half, in a branch of its
+own in `g_series` and in the one loop of `g_stream`, where its phi
+coefficients stay 0.
 `g_series` knows the last quotient and
 sums from it back to the first, Horner's rule from the other end: the
 tail after quotient k is lam**a or (1-lam)**a times 1 minus the tail
@@ -108,7 +111,7 @@ def g_inductive(x: Fraction, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
 
 
 #: The most bits `question_mark` shifts by: the budget of the kernel routes at lam = 1/2.
-_SALEM_LIMIT = _phi_split(Fraction(1, 2))[3]
+_SALEM_LIMIT = _kernel(Fraction(1, 2)).limit
 
 
 def question_mark(cf: RegularCF) -> Fraction:
@@ -164,7 +167,7 @@ def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     hands `to_decimal` its norm at the cost of a few additions per
     quotient.
     """
-    u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm = _kernel(lam)
+    v, d, limit, bases, tables, norms = _kernel(lam)
     quotients = cf.quotients
     if not quotients:
         return _phi_value(1, 0, 1, lam)
@@ -174,28 +177,25 @@ def g_series(cf: RegularCF, lam: Fraction | QuadSurd) -> Fraction | QuadSurd:
     a = b = 0
     e = 1
     norm = None  # the norm of the tail, carried at a unit lam for a value that may be wide
-    if factors > _UNIT_FACTORS and d == 1 and abs(lam_norm) == abs(rest_norm) == 1:
+    if factors > _UNIT_FACTORS and d == 1 and abs(norms[0]) == abs(norms[1]) == 1:
         norm = 0
-    odd = len(quotients) % 2 == 1  # the place of the last quotient
+    odd = len(quotients) % 2  # the place of the last quotient: the index of its factor
     for q in quotients[:0:-1] + (quotients[0] - 1,):  # qm, ..., q2, then q1 = a1 - 1
         if v:  # the tail is (a + b*phi)/e, and 1 - tail = (e - a - b*phi)/e
-            powers = lam_powers if odd else rest_powers
-            if q < len(powers):
-                x, y = powers[q]
-            else:
-                x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
+            powers = tables[odd]
+            x, y = powers[q] if q < len(powers) else _phi_pow(*bases[odd], q)
             if norm is not None:  # N(F * (1 - tail)) = N(F) * (1 - (2a + b) + N(tail))
                 norm += 1 - 2 * a - b
-                if q & 1 and (lam_norm if odd else rest_norm) < 0:
+                if q & 1 and norms[odd] < 0:
                     norm = -norm
             p = e - a
             a, b = p * x - b * y, p * y - b * (x + y)
             if d != 1:
                 e *= d ** q
         else:  # a rational lam: b stays 0
-            a = (u if odd else c) ** q * (e - a)
+            a = bases[odd][0] ** q * (e - a)
             e *= d ** q
-        odd = not odd
+        odd ^= 1
     return _phi_value(a, b, e, lam, norm)
 
 
@@ -256,16 +256,16 @@ def g_stream(
     both carry their norms, derived from the term's with no product of
     two wide integers.
     """
-    # lam = (u + v*phi)/d and 1 - lam = (c + w*phi)/d; small powers of a
-    # narrow base come from the two tables
-    u, v, d, limit, c, w, lam_powers, rest_powers, lam_norm, rest_norm = _kernel(lam)
+    # the factor of a quotient at an odd place is lam, at an even one 1 - lam:
+    # index 1 and 0 of the record's pairs; small powers come from its tables
+    v, d, limit, bases, tables, norms = _kernel(lam)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    eu, ev, ed, _ = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
+    eu, ev, ed = _phi_split(epsilon)  # epsilon = (eu + ev*phi)/ed
     leading = v != 0 and ev == 0  # then a wide term may be compared by its leading bits
     a = b = n = factors = 0
     m = e = norm = skip = 1  # skip: term 1 is lam**(a1 - 1)
-    odd = False
+    odd = 0
     for q in quotients:
         if q < 1:
             raise ValueError(f"partial quotients must be >= 1, got {q}")
@@ -273,20 +273,17 @@ def g_stream(
         factors += q
         if factors > limit:
             raise ValueError(_OVER_BUDGET)
-        skip, odd = 0, not odd
+        skip, odd = 0, odd ^ 1
         # the magnitude is (m + n*phi)/e; a rational lam has no tables, and b and n stay 0
-        powers = lam_powers if odd else rest_powers
-        if q < len(powers):
-            x, y = powers[q]
-        else:
-            x, y = _phi_pow(u, v, q) if odd else _phi_pow(c, w, q)
+        powers = tables[odd]
+        x, y = powers[q] if q < len(powers) else _phi_pow(*bases[odd], q)
         m, n = m * x + n * y, m * y + n * (x + y)
         if d != 1:
             scale = d ** q
             a, b, e = a * scale, b * scale, e * scale
         a, b = (a + m, b + n) if odd else (a - m, b - n)
         if leading:  # the norm is multiplicative
-            norm *= (lam_norm if odd else rest_norm) ** q
+            norm *= norms[odd] ** q
         if leading and n.bit_length() > _NORM_BITS:
             # From bit lengths alone the term lies in (2**low, 2**(low + 5)): it is
             # (|m| + |n|*phi)/e when m and n share a sign, else |norm|/(e*|conjugate|)

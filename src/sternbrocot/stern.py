@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
 
-from .cf import expand_rcf
+from .cf import RegularCF, expand_rcf
 from .exact import (
     _OVER_BUDGET,
     MAX_ELEMENTS,
@@ -153,7 +153,7 @@ def graded_walk(
     kernel = _kernel(lam)
     if n > kernel.limit:  # a node of depth n is at most n mediant steps down
         raise ValueError(_OVER_BUDGET)
-    u, v, d, c, w = kernel.u, kernel.v, kernel.d, kernel.c, kernel.w  # 1 - lam = (c + w*phi)/d
+    (c, w), (u, v), d = *kernel.bases, kernel.d  # 1 - lam = (c + w*phi)/d
 
     def step(gap: tuple, depth: int) -> tuple:
         lo_p, lo_q, hi_p, hi_q, la, lb, ha, hb, e = gap
@@ -197,7 +197,7 @@ def _inorder(n: int, left: int, step: Callable[[tuple, int], tuple], gap: tuple)
         yield node  # then the subtree of the gap above it
 
 
-def path_runs(x: Fraction) -> list[int]:
+def path_runs(x: Fraction | RegularCF) -> list[int]:
     """Turn counts of the Stern-Brocot path from the root 1/2 to x in (0,1),
     one count per run of equal turns: left runs at even list indices,
     right runs at odd ones, and x the mediant of the gap the last run
@@ -205,11 +205,17 @@ def path_runs(x: Fraction) -> list[int]:
     the last one shorter by one (a1 - 2 when m = 1), so they add up to
     S(x) - 2 and the path has S(x) - 1 nodes, x the last. No path reaches
     0 or 1, so x outside (0,1) raises ValueError; the check compares x's
-    numerator and denominator as integers. Only ranks use the runs (`dist`);
-    g reads the quotients themselves (`singular`)."""
-    if not 0 < x.numerator < x.denominator:
+    numerator and denominator as integers. A caller that holds the regular
+    expansion of x passes it in place of x, which is then not expanded
+    again. Only ranks use the runs (`dist`); g reads the quotients
+    themselves (`singular`)."""
+    if isinstance(x, RegularCF):
+        quotients = x.quotients
+    else:
+        quotients = expand_rcf(x).quotients if 0 < x.numerator < x.denominator else ()
+    if not quotients:
         raise ValueError(f"need 0 < x < 1, got {x}")
-    runs = list(expand_rcf(x).quotients)
+    runs = list(quotients)
     runs[0] -= 1
     runs[-1] -= 1
     return runs

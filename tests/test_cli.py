@@ -3,13 +3,15 @@ import hashlib
 import io
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,7 @@ from sternbrocot import (
     to_decimal,
     xi,
 )
-from sternbrocot import cli
+from sternbrocot import cf, cli, dist, singular, stern
 from sternbrocot.exact import MAX_ELEMENTS as MAX_REDUCED_DIGITS
 from sternbrocot.dist import _table_bytes
 from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
@@ -351,6 +353,25 @@ class TestVerify:
         assert parse_quadsurd(first[2]) == parse_quadsurd("tau")
 
 
+class TestOneExpansion:
+    """A command that needs the regular expansion of x runs Euclid once:
+    convert-cf derives the reduced expansion from the regular one, and
+    verify theorem1 reads its target and its path runs from one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["convert-cf", "--x", f"{fibonacci(301)}/{fibonacci(302)}"],
+        ["verify", "theorem1", "--x", "355/1133", "--n-max", "30", "--tol", "0.5"],
+    ], ids=["convert-cf", "verify"])
+    def test_x_is_expanded_once(self, argv):
+        counted = mock.Mock(wraps=cf.expand_rcf)
+        with ExitStack() as stack:
+            for module in (cf, cli, dist, singular, stern):  # every module that binds the name
+                stack.enter_context(mock.patch.object(module, "expand_rcf", counted))
+            code, out, err = captured_run(argv)
+        assert (code, err) == (0, "")
+        assert counted.call_count == 1
+
+
 class TestValuesWithALeadingMinus:
     """Every --option takes the next token as its value, even one that
     starts with a minus, so the command gives its own range message."""
@@ -584,6 +605,8 @@ GOLDEN_RUNS = {
 #: quotient of 9546, so hi is tau**19090) and the error column of the
 #: verify rows past n = 713 are printed by `to_decimal`'s norm route; their
 #: digests were taken from the exact square-root route alone.
+#: A key "COMMAND < LINE" runs COMMAND on the stdin LINE, so that one command
+#: is pinned on more than one input (`digest_case`).
 DIGESTS = {
     "stern-brocot --n 16": "6f6fa904003fd9d9888dbeaca3bf483913b6496714f95eba5fd47840d979aeee",
     "xi --n 20": "b598ae624de32a65397affb638dd752a3b041a701c308214a2366e74605a63fc",
@@ -616,6 +639,10 @@ DIGESTS = {
     # irrational lambda with d > 1, whose norm is not a unit
     "eval-stream --lambda tau --epsilon 1e-30":
         "1b1b05df12722c3946eb4cd707c4e48ee43bd6391692571c477fa59bcbcf589e",
+    # the same stream at tau2, whose lo and hi lie just under 1 and whose
+    # decimals are read from 1 - value by the norm route
+    "eval-stream --lambda tau2 --epsilon 1e-30 < 1 9892 4 1 2":
+        "9a6c83c6bd2cd6923048fcdc7dc10a58e9dafb124fc6d3356619c76e99b7446b",
     "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50":
         "6f688d9aa3ea3667787821a6b89faad6e113109a4159108c6bb93e47b44b6b13",
     # a stream whose wide first term, lam**19999 with coefficients of one
@@ -645,12 +672,28 @@ DIGESTS = {
     "convert-cf --x 1/100000":
         "4569629aa0ef0293af7ae456d979bc8ce33da9e11ab7f5af72e76d80d4223b91",
 }
-#: The stdin of a DIGESTS command that reads one; the others read none.
+#: The stdin of a DIGESTS command that reads one and names none in its key;
+#: the others read none.
 DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",
                 "eval-stream --lambda 1/3 --epsilon 1e-30": "9546 1 2 3 4 5\n",
                 "eval-stream --lambda tau --epsilon 1e-30": "1 9892 4 1 2\n",
                 "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50": "2 7480 1 3 5\n",
                 "eval-stream --lambda 1/4+1/8√5 --epsilon 1e-30": "20000 1 2 3\n"}
+
+
+def digest_case(key: str) -> tuple[list[str], str]:
+    """(argv, stdin) of a DIGESTS key: the line after " < " in the key, or
+    the command's DIGEST_STDIN entry, or nothing."""
+    command, _, line = key.partition(" < ")
+    return command.split(), (line + "\n" if line else DIGEST_STDIN.get(command, ""))
+
+
+#: The workflow whose console-script step pins stdout digests of its own.
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+#: One pinned line of that step: `sternbrocot ARGV`, fed `printf 'LINE'` or
+#: nothing, piped to sha256sum and compared with a digest.
+PINNED_LINE = re.compile(r"""test "\$\((?:printf '(?P<stdin>[^']*)' \| )?sternbrocot (?P<argv>[^|]*) """
+                         r"""\| sha256sum \| cut -d ' ' -f 1\)" = (?P<digest>[0-9a-f]{64})""")
 
 EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
 EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")
@@ -694,9 +737,26 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("command", sorted(DIGESTS))
     def test_matches_the_digest(self, command):
-        code, out, _ = captured_run(command.split(), DIGEST_STDIN.get(command, ""))
+        code, out, _ = captured_run(*digest_case(command))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
+
+    def test_every_pin_of_the_workflow_is_a_digest(self):
+        # each stdout digest the console-script step checks is a DIGESTS
+        # entry with the same argv and stdin, so tier-1 runs it too
+        text = WORKFLOW.read_text(encoding="utf-8")
+        step = text[text.index("- name: Console script"):text.index("\n  perfbench:")]
+        pinned = [line.strip() for line in step.splitlines() if "| sha256sum |" in line]
+        assert len(pinned) == 11
+        digests = {}
+        for key, digest in DIGESTS.items():
+            argv, stdin = digest_case(key)
+            digests[tuple(argv), stdin] = digest
+        for line in pinned:
+            match = PINNED_LINE.fullmatch(line)
+            assert match, line
+            stdin = (match["stdin"] or "").replace("\\n", "\n")
+            assert digests.get((tuple(shlex.split(match["argv"])), stdin)) == match["digest"], line
 
     def test_eval_grid_matches_the_golden_file(self):
         golden = (GOLDEN / "eval_grid.tsv").read_text(encoding="utf-8")

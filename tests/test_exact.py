@@ -32,9 +32,9 @@ from sternbrocot import (
 from sternbrocot.exact import (_coprime_fraction, _int_text, _phi_pow, _phi_powers, _phi_split,
                                _phi_value, _pow5)
 
-from oracles import (INT_DIGITS_LIMITED, FractionSurd, field_series, int_digit_limit, rational_near,
-                     right_to_left_phi_pow, rounded_scaled_value, smallest_denominator_between,
-                     surd_text, term_numerator)
+from oracles import (INT_DIGITS_LIMITED, FractionSurd, field_series, int_digit_limit, phi_integers,
+                     rational_near, right_to_left_phi_pow, rounded_scaled_value,
+                     smallest_denominator_between, split_parameters, surd_text, term_numerator)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10_000)
 quads = st.builds(QuadSurd, rationals, rationals)
@@ -611,13 +611,13 @@ TERM_LAMBDAS = (TAU, TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11)), QuadSurd(F
 def stream_stop(m: int, n: int, e: int, norm: int, epsilon: Fraction) -> bool:
     """Whether the term (m + n*phi)/e, of norm m**2 + m*n - n**2, is below
     epsilon, asked of the judge at power 0 as `g_stream` asks it."""
-    eu, _, ed, _ = _phi_split(epsilon)
+    eu, _, ed = _phi_split(epsilon)
     return exact._floor_by_norm((2 * m + n) * ed, n * ed, 2 * e * eu, 0, 4 * ed * ed * norm) == 0
 
 
 def exact_stop(m: int, n: int, e: int, epsilon: Fraction) -> bool:
     """The same answer by the exact sign of epsilon - term."""
-    eu, _, ed, _ = _phi_split(epsilon)
+    eu, _, ed = _phi_split(epsilon)
     return exact._sign(eu * e - m * ed, -n * ed) > 0
 
 
@@ -672,7 +672,7 @@ class TestPhiPowers:
     @pytest.mark.parametrize("lam", [TAU, TAU2, QuadSurd(Fraction(1, 7), Fraction(1, 11)),
                                      Fraction(2, 9)], ids=str)
     def test_every_entry_is_the_power(self, lam):
-        u, v, d, _ = _phi_split(lam)
+        u, v, d = _phi_split(lam)
         for base in ((u, v), (d - u, -v)):
             table = _phi_powers(*base)
             assert len(table) == exact._TABLE_POWERS
@@ -688,13 +688,27 @@ class TestPhiPowers:
 
     def test_a_wide_base_is_powered_by_phi_pow(self):
         lam = QuadSurd(Fraction(1, 3), Fraction(1, 10 ** 40))  # 133-bit integers
-        u, v, d, _ = _phi_split(lam)
+        u, v, d = _phi_split(lam)
         assert _phi_powers(u, v) == _phi_powers(d - u, -v) == ()
         x = Fraction(2, 7)  # quotients 3, 2
         with mock.patch("sternbrocot.singular._phi_pow", wraps=_phi_pow) as powered:
             value = g_series(expand_rcf(x), lam)
         assert powered.call_count == 2
         assert value == field_series(expand_rcf(x).quotients, lam)
+
+
+def factor_limit(u: int, v: int, d: int) -> int:
+    """The most factors lam or 1 - lam a value may carry within
+    MAX_EXACT_BITS, for lam = (u + v*phi)/d: the budget over the bit
+    length of the largest of d, |u| + 2|v| and |d - u| + 2|v|."""
+    return exact.MAX_EXACT_BITS // max(d, abs(u) + 2 * abs(v), abs(d - u) + 2 * abs(v)).bit_length()
+
+
+#: Split parameters whose integers pass _TABLE_BITS: a + b*sqrt5 with a in
+#: [1/10, 9/10] and |b| = 1/n for n of 41 to 200 bits.
+wide_parameters = st.builds(
+    QuadSurd, st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=1000),
+    st.builds(Fraction, st.sampled_from([1, -1]), st.integers(2 ** 40, 2 ** 200)))
 
 
 class TestKernel:
@@ -704,13 +718,35 @@ class TestKernel:
                                      Fraction(2, 9), QuadSurd(Fraction(1, 3), Fraction(1, 10 ** 40))],
                              ids=["tau", "tau2", "1/7+1/11sqrt5", "2/9", "133-bit"])
     def test_the_fields(self, lam):
-        u, v, d, limit = _phi_split(lam)
+        u, v, d = _phi_split(lam)
+        limit = factor_limit(u, v, d)
         assert (u + v * QuadSurd(Fraction(1, 2), Fraction(1, 2))) / d == lam
-        # the norm of x + y*sqrt5 is x**2 - 5*y**2: those of lam*d and (1 - lam)*d
-        norms = [z.a ** 2 - 5 * z.b ** 2 for z in (QuadSurd(0) + lam * d,
-                                                   QuadSurd(0) + (1 - lam) * d)]
-        tables = (_phi_powers(u, v), _phi_powers(d - u, -v)) if v else ((), ())
-        assert exact._kernel(lam) == (u, v, d, limit, d - u, -v, *tables, *norms)
+        # the norm of x + y*sqrt5 is x**2 - 5*y**2: those of (1 - lam)*d and lam*d
+        norms = tuple(z.a ** 2 - 5 * z.b ** 2 for z in (QuadSurd(0) + (1 - lam) * d,
+                                                        QuadSurd(0) + lam * d))
+        tables = (_phi_powers(d - u, -v), _phi_powers(u, v)) if v else ((), ())
+        assert exact._kernel(lam) == (v, d, limit, ((d - u, -v), (u, v)), tables, norms)
+
+    @settings(max_examples=200)
+    @given(st.one_of(split_parameters, wide_parameters))
+    @example(Fraction(2, 9))
+    @example(TAU2)
+    @example(QuadSurd(Fraction(1, 3), Fraction(1, 10 ** 40)))
+    def test_the_pairs_are_indexed_by_parity(self, lam):
+        # index 1 holds lam, the factor of an odd place, and index 0 holds 1 - lam
+        kernel = exact._kernel(lam)
+        u, v, d = phi_integers(lam)
+        assert (kernel.v, kernel.d, kernel.limit) == (v, d, factor_limit(u, v, d))
+        phi = QuadSurd(Fraction(1, 2), Fraction(1, 2))
+        for p, value in enumerate((1 - lam, lam)):
+            x, y = kernel.bases[p]
+            assert (x + y * phi) / d == value
+            table = kernel.tables[p]
+            narrow = v != 0 and max(abs(x), abs(y)).bit_length() <= exact._TABLE_BITS
+            assert len(table) == (exact._TABLE_POWERS if narrow else 0)
+            for k in range(len(table)):
+                assert table[k] == _phi_pow(x, y, k)
+            assert kernel.norms[p] == x * x + x * y - y * y
 
     def test_a_refused_parameter_is_not_cached(self):
         exact._kernel_record.cache_clear()

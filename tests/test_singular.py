@@ -21,7 +21,7 @@ from sternbrocot import (
 )
 from sternbrocot import cli
 from sternbrocot import exact
-from sternbrocot.exact import MAX_EXACT_BITS, _phi_split, _sign
+from sternbrocot.exact import MAX_EXACT_BITS, _kernel, _sign
 
 from oracles import (
     Counting,
@@ -385,7 +385,7 @@ class TestLongExpansions:
     def test_the_budget_is_refused_at_the_quotient_that_crosses_it(self, lam, quotients, data):
         # term j carries S - 1 factors, S the sum of the quotients up to j:
         # the refusal comes at the first j where that passes the limit
-        limit = _phi_split(lam)[3]
+        limit = _kernel(lam).limit
         j = data.draw(st.integers(3, 100))
         quotients[j - 1] = limit - (sum(quotients[:j - 1]) - 1) + data.draw(st.integers(1, 3))
         epsilon = magnitude(quotients[:j - 1], lam)
@@ -449,7 +449,7 @@ class TestSeriesFromTheLastQuotient:
     def test_a_budget_passed_at_the_last_quotient_is_refused_before_any_power(self, lam,
                                                                                quotients, over):
         # S - 1 = limit + over, crossed only by the last quotient
-        limit = _phi_split(lam)[3]
+        limit = _kernel(lam).limit
         quotients.append(limit + over + 1 - sum(quotients))
         with mock.patch("sternbrocot.singular._phi_pow") as powered:
             with pytest.raises(ValueError, match="size budget"):
@@ -627,7 +627,7 @@ class TestSizeBudget:
 
     @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), TAU2])
     def test_series_on_both_sides(self, lam):
-        limit = _phi_split(lam)[3]
+        limit = _kernel(lam).limit
         assert limit >= MAX_EXACT_BITS // 3  # 2 bits a factor at 1/2 and 1/3, 3 at tau**2
         # x = [0; a] has g = lam**(a - 1), which carries a - 1 factors
         assert g_series(expand_rcf(Fraction(1, limit + 1)), lam) == lam ** limit
@@ -640,7 +640,7 @@ class TestSizeBudget:
 
     @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3)])
     def test_stream_on_both_sides(self, lam):
-        limit = _phi_split(lam)[3]
+        limit = _kernel(lam).limit
         lo, hi = g_stream(itertools.chain([limit + 1], itertools.repeat(1)), lam, Fraction(1, 2))
         assert (lo, hi) == (0, lam ** limit)
         with pytest.raises(ValueError, match="size budget"):
@@ -649,7 +649,7 @@ class TestSizeBudget:
     @pytest.mark.parametrize("lam", [Fraction(1, 2), TAU2])
     def test_inductive_refuses_past_the_budget(self, lam):
         # the path to 1/(limit + 2) has limit + 1 steps
-        limit = _phi_split(lam)[3]
+        limit = _kernel(lam).limit
         with pytest.raises(ValueError, match="size budget"):
             g_inductive(Fraction(1, limit + 2), lam)
         with pytest.raises(ValueError, match="size budget"):
@@ -665,11 +665,11 @@ class TestSizeBudget:
     def test_inductive_admits_a_path_at_the_budget(self):
         # the path to 1/(limit + 1) is one run of limit - 1 left turns,
         # replayed by one kernel power
-        limit = _phi_split(Fraction(1, 2))[3]
+        limit = _kernel(Fraction(1, 2)).limit
         assert g_inductive(Fraction(1, limit + 1), Fraction(1, 2)) == Fraction(1, 2 ** limit)
 
     def test_question_mark_on_both_sides(self):
-        limit = _phi_split(Fraction(1, 2))[3]
+        limit = _kernel(Fraction(1, 2)).limit
         # ?([0; a]) = 1/2**(a - 1), a shift of a - 1 = S(x) - 1 bits
         assert question_mark(expand_rcf(Fraction(1, limit + 1))) == Fraction(1, 2 ** limit)
         with pytest.raises(ValueError, match="size budget"):
@@ -681,7 +681,7 @@ class TestSizeBudget:
         assert question_mark(expand_rcf(Fraction(1, 10 ** 6))) == Fraction(1, 2 ** (10 ** 6 - 1))
 
     def test_walk_checks_its_depth_before_the_first_node(self):
-        limit = _phi_split(Fraction(1, 3))[3]
+        limit = _kernel(Fraction(1, 3)).limit
         with pytest.raises(ValueError, match="size budget"):
             graded_walk(limit + 1, 1, Fraction(1, 3))  # not iterated
         assert next(graded_walk(limit, limit, Fraction(1, 3))) == (1, 2, 1, Fraction(1, 3))
