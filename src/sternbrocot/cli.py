@@ -12,12 +12,14 @@ token longer than 4300 characters (`MAX_TOKEN_CHARS`) before converting
 it, even one whose stream never ends. Sequence output is TSV, sorted by
 value, so downstream golden-file comparisons are bit-exact; the rows
 stream from one traversal of the Stern-Brocot tree, and no sequence is
-built: `stern-brocot`, `xi` and `theta` write each block of
-`stern.walk_blocks` with one %-template (`_write_rows`), and plot-data
-prints a row per node of `stern.graded_walk`, the same traversal with g
-carried at each mediant. Every `eval` route but salem is
-one call, `singular.g_inductive`, which is the alternating series;
-salem is the `question-mark` command. Exit codes: 0 success,
+built. Every command is a generator of its text, and one writer,
+`_write`, sends what it yields to stdout; the generator's return value
+is the exit code (None for 0). `stern-brocot`, `xi` and `theta` yield
+each block of `stern.walk_blocks` as one %-template (`_rows`), and
+plot-data a row per node of `stern.graded_walk`, the same traversal
+with g carried at each mediant; every exact value is one `_row`. Every
+`eval` route but salem is one call, `singular.g_inductive`, which is the
+alternating series; salem is the `question-mark` command. Exit codes: 0 success,
 1 verification failure, 2 usage error or an input whose result is out of
 reach. No option bounds the output: every table command estimates the
 bytes it would write, in exact integers from its index and lam, and
@@ -40,7 +42,7 @@ import argparse
 import io
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Generator, Iterator, Sequence
 from fractions import Fraction
 from itertools import compress, repeat
 from math import comb, lcm
@@ -78,9 +80,9 @@ def _lambda_arg(text: str) -> Fraction | QuadSurd:
     return value.as_fraction() if value.is_rational else value
 
 
-def _emit(*values: Fraction | QuadSurd) -> None:
+def _row(*values: Fraction | QuadSurd) -> str:
     """One row: the exact values, then their decimals, tab-separated."""
-    print("\t".join([*map(str, values), *(to_decimal(v, DISPLAY_DIGITS) for v in values)]))
+    return "\t".join([*map(str, values), *(to_decimal(v, DISPLAY_DIGITS) for v in values)]) + "\n"
 
 
 def _walk_bytes(n: int, left: int, lam: Fraction | QuadSurd | None = None, deepest: bool = False) -> int:
@@ -231,18 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> Iterator[str]:
     x, lam = args.x, args.lam
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
     if args.route == "tau2" and lam != TAU2:
         raise ValueError("--route tau2 needs --lambda tau2")
-    if args.route == "salem":
-        if lam != Fraction(1, 2):
-            raise ValueError("--route salem needs --lambda 1/2")
-        return _cmd_question_mark(args)
-    _emit(g_inductive(x, lam))  # inductive, series and tau2 alike: g(0) = 0 in lam's type
-    return 0
+    if args.route != "salem":
+        yield _row(g_inductive(x, lam))  # inductive, series and tau2 alike: g(0) = 0 in lam's type
+    elif lam != Fraction(1, 2):
+        raise ValueError("--route salem needs --lambda 1/2")
+    else:
+        yield from _cmd_question_mark(args)
 
 
 def _read_quotients(stream: io.TextIOBase) -> Iterator[int]:
@@ -262,85 +264,78 @@ def _read_quotients(stream: io.TextIOBase) -> Iterator[int]:
         yield int(partial)
 
 
-def _cmd_eval_stream(args: argparse.Namespace) -> int:
-    _emit(*g_stream(_read_quotients(sys.stdin), args.lam, args.epsilon))
-    return 0
+def _cmd_eval_stream(args: argparse.Namespace) -> Iterator[str]:
+    yield _row(*g_stream(_read_quotients(sys.stdin), args.lam, args.epsilon))
 
 
-def _cmd_question_mark(args: argparse.Namespace) -> int:
+def _cmd_question_mark(args: argparse.Namespace) -> Iterator[str]:
     x = args.x
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
-    _emit(question_mark(expand_rcf(x)) if x else x)  # ?(0) = 0 has no quotients
-    return 0
+    yield _row(question_mark(expand_rcf(x)) if x else x)  # ?(0) = 0 has no quotients
 
 
-def _write_rows(row: str, *columns: Sequence[int] | Iterator[int]) -> None:
-    """One %-template row per node of a block, all in one write: the
-    first column a list, the others the same length."""
+def _rows(row: str, *columns: Sequence[int] | Iterator[int]) -> str:
+    """One %-template row per node of a block, as one string: the first
+    column a list, the others the same length."""
     count, width = len(columns[0]), len(columns)
     flat = [0] * (count * width)
     for i, column in enumerate(columns):
         flat[i::width] = column
-    sys.stdout.write(row * count % tuple(flat))
+    return row * count % tuple(flat)
 
 
-def _cmd_stern_brocot(args: argparse.Namespace) -> int:
+def _cmd_stern_brocot(args: argparse.Namespace) -> Iterator[str]:
     _check_walk(args.n, 0, "--n", 1)
-    sys.stdout.write("0\t1\n")
+    yield "0\t1\n"
     for ps, qs, _, _ in walk_blocks(args.n):
-        _write_rows("%d\t%d\n", ps, qs)
-    sys.stdout.write("1\t1\n")
-    return 0
+        yield _rows("%d\t%d\n", ps, qs)
+    yield "1\t1\n"
 
 
-def _cmd_xi(args: argparse.Namespace) -> int:
+def _cmd_xi(args: argparse.Namespace) -> Iterator[str]:
     _check_walk(args.n, 1, "--n", 2)
-    sys.stdout.write("0\t1\t0\n")
+    yield "0\t1\t0\n"
     for ps, qs, depths, base in walk_blocks(args.n, 2):
-        _write_rows("%d\t%d\t%d\n", ps, qs, map(add, depths, repeat(base)))
-    sys.stdout.write("1\t1\t0\n")
-    return 0
+        yield _rows("%d\t%d\t%d\n", ps, qs, map(add, depths, repeat(base)))
+    yield "1\t1\t0\n"
 
 
-def _cmd_theta(args: argparse.Namespace) -> int:
+def _cmd_theta(args: argparse.Namespace) -> Iterator[str]:
     k = args.k
     _check_walk(k, 1, "--k", 2, deepest=True)
     for ps, qs, depths, base in walk_blocks(k, 2):
         keep = [*map((k - base).__eq__, depths)]  # the nodes of depth k
-        _write_rows(f"%d\t%d\t{k}\n", [*compress(ps, keep)], compress(qs, keep))
-    return 0
+        yield _rows(f"%d\t%d\t{k}\n", [*compress(ps, keep)], compress(qs, keep))
 
 
-def _cmd_convert_cf(args: argparse.Namespace) -> int:
+def _cmd_convert_cf(args: argparse.Namespace) -> Iterator[str]:
     if not 0 < args.x < 1:
         raise ValueError(f"--x must lie in (0,1), got {args.x}")
     regular = expand_rcf(args.x)
-    reduced = rcf_to_rrcf(regular)  # both before a line is printed
-    print(regular)
-    print(reduced)
-    return 0
+    reduced = rcf_to_rrcf(regular)  # both before a line is written
+    yield f"{regular}\n"
+    yield f"{reduced}\n"
 
 
-def _cmd_verify_theorem1(args: argparse.Namespace) -> int:
+def _cmd_verify_theorem1(args: argparse.Namespace) -> Generator[str, None, int | None]:
     report = verify_theorem1(args.x, args.n_max, args.tol)
     target = str(report.target)
     for row in report.rows:
-        print(f"{row.n}\t{row.empirical}\t{target}\t{row.abs_error_decimal}")
-    print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+        yield f"{row.n}\t{row.empirical}\t{target}\t{row.abs_error_decimal}\n"
+    yield "PASS\n" if report.passed else "FAIL\n"
+    return None if report.passed else 1
 
 
-def _cmd_plot_data(args: argparse.Namespace) -> int:
+def _cmd_plot_data(args: argparse.Namespace) -> Iterator[str]:
     lam = args.lam
     zero = g_inductive(Fraction(0), lam)  # refuses lam outside (0,1) before it is priced
     _check_walk(args.grid, 1, "--grid", 2, lam=lam)
-    nodes = graded_walk(args.grid, 2, lam)
-    _emit(Fraction(0), zero)  # g(0) = 0 and g(1) = 1, in lam's type
+    nodes = graded_walk(args.grid, 2, lam)  # its own checks, before the first row
+    yield _row(Fraction(0), zero)  # g(0) = 0 and g(1) = 1, in lam's type
     for p, q, _, g in nodes:
-        _emit(Fraction(p, q), g)
-    _emit(Fraction(1), g_inductive(Fraction(1), lam))
-    return 0
+        yield _row(Fraction(p, q), g)
+    yield _row(Fraction(1), g_inductive(Fraction(1), lam))
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -371,10 +366,20 @@ def _run(argv: Sequence[str] | None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return _write(args.handler(args))
     except (ValueError, OverflowError) as exc:  # OverflowError: a size past int or index range
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _write(chunks: Generator[str, None, int | None]) -> int:
+    """Write each chunk of a command's text to stdout, the one writer of
+    every command; return the command's exit code."""
+    try:
+        while True:
+            sys.stdout.write(next(chunks))
+    except StopIteration as done:
+        return done.value or 0
 
 
 def main() -> None:

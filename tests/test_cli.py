@@ -1,6 +1,8 @@
 import argparse
 import hashlib
+import importlib.util
 import io
+import itertools
 import os
 import re
 import shlex
@@ -8,6 +10,8 @@ import signal
 import subprocess
 import sys
 import time
+import types
+from collections import Counter
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -694,6 +698,9 @@ WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "t
 #: nothing, piped to sha256sum and compared with a digest.
 PINNED_LINE = re.compile(r"""test "\$\((?:printf '(?P<stdin>[^']*)' \| )?sternbrocot (?P<argv>[^|]*) """
                          r"""\| sha256sum \| cut -d ' ' -f 1\)" = (?P<digest>[0-9a-f]{64})""")
+#: The tool that replays every golden file, digest and workflow pin in
+#: child processes, under the interpreter that runs it.
+REPLAY = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
 
 EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
 EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")
@@ -758,6 +765,21 @@ class TestGoldenOutput:
             stdin = (match["stdin"] or "").replace("\\n", "\n")
             assert digests.get((tuple(shlex.split(match["argv"])), stdin)) == match["digest"], line
 
+    def test_the_replay_tool_finds_every_pin(self):
+        # read from this file and the workflow, not run: 9 golden files,
+        # 22 digests and 12 workflow pins, the 11 piped ones and grid 27's
+        spec = importlib.util.spec_from_file_location("replay", REPLAY)
+        replay = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(replay)
+        found = replay.cases()
+        assert Counter(kind for kind, *_ in found) == {"golden": 9, "digest": 22, "workflow": 12}
+        assert [argv for kind, argv, *_ in found if kind == "golden"] == [
+            GOLDEN_RUNS[name] for name in sorted(GOLDEN_RUNS)]
+        assert sorted(case for kind, *case in found if kind == "digest") == sorted(
+            [*digest_case(key), digest] for key, digest in DIGESTS.items())
+        assert ["plot-data", "--lambda", "tau2", "--grid", "27"] in [
+            argv for kind, argv, *_ in found if kind == "workflow"]
+
     def test_eval_grid_matches_the_golden_file(self):
         golden = (GOLDEN / "eval_grid.tsv").read_text(encoding="utf-8")
         assert len(golden.splitlines()) == 4 * 7 * 4 + 4
@@ -782,8 +804,14 @@ class TestUsage:
 class TestClosedPipe:
     """A reader that stops early ends a streaming command like `yes | head`."""
 
+    # every multi-row command, each writing more than a 64 KiB pipe buffer:
+    # xi 187 KB, theta 200 KB, verify 562 KB, convert-cf 200 KB
     @pytest.mark.parametrize("argv", [["stern-brocot", "--n", "18"],
-                                      ["plot-data", "--lambda", "tau2", "--grid", "15"]])
+                                      ["plot-data", "--lambda", "tau2", "--grid", "15"],
+                                      ["xi", "--n", "20"],
+                                      ["theta", "--k", "22"],
+                                      ["verify", "theorem1", "--x", "355/1133", "--n-max", "1500"],
+                                      ["convert-cf", "--x", "1/100000"]])
     def test_killed_by_sigpipe_without_a_traceback(self, argv):
         child = subprocess.Popen([sys.executable, "-m", "sternbrocot.cli", *argv], env=child_env(),
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -793,6 +821,65 @@ class TestClosedPipe:
         child.stderr.close()
         assert child.wait(timeout=60) == -signal.SIGPIPE
         assert stderr == b""
+
+
+#: A small run of every subcommand, eval at each of its routes, with its
+#: stdin; verify once passing and once failing.
+ONE_PATH_RUNS = [
+    *((["eval", "--lambda", lam, "--x", "3/7", "--route", route], "")
+      for route, lam in (("inductive", "1/3"), ("series", "tau"), ("tau2", "tau2"), ("salem", "1/2"))),
+    (["eval-stream", "--lambda", "1/7+1/11√5", "--epsilon", "1e-9"], "1 2 3 " * 10),
+    (["question-mark", "--x", "2/7"], ""),
+    (["stern-brocot", "--n", "5"], ""),
+    (["xi", "--n", "6"], ""),
+    (["theta", "--k", "6"], ""),
+    (["convert-cf", "--x", "13/21"], ""),
+    (["verify", "theorem1", "--x", "355/1133", "--n-max", "12"], ""),
+    (["verify", "theorem1", "--x", "1/3", "--n-max", "5", "--tol", "0"], ""),
+    (["plot-data", "--lambda", "2/9", "--grid", "5"], ""),
+]
+
+
+def command_words(argv):
+    """The subcommand words of an argv, before its first option."""
+    return tuple(itertools.takewhile(lambda word: not word.startswith("--"), argv))
+
+
+def subcommands(parser, words=()):
+    """(words, parser) of every leaf subcommand of a parser."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield words, parser
+    for action in actions:
+        for name, sub in action.choices.items():
+            yield from subcommands(sub, (*words, name))
+
+
+class TestOnePath:
+    """Every command is a generator of its text, and `run` writes what it
+    yields and nothing else, through one writer; its return value is the
+    exit code."""
+
+    @pytest.mark.parametrize("argv, stdin", ONE_PATH_RUNS,
+                             ids=[" ".join(argv) for argv, _ in ONE_PATH_RUNS])
+    def test_run_writes_exactly_what_the_handler_yields(self, argv, stdin, monkeypatch):
+        args = cli.build_parser().parse_args(argv)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        chunks = args.handler(args)
+        assert isinstance(chunks, types.GeneratorType)
+        yielded = []
+        with pytest.raises(StopIteration) as done:
+            while True:
+                yielded.append(next(chunks))
+        assert yielded and all(isinstance(chunk, str) for chunk in yielded)
+        with mock.patch("builtins.print", side_effect=AssertionError("a command called print")):
+            assert captured_run(argv, stdin) == (done.value.value or 0, "".join(yielded), "")
+
+    def test_every_subcommand_and_eval_route_is_covered(self):
+        parsers = dict(subcommands(cli.build_parser()))
+        assert {command_words(argv) for argv, _ in ONE_PATH_RUNS} == set(parsers)
+        routes = next(a.choices for a in parsers[("eval",)]._actions if a.dest == "route")
+        assert {argv[-1] for argv, _ in ONE_PATH_RUNS if argv[0] == "eval"} == set(routes)
 
 
 def captured_run(argv, stdin=""):
