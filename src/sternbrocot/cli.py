@@ -34,11 +34,18 @@ unparsable value) print the usage block; every refusal made after
 parsing (a range, the output budget, a size budget: a ValueError or
 OverflowError) is one `error:` line. A closed output pipe ends the
 process quietly, killed by SIGPIPE, as it would `yes | head`.
+`main`, the process entry, calls `gc.freeze()` before the command runs:
+the import-time heap then lives to process exit untouched by any
+collection, so shutdown does not traverse it again. `run` does not
+freeze, because tests and library callers call it in processes that go
+on living. The process still exits through `sys.exit`, so atexit
+handlers run.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -383,6 +390,16 @@ def _write(chunks: Generator[str, None, int | None]) -> int:
 
 
 def main() -> None:
+    """The process entry of the console script and `python -m`: run one
+    command, then exit with its code."""
+    # Everything alive here (the imported modules, their functions and
+    # constants) lives until the process ends. Freezing it keeps it out of
+    # every later collection, the ones at shutdown included, which would
+    # otherwise traverse its thousands of objects and break their cycles
+    # one by one, only for the process to end; atexit handlers still run.
+    # Not in run(): tests, the benchmark's traced child and library
+    # callers call run() in processes that go on living.
+    gc.freeze()
     try:
         code = run()
         sys.stdout.flush()  # a closed pipe shows here at the latest

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import importlib.util
 import io
@@ -702,6 +703,14 @@ PINNED_LINE = re.compile(r"""test "\$\((?:printf '(?P<stdin>[^']*)' \| )?sternbr
 #: child processes, under the interpreter that runs it.
 REPLAY = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
 
+
+def load_replay() -> types.ModuleType:
+    spec = importlib.util.spec_from_file_location("replay", REPLAY)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    return replay
+
+
 EVAL_GRID_LAMBDAS = ("1/2", "tau2", "1/3", "tau")
 EVAL_GRID_XS = ("0", "1", "1/2", "3/7", "13/21", "355/1133", "1/3000")
 EVAL_GRID_ROUTES = ("inductive", "series", "tau2", "salem")
@@ -767,18 +776,41 @@ class TestGoldenOutput:
 
     def test_the_replay_tool_finds_every_pin(self):
         # read from this file and the workflow, not run: 9 golden files,
-        # 22 digests and 12 workflow pins, the 11 piped ones and grid 27's
-        spec = importlib.util.spec_from_file_location("replay", REPLAY)
-        replay = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(replay)
-        found = replay.cases()
-        assert Counter(kind for kind, *_ in found) == {"golden": 9, "digest": 22, "workflow": 12}
+        # 22 digests and 12 workflow pins, the 11 piped ones and grid 27's,
+        # and the step's 5 other endings
+        found = load_replay().cases()
+        assert Counter(kind for kind, *_ in found) == {"golden": 9, "digest": 22, "workflow": 12,
+                                                       "ending": 5}
         assert [argv for kind, argv, *_ in found if kind == "golden"] == [
             GOLDEN_RUNS[name] for name in sorted(GOLDEN_RUNS)]
         assert sorted(case for kind, *case in found if kind == "digest") == sorted(
             [*digest_case(key), digest] for key, digest in DIGESTS.items())
         assert ["plot-data", "--lambda", "tau2", "--grid", "27"] in [
             argv for kind, argv, *_ in found if kind == "workflow"]
+
+    def test_the_replay_tool_reads_every_ending_of_the_workflow(self):
+        refused = ['test "$status" -eq 2', "test ! -s refused.out", 'test "$(wc -l < refused.err)" -eq 1',
+                   "grep -q '^error: ' refused.err"]
+        endings = {shlex.join(argv): (stdin, expected)
+                   for kind, argv, stdin, expected in load_replay().cases() if kind == "ending"}
+        assert {argv: (len(stdin), expected.checks, expected.timeout, expected.head)
+                for argv, (stdin, expected) in endings.items()} == {
+            "stern-brocot --n 23": (0, refused, None, False),
+            "theta --k 34": (0, refused, None, False),
+            "eval-stream --lambda 1/2 --epsilon 1e-5": (2_000_001, refused, 20, False),
+            "verify theorem1 --x 1/3 --n-max 5 --tol 0": (
+                0, ['test "$status" -eq 1', 'test "$(tail -n 1 failed.out)" = FAIL', "test ! -s failed.err"],
+                None, False),
+            "xi --n 25": (0, ["test ! -s pipe.err"], None, True)}
+        assert endings["eval-stream --lambda 1/2 --epsilon 1e-5"][0] == "7" * 2_000_000 + "\n"
+
+    def test_the_replay_tool_passes_every_ending_and_fails_a_run_that_exits_zero(self):
+        replay = load_replay()
+        for kind, argv, stdin, expected in replay.cases():
+            if kind == "ending":
+                assert replay.passes(argv, stdin, expected)[0], argv
+                if not expected.head:  # a run that prints its rows and exits 0 fails each one
+                    assert not replay.passes(["stern-brocot", "--n", "2"], "", expected)[0], argv
 
     def test_eval_grid_matches_the_golden_file(self):
         golden = (GOLDEN / "eval_grid.tsv").read_text(encoding="utf-8")
@@ -821,6 +853,37 @@ class TestClosedPipe:
         child.stderr.close()
         assert child.wait(timeout=60) == -signal.SIGPIPE
         assert stderr == b""
+
+
+#: A child that registers an atexit handler, then runs `cli.main()` on its
+#: argv; the handler writes the freeze count it sees as the last stderr line.
+EXIT_PROBE = ("import atexit, gc, sys\n"
+              "from sternbrocot import cli\n"
+              "atexit.register(lambda: print(f'frozen {gc.get_freeze_count()}', file=sys.stderr))\n"
+              "cli.main()\n")
+
+
+class TestProcessExit:
+    """`main` freezes the import-time heap for the rest of the process, so
+    shutdown does not collect it; `run` leaves the caller's heap alone."""
+
+    @pytest.mark.parametrize("argv, code", [(["stern-brocot", "--n", "2"], 0),
+                                            (["verify", "theorem1", "--x", "1/3", "--n-max", "5",
+                                              "--tol", "0"], 1),
+                                            (["stern-brocot", "--n", "23"], 2)])
+    def test_atexit_handlers_run_and_the_ending_is_unchanged(self, argv, code):
+        child = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], env=child_env(),
+                               capture_output=True, text=True, timeout=60)
+        expected = captured_run(argv)
+        assert expected[0] == code
+        *err, frozen = child.stderr.splitlines(keepends=True)
+        assert (child.returncode, child.stdout, "".join(err)) == expected
+        assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+
+    def test_run_freezes_nothing(self):
+        before = gc.get_freeze_count()
+        assert captured_run(["stern-brocot", "--n", "4"])[0] == 0
+        assert gc.get_freeze_count() == before
 
 
 #: A small run of every subcommand, eval at each of its routes, with its
