@@ -1,10 +1,10 @@
 """Start-up cost of the CLI, each probe a fresh interpreter.
 
-    python3 tools/startup.py [--rounds 40] [--out BENCH_startup.json]
+    python3 tools/startup.py [--out BENCH_startup.json]
 
-The probes run this interpreter, with `src/` on PYTHONPATH and the
-caller's other PYTHON* settings removed, as perfbench/run.py runs its
-children:
+The probes run this interpreter in the environment that
+perfbench/run.py gives its children (its own `child_env`): `src/` on
+PYTHONPATH and the caller's other PYTHON* settings removed.
 
 - pass: `-c pass`, the interpreter and its `site` alone;
 - import: `-c "import sternbrocot.cli"`;
@@ -13,9 +13,9 @@ children:
 - convergence: `-m sternbrocot.cli` on one op of the convergence workload.
 
 Each is timed from spawn to exit, its stdout read through a pipe. After
-one untimed round, each round runs every probe once, in order in even
-rounds and in reverse in odd ones, so that a drift of the host's speed
-falls on all of them alike. The median and quartiles of each probe, in
+one untimed round, each of ROUNDS rounds runs every probe once, in order
+in even rounds and in reverse in odd ones, so that a drift of the host's
+speed falls on all of them alike. The median and quartiles of each probe, in
 ms, print one line each and go to --out as JSON with the interpreter and
 the host. Only the standard library is used.
 """
@@ -33,6 +33,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import child_env  # noqa: E402  (the benchmark's own child environment)
+
+#: Timed rounds: each probe runs once per round.
+ROUNDS = 40
 
 PROBES = {
     "pass": ["-c", "pass"],
@@ -41,15 +46,6 @@ PROBES = {
     "tables": ["-m", "sternbrocot.cli", "stern-brocot", "--n", "15"],
     "convergence": ["-m", "sternbrocot.cli", "verify", "theorem1", "--x", "355/1133", "--n-max", "19"],
 }
-
-
-def child_env() -> dict[str, str]:
-    """perfbench/run.py's child environment: no PYTHON* setting of the
-    caller (bytecode caching above all), src/ on the path, a fixed hash seed."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    env["PYTHONHASHSEED"] = "0"
-    return env
 
 
 def timed(args: list[str], env: dict[str, str]) -> float:
@@ -61,16 +57,13 @@ def timed(args: list[str], env: dict[str, str]) -> float:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rounds", type=int, default=40, help="timed rounds, at least 4")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_startup.json")
     args = parser.parse_args(argv)
-    if args.rounds < 4:
-        parser.error("--rounds must be >= 4")
     env, names = child_env(), list(PROBES)
     times: dict[str, list[float]] = {name: [] for name in names}
     for name in names:  # untimed: bytecode caches written, files in the page cache
         timed(PROBES[name], env)
-    for i in range(args.rounds):
+    for i in range(ROUNDS):
         for name in names if i % 2 == 0 else reversed(names):
             times[name].append(timed(PROBES[name], env) * 1000)
     probes = {}
@@ -80,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
                         "q1_ms": round(q1, 2), "q3_ms": round(q3, 2)}
         print(f"{name}: {median:.2f} ms [{q1:.2f}, {q3:.2f}]")
     result = {"python": platform.python_version(),
-              "machine": platform.machine(), "cpus": os.cpu_count(), "rounds": args.rounds,
+              "machine": platform.machine(), "cpus": os.cpu_count(), "rounds": ROUNDS,
               "probes": probes}
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
