@@ -15,9 +15,12 @@ stream from one traversal of the Stern-Brocot tree, and no sequence is
 built. Every command is a generator of its text, and one writer,
 `_write`, sends what it yields to stdout; the generator's return value
 is the exit code (None for 0). `stern-brocot`, `xi` and `theta` yield
-each block of `stern.walk_blocks` as one %-template (`_rows`), and
-plot-data a row per node of `stern.graded_walk`, the same traversal
-with g carried at each mediant; every exact value is one `_row`. Every
+each block of `stern.walk_blocks` as one %-template (`_rows`), theta
+from the walk of generation k alone, and plot-data PLOT_CHUNK rows at a
+time from `stern.graded_walk`, the same traversal with g carried at each
+mediant. Every exact value prints as `_row` prints it; plot-data's node
+rows round the decimals of x and of a rational g inline, as `_row` does
+through `exact.to_decimal`. Every
 `eval` route but salem is one call, `singular.g_inductive`, which is the
 alternating series; salem is the `question-mark` command. Exit codes: 0 success,
 1 verification failure, 2 usage error or an input whose result is out of
@@ -51,7 +54,7 @@ import os
 import sys
 from collections.abc import Generator, Iterator, Sequence
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import islice, repeat
 from math import comb, lcm
 from operator import add
 
@@ -64,6 +67,8 @@ from .stern import graded_walk, walk_blocks
 from .xi import fibonacci
 
 DISPLAY_DIGITS = 15
+#: Rows plot-data joins into one string, and so writes, at a time.
+PLOT_CHUNK = 1024
 #: Characters read from stdin at a time by eval-stream.
 STREAM_CHUNK = 4096
 #: Longest quotient token eval-stream converts: int() is quadratic in the
@@ -311,9 +316,9 @@ def _cmd_xi(args: argparse.Namespace) -> Iterator[str]:
 def _cmd_theta(args: argparse.Namespace) -> Iterator[str]:
     k = args.k
     _check_walk(k, 1, "--k", 2, deepest=True)
-    for ps, qs, depths, base in walk_blocks(k, 2):
-        keep = [*map((k - base).__eq__, depths)]  # the nodes of depth k
-        yield _rows(f"%d\t%d\t{k}\n", [*compress(ps, keep)], compress(qs, keep))
+    row = f"%d\t%d\t{k}\n"
+    for ps, qs, _, _ in walk_blocks(k, 2, deepest=True):
+        yield _rows(row, ps, qs)
 
 
 def _cmd_convert_cf(args: argparse.Namespace) -> Iterator[str]:
@@ -340,8 +345,21 @@ def _cmd_plot_data(args: argparse.Namespace) -> Iterator[str]:
     _check_walk(args.grid, 1, "--grid", 2, lam=lam)
     nodes = graded_walk(args.grid, 2, lam)  # its own checks, before the first row
     yield _row(Fraction(0), zero)  # g(0) = 0 and g(1) = 1, in lam's type
-    for p, q, _, g in nodes:
-        yield _row(Fraction(p, q), g)
+    # each node's row as _row(Fraction(p, q), g) prints it, PLOT_CHUNK rows
+    # to a string: p/q is a walk node, already in lowest terms, and it and
+    # a rational g in [0, 1] take to_decimal's half-up rounding inline;
+    # a surd g takes to_decimal itself, the one rounding of a surd
+    scale, unit, decimal = 10 ** (DISPLAY_DIGITS + 1), 10 ** DISPLAY_DIGITS, f"%d.%0{DISPLAY_DIGITS}d"
+    surd = isinstance(lam, QuadSurd)
+    row = f"%d/%d\t%s\t{decimal}\t" + ("%s\n" if surd else f"{decimal}\n")
+    while chunk := list(islice(nodes, PLOT_CHUNK)):
+        if surd:
+            yield "".join([row % (p, q, g, *divmod((p * scale // q + 5) // 10, unit),
+                                  to_decimal(g, DISPLAY_DIGITS)) for p, q, _, g in chunk])
+        else:
+            yield "".join([row % (p, q, g, *divmod((p * scale // q + 5) // 10, unit),
+                                  *divmod((g.numerator * scale // g.denominator + 5) // 10, unit))
+                           for p, q, _, g in chunk])
     yield _row(Fraction(1), g_inductive(Fraction(1), lam))
 
 

@@ -15,7 +15,9 @@ supplies only its step at a mediant. `walk_blocks` streams both families
 in increasing order from the integer mediant: a node below the gap
 (lo, hi) is A lo + B hi with (A, B) fixed by its place, so its step gives
 each subtree near the depth bound whole, as a block of at most
-BLOCK_NODES nodes combined from coefficient tables built once per call.
+BLOCK_NODES nodes combined from coefficient tables built once per call;
+cut to the bottom row of each subtree, the same tables give the nodes of
+depth n alone, one generation or one new level.
 `graded_walk` steps by the mediant in Z[phi] that carries the singular
 function g of a split parameter down the tree with the nodes, one node
 at a time. The sequences the library builds, `stern_level`,
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add
 
 from .cf import RegularCF, expand_rcf
@@ -61,8 +63,10 @@ class SternBrocotLevel(_Record):
     __slots__ = ("index", "elements")
 
 
-def walk_blocks(n: int, left: int = 1) -> Iterator[tuple[list[int], list[int], tuple[int, ...], int]]:
-    """Every Stern-Brocot node of depth <= n, in increasing order, a block at a time.
+def walk_blocks(n: int, left: int = 1, deepest: bool = False
+                ) -> Iterator[tuple[list[int], list[int], tuple[int, ...], int]]:
+    """Every Stern-Brocot node of depth <= n, or of depth n alone if
+    deepest, in increasing order, a block at a time.
 
     The nodes are the p/q of (0,1), in lowest terms. The root 1/2 has
     depth 1; a right edge adds 1 to the depth and a left edge adds
@@ -81,15 +85,24 @@ def walk_blocks(n: int, left: int = 1) -> Iterator[tuple[list[int], list[int], t
     denominators combined from those coefficients by one list
     comprehension each, and base is the depth of its root. Above the
     blocks the step gives each of the few pending ancestors as a block
-    of its own. Each block has lists ps and qs of its own; `depths` is a
-    tuple, so a caller may keep or change what it is given without
-    changing the walk. `left` is checked here, before any block is
-    produced.
+    of its own. If deepest, each table is first cut, once per call, to
+    its nodes at the bottom of the subtree, so a block holds only the
+    nodes of depth n below its gap; every node of depth n lies in a
+    block (the bottom row of a subtree is never empty, as its right
+    spine reaches it), so the ancestors above the blocks give nothing
+    and no block is empty. Each block has lists ps and qs of its own;
+    `depths` is a tuple, so a caller may keep or change what it is given
+    without changing the walk. `left` is checked here, before any block
+    is produced.
     """
     if left < 1:
         raise ValueError("the left edge cost must be >= 1")
     tables = _block_tables(n - 1, left)
     top = len(tables) - 1
+    if deepest:  # each subtree of budget r cut to its nodes r below its root
+        for r, (a, b, d) in enumerate(tables):
+            keep = [e == r for e in d]
+            tables[r] = tuple(compress(a, keep)), tuple(compress(b, keep)), (r,) * sum(keep)
 
     def step(gap: tuple, depth: int) -> tuple:
         lo_p, lo_q, hi_p, hi_q = gap
@@ -98,9 +111,11 @@ def walk_blocks(n: int, left: int = 1) -> Iterator[tuple[list[int], list[int], t
             return ([lo_p * x + hi_p * y for x, y in zip(a, b)],
                     [lo_q * x + hi_q * y for x, y in zip(a, b)], d, depth), None, None
         p, q = lo_p + hi_p, lo_q + hi_q
-        return ([p], [q], (0,), depth), (lo_p, lo_q, p, q), (p, q, hi_p, hi_q)
+        node = None if deepest else ([p], [q], (0,), depth)  # never of depth n if deepest
+        return node, (lo_p, lo_q, p, q), (p, q, hi_p, hi_q)
 
-    return _inorder(n, left, step, (0, 1, 1, 1))
+    walk = _inorder(n, left, step, (0, 1, 1, 1))
+    return filter(None, walk) if deepest else walk
 
 
 def _block_tables(top: int, left: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -250,9 +265,10 @@ def new_mediants(n: int) -> tuple[Fraction, ...]:
 
 
 def _nodes(n: int, low: int, left: int, deepest: bool = False) -> Iterator[Fraction]:
-    """The nodes of `walk_blocks(n, left)` as Fractions, or those of depth
-    n alone if deepest: the one route from the walk to the sequences the
-    library builds (`stern_level`, `new_mediants`, `xi.xi`, `xi.theta`).
+    """The nodes of `walk_blocks(n, left, deepest)` as Fractions, those of
+    depth <= n, or of depth n alone if deepest: the one route from the
+    walk to the sequences the library builds (`stern_level`,
+    `new_mediants`, `xi.xi`, `xi.theta`).
 
     Before the walk it refuses, with a ValueError, an index n below low,
     then a node count past `exact.MAX_ELEMENTS`. With W(k) the node count
@@ -270,8 +286,5 @@ def _nodes(n: int, low: int, left: int, deepest: bool = False) -> Iterator[Fract
         w.append(w[-1] + w[-left])
     if w[-1] - (w[-2] if deepest else 1) > MAX_ELEMENTS:
         raise ValueError(f"the sequence would pass the budget of {MAX_ELEMENTS} elements")
-    blocks = walk_blocks(n, left)
-    if not deepest:
-        return chain.from_iterable(map(_coprime_fraction, ps, qs) for ps, qs, _, _ in blocks)
-    return (_coprime_fraction(p, q) for ps, qs, depths, base in blocks
-            for p, q, depth in zip(ps, qs, depths) if depth == n - base)
+    blocks = walk_blocks(n, left, deepest)
+    return chain.from_iterable(map(_coprime_fraction, ps, qs) for ps, qs, _, _ in blocks)

@@ -19,10 +19,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sternbrocot import (
     TAU2,
+    QuadSurd,
     expand_rcf,
     g_series,
     g_tau2,
@@ -573,6 +574,66 @@ class TestPlotDataAgainstTheSeries:
         self.check_rows(str(lam), grid)
 
 
+def plot_data_chunks(argv):
+    """What the plot-data handler yields for argv, one string per yield."""
+    args = cli.build_parser().parse_args(argv)
+    return list(args.handler(args))
+
+
+def open_unit_fraction(q: int, t: int) -> Fraction:
+    """A fraction of (0,1) over q >= 2, in lowest terms, picked by t."""
+    return Fraction(1 + t % (q - 1), q)
+
+
+#: Fractions of (0,1) over 2**a 5**b, whose decimals may tie at the 16th
+#: digit (a = 16 in lowest terms, b < 16), for to_decimal to round half up,
+#: and over any denominator.
+OPEN_UNIT = st.one_of(
+    st.builds(lambda a, b, t: open_unit_fraction(2 ** a * 5 ** b, t),
+              st.one_of(st.just(16), st.integers(0, 22)), st.integers(1, 22), st.integers(0, 10 ** 40)),
+    st.builds(open_unit_fraction, st.integers(2, 10 ** 40), st.integers(0, 10 ** 40)))
+
+
+class TestPlotDataRowsInChunks:
+    """plot-data writes its node rows PLOT_CHUNK to a string, each as the one
+    value formatter `cli._row` prints (x, g), with the decimals of x and of
+    a rational g rounded inline."""
+
+    @pytest.mark.parametrize("lam", ["tau2", "tau", "1/3", "1/2", "2/9", "1/7+1/11√5"])
+    def test_every_row_is_the_one_value_formatters(self, lam):
+        # grid 15: 1596 nodes, past the first chunk of rows
+        argv = ["plot-data", "--lambda", lam, "--grid", "15"]
+        value = cli._lambda_arg(lam)
+        nodes = list(stern.graded_walk(15, 2, value))
+        assert cli.PLOT_CHUNK < len(nodes) <= 2 * cli.PLOT_CHUNK
+        expected = [cli._row(Fraction(0), singular.g_inductive(Fraction(0), value)),
+                    *(cli._row(Fraction(p, q), g) for p, q, _, g in nodes),
+                    cli._row(Fraction(1), singular.g_inductive(Fraction(1), value))]
+        chunks = plot_data_chunks(argv)
+        assert [chunk.count("\n") for chunk in chunks] == [1, cli.PLOT_CHUNK, len(nodes) - cli.PLOT_CHUNK, 1]
+        assert "".join(chunks).splitlines(keepends=True) == expected
+        assert captured_run(argv) == (0, "".join(expected), "")
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(OPEN_UNIT, OPEN_UNIT), min_size=1, max_size=4), st.booleans())
+    @example([(Fraction(1, 2 ** 16), Fraction(3, 2 ** 16))], False)
+    @example([(Fraction(1, 2 * 10 ** 15), Fraction(10 ** 16 - 5, 10 ** 16))], False)
+    @example([(Fraction(10 ** 16 - 5, 10 ** 16), Fraction(1, 2 * 10 ** 15))], True)
+    def test_the_inline_decimals_are_to_decimals(self, pairs, surd):
+        # any x = p/q in lowest terms and any g in (0,1), ties at the 16th
+        # digit included, given to the handler as the walk's nodes: a surd
+        # g takes to_decimal, a rational one the inline rounding
+        lam = "tau2" if surd else "1/3"
+        pairs = [(x, QuadSurd(g, g / 7) if surd else g) for x, g in pairs]
+        nodes = [(x.numerator, x.denominator, 1, g) for x, g in pairs]
+        with mock.patch.object(cli, "graded_walk", lambda n, left, value: iter(nodes)):
+            rows = "".join(plot_data_chunks(["plot-data", "--lambda", lam, "--grid", "1"])).splitlines(True)
+        assert rows[1:-1] == [cli._row(x, g) for x, g in pairs]
+        cells = [row[:-1].split("\t") for row in rows[1:-1]]
+        assert [(x_decimal, g_decimal) for *_, x_decimal, g_decimal in cells] == [
+            (to_decimal(x, 15), to_decimal(g, 15)) for x, g in pairs]
+
+
 class TestPlotDataRefusals:
     @pytest.mark.parametrize("lam", ["2", "0", "1", "1/2+1/2√5", "1+√5"])
     def test_split_outside_the_unit_interval(self, capsys, lam):
@@ -620,6 +681,14 @@ DIGESTS = {
         "48ee6a0ee3bfb03c6bcfa3d2b52dc3edb58ff0cfed65c2150a80af0afcf29697",
     "plot-data --lambda 2/9 --grid 18":
         "21ee4eb023f3bb5ccf7717a665d0115d1161c9773171c89f2da80a6b5280bdc6",
+    # grids of 6,765 nodes at rational lambdas, and a generation of 75,025
+    # nodes, each past many chunks of rows or many blocks; digests taken
+    # before plot-data wrote by chunks and theta walked generation k alone
+    "plot-data --lambda 1/3 --grid 18":
+        "e0d7fc1e8234a975379fc60acddb21688f83ee9f146c8dfc7b2b9c54e7b8fbb7",
+    "plot-data --lambda 1/2 --grid 18":
+        "b95bad0be29941dfcebb44dd9a7474097c9f5c80e9cfaed9bc300fcce5fe7d1e",
+    "theta --k 25": "0fc066b7e98aa1827482cc9903d1bab20e76da331a3c90538238d4565ae000c6",
     "eval --lambda tau2 --x 1/100000":
         "ba766d47224d45499deebb36143785be74964443d4464fe11e498a4f927e37a5",
     # a wide value at the unit kernel tau, tau**99999 with 69-kbit
@@ -776,11 +845,12 @@ class TestGoldenOutput:
 
     def test_the_replay_tool_finds_every_pin(self):
         # read from this file and the workflow, not run: 9 golden files,
-        # 22 digests and 12 workflow pins, the 11 piped ones and grid 27's,
-        # and the step's 5 other endings
+        # 25 digests and 13 workflow pins, the 11 piped ones and the two
+        # runs through a file (level 2's and grid 27's), and the step's 6
+        # other endings, the library's own refusal among them
         found = load_replay().cases()
-        assert Counter(kind for kind, *_ in found) == {"golden": 9, "digest": 22, "workflow": 12,
-                                                       "ending": 5}
+        assert Counter(kind for kind, *_ in found) == {"golden": 9, "digest": 25, "workflow": 13,
+                                                       "ending": 6}
         assert [argv for kind, argv, *_ in found if kind == "golden"] == [
             GOLDEN_RUNS[name] for name in sorted(GOLDEN_RUNS)]
         assert sorted(case for kind, *case in found if kind == "digest") == sorted(
@@ -793,16 +863,50 @@ class TestGoldenOutput:
                    "grep -q '^error: ' refused.err"]
         endings = {shlex.join(argv): (stdin, expected)
                    for kind, argv, stdin, expected in load_replay().cases() if kind == "ending"}
-        assert {argv: (len(stdin), expected.checks, expected.timeout, expected.head)
+        assert {argv: (len(stdin), expected.checks, expected.timeout, expected.head, expected.python)
                 for argv, (stdin, expected) in endings.items()} == {
-            "stern-brocot --n 23": (0, refused, None, False),
-            "theta --k 34": (0, refused, None, False),
-            "eval-stream --lambda 1/2 --epsilon 1e-5": (2_000_001, refused, 20, False),
+            "stern-brocot --n 23": (0, refused, None, False, False),
+            "theta --k 34": (0, refused, None, False, False),
+            "eval-stream --lambda 1/2 --epsilon 1e-5": (2_000_001, refused, 20, False, False),
             "verify theorem1 --x 1/3 --n-max 5 --tol 0": (
                 0, ['test "$status" -eq 1', 'test "$(tail -n 1 failed.out)" = FAIL', "test ! -s failed.err"],
-                None, False),
-            "xi --n 25": (0, ["test ! -s pipe.err"], None, True)}
+                None, False, False),
+            "xi --n 25": (0, ["test ! -s pipe.err"], None, True, False),
+            "-c 'import sternbrocot; sternbrocot.xi(60)'": (
+                0, ['test "$status" -eq 1', "grep -q '^ValueError: the sequence would pass the budget of "
+                    f"{MAX_REDUCED_DIGITS} elements$' refused.err"], 10, False, True)}
         assert endings["eval-stream --lambda 1/2 --epsilon 1e-5"][0] == "7" * 2_000_000 + "\n"
+        assert all(not expected.exits_zero for _, expected in endings.values())
+
+    def test_the_replay_tool_reads_every_run_through_a_file(self):
+        replay = load_replay()
+        runs = {shlex.join(argv): (stdin, expected) for kind, argv, stdin, expected in replay.cases()
+                if kind == "workflow" and isinstance(expected, replay.Ending)}
+        assert {argv: (stdin, expected.files, expected.checks, expected.exits_zero)
+                for argv, (stdin, expected) in runs.items()} == {
+            "stern-brocot --n 2": ("", {"rows.tsv": "out"},
+                                   ["printf '0\\t1\\n1\\t3\\n1\\t2\\n2\\t3\\n1\\t1\\n' | cmp - rows.tsv"], True),
+            "plot-data --lambda tau2 --grid 27": ("", {"plot.tsv": "out"}, [
+                'test "$(wc -c < plot.tsv)" -eq 33294223',
+                "test \"$(sha256sum < plot.tsv | cut -d ' ' -f 1)\" = "
+                "fcea74170b30c84ab95f601e5bbb1ab44bb8b4a9a2ed5d19c8fb14dbebc8019e"], True)}
+        # each check of grid 27's file reads it: 33294223 bytes of the
+        # wrong text meet the byte count alone, and a byte fewer or more neither
+        size, digest = (replay._check(line) for line in runs["plot-data --lambda tau2 --grid 27"][1].checks)
+        for text, holds in [(b"x" * 33294223, [True, False]), (b"x" * 33294222, [False, False]),
+                            (b"x" * 33294224, [False, False])]:
+            assert [check(match, 0, {"plot.tsv": text}) for match, check in (size, digest)] == holds
+
+    def test_the_replay_tool_passes_level_two_through_its_file_and_nothing_else(self):
+        replay = load_replay()
+        level = next(expected for kind, argv, _, expected in replay.cases()
+                     if kind == "workflow" and argv == ["stern-brocot", "--n", "2"])
+        assert replay.passes(["stern-brocot", "--n", "2"], "", level)[0]
+        assert not replay.passes(["stern-brocot", "--n", "3"], "", level)[0]
+        # the same bytes from a run that exits 1 fail: nothing guards the run
+        code = "import sys; sys.stdout.write('0\\t1\\n1\\t3\\n1\\t2\\n2\\t3\\n1\\t1\\n'); sys.exit(1)"
+        assert replay.passes(["-c", code], "", level._replace(python=True)) == (False, 1)
+        assert replay.passes(["-c", code.replace("exit(1)", "exit(0)")], "", level._replace(python=True))[0]
 
     def test_the_replay_tool_passes_every_ending_and_fails_a_run_that_exits_zero(self):
         replay = load_replay()
@@ -810,6 +914,7 @@ class TestGoldenOutput:
             if kind == "ending":
                 assert replay.passes(argv, stdin, expected)[0], argv
                 if not expected.head:  # a run that prints its rows and exits 0 fails each one
+                    expected = expected._replace(python=False)
                     assert not replay.passes(["stern-brocot", "--n", "2"], "", expected)[0], argv
 
     def test_eval_grid_matches_the_golden_file(self):

@@ -8,7 +8,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sternbrocot
 from sternbrocot import (
@@ -232,7 +232,7 @@ class TestWalkBlocks:
         assert top == {1: 10, 2: 14}[left]
         for n in range(0, top + 5):
             blocks = list(walk_blocks(n, left))
-            assert all(len(ps) == len(qs) == len(depths) <= BLOCK_NODES
+            assert all(0 < len(ps) == len(qs) == len(depths) <= BLOCK_NODES
                        and type(depths) is tuple for ps, qs, depths, _ in blocks)
             nodes = [(p, q, base + d) for ps, qs, depths, base in blocks
                      for p, q, d in zip(ps, qs, depths)]
@@ -241,7 +241,7 @@ class TestWalkBlocks:
             deepest = [Fraction(p, q) for ps, qs, depths, base in blocks
                        for p, q, d in zip(ps, qs, depths) if d == n - base]
             assert deepest == [Fraction(p, q) for p, q, depth in expected if depth == n]
-            if n >= 1:  # the builders read the same filter
+            if n >= 1:  # the builders read the deepest walk, which is this filter
                 built = [x.value for x in theta(n)] if left == 2 else list(new_mediants(n))
                 assert deepest == built
         assert max(len(ps) for ps, *_ in blocks) == len(list(node_walk(top + 1, left)))
@@ -251,20 +251,22 @@ class TestWalkBlocks:
             with pytest.raises(ValueError, match="left edge cost"):
                 walk_blocks(3, left)  # not iterated
 
+    @pytest.mark.parametrize("deepest", [False, True])
     @pytest.mark.parametrize("n, left", [(16, 1), (20, 2)])
-    def test_a_caller_may_change_what_it_is_given(self, n, left):
+    def test_a_caller_may_change_what_it_is_given(self, n, left, deepest):
         # ps and qs are new lists for each block, depths a tuple: extending
         # every list a walk gives changes neither its later blocks, many
         # of which have the same shape, nor a later walk
-        fresh = list(walk_blocks(n, left))
+        fresh = list(walk_blocks(n, left, deepest))
         seen = []
-        for ps, qs, depths, base in walk_blocks(n, left):
+        for ps, qs, depths, base in walk_blocks(n, left, deepest):
+            assert type(ps) is list and type(qs) is list and type(depths) is tuple
             seen.append((ps[:], qs[:], depths[:], base))
             for column in (ps, qs, depths):
                 if isinstance(column, list):
                     column.append(0)
         assert seen == fresh
-        assert list(walk_blocks(n, left)) == fresh
+        assert list(walk_blocks(n, left, deepest)) == fresh
 
     def test_streams(self):
         # 2**20 - 1 nodes, a block of at most BLOCK_NODES of them at a time:
@@ -287,6 +289,44 @@ class TestWalkBlocks:
         count, before, peak = map(int, child.stdout.split())
         assert count == 2 ** 20 - 1
         assert peak - before < 4 * 2 ** 10
+
+
+class TestDeepestWalk:
+    """`walk_blocks(n, left, deepest=True)`: the nodes of depth n alone,
+    against the depth-n filter of the whole walk and of the walk one node
+    at a time (`oracles.node_walk`)."""
+
+    @staticmethod
+    def check(n, left):
+        blocks = list(walk_blocks(n, left, deepest=True))
+        assert all(0 < len(ps) == len(qs) == len(depths) <= BLOCK_NODES and type(depths) is tuple
+                   for ps, qs, depths, _ in blocks)
+        nodes = [(p, q, base + d) for ps, qs, depths, base in blocks for p, q, d in zip(ps, qs, depths)]
+        assert nodes == [node for node in flat(n, left) if node[2] == n]
+        assert nodes == [node for node in node_walk(n, left) if node[2] == n]
+        return blocks
+
+    @pytest.mark.parametrize("left", [1, 2, 3])
+    def test_the_depth_n_filter_of_either_walk(self, left):
+        # from one node to past the table tops (10 at left = 1, 14 at
+        # left = 2, 18 at left = 3), where each block is cut from a table
+        # and the ancestors above the blocks, none of depth n, give nothing
+        top = largest_block_depth(left)
+        assert top == {1: 10, 2: 14, 3: 18}[left]
+        for n in range(1, top + 5):
+            # one block, the whole tree's, until the root's budget passes the top
+            assert (len(self.check(n, left)) == 1) == (n <= top + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda left: st.tuples(
+        st.integers(0, largest_block_depth(left) + 4), st.just(left))))
+    def test_any_depth_and_left_cost(self, case):
+        self.check(*case)
+
+    def test_counts_of_a_generation_and_a_level(self):
+        # F(k) nodes of generation k and 2**(n - 1) of level n
+        assert sum(len(ps) for ps, *_ in walk_blocks(25, 2, deepest=True)) == fibonacci(25)
+        assert sum(len(ps) for ps, *_ in walk_blocks(17, 1, deepest=True)) == 2 ** 16
 
 
 class TestAgainstTheMediantChain:
