@@ -1,12 +1,10 @@
 import argparse
 import gc
-import hashlib
 import importlib.util
 import io
 import itertools
 import os
 import re
-import shlex
 import signal
 import subprocess
 import sys
@@ -40,6 +38,7 @@ from sternbrocot.cli import run
 from sternbrocot.xi import fibonacci
 
 from oracles import INT_DIGITS_LIMITED, int_digit_limit
+from pins import DIGESTS, GOLDEN_RUNS, ONE_ERROR_LINE, Run, digest_case, sha256
 
 GOLDEN = Path(__file__).parent / "golden"
 OVER_BUDGET = f"error: the output would pass the budget of {MAX_OUTPUT_BYTES} bytes"
@@ -647,129 +646,8 @@ class TestPlotDataRefusals:
         assert capsys.readouterr().out == ""
 
 
-GOLDEN_RUNS = {
-    "stern-brocot_n10.tsv": ["stern-brocot", "--n", "10"],
-    "xi_n12.tsv": ["xi", "--n", "12"],
-    "theta_k12.tsv": ["theta", "--k", "12"],
-    "plot-data_tau2_grid8.tsv": ["plot-data", "--lambda", "tau2", "--grid", "8"],
-    "plot-data_tau_grid8.tsv": ["plot-data", "--lambda", "tau", "--grid", "8"],
-    "plot-data_1-3_grid8.tsv": ["plot-data", "--lambda", "1/3", "--grid", "8"],
-    "plot-data_1-2_grid8.tsv": ["plot-data", "--lambda", "1/2", "--grid", "8"],
-    # a composite denominator, and a Q(sqrt5) lambda = (u + v*phi)/d with d = 77
-    "plot-data_2-9_grid8.tsv": ["plot-data", "--lambda", "2/9", "--grid", "8"],
-    "plot-data_1-7+1-11r5_grid8.tsv": ["plot-data", "--lambda", "1/7+1/11√5", "--grid", "8"],
-}
-
-#: SHA-256 of the stdout of outputs too long for a golden file. The
-#: tables' rows come from many blocks of `stern.walk_blocks` (plot-data:
-#: from the walk with g), taken from the walk that wrote one row per node.
-#: plot-data at 2/9, grid 18 (6,766 rows), takes `exact._phi_value`'s
-#: full gcd, for a numerator that shares the prime 3 with d = 9**s, to
-#: deeper nodes than its grid-8 golden file; its digest was taken before
-#: `graded_walk` and `walk_blocks` shared one traversal.
-#: The tau2 values of eval (139-kbit coefficients), of eval-stream (a first
-#: quotient of 9546, so hi is tau**19090) and the error column of the
-#: verify rows past n = 713 are printed by `to_decimal`'s norm route; their
-#: digests were taken from the exact square-root route alone.
-#: A key "COMMAND < LINE" runs COMMAND on the stdin LINE, so that one command
-#: is pinned on more than one input (`digest_case`).
-DIGESTS = {
-    "stern-brocot --n 16": "6f6fa904003fd9d9888dbeaca3bf483913b6496714f95eba5fd47840d979aeee",
-    "xi --n 20": "b598ae624de32a65397affb638dd752a3b041a701c308214a2366e74605a63fc",
-    "theta --k 21": "3a4c32d4bb54e6f6cd74dccdc775b02bd196663740ebc621919eb48e397cf921",
-    "plot-data --lambda tau2 --grid 13":
-        "48ee6a0ee3bfb03c6bcfa3d2b52dc3edb58ff0cfed65c2150a80af0afcf29697",
-    "plot-data --lambda 2/9 --grid 18":
-        "21ee4eb023f3bb5ccf7717a665d0115d1161c9773171c89f2da80a6b5280bdc6",
-    # grids of 6,765 nodes at rational lambdas, and a generation of 75,025
-    # nodes, each past many chunks of rows or many blocks; digests taken
-    # before plot-data wrote by chunks and theta walked generation k alone
-    "plot-data --lambda 1/3 --grid 18":
-        "e0d7fc1e8234a975379fc60acddb21688f83ee9f146c8dfc7b2b9c54e7b8fbb7",
-    "plot-data --lambda 1/2 --grid 18":
-        "b95bad0be29941dfcebb44dd9a7474097c9f5c80e9cfaed9bc300fcce5fe7d1e",
-    "theta --k 25": "0fc066b7e98aa1827482cc9903d1bab20e76da331a3c90538238d4565ae000c6",
-    "eval --lambda tau2 --x 1/100000":
-        "ba766d47224d45499deebb36143785be74964443d4464fe11e498a4f927e37a5",
-    # a wide value at the unit kernel tau, tau**99999 with 69-kbit
-    # coefficients, whose decimals read the norm it carries; digest taken
-    # before values carried their norms
-    "eval --lambda tau --x 1/100000":
-        "77524fa3d50bfab56e3a6d6e9b9feef081059731c5073bd861d57828cb36bdbd",
-    "eval-stream --lambda tau2 --epsilon 1e-30":
-        "59adf3a373b83b9c49242787d11d981b84967fa92a935c919e8abd842297a66e",
-    "verify theorem1 --x 355/1133 --n-max 2000":
-        "55bc5f88ac6e623884c6d1b4c86885a79a7686aa70937f2bcf8bc82535df3922",
-    # the series at a rational lambda (d = 9) and at an irrational one
-    # with d > 1, over x = F(301)/F(302) = [0; 1, ..., 1, 2], 300 quotients
-    "eval --lambda 2/9 --x 1/100000":
-        "86b2f924d83b81a0e6586ce54cee6b78c0ebf56d076cec72fa9215958df33633",
-    f"eval --lambda 1/7+1/11√5 --x {fibonacci(301)}/{fibonacci(302)}":
-        "57648c56a2eb8030bcf2936161c863dc65123426b5ce42290059f05fb4cd872a",
-    "eval-stream --lambda 1/3 --epsilon 1e-30":
-        "c2065d358998bf159cbcc401fc99acef424097a9f80df8e9f2bd8e4361056df4",
-    # streams that stop at a wide term, decided by its leading bits: at tau
-    # a quotient of 9892 at place 2 (lo lies just under 1), and at an
-    # irrational lambda with d > 1, whose norm is not a unit
-    "eval-stream --lambda tau --epsilon 1e-30":
-        "1b1b05df12722c3946eb4cd707c4e48ee43bd6391692571c477fa59bcbcf589e",
-    # the same stream at tau2, whose lo and hi lie just under 1 and whose
-    # decimals are read from 1 - value by the norm route
-    "eval-stream --lambda tau2 --epsilon 1e-30 < 1 9892 4 1 2":
-        "9a6c83c6bd2cd6923048fcdc7dc10a58e9dafb124fc6d3356619c76e99b7446b",
-    "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50":
-        "6f688d9aa3ea3667787821a6b89faad6e113109a4159108c6bb93e47b44b6b13",
-    # a stream whose wide first term, lam**19999 with coefficients of one
-    # sign, is judged by its leading bits, and whose two bounds' decimals
-    # are read the same way; digest taken before the judge read such values
-    "eval-stream --lambda 1/4+1/8√5 --epsilon 1e-30":
-        "862e6ad056b08059af2dc0afd92049e5ae08bae406518b1c46dc2610091298f7",
-    # tau2 values just under 1, x = [0; 1, 5456, ...] and [0; 1, 3896, ...],
-    # whose decimals are read from 1 - value by the norm route; digests
-    # taken when they still ran the exact square root
-    "eval --lambda tau2 --x 60020/60031":
-        "4741d876f648d9a568ca2f512c9d8b83181f323c6da8e06c5befd650778a2a4f",
-    "eval --lambda tau2 --x 179261/179307":
-        "a03a026b092bdf584f24ff3d10afb29e1f42898ce6a6c6349913be6b8c77282d",
-    # the two shapes of the slowest pointwise points, a quotient in
-    # 1000..9999 at the first place (tau2, x = [0; 9272, ...], 15
-    # quotients) or the second (1/3, x = [0; 1, 8695, ...], 14 quotients),
-    # whose power the series summed from the last quotient builds once
-    "eval --lambda tau2 --x 192289497/1783023865006":
-        "49fff1583f739e1815b56ba05370070550257f8140eedc11bfd5a4d602221d48",
-    "eval --lambda 1/3 --x 209961559609/209985706024":
-        "dda50cf5bb26fa02d2090e2800cec3efa52c8807e96363ba414d41e2aee7fc3c",
-    # both continued-fraction literals: a long regular expansion (300
-    # quotients, x = F(301)/F(302)) and a long reduced one (99,999 digits)
-    f"convert-cf --x {fibonacci(301)}/{fibonacci(302)}":
-        "7a3bea1218ebe3b5c333ac0e5d3043bcefce27c31145ef5c98ce3734308b5812",
-    "convert-cf --x 1/100000":
-        "4569629aa0ef0293af7ae456d979bc8ce33da9e11ab7f5af72e76d80d4223b91",
-}
-#: The stdin of a DIGESTS command that reads one and names none in its key;
-#: the others read none.
-DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",
-                "eval-stream --lambda 1/3 --epsilon 1e-30": "9546 1 2 3 4 5\n",
-                "eval-stream --lambda tau --epsilon 1e-30": "1 9892 4 1 2\n",
-                "eval-stream --lambda 1/7+1/11√5 --epsilon 1e-50": "2 7480 1 3 5\n",
-                "eval-stream --lambda 1/4+1/8√5 --epsilon 1e-30": "20000 1 2 3\n"}
-
-
-def digest_case(key: str) -> tuple[list[str], str]:
-    """(argv, stdin) of a DIGESTS key: the line after " < " in the key, or
-    the command's DIGEST_STDIN entry, or nothing."""
-    command, _, line = key.partition(" < ")
-    return command.split(), (line + "\n" if line else DIGEST_STDIN.get(command, ""))
-
-
-#: The workflow whose console-script step pins stdout digests of its own.
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
-#: One pinned line of that step: `sternbrocot ARGV`, fed `printf 'LINE'` or
-#: nothing, piped to sha256sum and compared with a digest.
-PINNED_LINE = re.compile(r"""test "\$\((?:printf '(?P<stdin>[^']*)' \| )?sternbrocot (?P<argv>[^|]*) """
-                         r"""\| sha256sum \| cut -d ' ' -f 1\)" = (?P<digest>[0-9a-f]{64})""")
-#: The tool that replays every golden file, digest and workflow pin in
-#: child processes, under the interpreter that runs it.
+#: The tool that replays every pinned run of tests/pins.py in child
+#: processes, under the interpreter that runs it.
 REPLAY = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
 
 
@@ -824,98 +702,55 @@ class TestGoldenOutput:
     def test_matches_the_digest(self, command):
         code, out, _ = captured_run(*digest_case(command))
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[command]
+        assert sha256(out) == DIGESTS[command]
 
-    def test_every_pin_of_the_workflow_is_a_digest(self):
-        # each stdout digest the console-script step checks is a DIGESTS
-        # entry with the same argv and stdin, so tier-1 runs it too
-        text = WORKFLOW.read_text(encoding="utf-8")
-        step = text[text.index("- name: Console script"):text.index("\n  perfbench:")]
-        pinned = [line.strip() for line in step.splitlines() if "| sha256sum |" in line]
-        assert len(pinned) == 11
-        digests = {}
-        for key, digest in DIGESTS.items():
-            argv, stdin = digest_case(key)
-            digests[tuple(argv), stdin] = digest
-        for line in pinned:
-            match = PINNED_LINE.fullmatch(line)
-            assert match, line
-            stdin = (match["stdin"] or "").replace("\\n", "\n")
-            assert digests.get((tuple(shlex.split(match["argv"])), stdin)) == match["digest"], line
-
-    def test_the_replay_tool_finds_every_pin(self):
-        # read from this file and the workflow, not run: 9 golden files,
-        # 25 digests and 13 workflow pins, the 11 piped ones and the two
-        # runs through a file (level 2's and grid 27's), and the step's 6
-        # other endings, the library's own refusal among them
+    def test_no_run_is_pinned_twice(self):
+        # the replay's cases are the tables of tests/pins.py, and no
+        # (argv, stdin) is pinned in two of them or twice in one
         found = load_replay().cases()
-        assert Counter(kind for kind, *_ in found) == {"golden": 9, "digest": 25, "workflow": 13,
-                                                       "ending": 6}
-        assert [argv for kind, argv, *_ in found if kind == "golden"] == [
-            GOLDEN_RUNS[name] for name in sorted(GOLDEN_RUNS)]
-        assert sorted(case for kind, *case in found if kind == "digest") == sorted(
-            [*digest_case(key), digest] for key, digest in DIGESTS.items())
-        assert ["plot-data", "--lambda", "tau2", "--grid", "27"] in [
-            argv for kind, argv, *_ in found if kind == "workflow"]
+        assert Counter(kind for kind, _ in found) == {"golden": 9, "digest": 25, "long": 1, "ending": 6}
+        runs = Counter((run.python, tuple(run.argv), run.stdin) for _, run in found)
+        assert [run for run, count in runs.items() if count > 1] == []
 
-    def test_the_replay_tool_reads_every_ending_of_the_workflow(self):
-        refused = ['test "$status" -eq 2', "test ! -s refused.out", 'test "$(wc -l < refused.err)" -eq 1',
-                   "grep -q '^error: ' refused.err"]
-        endings = {shlex.join(argv): (stdin, expected)
-                   for kind, argv, stdin, expected in load_replay().cases() if kind == "ending"}
-        assert {argv: (len(stdin), expected.checks, expected.timeout, expected.head, expected.python)
-                for argv, (stdin, expected) in endings.items()} == {
-            "stern-brocot --n 23": (0, refused, None, False, False),
-            "theta --k 34": (0, refused, None, False, False),
-            "eval-stream --lambda 1/2 --epsilon 1e-5": (2_000_001, refused, 20, False, False),
-            "verify theorem1 --x 1/3 --n-max 5 --tol 0": (
-                0, ['test "$status" -eq 1', 'test "$(tail -n 1 failed.out)" = FAIL', "test ! -s failed.err"],
-                None, False, False),
-            "xi --n 25": (0, ["test ! -s pipe.err"], None, True, False),
-            "-c 'import sternbrocot; sternbrocot.xi(60)'": (
-                0, ['test "$status" -eq 1', "grep -q '^ValueError: the sequence would pass the budget of "
-                    f"{MAX_REDUCED_DIGITS} elements$' refused.err"], 10, False, True)}
-        assert endings["eval-stream --lambda 1/2 --epsilon 1e-5"][0] == "7" * 2_000_000 + "\n"
-        assert all(not expected.exits_zero for _, expected in endings.values())
+    def test_the_pins_import_only_the_standard_library(self):
+        # no site-packages and no src/: neither the test packages nor the library
+        child = subprocess.run([sys.executable, "-S", "-c", "import pins"], capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": str(Path(__file__).parent)}, timeout=30)
+        assert child.returncode == 0, child.stderr
 
-    def test_the_replay_tool_reads_every_run_through_a_file(self):
+    def test_the_replay_tool_fails_the_right_bytes_from_a_run_that_exits_one(self):
         replay = load_replay()
-        runs = {shlex.join(argv): (stdin, expected) for kind, argv, stdin, expected in replay.cases()
-                if kind == "workflow" and isinstance(expected, replay.Ending)}
-        assert {argv: (stdin, expected.files, expected.checks, expected.exits_zero)
-                for argv, (stdin, expected) in runs.items()} == {
-            "stern-brocot --n 2": ("", {"rows.tsv": "out"},
-                                   ["printf '0\\t1\\n1\\t3\\n1\\t2\\n2\\t3\\n1\\t1\\n' | cmp - rows.tsv"], True),
-            "plot-data --lambda tau2 --grid 27": ("", {"plot.tsv": "out"}, [
-                'test "$(wc -c < plot.tsv)" -eq 33294223',
-                "test \"$(sha256sum < plot.tsv | cut -d ' ' -f 1)\" = "
-                "fcea74170b30c84ab95f601e5bbb1ab44bb8b4a9a2ed5d19c8fb14dbebc8019e"], True)}
-        # each check of grid 27's file reads it: 33294223 bytes of the
-        # wrong text meet the byte count alone, and a byte fewer or more neither
-        size, digest = (replay._check(line) for line in runs["plot-data --lambda tau2 --grid 27"][1].checks)
-        for text, holds in [(b"x" * 33294223, [True, False]), (b"x" * 33294222, [False, False]),
-                            (b"x" * 33294224, [False, False])]:
-            assert [check(match, 0, {"plot.tsv": text}) for match, check in (size, digest)] == holds
-
-    def test_the_replay_tool_passes_level_two_through_its_file_and_nothing_else(self):
-        replay = load_replay()
-        level = next(expected for kind, argv, _, expected in replay.cases()
-                     if kind == "workflow" and argv == ["stern-brocot", "--n", "2"])
-        assert replay.passes(["stern-brocot", "--n", "2"], "", level)[0]
-        assert not replay.passes(["stern-brocot", "--n", "3"], "", level)[0]
-        # the same bytes from a run that exits 1 fail: nothing guards the run
-        code = "import sys; sys.stdout.write('0\\t1\\n1\\t3\\n1\\t2\\n2\\t3\\n1\\t1\\n'); sys.exit(1)"
-        assert replay.passes(["-c", code], "", level._replace(python=True)) == (False, 1)
-        assert replay.passes(["-c", code.replace("exit(1)", "exit(0)")], "", level._replace(python=True))[0]
+        level = next(run for kind, run in replay.cases() if kind == "golden" and run.argv[0] == "stern-brocot")
+        assert replay.passes(level) == (True, 0)
+        assert replay.passes(level._replace(argv=["stern-brocot", "--n", "9"])) == (False, 0)
+        text = (GOLDEN / "stern-brocot_n10.tsv").read_text(encoding="utf-8")
+        code = f"import sys; sys.stdout.write({text!r}); sys.exit(%d)"
+        wrote = level._replace(argv=["-c", code % 1], python=True)
+        assert replay.passes(wrote) == (False, 1)
+        assert replay.passes(wrote._replace(argv=["-c", code % 0])) == (True, 0)
 
     def test_the_replay_tool_passes_every_ending_and_fails_a_run_that_exits_zero(self):
         replay = load_replay()
-        for kind, argv, stdin, expected in replay.cases():
-            if kind == "ending":
-                assert replay.passes(argv, stdin, expected)[0], argv
-                if not expected.head:  # a run that prints its rows and exits 0 fails each one
-                    expected = expected._replace(python=False)
-                    assert not replay.passes(["stern-brocot", "--n", "2"], "", expected)[0], argv
+        endings = [run for kind, run in replay.cases() if kind == "ending"]
+        for run in endings:
+            assert replay.passes(run) == (True, run.code), run.argv
+            if not run.head:  # a run that prints its rows and exits 0 fails each one
+                assert not replay.passes(run._replace(argv=["stern-brocot", "--n", "2"], python=False))[0]
+        # a refusal passes with its error line on stderr, and fails with it on stdout
+        refusal = next(run for run in endings if run.stderr == ONE_ERROR_LINE)
+        placed = refusal._replace(argv=["-c", "import sys; sys.stderr.write('error: no\\n'); sys.exit(2)"],
+                                  python=True)
+        assert replay.passes(placed) == (True, 2)
+        assert replay.passes(placed._replace(argv=["-c", placed.argv[1].replace("stderr", "stdout")])) == (False, 2)
+
+    @pytest.mark.parametrize("head", [True, False], ids=["head", "whole"])
+    def test_a_child_past_its_timeout_is_killed_and_fails_with_124(self, head):
+        # one line, then a sleep past the run's 1 s timeout
+        sleeper = Run(["-c", "import time; print('0\\t1\\t0', flush=True); time.sleep(60)"], sha256("0\t1\t0\n"),
+                      timeout=1, head=head, python=True)
+        start = time.perf_counter()
+        assert load_replay().passes(sleeper) == (False, 124)
+        assert time.perf_counter() - start < 10
 
     def test_eval_grid_matches_the_golden_file(self):
         golden = (GOLDEN / "eval_grid.tsv").read_text(encoding="utf-8")

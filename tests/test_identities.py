@@ -8,6 +8,10 @@ depth by one left edge; x -> 1/(2-x) carries it onto the right half
 in the ratio lam : 1 - lam, so g_lam(x/(1+x)) = lam g_lam(x) and
 g_lam(1/(2-x)) = lam + (1 - lam) g_lam(x); and g_lam(1 - x) = 1 - g_{1-lam}(x)
 by the mirror. Values are compared after parsing, not as text.
+
+The library is checked on the same maps: `g_series` and `question_mark`
+on the quotients of x and of its images, and `dist._rank` at x and its
+images, whose ranks are those of x a level or two up.
 """
 
 import io
@@ -15,12 +19,13 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from sternbrocot import parse_quadsurd, parse_rational
+from sternbrocot import RegularCF, expand_rcf, g_series, parse_quadsurd, parse_rational, question_mark
 from sternbrocot.cli import run
+from sternbrocot.dist import _rank
 
-from oracles import int_digit_limit, split_parameters
+from oracles import int_digit_limit, quotient_lists, rcf_value, split_parameters
 
 HALF = Fraction(1, 2)
 
@@ -100,3 +105,86 @@ def test_eval_mirror(lam, x):
 
     with int_digit_limit(0):
         assert g(lam, 1 - x) == 1 - g(1 - lam, x)
+
+
+def left_cf(quotients: tuple[int, ...]) -> tuple[int, ...]:
+    """The quotients of x/(1+x): [a1 + 1, a2, ...]."""
+    return (quotients[0] + 1, *quotients[1:])
+
+
+def mirror_cf(quotients: tuple[int, ...]) -> tuple[int, ...]:
+    """The quotients of 1 - x: [1, a1 - 1, a2, ...], or [a2 + 1, a3, ...] when a1 = 1."""
+    if quotients[0] == 1:
+        return (quotients[1] + 1, *quotients[2:])
+    if quotients == (2,):  # 1/2 is its own mirror, and [1, 1] is not canonical
+        return quotients
+    return (1, quotients[0] - 1, *quotients[1:])
+
+
+def right_cf(quotients: tuple[int, ...]) -> tuple[int, ...]:
+    """The quotients of 1/(2-x) = 1/(1 + (1-x)): [1, 1, a1 - 1, a2, ...], or [1, a2 + 1, a3, ...]."""
+    return (1, *mirror_cf(quotients))
+
+
+@st.composite
+def expansions(draw) -> tuple[int, ...]:
+    """The quotients of an x in (0,1): runs of up to 2000 ones between
+    quotients up to 50, and at any place, or none, one quotient of
+    1000..10**4; the last one is at least 2."""
+    pieces = draw(st.lists(st.one_of(st.integers(1, 2000).map(lambda run: [1] * run),
+                                     st.lists(st.integers(1, 50), min_size=1, max_size=8)),
+                           min_size=1, max_size=4))
+    quotients = [a for piece in pieces for a in piece]
+    if draw(st.booleans()):
+        quotients.insert(draw(st.integers(0, len(quotients))), draw(st.integers(1000, 10 ** 4)))
+    return (*quotients[:-1], max(quotients[-1], 2))
+
+
+@given(quotient_lists())
+def test_the_quotient_maps_are_the_subtree_maps(quotients):
+    x = rcf_value(quotients)
+    assume(x < 1)
+    cf = expand_rcf(x).quotients
+    assert left_cf(cf) == expand_rcf(left(x)).quotients
+    assert right_cf(cf) == expand_rcf(right(x)).quotients
+    assert mirror_cf(cf) == expand_rcf(1 - x).quotients
+
+
+def g(quotients, lam):
+    return g_series(RegularCF(quotients), lam)
+
+
+@given(expansions(), split_parameters)
+def test_g_series_is_self_similar(quotients, lam):
+    value = g(quotients, lam)
+    assert g(left_cf(quotients), lam) == lam * value
+    assert g(right_cf(quotients), lam) == lam + (1 - lam) * value
+    assert g(mirror_cf(quotients), 1 - lam) == 1 - value
+
+
+@given(expansions())
+def test_question_mark_is_self_similar(quotients):
+    # Minkowski's functional equations, the identities at lam = 1/2
+    value = question_mark(RegularCF(quotients))
+    assert question_mark(RegularCF(left_cf(quotients))) == value / 2
+    assert question_mark(RegularCF(right_cf(quotients))) == (1 + value) / 2
+    assert question_mark(RegularCF(mirror_cf(quotients))) == 1 - value
+
+
+@pytest.mark.parametrize("kind, cost", [("xi", 2), ("stern_brocot", 1)])
+@given(data=st.data())
+def test_ranks_are_the_ranks_a_level_up(kind, cost, data):
+    """A left edge costs `cost` levels and a right edge one: the level-n
+    elements up to y/(1+y) are those of level n - cost up to y, and those
+    up to 1/(2-y) are the ones up to 1/2 and the images of level n - 1's
+    nonzero ones up to y; an image is an element when y is one."""
+    y = data.draw(st.one_of(st.fractions(0, 1, max_denominator=10 ** 12), quotient_lists().map(rcf_value)))
+    n = data.draw(st.integers(cost + 1, 60))
+
+    def rank(level, x):
+        count, _, member = _rank(kind, level, x)
+        return count, member
+
+    assert rank(n, left(y)) == rank(n - cost, y)
+    (count, member), (above, above_member) = rank(n, right(y)), rank(n - 1, y)
+    assert (count, member) == (rank(n, HALF)[0] + above - 1, above_member)
