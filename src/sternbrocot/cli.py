@@ -32,6 +32,14 @@ refuses before the first row past one budget, `exact.MAX_OUTPUT_BYTES`
 (0,1) gets its own message at any grid); a one-value command prints a
 value already kept well under it by `exact.MAX_EXACT_BITS` or
 `exact.MAX_ELEMENTS`.
+Every subcommand and option is declared once, in the command table
+`_COMMANDS`. `_parse` reads a well-formed command line by it (each
+option once, as --flag=value with its exact flag, every value accepted
+by its converter); argparse, imported and built from the same table by
+`build_parser`, reads only the others, and so is the only producer of
+help, usage and error text. A well-formed command thus neither imports
+argparse and gettext nor builds a parser, which cost more than its
+own work in a small command.
 Only argparse's own errors (an unknown command or option, a missing or
 unparsable value) print the usage block; every refusal made after
 parsing (a range, the output budget, a size budget: a ValueError or
@@ -47,7 +55,6 @@ handlers run.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import os
@@ -57,6 +64,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from math import comb, lcm
 from operator import add
+from types import SimpleNamespace
 
 from .cf import expand_rcf, rcf_to_rrcf
 from .dist import verify_theorem1
@@ -81,6 +89,7 @@ def _rational_arg(text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
+        import argparse  # a refused value: argparse reports it with its usage
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
@@ -88,6 +97,7 @@ def _lambda_arg(text: str) -> Fraction | QuadSurd:
     try:
         value = parse_quadsurd(text)
     except ValueError as exc:
+        import argparse
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return value.as_fraction() if value.is_rational else value
 
@@ -143,109 +153,7 @@ def _check_walk(n: int, low: int, flag: str, left: int, **walk: object) -> None:
     check_output(_walk_bytes(n, left, **walk))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sternbrocot",
-        description="Exact Stern-Brocot / reduced continued fraction toolkit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser(
-        "eval",
-        help="evaluate the singular function g at a rational point",
-        description="Prints the exact value (p/q or a+b√5) and a 15-digit decimal, tab-separated.",
-    )
-    p_eval.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True,
-                        help="split parameter in (0,1): p/q, a+b√5, tau or tau2")
-    p_eval.add_argument("--x", type=_rational_arg, required=True, help="evaluation point in [0,1]")
-    p_eval.add_argument("--route", choices=("inductive", "series", "tau2", "salem"),
-                        default="series",
-                        help="evaluation route (tau2 needs --lambda tau2, salem needs --lambda 1/2)")
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_stream = sub.add_parser(
-        "eval-stream",
-        help="enclose g at an irrational point given by its partial quotients on stdin",
-        description="Reads whitespace-separated partial quotients from stdin and prints "
-                    "lo hi lo-decimal hi-decimal, tab-separated, with hi - lo < epsilon.",
-    )
-    p_stream.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True)
-    p_stream.add_argument("--epsilon", type=_rational_arg, required=True,
-                          help="enclosure width, e.g. 1/1048576 or 1e-6")
-    p_stream.set_defaults(handler=_cmd_eval_stream)
-
-    p_qm = sub.add_parser(
-        "question-mark",
-        help="evaluate Minkowski's ?(x) at a rational point",
-        description="Prints the exact dyadic value and a 15-digit decimal, tab-separated.",
-    )
-    p_qm.add_argument("--x", type=_rational_arg, required=True, help="point in [0,1]")
-    p_qm.set_defaults(handler=_cmd_question_mark)
-
-    p_sb = sub.add_parser(
-        "stern-brocot",
-        help="emit a Stern-Brocot level as TSV",
-        description="One line per element: numerator<TAB>denominator, increasing.",
-    )
-    p_sb.add_argument("--n", type=int, required=True, help="level index")
-    p_sb.set_defaults(handler=_cmd_stern_brocot)
-
-    p_xi = sub.add_parser(
-        "xi",
-        help="emit the reduced-fraction sequence xi(n) as TSV",
-        description="One line per element: numerator<TAB>denominator<TAB>generation, "
-                    "increasing; the endpoints 0 and 1 carry generation 0.",
-    )
-    p_xi.add_argument("--n", type=int, required=True, help="sequence index")
-    p_xi.set_defaults(handler=_cmd_xi)
-
-    p_theta = sub.add_parser(
-        "theta",
-        help="emit one generation of the reduced-fraction tree as TSV",
-        description="One line per element: numerator<TAB>denominator<TAB>generation, increasing.",
-    )
-    p_theta.add_argument("--k", type=int, required=True, help="generation index (>= 1)")
-    p_theta.set_defaults(handler=_cmd_theta)
-
-    p_conv = sub.add_parser(
-        "convert-cf",
-        help="print both continued-fraction expansions of a rational",
-        description="Line 1: regular expansion [0;a1,...]; line 2: reduced expansion [[1;b1,...]].",
-    )
-    p_conv.add_argument("--x", type=_rational_arg, required=True, help="point in (0,1)")
-    p_conv.set_defaults(handler=_cmd_convert_cf)
-
-    p_verify = sub.add_parser(
-        "verify",
-        help="run a convergence verification",
-        description="Exit code 0 on PASS, 1 on FAIL.",
-    )
-    verify_sub = p_verify.add_subparsers(dest="what", required=True)
-    p_thm = verify_sub.add_parser(
-        "theorem1",
-        help="check that the xi empirical distribution converges to g at lambda = tau2",
-        description="TSV rows: n, empirical p/q, exact target, |error| as a 30-digit decimal; "
-                    "then a single PASS or FAIL line comparing the final error to --tol.",
-    )
-    p_thm.add_argument("--x", type=_rational_arg, required=True, help="point in (0,1)")
-    p_thm.add_argument("--n-max", type=int, default=25, help="largest sequence index (default 25)")
-    p_thm.add_argument("--tol", type=_rational_arg, default=Fraction(1, 50),
-                       help="tolerance on the final error (default 0.02)")
-    p_thm.set_defaults(handler=_cmd_verify_theorem1)
-
-    p_plot = sub.add_parser(
-        "plot-data",
-        help="emit (x, g(x)) samples over the xi(grid) points as TSV",
-        description="One line per point: x p/q, exact g, x decimal, g decimal.",
-    )
-    p_plot.add_argument("--lambda", dest="lam", type=_lambda_arg, required=True)
-    p_plot.add_argument("--grid", type=int, required=True, help="xi sequence index to sample at")
-    p_plot.set_defaults(handler=_cmd_plot_data)
-
-    return parser
-
-
-def _cmd_eval(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_eval(args: SimpleNamespace) -> Iterator[str]:
     x, lam = args.x, args.lam
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
@@ -276,11 +184,11 @@ def _read_quotients(stream: io.TextIOBase) -> Iterator[int]:
         yield int(partial)
 
 
-def _cmd_eval_stream(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_eval_stream(args: SimpleNamespace) -> Iterator[str]:
     yield _row(*g_stream(_read_quotients(sys.stdin), args.lam, args.epsilon))
 
 
-def _cmd_question_mark(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_question_mark(args: SimpleNamespace) -> Iterator[str]:
     x = args.x
     if not 0 <= x <= 1:
         raise ValueError(f"--x must lie in [0,1], got {x}")
@@ -297,7 +205,7 @@ def _rows(row: str, *columns: Sequence[int] | Iterator[int]) -> str:
     return row * count % tuple(flat)
 
 
-def _cmd_stern_brocot(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_stern_brocot(args: SimpleNamespace) -> Iterator[str]:
     _check_walk(args.n, 0, "--n", 1)
     yield "0\t1\n"
     for ps, qs, _, _ in walk_blocks(args.n):
@@ -305,7 +213,7 @@ def _cmd_stern_brocot(args: argparse.Namespace) -> Iterator[str]:
     yield "1\t1\n"
 
 
-def _cmd_xi(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_xi(args: SimpleNamespace) -> Iterator[str]:
     _check_walk(args.n, 1, "--n", 2)
     yield "0\t1\t0\n"
     for ps, qs, depths, base in walk_blocks(args.n, 2):
@@ -313,7 +221,7 @@ def _cmd_xi(args: argparse.Namespace) -> Iterator[str]:
     yield "1\t1\t0\n"
 
 
-def _cmd_theta(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_theta(args: SimpleNamespace) -> Iterator[str]:
     k = args.k
     _check_walk(k, 1, "--k", 2, deepest=True)
     row = f"%d\t%d\t{k}\n"
@@ -321,7 +229,7 @@ def _cmd_theta(args: argparse.Namespace) -> Iterator[str]:
         yield _rows(row, ps, qs)
 
 
-def _cmd_convert_cf(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_convert_cf(args: SimpleNamespace) -> Iterator[str]:
     if not 0 < args.x < 1:
         raise ValueError(f"--x must lie in (0,1), got {args.x}")
     regular = expand_rcf(args.x)
@@ -330,7 +238,7 @@ def _cmd_convert_cf(args: argparse.Namespace) -> Iterator[str]:
     yield f"{reduced}\n"
 
 
-def _cmd_verify_theorem1(args: argparse.Namespace) -> Generator[str, None, int | None]:
+def _cmd_verify_theorem1(args: SimpleNamespace) -> Generator[str, None, int | None]:
     report = verify_theorem1(args.x, args.n_max, args.tol)
     target = str(report.target)
     for row in report.rows:
@@ -339,7 +247,7 @@ def _cmd_verify_theorem1(args: argparse.Namespace) -> Generator[str, None, int |
     return None if report.passed else 1
 
 
-def _cmd_plot_data(args: argparse.Namespace) -> Iterator[str]:
+def _cmd_plot_data(args: SimpleNamespace) -> Iterator[str]:
     lam = args.lam
     zero = g_inductive(Fraction(0), lam)  # refuses lam outside (0,1) before it is priced
     _check_walk(args.grid, 1, "--grid", 2, lam=lam)
@@ -363,6 +271,133 @@ def _cmd_plot_data(args: argparse.Namespace) -> Iterator[str]:
     yield _row(Fraction(1), g_inductive(Fraction(1), lam))
 
 
+#: Every subcommand, declared once, by its words, in the order `--help`
+#: lists them: (help, description, handler, options), and each option
+#: (flag, dest, converter, default, choices, help); a default of None
+#: makes the option required. `verify` has no handler: it only groups
+#: `verify theorem1`.
+_COMMANDS = {
+    ("eval",): (
+        "evaluate the singular function g at a rational point",
+        "Prints the exact value (p/q or a+b√5) and a 15-digit decimal, tab-separated.",
+        _cmd_eval,
+        (("--lambda", "lam", _lambda_arg, None, None, "split parameter in (0,1): p/q, a+b√5, tau or tau2"),
+         ("--x", "x", _rational_arg, None, None, "evaluation point in [0,1]"),
+         ("--route", "route", str, "series", ("inductive", "series", "tau2", "salem"),
+          "evaluation route (tau2 needs --lambda tau2, salem needs --lambda 1/2)"))),
+    ("eval-stream",): (
+        "enclose g at an irrational point given by its partial quotients on stdin",
+        "Reads whitespace-separated partial quotients from stdin and prints "
+        "lo hi lo-decimal hi-decimal, tab-separated, with hi - lo < epsilon.",
+        _cmd_eval_stream,
+        (("--lambda", "lam", _lambda_arg, None, None, None),
+         ("--epsilon", "epsilon", _rational_arg, None, None, "enclosure width, e.g. 1/1048576 or 1e-6"))),
+    ("question-mark",): (
+        "evaluate Minkowski's ?(x) at a rational point",
+        "Prints the exact dyadic value and a 15-digit decimal, tab-separated.",
+        _cmd_question_mark,
+        (("--x", "x", _rational_arg, None, None, "point in [0,1]"),)),
+    ("stern-brocot",): (
+        "emit a Stern-Brocot level as TSV",
+        "One line per element: numerator<TAB>denominator, increasing.",
+        _cmd_stern_brocot,
+        (("--n", "n", int, None, None, "level index"),)),
+    ("xi",): (
+        "emit the reduced-fraction sequence xi(n) as TSV",
+        "One line per element: numerator<TAB>denominator<TAB>generation, "
+        "increasing; the endpoints 0 and 1 carry generation 0.",
+        _cmd_xi,
+        (("--n", "n", int, None, None, "sequence index"),)),
+    ("theta",): (
+        "emit one generation of the reduced-fraction tree as TSV",
+        "One line per element: numerator<TAB>denominator<TAB>generation, increasing.",
+        _cmd_theta,
+        (("--k", "k", int, None, None, "generation index (>= 1)"),)),
+    ("convert-cf",): (
+        "print both continued-fraction expansions of a rational",
+        "Line 1: regular expansion [0;a1,...]; line 2: reduced expansion [[1;b1,...]].",
+        _cmd_convert_cf,
+        (("--x", "x", _rational_arg, None, None, "point in (0,1)"),)),
+    ("verify",): ("run a convergence verification", "Exit code 0 on PASS, 1 on FAIL.", None, ()),
+    ("verify", "theorem1"): (
+        "check that the xi empirical distribution converges to g at lambda = tau2",
+        "TSV rows: n, empirical p/q, exact target, |error| as a 30-digit decimal; "
+        "then a single PASS or FAIL line comparing the final error to --tol.",
+        _cmd_verify_theorem1,
+        (("--x", "x", _rational_arg, None, None, "point in (0,1)"),
+         ("--n-max", "n_max", int, 25, None, "largest sequence index (default 25)"),
+         ("--tol", "tol", _rational_arg, Fraction(1, 50), None, "tolerance on the final error (default 0.02)"))),
+    ("plot-data",): (
+        "emit (x, g(x)) samples over the xi(grid) points as TSV",
+        "One line per point: x p/q, exact g, x decimal, g decimal.",
+        _cmd_plot_data,
+        (("--lambda", "lam", _lambda_arg, None, None, None),
+         ("--grid", "grid", int, None, None, "xi sequence index to sample at"))),
+}
+#: The namespace field of a command's first word, and of its second.
+_WORD_DESTS = ("command", "what")
+
+
+def build_parser():
+    """The argparse parser of `_COMMANDS`: the only producer of help,
+    usage and error text, built only for a command line that `_parse`
+    cannot read."""
+    import argparse  # here, not at import: a well-formed command needs neither it nor the parser
+
+    parser = argparse.ArgumentParser(
+        prog="sternbrocot",
+        description="Exact Stern-Brocot / reduced continued fraction toolkit.",
+    )
+    groups = {(): parser.add_subparsers(dest=_WORD_DESTS[0], required=True)}
+    for words, (summary, description, handler, options) in _COMMANDS.items():
+        sub = groups[words[:-1]].add_parser(words[-1], help=summary, description=description)
+        if handler is None:
+            groups[words] = sub.add_subparsers(dest=_WORD_DESTS[len(words)], required=True)
+            continue
+        for flag, dest, convert, default, choices, help_ in options:
+            sub.add_argument(flag, dest=dest, type=convert, required=default is None, default=default,
+                             choices=choices, help=help_)
+        sub.set_defaults(handler=handler)
+    return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The fields that `build_parser().parse_args(argv)` reads from a
+    well-formed argv, read from `_COMMANDS` without argparse: a command's
+    words, then each of its options at most once, as --flag=value with
+    the exact flag. None for any other argv, which argparse then reads,
+    or answers with its help or its error: an unknown command, a token
+    with no "=", an abbreviated, unknown or repeated flag, a required
+    option left out, or a value that its converter refuses or that is
+    not one of its choices."""
+    words = tuple(argv[:2]) if tuple(argv[:2]) in _COMMANDS else tuple(argv[:1])
+    command = _COMMANDS.get(words)
+    if command is None or command[2] is None:
+        return None
+    _, _, handler, options = command
+    flags, given = [option[0] for option in options], {}
+    for token in argv[len(words):]:
+        flag, equals, text = token.partition("=")
+        if not equals or flag not in flags or flag in given:
+            return None
+        given[flag] = text
+    fields = {**dict(zip(_WORD_DESTS, words)), "handler": handler}
+    for flag, dest, convert, default, choices, _ in options:
+        if flag in given:
+            try:
+                value = convert(given[flag])
+            except Exception:  # argparse reports the value, or raises what it raised
+                return None
+            if choices and value not in choices:
+                return None
+        elif default is None:  # a required option left out
+            return None
+        else:
+            value = default
+        fields[dest] = value
+    return SimpleNamespace(**fields)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one command; exact values print in full, however many digits."""
     # Python 3.11+ refuses int-to-str conversions past 4300 digits; the
@@ -379,17 +414,18 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in reversed(range(len(argv) - 1)):
         # argparse mistakes a value like -1/2 or -1/2+1/2√5 for an option: attach it by =
         if (argv[i].startswith("--") and argv[i] not in ("--", "--help") and "=" not in argv[i]
                 and not argv[i + 1].startswith("--")):
             argv[i:i + 2] = ["=".join(argv[i:i + 2])]
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage/help
-        return int(exc.code or 0)
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse already printed usage/help
+            return int(exc.code or 0)
     try:
         return _write(args.handler(args))
     except (ValueError, OverflowError) as exc:  # OverflowError: a size past int or index range

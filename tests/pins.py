@@ -8,7 +8,9 @@ goes in one table below and nowhere else.
 - tests/test_cli.py runs `GOLDEN_RUNS` and `DIGESTS` in process, and
   `ENDINGS` in child processes through tools/replay.py;
 - tools/replay.py runs every table in child processes, under the
-  interpreter that runs it, `LONG_DIGESTS` included.
+  interpreter that runs it, `LONG_DIGESTS` included, but not
+  `ARGPARSE_TEXT`: argparse wraps and quotes its text in its own way in
+  each Python version, and the replay compares bytes.
 
 Only the standard library is imported, not pytest, Hypothesis or
 sternbrocot, so the replay needs no test packages.
@@ -144,6 +146,29 @@ DIGEST_STDIN = {"eval-stream --lambda tau2 --epsilon 1e-30": "9546 1 2 3 4 5\n",
 LONG_DIGESTS = {
     "plot-data --lambda tau2 --grid 27":
         "fcea74170b30c84ab95f601e5bbb1ab44bb8b4a9a2ed5d19c8fb14dbebc8019e",
+}
+
+
+#: Everything argparse prints, in a golden file of tests/golden/argparse,
+#: taken from the hand-built parser at COLUMNS=80 under Python 3.11.7: each
+#: "help" file the stdout of a --help (exit 0), each "error" file the
+#: stderr of one kind of argparse error (exit 2).
+ARGPARSE_TEXT = {
+    "help.txt": ["--help"],
+    **{f"help_{name}.txt": [name, "--help"] for name in (
+        "eval", "eval-stream", "question-mark", "stern-brocot", "xi", "theta", "convert-cf", "verify",
+        "plot-data")},
+    "help_verify_theorem1.txt": ["verify", "theorem1", "--help"],
+    "error_no-command.txt": [],
+    "error_unknown-command.txt": ["frobnicate"],
+    "error_unknown-option.txt": ["xi", "--n", "3", "--bogus", "1"],
+    "error_missing-option.txt": ["xi"],
+    "error_missing-value.txt": ["xi", "--n"],
+    "error_bad-int.txt": ["xi", "--n", "x"],
+    "error_bad-rational.txt": ["question-mark", "--x", "abc"],
+    "error_bad-lambda.txt": ["eval", "--lambda", "x√5", "--x", "1/2"],
+    "error_bad-route.txt": ["eval", "--lambda", "1/2", "--x", "1/2", "--route", "bad"],
+    "error_extra-positional.txt": ["xi", "--n", "3", "extra"],
 }
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from sternbrocot import (
     TAU2,
@@ -38,7 +38,7 @@ from sternbrocot.cli import run
 from sternbrocot.xi import fibonacci
 
 from oracles import INT_DIGITS_LIMITED, int_digit_limit
-from pins import DIGESTS, GOLDEN_RUNS, ONE_ERROR_LINE, Run, digest_case, sha256
+from pins import ARGPARSE_TEXT, DIGESTS, GOLDEN_RUNS, ONE_ERROR_LINE, Run, digest_case, sha256
 
 GOLDEN = Path(__file__).parent / "golden"
 OVER_BUDGET = f"error: the output would pass the budget of {MAX_OUTPUT_BYTES} bytes"
@@ -771,6 +771,27 @@ class TestUsage:
         assert run(["--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", sorted(ARGPARSE_TEXT))
+    def test_argparse_prints_its_golden_text(self, name, monkeypatch):
+        # the parser built from the command table prints what the
+        # hand-built one printed: option order, metavars, help, descriptions
+        monkeypatch.setenv("COLUMNS", "80")
+        golden = (GOLDEN / "argparse" / name).read_text(encoding="utf-8")
+        code, *got = captured_run(ARGPARSE_TEXT[name])
+        assert code == (0 if name.startswith("help") else 2)
+        want = [golden, ""] if code == 0 else ["", golden]
+        if sys.version_info >= (3, 12):  # not the argparse that the goldens were taken with
+            got, want = [*map(argparse_neutral, got)], [*map(argparse_neutral, want)]
+        assert got == want
+
+
+def argparse_neutral(text):
+    """Argparse's text with each run of whitespace one space and no quote
+    marks, as the argparse of every Python from 3.10 on prints it: later
+    ones wrap the top-level usage line and quote an invalid choice's
+    choices each their own way."""
+    return " ".join(text.replace("'", "").split())
+
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 class TestClosedPipe:
@@ -1154,3 +1175,55 @@ class TestNoArgvCrashes:
             lines = err.splitlines()
             assert (len(lines) == 1 and err.startswith("error: ")) or (
                 err.startswith("usage: ") and ": error: " in lines[-1])
+
+
+#: Words that name no command, or not all of one.
+ODD_WORDS = [(), ("verify",), ("frobnicate",), ("verify", "theorem2"), ("-h",), ("--",)]
+#: Tokens of no option of any command, among them help and the end of options.
+ODD_TOKENS = ["-h", "--help", "--", "frobnicate", "--bogus=1", "--bogus", "-1/2", "=", "--=1"]
+
+
+class TestTheTableReadsWhatArgparseReads:
+    """`cli._parse` reads a command line only as argparse reads it: a run
+    writes what it writes when `_parse` leaves every command line to
+    argparse, and a command line that `_parse` reads, argparse reads as
+    the same handler and fields."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_run_is_the_same_with_argparse_alone(self, data):
+        command = data.draw(st.sampled_from(sorted(ARGV_OPTIONS)))
+        words = command if data.draw(st.integers(0, 7)) else data.draw(st.sampled_from(ODD_WORDS))
+        pairs = []
+        for flag, values in ARGV_OPTIONS[command].items():
+            # each option once in 6 of 8 draws, else left out or twice; its
+            # flag exact in 3 of 4, else abbreviated (--n-m for --n-max)
+            for _ in range(data.draw(st.sampled_from([1, 1, 1, 1, 1, 1, 0, 2]))):
+                spelled = flag if data.draw(st.integers(0, 3)) else flag[:data.draw(st.integers(3, len(flag)))]
+                value = data.draw(values)
+                pairs.append(data.draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"]])))
+        pairs += data.draw(st.lists(st.sampled_from(ODD_TOKENS).map(lambda token: [token]), max_size=2))
+        argv = [*words, *(part for pair in data.draw(st.permutations(pairs)) for part in pair)]
+        stdin = data.draw(st.lists(STREAM_TOKENS, max_size=6).map(" ".join))
+
+        real, read = cli._parse, []
+
+        def spy(tokens):
+            read.append((list(tokens), real(tokens)))
+            return read[-1][1]
+
+        with mock.patch.object(cli, "_parse", spy):
+            ran = captured_run(argv, stdin)
+        with mock.patch.object(cli, "_parse", lambda tokens: None):
+            assert ran == captured_run(argv, stdin)
+        [(tokens, args)] = read
+        event("read by the table" if args is not None else "left to argparse")
+        if args is not None:
+            assert vars(args) == vars(cli.build_parser().parse_args(tokens))
+
+    @pytest.mark.parametrize("argv, stdin", ONE_PATH_RUNS, ids=[" ".join(argv) for argv, _ in ONE_PATH_RUNS])
+    def test_the_table_reads_every_well_formed_run(self, argv, stdin):
+        words = command_words(argv)
+        options = argv[len(words):]
+        joined = [*words, *map("=".join, zip(options[::2], options[1::2]))]
+        assert vars(cli._parse(joined)) == vars(cli.build_parser().parse_args(argv))

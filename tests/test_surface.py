@@ -1,8 +1,9 @@
 """The public names of the package, and the functions the benchmark tracer
 (perfbench/tracing.py) looks up by name, all resolve; no private helper
 or module-level import is left unused, the CLI reaches the library by
-public names only, and importing the package loads none of the stdlib
-modules it was built to avoid."""
+public names only, importing the package loads none of the stdlib
+modules it was built to avoid, and a well-formed command runs without
+argparse."""
 
 import ast
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import sternbrocot
+from sternbrocot import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 PACKAGE = Path(sternbrocot.__file__).resolve().parent
@@ -88,10 +90,11 @@ def test_the_cli_imports_only_public_names():
 
 
 #: Stdlib modules that importing the package must not load: the records
-#: are built on `exact._Record`, not dataclasses, and `cli.main` imports
-#: `signal` only when it runs.
+#: are built on `exact._Record`, not dataclasses, `cli.main` imports
+#: `signal` only when it runs, and `cli.build_parser` imports argparse
+#: (which imports gettext) only for help and usage errors.
 AVOIDED_AT_IMPORT = ("dataclasses", "inspect", "ast", "signal", "json", "typing", "logging",
-                     "subprocess", "tempfile", "locale")
+                     "subprocess", "tempfile", "locale", "argparse", "gettext")
 
 
 @pytest.mark.parametrize("module", ["sternbrocot", "sternbrocot.cli"])
@@ -103,3 +106,44 @@ def test_import_loads_none_of_the_avoided_modules(module):
     child = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                            text=True, check=True)
     assert child.stdout == "\n"
+
+
+#: One well-formed command line of each subcommand, with its stdin.
+WELL_FORMED = [
+    (["eval", "--lambda", "tau2", "--x", "1/2"], ""),
+    (["eval-stream", "--lambda", "1/2", "--epsilon", "1e-5"], "1 " * 30),
+    (["question-mark", "--x", "2/3"], ""),
+    (["stern-brocot", "--n", "4"], ""),
+    (["xi", "--n", "3"], ""),
+    (["theta", "--k", "5"], ""),
+    (["convert-cf", "--x", "3/5"], ""),
+    (["verify", "theorem1", "--x", "1/2", "--n-max", "12", "--tol", "0.02"], ""),
+    (["plot-data", "--lambda=-2+√5", "--grid=4"], ""),
+]
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+def imported_by_a_run(argv, stdin=""):
+    """(child, modules it imported) of `python -S -m sternbrocot.cli ARGV`,
+    the modules read from its `-X importtime` lines on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    child = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "sternbrocot.cli", *argv],
+                           input=stdin, env=env, capture_output=True, text=True, timeout=60)
+    times = [line for line in child.stderr.splitlines() if line.startswith("import time:")]
+    return child, {line.rsplit("|", 1)[1].strip() for line in times}
+
+
+def test_a_well_formed_command_runs_without_argparse():
+    assert sorted(argv[0] for argv, _ in WELL_FORMED) == sorted(
+        words[0] for words in cli._COMMANDS if len(words) == 1)
+    for argv, stdin in WELL_FORMED:
+        child, modules = imported_by_a_run(argv, stdin)
+        assert child.returncode == 0 and child.stdout, argv
+        assert sorted(PARSER_MODULES & modules) == [], argv
+    # a usage error still builds argparse's parser, and gets its usage block
+    child, modules = imported_by_a_run(["xi", "--n"])
+    assert child.returncode == 2 and child.stdout == ""
+    assert "argparse" in modules
+    errors = [line for line in child.stderr.splitlines() if not line.startswith("import time:")]
+    assert errors[0].startswith("usage: sternbrocot xi ")
+    assert errors[-1] == "sternbrocot xi: error: argument --n: expected one argument"

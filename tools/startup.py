@@ -10,12 +10,14 @@ PYTHONPATH and the caller's other PYTHON* settings removed.
 - import: `-c "import sternbrocot.cli"`;
 - parser: that import and a cold `cli.build_parser()`;
 - tables: `-m sternbrocot.cli` on one op of the tables workload;
-- convergence: `-m sternbrocot.cli` on one op of the convergence workload.
+- convergence: `-m sternbrocot.cli` on one op of the convergence workload;
+- usage: `-m sternbrocot.cli` on a command line with a usage error, which
+  builds the argparse parser that a well-formed one skips, and exits 2.
 
-Each is timed from spawn to exit, its stdout read through a pipe. After
-one untimed round, each of ROUNDS rounds runs every probe once, in order
-in even rounds and in reverse in odd ones, so that a drift of the host's
-speed falls on all of them alike. The median and quartiles of each probe, in
+Each is timed from spawn to exit, its stdout and stderr read through
+pipes. After one untimed round, each of ROUNDS rounds runs every probe
+once, in order in even rounds and in reverse in odd ones, so that a
+drift of the host's speed falls on all of them alike. The median and quartiles of each probe, in
 ms, print one line each and go to --out as JSON with the interpreter and
 the host. Only the standard library is used.
 """
@@ -45,14 +47,21 @@ PROBES = {
     "parser": ["-c", "import sternbrocot.cli; sternbrocot.cli.build_parser()"],
     "tables": ["-m", "sternbrocot.cli", "stern-brocot", "--n", "15"],
     "convergence": ["-m", "sternbrocot.cli", "verify", "theorem1", "--x", "355/1133", "--n-max", "19"],
+    "usage": ["-m", "sternbrocot.cli", "xi", "--n"],
 }
+#: The exit status of each probe that does not exit 0.
+CODES = {"usage": 2}
 
 
-def timed(args: list[str], env: dict[str, str]) -> float:
-    """Seconds from spawn to exit of one child, which must exit 0."""
+def timed(name: str, env: dict[str, str]) -> float:
+    """Seconds from spawn to exit of one child of a probe, which must exit
+    with the probe's status."""
     began = time.perf_counter()
-    subprocess.run([sys.executable, *args], stdout=subprocess.PIPE, env=env, check=True)
-    return time.perf_counter() - began
+    child = subprocess.run([sys.executable, *PROBES[name]], capture_output=True, env=env)
+    seconds = time.perf_counter() - began
+    if child.returncode != CODES.get(name, 0):
+        raise RuntimeError(f"probe {name} exited {child.returncode}: {child.stderr.decode()[-500:]}")
+    return seconds
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,10 +71,10 @@ def main(argv: list[str] | None = None) -> int:
     env, names = child_env(), list(PROBES)
     times: dict[str, list[float]] = {name: [] for name in names}
     for name in names:  # untimed: bytecode caches written, files in the page cache
-        timed(PROBES[name], env)
+        timed(name, env)
     for i in range(ROUNDS):
         for name in names if i % 2 == 0 else reversed(names):
-            times[name].append(timed(PROBES[name], env) * 1000)
+            times[name].append(timed(name, env) * 1000)
     probes = {}
     for name in names:
         q1, median, q3 = statistics.quantiles(times[name], n=4, method="inclusive")
