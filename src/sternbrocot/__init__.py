@@ -15,8 +15,6 @@ from .dist import (
     ConvergenceReport,
     ConvergenceRow,
     empirical_cdf,
-    fibonacci_ratio_limit,
-    mediant_ratio,
     verify_theorem1,
 )
 from .exact import (
@@ -43,10 +41,6 @@ from .xi import (
     XiSequence,
     XiTreeNode,
     fibonacci,
-    left_child,
-    node_for,
-    right_child,
-    subtree_count,
     theta,
     xi,
 )
@@ -68,26 +62,20 @@ __all__ = [
     "expand_rcf",
     "expand_rrcf",
     "fibonacci",
-    "fibonacci_ratio_limit",
     "first_level",
     "g_inductive",
     "g_series",
     "g_stream",
     "g_tau2",
     "graded_walk",
-    "left_child",
     "mediant",
-    "mediant_ratio",
     "new_mediants",
     "next_level",
-    "node_for",
     "parse_quadsurd",
     "parse_rational",
     "question_mark",
     "rcf_to_rrcf",
-    "right_child",
     "stern_level",
-    "subtree_count",
     "sum_partial_quotients",
     "theta",
     "to_decimal",

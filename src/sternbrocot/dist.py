@@ -3,10 +3,10 @@
 The fraction of a level's elements lying at or below x converges, as the
 level grows, to Minkowski's ?(x) for the Stern-Brocot sequences and to
 the tau**2 singular function for the reduced-fraction sequences `xi(n)`.
-This module computes the finite-n empirical values exactly, monitors
-their convergence to the exact Q(sqrt5) target, and exposes the
-subtree-count ratios whose Fibonacci limit tau**2 drives that
-convergence.
+This module computes the finite-n empirical values exactly and monitors
+their convergence to the exact Q(sqrt5) target. Behind that convergence
+are the subtree counts, Fibonacci numbers whose ratios F(j)/F(j+2) tend
+to tau**2; the test suite checks them by its oracles.
 
 Both sequences are depth-bounded cuts of one Stern-Brocot tree, so a
 rank is counted along the tree path to x (Graham, Knuth and Patashnik,
@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from .cf import expand_rcf
 from .exact import (_OVER_BUDGET, MAX_EXACT_BITS, MAX_OUTPUT_BYTES, TAU2, QuadSurd, _Record,
-                    check_output, mediant, text_bytes, to_decimal)
+                    check_output, text_bytes, to_decimal)
 from .singular import g_series
 from .stern import path_runs
-from .xi import fibonacci, subtree_count
+from .xi import fibonacci
 
 
 def _rank(kind: str, n: int, x: Fraction, runs: list[int] | None = None) -> tuple[int, int, bool]:
@@ -152,35 +152,3 @@ def verify_theorem1(x: Fraction, n_max: int, tolerance: Fraction = Fraction(1, 5
         final_error = abs(target - empirical)
         rows.append(ConvergenceRow(n, empirical, to_decimal(final_error, 30)))
     return ConvergenceReport(x, target, tolerance, tuple(rows), final_error <= tolerance)
-
-
-def mediant_ratio(x: Fraction, y: Fraction, n_of_pair: int, m: int) -> Fraction:
-    """Finite-depth version of the gap-splitting ratio at the mediant of
-    two neighbours x < y of xi(n_of_pair).
-
-    Counting through generation m, the subtree under the mediant's left
-    child covers (g(mediant) - g(x)) and the subtree under the mediant
-    covers (g(y) - g(x)); their size ratio
-    (fibonacci(m-k+1) - 1) / (fibonacci(m-k+3) - 1), with k the mediant's
-    generation, tends to tau**2 as m grows. k is read off the mediant's
-    path runs (`stern.path_runs`), so no reduced expansion is built.
-    """
-    rank_x, _, x_is_element = _rank("xi", n_of_pair, x)
-    rank_y, _, y_is_element = _rank("xi", n_of_pair, y)
-    if not (x_is_element and y_is_element and rank_y == rank_x + 1):
-        raise ValueError(f"{x} and {y} are not consecutive in the index-{n_of_pair} sequence")
-    runs = path_runs(mediant(x, y))  # a left turn costs 2 generations, a right turn 1
-    k = 1 + 2 * sum(runs[::2]) + sum(runs[1::2])
-    if m < k:
-        raise ValueError(f"depth m = {m} does not reach the mediant's generation {k}")
-    larger = subtree_count(k, m)  # refused past the budget before the smaller is built
-    return Fraction(subtree_count(k + 2, m), larger)
-
-
-def fibonacci_ratio_limit(j: int) -> Fraction:
-    """F(j) / F(j+2); approaches tau**2 from alternating sides, with
-    strictly shrinking error."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    larger = fibonacci(j + 2)  # refused past the budget before F(j) is built
-    return Fraction(fibonacci(j), larger)

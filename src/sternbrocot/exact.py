@@ -641,7 +641,7 @@ _NORM_BITS = 512
 #: Bits that the leading-bits bounds (`_leading`) keep beyond those a
 #: decision needs: `_floor_by_norm`'s two bounds on a floor then differ
 #: by less than 2**-58, so they straddle an integer only for a value
-#: that close to it.
+#: that close to it. Its complement route ends only for 3 or more.
 _GUARD_BITS = 64
 
 
@@ -682,6 +682,15 @@ def _floor_by_norm(a: int, b: int, d: int, power: int, norm: int | None = None) 
     1 - value, whose terms (d - a) - b*sqrt5 again have opposite signs,
     whose norm is d**2 - 2ad + N, and whose floor is far from an integer:
     floor(10**power - y) = 10**power - 1 - floor(y) for an irrational y.
+    That route ends only for _GUARD_BITS >= 3. Bounds that straddle
+    10**power put the value at or above L*2**s/|C|, with (L, L + 5) the
+    bounds of `_leading`. The bits kept leave |a| >> s or |b| >> s at
+    least 2**(_GUARD_BITS - 1), and |C| is below
+    ((|a| >> s) + 1 + ((|b| >> s) + 1)*sqrt5)*2**s, so at a guard of 3 that
+    ratio is at least 4/(5 + sqrt5) > 1/2. The complement would straddle
+    only if 1 - value passed 1/2 too, so it is read at most once. At a
+    guard of 2 the ratio can be 2/(3 + sqrt5) < 1/2: at value 1/2 both
+    straddle, and the complement of the complement is the value again.
     The cancelling bounds always leave bits to drop for |value| <= 1, |b|
     past _NORM_BITS bits and power <= 134: the floor is below
     10**134 < 2**446 and |C| below 2**(width + 2), so

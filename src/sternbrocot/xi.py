@@ -5,9 +5,12 @@ continued fraction: generation k collects the values with
 L(x) = k + 1. Generation k has exactly fibonacci(k) members, and the
 generations assemble into an infinite binary tree rooted at 1/2 in
 which appending a digit 2 steps two generations down and incrementing
-the last digit steps one generation down. `xi(n)` is the union of the
-first n generations together with the endpoints 0 and 1 - the sequence
-whose empirical distribution the `dist` module studies.
+the last digit steps one generation down; a subtree cut at generation m
+below a node of generation k holds fibonacci(m - k + 3) - 1 nodes. The
+test suite walks that tree by digits; the library reads it off the walk.
+`xi(n)` is the union of the first n generations together with the
+endpoints 0 and 1 - the sequence whose empirical distribution the
+`dist` module studies.
 
 That tree is the Stern-Brocot tree with left edges costing two
 generations and right edges one, so `xi` and `theta` read their members
@@ -40,9 +43,8 @@ class XiTreeNode(_Record):
     """A tree node: a rational in (0,1), its reduced digits, its generation.
 
     The constructor checks that the level is the digit sum minus one and
-    the value that of the digits. `from_digits` and `theta` build nodes
-    whose fields agree by construction, through `_known`, which skips the
-    checks.
+    the value that of the digits. `theta` builds nodes whose fields agree
+    by construction, through `_known`, which skips the checks.
     """
 
     __slots__ = ("value", "digits", "level")
@@ -63,32 +65,11 @@ class XiTreeNode(_Record):
         object.__setattr__(node, "level", level)
         return node
 
-    @classmethod
-    def from_digits(cls, digits: ReducedRCF | tuple[int, ...]) -> "XiTreeNode":
-        d = digits if isinstance(digits, ReducedRCF) else ReducedRCF(tuple(digits))
-        return cls._known(value_rrcf(d), d, digit_sum_L(d) - 1)
-
 
 class XiSequence(_Record):
     """Generations 1..index plus the endpoints, sorted; fibonacci(index+2) + 1 values."""
 
     __slots__ = ("index", "elements")
-
-
-def node_for(x: Fraction) -> XiTreeNode:
-    """The unique tree node whose value is x in (0,1)."""
-    return XiTreeNode.from_digits(expand_rrcf(x))
-
-
-def left_child(node: XiTreeNode) -> XiTreeNode:
-    """Append a digit 2: two generations down, and the smaller child."""
-    return XiTreeNode.from_digits(node.digits.digits + (2,))
-
-
-def right_child(node: XiTreeNode) -> XiTreeNode:
-    """Increment the last digit: one generation down, the larger child."""
-    d = node.digits.digits
-    return XiTreeNode.from_digits(d[:-1] + (d[-1] + 1,))
 
 
 def theta(k: int) -> tuple[XiTreeNode, ...]:
@@ -102,19 +83,3 @@ def theta(k: int) -> tuple[XiTreeNode, ...]:
 def xi(n: int) -> XiSequence:
     """Generations 1..n plus {0, 1}, as one sorted sequence."""
     return XiSequence(n, (Fraction(0), *_nodes(n, 1, 2), Fraction(1)))
-
-
-def subtree_count(node_level: int, up_to_level: int) -> int:
-    """Size of the subtree below (and including) a node of the given
-    generation, truncated at generation up_to_level.
-
-    The subtree hanging off any node is generation-shift isomorphic to
-    the whole tree, whose first j generations hold fibonacci(j+2) - 1
-    nodes; hence the count depends only on the two levels.
-    """
-    if node_level < 1:
-        raise ValueError("node level must be >= 1")
-    if up_to_level < node_level:
-        return 0
-    return fibonacci(up_to_level - node_level + 3) - 1
-

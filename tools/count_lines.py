@@ -1,6 +1,8 @@
-"""Print each src/sternbrocot module's lines and code lines, then the totals.
+"""Print each src/sternbrocot module's lines and code lines, then the totals,
+then the number of public names in the package's `__all__`.
 
-Code lines leave out blank lines, comment lines and docstrings.
+Code lines leave out blank lines, comment lines and docstrings. `__all__`
+is read from `__init__.py` by `ast`, without importing the package.
 Usage: python tools/count_lines.py
 """
 
@@ -22,9 +24,18 @@ def counts(text: str) -> tuple[int, int]:
     return len(lines), len(code)
 
 
+def public_names(text: str) -> list[str]:
+    """The names of the module's `__all__` list."""
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            return ast.literal_eval(node.value)
+    raise ValueError("no __all__")
+
+
 total = [0, 0]
 for module in sorted(PACKAGE.glob("*.py")):
     lines, code = counts(module.read_text(encoding="utf-8"))
     total = [total[0] + lines, total[1] + code]
     print(f"{module.name}\t{lines}\t{code}")
 print(f"total\t{total[0]}\t{total[1]}")
+print(f"__all__\t{len(public_names((PACKAGE / '__init__.py').read_text(encoding='utf-8')))}")
