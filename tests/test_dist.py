@@ -23,7 +23,7 @@ from sternbrocot import (
 )
 
 from sternbrocot.dist import _rank, _table_bytes
-from sternbrocot.exact import MAX_EXACT_BITS, MAX_OUTPUT_BYTES
+from sternbrocot.exact import MAX_ELEMENTS, MAX_EXACT_BITS, MAX_OUTPUT_BYTES
 from sternbrocot.stern import path_runs
 
 from oracles import (additive_fibonacci, fibonacci_ratio, materialized_cdf, mediant_ratio, node_for,
@@ -351,3 +351,51 @@ class TestSubtreeIdentities:
                 for m in range(k, 16):
                     running += levels.get(m, 0)
                     assert running == fibonacci(m - k + 3) - 1
+
+
+class TestRanksCountSubtrees:
+    """The block-sum ranks against the subtree sizes and mediant ratios of
+    the oracles: the counts behind the tau**2 split, read off the library."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_gap_holds_the_mediant_subtree_and_its_right_end(self, n):
+        elements = xi(n).elements
+        for x, y in zip(elements, elements[1:]):
+            k = node_for(mediant(x, y)).level
+            for m in range(n, n + 11):
+                gap = _rank("xi", m, y)[0] - _rank("xi", m, x)[0]
+                assert gap == subtree_size(k, m) + 1
+
+    @pytest.mark.parametrize("x, y, n", [
+        (Fraction(0), Fraction(1, 2), 1),
+        (Fraction(1, 2), Fraction(1), 1),
+        (Fraction(1, 2), Fraction(2, 3), 2),
+        (Fraction(3, 5), Fraction(2, 3), 4),
+    ])
+    def test_the_left_share_of_a_gap_is_the_mediant_ratio(self, x, y, n):
+        middle = mediant(x, y)
+        m = n + 33
+        below = _rank("xi", m, x)[0]
+        left = _rank("xi", m, middle)[0] - below - 1
+        whole = _rank("xi", m, y)[0] - below - 1
+        share = Fraction(left, whole)
+        assert share == mediant_ratio(x, y, n, m)
+        assert abs(TAU2 - share) < Fraction(1, 10 ** 4)
+
+    def test_the_generation_is_the_first_index_that_holds_the_node(self):
+        for k in range(1, 13):
+            for node in theta(k):
+                assert _rank("xi", k, node.value)[2]
+                assert k == 1 or not _rank("xi", k - 1, node.value)[2]
+
+    def test_a_point_past_the_reduced_digit_cap_ranks_by_its_runs(self):
+        # 1/N is the mediant of 0 and 1/(N - 1); its reduced expansion
+        # (N - 1 digits) passes the cap, but its path is one run of N - 2
+        # left turns, which puts it at generation 2N - 3
+        n = MAX_ELEMENTS + 3
+        x = Fraction(1, n)
+        with pytest.raises(ValueError, match="cap"):
+            expand_rrcf(x)
+        (turns,) = path_runs(x)
+        assert 1 + 2 * turns == 2 * n - 3
+        assert empirical_cdf("xi", 60, x) == Fraction(1, fibonacci(62) + 1)
