@@ -51,7 +51,8 @@ stop, below.
 (`_int_text`): split at a power of ten 10**(2**j), dividing by its odd
 part 5**(2**j) from a ladder of at most 32 cached rungs (`_pow5`), each
 half printed the same way, which on Python 3.11 beats `str` by 1.2 times
-at 4 kbit and 1.5 times at 9 to 16 kbit. A
+at 4 kbit and 1.5 times at 9 to 16 kbit. From Python 3.12 on `str` is
+subquadratic, and past 160 kbit (`_STR_BITS`) it prints by itself. A
 coefficient that may reach Python's int-to-str digit limit, when there
 is one, goes to `str` itself, so it prints, or raises its ValueError,
 exactly as `str` would. `to_decimal` sends
@@ -365,6 +366,13 @@ def _ratio_text(a: int, d: int) -> str:
 #: Python 3.11 that is 1.2 times faster than `str` at 4 kbit and 1.5 times
 #: at 9 to 16 kbit, and no faster below about 3 kbit.
 _SPLIT_BITS = 3072
+#: Bit length past which `_int_text` prints through `str` again where
+#: `_STR_WINS`, decided once at import: from Python 3.12 on, `str` splits in
+#: subquadratic time and beats the halves from 150 to 190 kbit up (0.41
+#: to 0.43 times their time at 1.39 Mbit on 3.12.1 and 3.13.0); on 3.10 and 3.11
+#: it never does.
+_STR_BITS = 160_000
+_STR_WINS = sys.version_info >= (3, 12)
 
 
 @lru_cache(maxsize=32)
@@ -390,11 +398,12 @@ def _digits(n: int) -> str:
 
 
 def _int_text(n: int) -> str:
-    """str(n), by halves (`_digits`) past _SPLIT_BITS bits. An integer
-    whose digits may reach Python's int-to-str limit goes to `str` itself,
-    which prints it or raises its own ValueError."""
+    """str(n), by halves (`_digits`) past _SPLIT_BITS bits, and through
+    `str` again past _STR_BITS where `_STR_WINS`. An integer whose digits
+    may reach Python's int-to-str limit goes to `str` itself, which prints
+    it or raises its own ValueError."""
     bits = n.bit_length()
-    if bits <= _SPLIT_BITS:
+    if bits <= _SPLIT_BITS or _STR_WINS and bits > _STR_BITS:
         return str(n)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit and bits * 30103 // 100000 >= limit:  # 30103/100000 > log10(2)

@@ -803,6 +803,31 @@ class TestTextByHalves:
                     else:
                         assert _int_text(value) == expected
 
+    @pytest.mark.parametrize("str_wins", [False, True])
+    def test_past_the_str_cap_on_either_version(self, monkeypatch, str_wins):
+        # the version decision forced each way: where str wins, an integer
+        # past _STR_BITS bits goes to str and prints no half
+        monkeypatch.setattr(exact, "_STR_WINS", str_wins)
+        digits, halves = exact._digits, []
+
+        def counted(n):
+            halves.append(n)
+            return digits(n)
+
+        monkeypatch.setattr(exact, "_digits", counted)
+        rng = random.Random(11)
+        with int_digit_limit(0):
+            for bits in (exact._STR_BITS - 1, exact._STR_BITS, exact._STR_BITS + 1):
+                n = rng.getrandbits(bits) | 1 << bits - 1
+                text = str(n)
+                for value, expected in ((n, text), (-n, "-" + text)):
+                    halves.clear()
+                    assert _int_text(value) == expected
+                    assert bool(halves) == (not str_wins or bits <= exact._STR_BITS)
+
+    def test_the_str_cap_is_decided_by_the_version(self):
+        assert exact._STR_WINS == (sys.version_info >= (3, 12))
+
     def test_the_ladder_of_powers_stays_bounded(self):
         rng = random.Random(7)
         with int_digit_limit(0):

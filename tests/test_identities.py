@@ -10,18 +10,20 @@ g_lam(1/(2-x)) = lam + (1 - lam) g_lam(x); and g_lam(1 - x) = 1 - g_{1-lam}(x)
 by the mirror. Values are compared after parsing, not as text.
 
 The library is checked on the same maps: `g_series` and `question_mark`
-on the quotients of x and of its images, and `dist._rank` at x and its
-images, whose ranks are those of x a level or two up.
+on the quotients of x and of its images, `g_stream` on an irrational x
+and its images, and `dist._rank` at x and its images, whose ranks are
+those of x a level or two up.
 """
 
 import io
+import itertools
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from sternbrocot import RegularCF, expand_rcf, g_series, parse_quadsurd, parse_rational, question_mark
+from sternbrocot import RegularCF, expand_rcf, g_series, g_stream, parse_quadsurd, parse_rational, question_mark
 from sternbrocot.cli import run
 from sternbrocot.dist import _rank
 
@@ -169,6 +171,31 @@ def test_question_mark_is_self_similar(quotients):
     assert question_mark(RegularCF(left_cf(quotients))) == value / 2
     assert question_mark(RegularCF(right_cf(quotients))) == (1 + value) / 2
     assert question_mark(RegularCF(mirror_cf(quotients))) == 1 - value
+
+
+def enclosure(quotients, lam, epsilon):
+    """`g_stream` on the quotients followed by an endless run of 1s, and
+    the number of quotients it drew."""
+    drawn = itertools.count()
+    stream = map(lambda q, _: q, itertools.chain(quotients, itertools.repeat(1)), drawn)
+    return g_stream(stream, lam, epsilon), next(drawn)
+
+
+@given(st.lists(st.integers(1, 3000), min_size=1, max_size=6).map(lambda qs: (*qs, 1)), split_parameters,
+       st.integers(1, 120).map(lambda k: Fraction(1, 10 ** k)) | st.integers(1, 400).map(lambda k: Fraction(1, 2 ** k)))
+def test_g_stream_is_self_similar(quotients, lam, epsilon):
+    """Each term of a mapped stream is the original term times lam, 1 - lam
+    or 1, behind one or two new leading terms, or one fewer for a mirror
+    that drops a1 = 1. So with epsilon scaled by the same factor it stops
+    at the same term, and both ends of its enclosure are the original ones
+    mapped. The first quotient is followed by another, so each map is
+    defined."""
+    (lo, hi), k = enclosure(quotients, lam, epsilon)
+    shift = 1 if quotients[0] > 1 else -1  # the mirror's new leading term, or the one it drops
+    assert enclosure(left_cf(quotients), lam, lam * epsilon) == ((lam * lo, lam * hi), k)
+    assert enclosure(right_cf(quotients), lam, (1 - lam) * epsilon) == (
+        (lam + (1 - lam) * lo, lam + (1 - lam) * hi), k + 1 + shift)
+    assert enclosure(mirror_cf(quotients), 1 - lam, epsilon) == ((1 - hi, 1 - lo), k + shift)
 
 
 @pytest.mark.parametrize("kind, cost", [("xi", 2), ("stern_brocot", 1)])

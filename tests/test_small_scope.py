@@ -2,7 +2,11 @@
 until its wide branches run on inputs small enough to enumerate, then
 checks a whole small domain against an exact reference."""
 
-from sternbrocot import exact
+import pytest
+
+from sternbrocot import exact, stern
+
+from oracles import node_walk
 
 
 def sqrt5_convergents(bits: int) -> list[tuple[int, int]]:
@@ -42,3 +46,32 @@ def test_the_complement_route_ends_at_the_least_guard(monkeypatch):
     assert len(cases) == 82_992
     assert [case for case in cases if counted(*case) != exact._floor_scaled(*case)] == []
     assert len(calls) > len(cases)  # the complement route ran
+
+
+def test_the_halves_at_an_8_bit_split(monkeypatch):
+    # below 8 bits str prints a part itself, so every integer past 255 is
+    # split, down through every rung of the ladder these values reach, and
+    # the zeros of 10**k fall on a split point at each k = 2**j
+    monkeypatch.setattr(exact, "_SPLIT_BITS", 8)
+    values = [10 ** k + j for k in range(1, 301) for j in (-1, 0, 1)]
+    assert [n for n in values if exact._digits(n) != str(n)] == []
+    assert [n for n in values if exact._int_text(-n) != str(-n)] == []
+
+
+@pytest.mark.parametrize("block_nodes", [1, 2, 3])
+def test_the_block_walk_at_blocks_of_one_to_three(monkeypatch, block_nodes):
+    # subtrees of at most 1, 2 or 3 nodes: a single node, a root and its
+    # right child (left = 2), or a root and both children (left = 1); every
+    # other node is a pending ancestor, a block of its own
+    monkeypatch.setattr(stern, "BLOCK_NODES", block_nodes)
+    for left in (1, 2):
+        largest = {1: 1, 2: 1 + (left == 2), 3: 3 if left == 1 else 2}[block_nodes]
+        assert max(len(ps) for ps, *_ in stern.walk_blocks(10, left)) == largest
+        for n in range(11):
+            for deepest in (False, True):
+                blocks = list(stern.walk_blocks(n, left, deepest))
+                assert all(0 < len(ps) == len(qs) == len(depths) <= block_nodes
+                           for ps, qs, depths, _ in blocks)
+                nodes = [(p, q, base + d) for ps, qs, depths, base in blocks
+                         for p, q, d in zip(ps, qs, depths)]
+                assert nodes == [node for node in node_walk(n, left) if not deepest or node[2] == n]

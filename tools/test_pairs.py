@@ -1,4 +1,5 @@
-"""The summary arithmetic of tools/pairs.py, on fixed numbers.
+"""The summary arithmetic of tools/pairs.py, on fixed numbers, and one run
+of each probe set against this checkout.
 
     python3 -m pytest tools/test_pairs.py
 """
@@ -26,6 +27,16 @@ def test_medians_quartiles_and_wins():
     assert (s["wins"], s["pairs"]) == (8, 10)
 
 
+def test_the_paired_differences():
+    s = pairs.summarize(PAIRS, "lower")
+    # change - base sorted: -3, -2, -2, -1.5, -1.5, -1.5, -1, -1, 0, 0.5;
+    # not the difference of the two medians, 10 - 11.25
+    assert s["diff"] == -1.5
+    assert (s["diff_q1"], s["diff_q3"]) == (-1.875, -1.0)
+    flat = pairs.summarize([(5.0, 7.0), (6.0, 8.0), (9.0, 11.0)], "lower")
+    assert (flat["diff_q1"], flat["diff"], flat["diff_q3"]) == (2.0, 2.0, 2.0)
+
+
 def test_higher_is_better_counts_the_other_side_and_ties_for_neither():
     s = pairs.summarize(PAIRS, "higher")
     assert (s["wins"], s["pairs"]) == (1, 10)
@@ -35,4 +46,15 @@ def test_higher_is_better_counts_the_other_side_and_ties_for_neither():
 def test_the_summary_line():
     line = pairs.summary_line("op_p50_ms", "ms", "lower", pairs.summarize(PAIRS, "lower"))
     assert line == ("op_p50_ms (ms, better lower): base 11.25 [10.125, 12.375] -> change 10,"
-                    " won 8 of 10")
+                    " change - base -1.5 [-1.875, -1], won 8 of 10")
+
+
+def test_every_probe_runs_once_against_this_checkout():
+    # run_once raises RunFailed on a probe that exits with another status
+    # than its own: 2 for the usage error, 0 for every other one
+    assert pairs.STARTUP["usage"][1] == 2
+    for workload, names in (("startup", pairs.STARTUP), ("routes", pairs.ROUTE_CASES)):
+        ms = pairs.run_once(pairs.ROOT, workload, 1, 0)
+        assert sorted(ms) == sorted(names)
+        assert all(value > 0 for value in ms.values())
+    assert len(pairs.ROUTE_CASES) == 21 and "question_mark 1/2" in pairs.ROUTE_CASES
