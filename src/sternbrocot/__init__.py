@@ -1,16 +1,7 @@
 """Exact arithmetic for Stern-Brocot sequences, reduced continued
 fractions, and the singular distribution functions they generate."""
 
-from .cf import (
-    RegularCF,
-    ReducedRCF,
-    digit_sum_L,
-    expand_rcf,
-    expand_rrcf,
-    rcf_to_rrcf,
-    sum_partial_quotients,
-    value_rrcf,
-)
+from .cf import ReducedRCF, RegularCF, expand_rcf, expand_rrcf, rcf_to_rrcf
 from .dist import (
     ConvergenceReport,
     ConvergenceRow,
@@ -57,7 +48,6 @@ __all__ = [
     "SternBrocotLevel",
     "XiSequence",
     "XiTreeNode",
-    "digit_sum_L",
     "empirical_cdf",
     "expand_rcf",
     "expand_rrcf",
@@ -76,10 +66,8 @@ __all__ = [
     "question_mark",
     "rcf_to_rrcf",
     "stern_level",
-    "sum_partial_quotients",
     "theta",
     "to_decimal",
-    "value_rrcf",
     "verify_theorem1",
     "walk_blocks",
     "xi",

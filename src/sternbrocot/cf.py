@@ -37,13 +37,6 @@ class RegularCF(_Record):
             raise ValueError("canonical form needs a final quotient >= 2")
         object.__setattr__(self, "quotients", quotients)
 
-    @classmethod
-    def _known(cls, quotients: tuple[int, ...]) -> "RegularCF":
-        """The record of a tuple known to be canonical, set directly."""
-        cf = object.__new__(cls)
-        object.__setattr__(cf, "quotients", quotients)
-        return cf
-
     def __str__(self) -> str:
         return "[0;" + ",".join(map(str, self.quotients)) + "]"
 
@@ -73,7 +66,7 @@ def expand_rcf(x: Fraction) -> RegularCF:
     automatically; x = 1 expands to the empty quotient list. The range
     check compares x's numerator and denominator as integers. Euclid's
     quotients are canonical by construction, so the record is built
-    without the constructor's checks (`RegularCF._known`).
+    without the constructor's checks (`_Record._known`).
     """
     num, den = x.denominator, x.numerator  # Euclid on 1/x
     if not 0 < den <= num:
@@ -88,11 +81,6 @@ def expand_rcf(x: Fraction) -> RegularCF:
     return RegularCF._known(tuple(quotients))
 
 
-def sum_partial_quotients(cf: RegularCF) -> int:
-    """S(x) = a1 + ... + am; the grading of the mediant construction."""
-    return sum(cf.quotients)
-
-
 def rcf_to_rrcf(cf: RegularCF) -> ReducedRCF:
     """Rewrite a regular expansion into the reduced one, digit block by block.
 
@@ -102,21 +90,24 @@ def rcf_to_rrcf(cf: RegularCF) -> ReducedRCF:
       even final     -> the single digit ai + 1.
     So the expansion has a1 + a3 + ... digits, less one when m is odd;
     past `exact.MAX_ELEMENTS` it raises ValueError before any digit is built.
+    Every digit is >= 2 by construction, and there is at least one, so the
+    record is built without the constructor's checks (`_Record._known`).
     """
     if not cf.quotients:
         raise ValueError("x = 1 has no reduced expansion")
-    m = len(cf.quotients)
-    if sum(cf.quotients[::2]) - m % 2 > MAX_ELEMENTS:
+    if sum(cf.quotients[::2]) - len(cf.quotients) % 2 > MAX_ELEMENTS:
         raise ValueError(f"the reduced expansion would pass the cap of {MAX_ELEMENTS} digits")
     digits: list[int] = []
-    for i, a in enumerate(cf.quotients, start=1):
-        if i % 2 == 1:
-            digits.extend([2] * (a - 1))
-        elif i != m:
-            digits.append(a + 2)
+    odd = False
+    for a in cf.quotients:
+        odd = not odd
+        if odd:
+            digits += [2] * (a - 1)
         else:
-            digits.append(a + 1)
-    return ReducedRCF(tuple(digits))
+            digits.append(a + 2)
+    if not odd:  # the even final position: ai + 1
+        digits[-1] -= 1
+    return ReducedRCF._known(tuple(digits))
 
 
 def expand_rrcf(x: Fraction) -> ReducedRCF:
@@ -125,23 +116,3 @@ def expand_rrcf(x: Fraction) -> ReducedRCF:
         raise ValueError(f"expand_rrcf needs 0 < x < 1, got {x}")
     return rcf_to_rrcf(expand_rcf(x))
 
-
-def value_rrcf(rcf: ReducedRCF) -> Fraction:
-    """Exact value of [[1; b1,...,bl]] via the minus-continuant recurrence.
-
-    h(k) = bk*h(k-1) - h(k-2) and likewise for the denominators; the
-    digits >= 2 that ReducedRCF enforces force 0 < h(k-1) < h(k), so no
-    minor ever vanishes. Consecutive
-    continuants have determinant -1, hence the result is already reduced.
-    """
-    h_prev, h = 1, rcf.digits[0]
-    k_prev, k = 0, 1
-    for b in rcf.digits[1:]:
-        h_prev, h = h, b * h - h_prev
-        k_prev, k = k, b * k - k_prev
-    return Fraction(h - k, h)
-
-
-def digit_sum_L(rcf: ReducedRCF) -> int:
-    """L(x) = b1 + ... + bl; the grading of the reduced construction."""
-    return sum(rcf.digits)

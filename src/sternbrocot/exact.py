@@ -86,16 +86,18 @@ raises TypeError for a missing, surplus, unknown or repeated field, as a
 Python signature does; the refusal to assign or delete; equality within
 one class; the hash of the field tuple; the repr `Name(field=value, ...)`;
 and `__reduce__`, so that copy and pickle rebuild a record through its
-constructor. `RegularCF`, `ReducedRCF` and `XiTreeNode` keep their own
-`__init__`, which validates its fields. The first two set them directly:
-they are built once per expansion, where the generic binding would cost
-about three times a direct one-field constructor; the tree builders of
-`xi` set a node's fields through its private `_known`, and
-`cf.expand_rcf`, whose quotients are canonical by construction, those
-of a RegularCF through its own `_known`. The base stands
-in for frozen dataclasses: importing `dataclasses` pulls in `inspect`
-and `ast`, and builds each class's methods with `exec`, at every start
-of the CLI.
+constructor. A call with every field by position binds them through
+their slot descriptors with no other work, at little more than the cost
+of a hand-written constructor, so a record without checks of its own
+needs none. `RegularCF` and `ReducedRCF` keep their own `__init__`,
+which validates the one field and sets it directly: they are built once
+per expansion, where a call up to the base would double the cost. A
+builder whose field is valid by construction (`cf.expand_rcf`,
+`cf.rcf_to_rrcf`) sets it through the base's private `_known`, without
+the checks. The base stands in for
+frozen dataclasses: importing `dataclasses` pulls in `inspect` and
+`ast`, and builds each class's methods with `exec`, at every start of
+the CLI.
 """
 
 from __future__ import annotations
@@ -113,14 +115,30 @@ class _Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        # each field's slot descriptor binds it without the lookup by name
+        # that object.__setattr__ makes
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values: object, **named: object) -> None:
-        names = self.__slots__
-        fields = dict(zip(names, values), **named)
-        if len(values) + len(named) != len(names) or fields.keys() != set(names):
-            raise TypeError(f"{type(self).__qualname__}({', '.join(names)}) takes each field "
-                            "once, by position or by name")
-        for name in names:
-            object.__setattr__(self, name, fields[name])
+        setters = self._setters
+        if named or len(values) != len(setters):  # not every field by position
+            names = self.__slots__
+            fields = dict(zip(names, values), **named)
+            if len(values) + len(named) != len(names) or fields.keys() != set(names):
+                raise TypeError(f"{type(self).__qualname__}({', '.join(names)}) takes each field "
+                                "once, by position or by name")
+            values = [fields[name] for name in names]
+        for bind, value in zip(setters, values):
+            bind(self, value)
+
+    @classmethod
+    def _known(cls, value: object) -> _Record:
+        """The record of a one-field class holding a value known to pass
+        the class's own checks, set directly, without them."""
+        record = object.__new__(cls)
+        cls._setters[0](record, value)
+        return record
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -75,7 +75,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .cf import RegularCF, expand_rcf, sum_partial_quotients
+from .cf import RegularCF, expand_rcf
 from .exact import (
     _NORM_BITS,
     _OVER_BUDGET,
@@ -125,7 +125,7 @@ def question_mark(cf: RegularCF) -> Fraction:
     the shift."""
     if not cf.quotients:
         return Fraction(1)
-    shift = sum_partial_quotients(cf) - 1
+    shift = sum(cf.quotients) - 1
     if shift > _SALEM_LIMIT:
         raise ValueError(_OVER_BUDGET)
     numerator = 0

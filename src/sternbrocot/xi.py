@@ -17,12 +17,15 @@ generations and right edges one, so `xi` and `theta` read their members
 off the blocks of `stern.walk_blocks` with left = 2, in increasing
 order, through the guarded route of `stern`'s builders, which refuses a sequence past
 `exact.MAX_ELEMENTS` before the walk; nothing is cached between calls.
+`theta` pairs each member with its reduced digits (`cf.expand_rrcf`) and
+its generation in an `XiTreeNode`, a plain record that checks nothing:
+the three fields agree by construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from .cf import ReducedRCF, digit_sum_L, expand_rrcf, value_rrcf
+from .cf import expand_rrcf
 from .exact import _OVER_BUDGET, MAX_EXACT_BITS, _phi_pow, _Record
 from .stern import _nodes
 
@@ -40,30 +43,11 @@ def fibonacci(n: int) -> int:
 
 
 class XiTreeNode(_Record):
-    """A tree node: a rational in (0,1), its reduced digits, its generation.
-
-    The constructor checks that the level is the digit sum minus one and
-    the value that of the digits. `theta` builds nodes whose fields agree
-    by construction, through `_known`, which skips the checks.
-    """
+    """A tree node: a rational in (0,1), its reduced digits, and its
+    generation, the digit sum minus one; the test suite checks every node
+    of `theta` against the digits' own value (`oracles.xi_node`)."""
 
     __slots__ = ("value", "digits", "level")
-
-    def __init__(self, value: Fraction, digits: ReducedRCF, level: int) -> None:
-        if level != digit_sum_L(digits) - 1:
-            raise ValueError("level must be the digit sum minus one")
-        if value != value_rrcf(digits):
-            raise ValueError("value must be the value of the digits")
-        super().__init__(value, digits, level)
-
-    @classmethod
-    def _known(cls, value: Fraction, digits: ReducedRCF, level: int) -> "XiTreeNode":
-        """The node of fields known to agree, set directly."""
-        node = object.__new__(cls)
-        object.__setattr__(node, "value", value)
-        object.__setattr__(node, "digits", digits)
-        object.__setattr__(node, "level", level)
-        return node
 
 
 class XiSequence(_Record):
@@ -77,7 +61,7 @@ def theta(k: int) -> tuple[XiTreeNode, ...]:
 
     The nodes of depth k in the graded walk with left edges costing 2.
     """
-    return tuple(XiTreeNode._known(x, expand_rrcf(x), k) for x in _nodes(k, 1, 2, deepest=True))
+    return tuple(XiTreeNode(x, expand_rrcf(x), k) for x in _nodes(k, 1, 2, deepest=True))
 
 
 def xi(n: int) -> XiSequence:

@@ -91,7 +91,9 @@ def generation(k: int) -> list[tuple[Fraction, tuple[int, ...]]]:
 
 def xi_node(digits: tuple[int, ...]) -> XiTreeNode:
     """The tree node of the reduced digits: its value by `reduced_value`,
-    its generation the digit sum minus one, through the node's checks."""
+    its generation the digit sum minus one. The digits pass through
+    `ReducedRCF`'s checks; the node itself is a plain record, so the value
+    and the generation are right by this construction alone."""
     return XiTreeNode(reduced_value(digits), ReducedRCF(digits), sum(digits) - 1)
 
 
@@ -617,14 +619,13 @@ class PowerSurd:
         while n:  # right to left: result collects the squares of the set bits
             if n & 1:
                 result = result * square
-            square, n = square * square, n >> 1
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, QuadSurd):
-            c, e = other.a, other.b
-        else:
-            c, e = Fraction(other), Fraction(0)
+        c, e = (other.a, other.b) if isinstance(other, QuadSurd) else (other, 0)  # int or Fraction
         denominator = math.lcm(c.denominator, e.denominator)
         c, e = c.numerator * (denominator // c.denominator), e.numerator * (denominator // e.denominator)
         scale = self.base ** self.k

@@ -1,23 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sternbrocot import (
     ReducedRCF,
     RegularCF,
-    digit_sum_L,
     expand_rcf,
     expand_rrcf,
     rcf_to_rrcf,
-    sum_partial_quotients,
-    value_rrcf,
 )
 
 from sternbrocot.exact import MAX_ELEMENTS as MAX_REDUCED_DIGITS
 
-from oracles import rcf_value, subtractive_rrcf
+from oracles import quotient_lists, rcf_value, reduced_value, subtractive_rrcf
 
 unit_interior = st.fractions(min_value=0, max_value=1, max_denominator=10_000).filter(
     lambda x: 0 < x < 1
@@ -59,13 +56,13 @@ class TestRegularExpansion:
         [(Fraction(1, 2), 2), (Fraction(2, 3), 3), (Fraction(3, 5), 4)],
     )
     def test_quotient_sums(self, x, s):
-        assert sum_partial_quotients(expand_rcf(x)) == s
+        assert sum(expand_rcf(x).quotients) == s
 
     def test_quotient_sum_grades_the_levels(self, stern_chain):
         # the elements first inserted at level n have quotient sum n + 1
         for n in (1, 2, 3):
             fresh = set(stern_chain[n].elements) - set(stern_chain[n - 1].elements)
-            assert {sum_partial_quotients(expand_rcf(x)) for x in fresh} == {n + 1}
+            assert {sum(expand_rcf(x).quotients) for x in fresh} == {n + 1}
 
     def test_canonical_form_validation(self):
         with pytest.raises(ValueError):
@@ -104,7 +101,7 @@ class TestReducedExpansion:
         ],
     )
     def test_value_examples(self, digits, x):
-        assert value_rrcf(ReducedRCF(digits)) == x
+        assert reduced_value(ReducedRCF(digits).digits) == x
 
     def test_domain(self):
         for bad in (Fraction(0), Fraction(1), Fraction(2)):
@@ -124,12 +121,12 @@ class TestReducedExpansion:
         [((2,), 2), ((3,), 3), ((3, 2), 5)],
     )
     def test_digit_sums(self, digits, total):
-        assert digit_sum_L(ReducedRCF(digits)) == total
+        assert sum(ReducedRCF(digits).digits) == total
 
     @given(unit_interior)
     def test_round_trip_and_digits_at_least_two(self, x):
         rcf = expand_rrcf(x)
-        assert value_rrcf(rcf) == x
+        assert reduced_value(rcf.digits) == x
         assert all(b >= 2 for b in rcf.digits)
 
 
@@ -170,7 +167,17 @@ class TestRewrite:
     @given(unit_interior)
     def test_rewrite_preserves_the_value(self, x):
         cf = expand_rcf(x)
-        assert value_rrcf(rcf_to_rrcf(cf)) == rcf_value(cf.quotients)
+        assert reduced_value(rcf_to_rrcf(cf).digits) == rcf_value(cf.quotients)
+
+    @given(quotient_lists(max_total=10 ** 4))
+    def test_rewrite_builds_the_constructors_record(self, quotients):
+        # the digits are set without ReducedRCF's checks; they pass them
+        x = rcf_value(quotients)
+        assume(0 < x < 1)
+        rewritten = rcf_to_rrcf(expand_rcf(x))
+        assert type(rewritten) is ReducedRCF and type(rewritten.digits) is tuple
+        assert ReducedRCF(rewritten.digits) == rewritten
+        assert reduced_value(rewritten.digits) == x
 
     @given(unit_interior)
     def test_rewrite_agrees_with_subtractive_oracle(self, x):
@@ -179,8 +186,8 @@ class TestRewrite:
     def test_both_gradings_on_one_value(self):
         # 3/5 sits in generation 3 of one construction, 4 of the other
         x = Fraction(3, 5)
-        assert sum_partial_quotients(expand_rcf(x)) == 4
-        assert digit_sum_L(expand_rrcf(x)) == 5
+        assert sum(expand_rcf(x).quotients) == 4
+        assert sum(expand_rrcf(x).digits) == 5
 
 
 class TestTextFormats:

@@ -13,7 +13,6 @@ from sternbrocot import (
     TAU2,
     empirical_cdf,
     expand_rrcf,
-    digit_sum_L,
     fibonacci,
     mediant,
     stern_level,
@@ -266,7 +265,7 @@ class TestMediantRatio:
     def test_matches_subtree_counts_for_inner_pairs(self):
         elements = xi(4).elements
         for x, y in zip(elements, elements[1:]):
-            k = digit_sum_L(expand_rrcf(mediant(x, y))) - 1
+            k = sum(expand_rrcf(mediant(x, y)).digits) - 1
             expected = Fraction(subtree_size(k + 2, 20), subtree_size(k, 20))
             assert mediant_ratio(x, y, 4, 20) == expected
 

@@ -25,7 +25,6 @@ from sternbrocot import (
     parse_quadsurd,
     parse_rational,
     stern_level,
-    sum_partial_quotients,
     to_decimal,
 )
 
@@ -79,8 +78,8 @@ class TestMediant:
         # (0+1)/(1+2) and (1+1)/(2+1); both first appear at level 2
         assert mediant(Fraction(0), Fraction(1, 2)) == Fraction(1, 3)
         assert mediant(Fraction(1, 2), Fraction(1)) == Fraction(2, 3)
-        assert sum_partial_quotients(expand_rcf(Fraction(1, 3))) - 1 == 2
-        assert sum_partial_quotients(expand_rcf(Fraction(2, 3))) - 1 == 2
+        assert sum(expand_rcf(Fraction(1, 3)).quotients) - 1 == 2
+        assert sum(expand_rcf(Fraction(2, 3)).quotients) - 1 == 2
 
     def test_equal_arguments_rejected(self):
         with pytest.raises(ValueError):

@@ -106,8 +106,8 @@ def test_copies_are_equal(cls, fields, text, clone):
     assert type(twin) is cls and twin == record and hash(twin) == hash(record)
 
 
-#: The four records whose constructor `_Record` derives from __slots__ alone.
-DERIVED = [record for record in RECORDS if record[0] in (SternBrocotLevel, XiSequence,
+#: The five records whose constructor `_Record` derives from __slots__ alone.
+DERIVED = [record for record in RECORDS if record[0] in (SternBrocotLevel, XiTreeNode, XiSequence,
                                                           ConvergenceRow, ConvergenceReport)]
 
 
@@ -133,10 +133,6 @@ def test_constructors_still_validate():
         RegularCF((2, 1))
     with pytest.raises(ValueError, match="digits must be >= 2"):
         ReducedRCF(digits=(1,))
-    with pytest.raises(ValueError, match="digit sum minus one"):
-        XiTreeNode(Fraction(3, 7), ReducedRCF((2, 4)), 4)
-    with pytest.raises(ValueError, match="value of the digits"):
-        XiTreeNode(Fraction(1, 3), ReducedRCF((2,)), 1)  # (2,) is 1/2
     assert RegularCF([2, 3]).quotients == (2, 3)  # any iterable becomes a tuple
 
 

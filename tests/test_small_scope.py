@@ -2,11 +2,18 @@
 until its wide branches run on inputs small enough to enumerate, then
 checks a whole small domain against an exact reference."""
 
+import io
+from fractions import Fraction
+from itertools import chain, product, repeat
+
 import pytest
 
-from sternbrocot import exact, stern
+from sternbrocot import TAU, TAU2, QuadSurd, RegularCF, cli, exact, g_series, g_stream, graded_walk, singular, stern
 
-from oracles import node_walk
+from oracles import PowerSurd, field_series, field_stream, field_walk, node_walk
+
+#: tau**2 and tau, whose powers have d = 1, and a parameter whose d is not 1
+SMALL_LAMBDAS = (TAU2, TAU, QuadSurd(Fraction(1, 7), Fraction(1, 11)))
 
 
 def sqrt5_convergents(bits: int) -> list[tuple[int, int]]:
@@ -75,3 +82,72 @@ def test_the_block_walk_at_blocks_of_one_to_three(monkeypatch, block_nodes):
                 nodes = [(p, q, base + d) for ps, qs, depths, base in blocks
                          for p, q, d in zip(ps, qs, depths)]
                 assert nodes == [node for node in node_walk(n, left) if not deepest or node[2] == n]
+
+
+@pytest.fixture
+def tables_of_three(monkeypatch):
+    """`exact._TABLE_POWERS` at 3, with no kernel record cached across the
+    change: each record built meanwhile holds the powers 0, 1 and 2 alone."""
+    monkeypatch.setattr(exact, "_TABLE_POWERS", 3)
+    exact._kernel_record.cache_clear()
+    yield
+    exact._kernel_record.cache_clear()
+
+
+def test_the_g_routes_at_tables_of_three_powers(monkeypatch, tables_of_three):
+    # every quotient of 3 or more is powered by _phi_pow, and in the stream
+    # every first quotient of 4 or more, whose first factor is skipped
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact._phi_pow(*args)
+
+    monkeypatch.setattr(singular, "_phi_pow", counted)
+    # the canonical words: a word that ends in 1 followed by ones is the
+    # stream of the word without that 1, and no RegularCF
+    words = [word for k in range(5) for word in product(range(1, 6), repeat=k) if not word or word[-1] > 1]
+    epsilon = Fraction(1, 10 ** 30)
+    for lam in SMALL_LAMBDAS:
+        assert all(len(table) == 3 for table in exact._kernel(lam).tables)
+        for word in words:
+            value = g_series(RegularCF(word), lam)
+            assert value == field_series(word, lam) and type(value) is QuadSurd
+            lo, hi = g_stream(chain(word, repeat(1)), lam, epsilon)
+            expected = field_stream(chain(word, repeat(1)), PowerSurd.of(lam), epsilon)
+            assert (lo, hi) == tuple(bound.value() for bound in expected)
+        for n in range(8):
+            for left in (1, 2):
+                assert list(graded_walk(n, left, lam)) == list(field_walk(n, left, lam))
+    assert {q for _, _, q in calls} == {3, 4, 5}
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_plot_data_at_chunks_of_one_and_two_rows(monkeypatch, capsys, chunk):
+    def table(lam, grid):
+        assert cli.run(["plot-data", "--lambda", lam, "--grid", str(grid)]) == 0
+        return capsys.readouterr().out
+
+    cases = [(lam, grid) for lam in ("1/3", "tau2", "1/7+1/11√5") for grid in range(1, 10)]
+    expected = [table(*case) for case in cases]
+    monkeypatch.setattr(cli, "PLOT_CHUNK", chunk)
+    assert [table(*case) for case in cases] == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_the_token_reader_at_chunks_of_one_to_three_characters(monkeypatch, chunk):
+    # every text of up to 5 characters over two digits and three kinds of
+    # space: multi-digit tokens, leading zeros, runs of any whitespace
+    monkeypatch.setattr(cli, "STREAM_CHUNK", chunk)
+    texts = ["".join(text) for k in range(6) for text in product("10 \t\n", repeat=k)]
+    assert [text for text in texts
+            if list(cli._read_quotients(io.StringIO(text))) != [int(word) for word in text.split()]] == []
+    # at 3 characters a token of 4, split across two or more chunks, is refused
+    monkeypatch.setattr(cli, "MAX_TOKEN_CHARS", 3)
+    for text in texts:
+        words = text.split()
+        if max(map(len, words), default=0) > 3:
+            with pytest.raises(ValueError, match="longer than 3 characters"):
+                list(cli._read_quotients(io.StringIO(text)))
+        else:
+            assert list(cli._read_quotients(io.StringIO(text))) == [int(word) for word in words]

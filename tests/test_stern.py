@@ -23,7 +23,6 @@ from sternbrocot import (
     new_mediants,
     next_level,
     stern_level,
-    sum_partial_quotients,
     theta,
     xi,
 )
@@ -98,7 +97,7 @@ class TestCharacterization:
         [(Fraction(1, 2), 1), (Fraction(2, 3), 2), (Fraction(3, 5), 3)],
     )
     def test_examples(self, x, n):
-        assert sum_partial_quotients(expand_rcf(x)) - 1 == n
+        assert sum(expand_rcf(x).quotients) - 1 == n
         assert x in new_mediants(n)
 
     def test_layers_match_quotient_sums(self, stern_chain):
@@ -107,7 +106,7 @@ class TestCharacterization:
             expected = {
                 x
                 for x in stern_chain[8].elements
-                if x not in (0, 1) and sum_partial_quotients(expand_rcf(x)) == n + 1
+                if x not in (0, 1) and sum(expand_rcf(x).quotients) == n + 1
             }
             assert set(new_mediants(n)) == expected
 
@@ -116,7 +115,7 @@ class TestCharacterization:
             members = {
                 x
                 for x in stern_chain[8].elements
-                if x in (0, 1) or sum_partial_quotients(expand_rcf(x)) <= n + 1
+                if x in (0, 1) or sum(expand_rcf(x).quotients) <= n + 1
             }
             assert set(stern_chain[n].elements) == members
 
@@ -151,7 +150,7 @@ class TestGradedWalk:
     def test_depth_is_the_level_or_the_generation(self):
         # left = 1: level S(x) - 1; left = 2: generation L(x) - 1
         for p, q, depth in flat(12, 1):
-            assert depth == sum_partial_quotients(expand_rcf(Fraction(p, q))) - 1
+            assert depth == sum(expand_rcf(Fraction(p, q)).quotients) - 1
         for p, q, depth in flat(16, 2):
             assert depth == sum(subtractive_rrcf(Fraction(p, q))) - 1
 

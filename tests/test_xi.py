@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from sternbrocot import (
     SQRT5,
-    ReducedRCF,
-    XiTreeNode,
     fibonacci,
     mediant,
     theta,
@@ -95,15 +93,10 @@ class TestNodesAndChildren:
             assert left_child(node).level == node.level + 2
             assert right_child(node).level == node.level + 1
 
-    def test_node_level_must_match_digit_sum(self):
-        with pytest.raises(ValueError):
-            XiTreeNode(Fraction(1, 2), ReducedRCF((2,)), level=2)
-
-    def test_the_builders_give_the_nodes_the_constructor_checks(self):
-        # theta skips the constructor's checks
+    def test_every_theta_node_is_the_oracle_node_of_its_digits(self):
+        # the value by the digits' own recurrence, the level by their sum
         for k in range(1, 15):
             for node in theta(k):
-                assert node == XiTreeNode(node.value, node.digits, node.level)
                 assert xi_node(node.digits.digits) == node
 
     def test_values_are_reduced_unit_interior(self):

@@ -1,5 +1,8 @@
-"""Print each src/sternbrocot module's lines and code lines, then the totals,
-then the number of public names in the package's `__all__`.
+"""Print each src/sternbrocot module's lines and code lines, then the totals;
+then those of tests/oracles.py, the slow independent routes the tests
+check the package against, and the sum of the two, so that a route moved
+from the package into the oracles shows as moved, not removed; then the
+number of public names in the package's `__all__`.
 
 Code lines leave out blank lines, comment lines and docstrings. `__all__`
 is read from `__init__.py` by `ast`, without importing the package.
@@ -9,7 +12,9 @@ Usage: python tools/count_lines.py
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sternbrocot"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sternbrocot"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 
 def counts(text: str) -> tuple[int, int]:
@@ -38,4 +43,7 @@ for module in sorted(PACKAGE.glob("*.py")):
     total = [total[0] + lines, total[1] + code]
     print(f"{module.name}\t{lines}\t{code}")
 print(f"total\t{total[0]}\t{total[1]}")
+oracles = counts(ORACLES.read_text(encoding="utf-8"))
+print(f"oracles.py\t{oracles[0]}\t{oracles[1]}")
+print(f"total+oracles\t{total[0] + oracles[0]}\t{total[1] + oracles[1]}")
 print(f"__all__\t{len(public_names((PACKAGE / '__init__.py').read_text(encoding='utf-8')))}")
